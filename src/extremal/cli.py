@@ -217,8 +217,7 @@ def _run_modulus(cfg: ExperimentConfig, artifacts: dict) -> dict:
             constraint = modfam.CurveConstraint(
                 cmode, mask, p.get("budget", 0))
         res = modfam.discrete_modulus(scene, constraint, tol=cfg.tol)
-        out = {"value": res.value, "gap": res.gap, "iterations": res.iterations,
-               "infeasible": res.infeasible}
+        out = {"value": res.value, "infeasible": res.infeasible}
         sc = p["scene"]
         if sc.get("builder") == "annulus":
             exact = modfam.ring_modulus_exact(2, sc["r"], sc["R"])

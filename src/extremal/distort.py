@@ -298,7 +298,6 @@ def ring_qc_test(f: SampledMap, rings, c1: float, grid_n: int = 160,
             scene = image_ring_scene(f, center, r, R, grid_n)
             res = discrete_modulus(scene, tol=tol)
             entry["image_modulus"] = res.value
-            entry["gap"] = res.gap
             c2 = max(c2, res.value)
         except DomainError as exc:
             entry["error"] = str(exc)

@@ -6,12 +6,13 @@ path (8-neighbor paths in 2D, 26-neighbor in 3D).  Admissibility over all
 paths collapses to the single condition that the rho-shortest-path distance
 between the marked sets is at least 1, which one Dijkstra pass certifies.
 
-The solver builds a near-extremal candidate from the grid Dirichlet potential
-of the scene (gradient magnitude of the capacity potential), certifies it by
-shortest path, then runs the multiplicative polish loop (bump the binding
-path, renormalize, harmonically decaying step) keeping the best certified
-value.  Every reported value is the energy of an exactly admissible density,
-hence a certified upper estimate of the discrete optimum.
+The solver builds near-extremal candidates from grid Dirichlet potentials
+(gradient magnitude of the capacity potential; in budget mode also the
+potential of the scene with the obstacle removed), certifies each through
+``ModulusProblem.certify`` (scale it so its shortest constrained path has
+length 1, then take its energy) and keeps the best.  Every reported value is
+the energy of an exactly admissible density, hence a certified upper estimate
+of the discrete optimum.
 """
 
 from __future__ import annotations
@@ -162,9 +163,10 @@ class CurveConstraint:
     """Path constraint mode: unconstrained, avoid(E), or budget(E, K).
 
     ``cells`` rasterizes the obstacle set onto the scene grid.  In budget mode
-    a path may enter obstacle cells at most ``budget`` times (entry events
-    counted with multiplicity), the grid-scale surrogate for families meeting
-    a set in finitely many points.
+    every step into an obstacle cell costs one unit (a path starting in one
+    pays for it too), so crossing a wall eight cells thick costs 8; a path may
+    spend at most ``budget``.  This is the grid-scale surrogate for families
+    meeting a set in finitely many points.
     """
 
     mode: str = "unconstrained"
@@ -443,8 +445,6 @@ def _dirichlet_rho(active: np.ndarray, f1: np.ndarray, f2: np.ndarray,
                 grad = _grad_magnitude(uval, active, h)
 
                 def cond_fn(fr_, nb_, inb_, exists_):
-                    g = np.full(len(fr_), 1e-8)
-                    mid = np.zeros(len(fr_))
                     ga = grad[tuple(fr_.T)]
                     gb = np.zeros(len(fr_))
                     gb[inb_] = grad[tuple(nb_[inb_].T)]
@@ -490,72 +490,76 @@ class ModulusResult:
     value: float
     density: DensityField | None
     witnesses: list[PolyCurve]
-    gap: float
-    iterations: int
     infeasible: bool = False
     diagnostics: dict = field(default_factory=dict)
 
 
-def _active_masks(scene: GridScene, constraint: CurveConstraint):
-    if constraint.mode == "avoid":
-        active = scene.u & ~constraint.cells
-    else:
-        active = scene.u
-    f1 = scene.f1 & active
-    f2 = scene.f2 & active
-    return active, f1, f2
+class ModulusProblem:
+    """The grid path family of one (scene, constraint) pair, ready to certify.
+
+    Holds the active cells (the scene minus the obstacle in avoid mode), the
+    marked node ids, the path graph, the per-node entry costs and budget in
+    budget mode, and the energy exponent p = scene dimension.
+    """
+
+    def __init__(self, scene: GridScene, constraint: CurveConstraint = UNCONSTRAINED):
+        self.scene = scene
+        self.p = scene.dim
+        if constraint.mode == "avoid":
+            self.active = scene.u & ~constraint.cells
+        else:
+            self.active = scene.u
+        self.f1 = scene.f1 & self.active
+        self.f2 = scene.f2 & self.active
+        self.graph = _Graph(self.active, scene.spacing)
+        self.f1_ids = self.graph.idx[self.f1]
+        self.f2_ids = self.graph.idx[self.f2]
+        self.ecost = None
+        self.budget = 0
+        if constraint.mode == "budget":
+            self.ecost = constraint.cells[self.active].astype(np.int64)
+            self.budget = constraint.budget
+
+    def certify(self, rho_grid: np.ndarray, want_path: bool = False):
+        """Scale rho so its shortest constrained path has length 1.
+
+        Returns (energy, normalized rho, binding path); the energy is inf (and
+        the rest None) when no path exists or its rho-length is 0.
+        """
+        rho = np.where(self.active, rho_grid, 0.0)
+        d, path = _shortest_distance(self.graph, rho[self.active], self.f1_ids,
+                                     self.f2_ids, self.ecost, self.budget,
+                                     want_path=want_path)
+        if not np.isfinite(d) or d <= 0:
+            return math.inf, None, None
+        rho_norm = rho / d
+        energy = float(np.sum(rho_norm[self.active] ** self.p)
+                       * self.scene.spacing ** self.p)
+        return energy, rho_norm, path
 
 
 def discrete_modulus(scene: GridScene, constraint: CurveConstraint = UNCONSTRAINED,
-                     tol: float = 0.01, exponent: float | None = None,
-                     polish_iters: int = 12,
-                     extra_candidates: Sequence[np.ndarray] = ()) -> ModulusResult:
-    """Discrete p-modulus of grid paths joining F1 to F2 under a constraint.
+                     tol: float = 0.01) -> ModulusResult:
+    """Discrete p-modulus (p = dimension) of grid paths joining F1 to F2.
 
     Returns a certified upper estimate: the reported density is exactly
-    admissible (its constrained shortest-path distance is >= 1) and the value
-    is its energy.  ``extra_candidates`` lets callers share candidate
-    densities across related runs, which keeps constraint-relaxation
-    monotonicity structural.
+    admissible (its constrained shortest-path distance is 1) and the value
+    is its energy.  ``tol`` must be positive; the certified value does not
+    depend on it.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    p = exponent if exponent is not None else scene.dim
-    h = scene.spacing
-    active, f1m, f2m = _active_masks(scene, constraint)
-    if not f1m.any() or not f2m.any():
-        return ModulusResult(0.0, None, [], 0.0, 0, infeasible=True,
+    problem = ModulusProblem(scene, constraint)
+    if not problem.f1.any() or not problem.f2.any():
+        return ModulusResult(0.0, None, [], infeasible=True,
                              diagnostics={"reason": "marked set removed by constraint"})
-    graph = _Graph(active, h)
-    f1_ids = graph.idx[f1m]
-    f2_ids = graph.idx[f2m]
-    ecost = None
-    budget = 0
-    if constraint.mode == "budget":
-        ecost = constraint.cells[active].astype(np.int64)
-        budget = constraint.budget
-
     # reachability probe with unit density
-    unit = np.ones(graph.n)
-    d_probe, _ = _shortest_distance(graph, unit, f1_ids, f2_ids, ecost, budget)
-    if not np.isfinite(d_probe):
-        return ModulusResult(0.0, None, [], 0.0, 1, infeasible=True,
+    if math.isinf(problem.certify(np.ones(scene.shape))[0]):
+        return ModulusResult(0.0, None, [], infeasible=True,
                              diagnostics={"reason": "no admissible path under constraint"})
 
-    area = h ** scene.dim
-
-    def certified(rho_grid: np.ndarray, want_path=False):
-        rho_flat = rho_grid[active]
-        d, path = _shortest_distance(graph, rho_flat, f1_ids, f2_ids, ecost,
-                                     budget, want_path=want_path)
-        if not np.isfinite(d) or d <= 0:
-            return math.inf, None, None
-        rho_norm = rho_grid / d
-        energy = float(np.sum(rho_norm[active] ** p) * area)
-        return energy, rho_norm, path
-
-    candidates: list[np.ndarray] = [c for c in extra_candidates]
-    candidates.append(_dirichlet_rho(active, f1m, f2m, h, p))
+    h, p = scene.spacing, problem.p
+    candidates = [_dirichlet_rho(problem.active, problem.f1, problem.f2, h, p)]
     if constraint.mode == "budget":
         # the avoid-mode potential covers the detour regime
         av_active = scene.u & ~constraint.cells
@@ -565,41 +569,19 @@ def discrete_modulus(scene: GridScene, constraint: CurveConstraint = UNCONSTRAIN
 
     best_val, best_rho, best_path = math.inf, None, None
     for cand in candidates:
-        val, rho_norm, path = certified(np.where(active, cand, 0.0), want_path=True)
+        val, rho_norm, path = problem.certify(cand, want_path=True)
         if val < best_val:
             best_val, best_rho, best_path = val, rho_norm, path
-
     if best_rho is None:
-        return ModulusResult(0.0, None, [], 0.0, 1, infeasible=True,
+        return ModulusResult(0.0, None, [], infeasible=True,
                              diagnostics={"reason": "all candidates infeasible"})
-
-    # multiplicative polish: bump the binding path, renormalize, keep the best
-    rho = best_rho.copy()
-    iterations = len(candidates)
-    prev_energy = best_val
-    gap = 1.0
-    for t in range(1, polish_iters + 1):
-        val, rho_norm, path = certified(rho, want_path=True)
-        iterations += 1
-        if val < best_val:
-            best_val, best_rho, best_path = val, rho_norm, path
-        rel_change = abs(val - prev_energy) / max(val, 1e-300)
-        gap = rel_change
-        prev_energy = val
-        if rel_change < tol:
-            break
-        eta = 0.25 / t
-        rho = rho_norm.copy()
-        if path:
-            cells = graph.cells[path]
-            rho[tuple(cells.T)] *= (1 + eta)
 
     witnesses = []
     if best_path:
-        centers = scene.origin + (graph.cells[best_path] + 0.5) * h
+        centers = scene.origin + (problem.graph.cells[best_path] + 0.5) * h
         witnesses.append(PolyCurve(centers))
     density = DensityField(best_rho, h, scene.origin, p)
-    return ModulusResult(best_val, density, witnesses, gap, iterations,
+    return ModulusResult(best_val, density, witnesses,
                          diagnostics={"candidates": len(candidates),
                                       "constraint": constraint.mode})
 

@@ -984,14 +984,10 @@ def cned_probe(E_or_mask, scene: GridScene, budgets: Sequence[int],
                for name, cons in constraints.items()}
 
     pool = [res.density.values for res in results.values() if res.density is not None]
-    values = {}
-    for name, cons in constraints.items():
-        best = math.inf
-        for rho in pool:
-            v, feasible = certify_value(scene, cons, rho)
-            if feasible:
-                best = min(best, v)
-        values[name] = 0.0 if math.isinf(best) else best
+    # one problem alive at a time, so no other graph adds to the peak of the
+    # layered budget-mode search
+    values = {name: _best_certified(modfam.ModulusProblem(scene, cons), pool)
+              for name, cons in constraints.items()}
 
     full = values["full"]
     out = {
@@ -1007,23 +1003,18 @@ def cned_probe(E_or_mask, scene: GridScene, budgets: Sequence[int],
     return out
 
 
-def certify_value(scene: GridScene, constraint: CurveConstraint,
+def _best_certified(problem: modfam.ModulusProblem, pool) -> float:
+    """Least certified energy over the density pool, 0.0 if none is feasible."""
+    best = math.inf
+    for rho in pool:
+        v, feasible = certify_value(problem, rho)
+        if feasible:
+            best = min(best, v)
+    return 0.0 if math.isinf(best) else best
+
+
+def certify_value(problem: modfam.ModulusProblem,
                   rho_grid: np.ndarray) -> tuple[float, bool]:
-    """Energy of rho normalized to admissibility under the constraint mode."""
-    p = scene.dim
-    active, f1m, f2m = modfam._active_masks(scene, constraint)
-    if not f1m.any() or not f2m.any():
-        return 0.0, False
-    graph = modfam._Graph(active, scene.spacing)
-    ecost = None
-    budget = 0
-    if constraint.mode == "budget":
-        ecost = constraint.cells[active].astype(np.int64)
-        budget = constraint.budget
-    rho = np.where(active, rho_grid, 0.0)
-    d, _ = modfam._shortest_distance(graph, rho[active], graph.idx[f1m],
-                                     graph.idx[f2m], ecost, budget)
-    if not np.isfinite(d) or d <= 0:
-        return 0.0, False
-    energy = float(np.sum((rho[active] / d) ** p) * scene.spacing ** scene.dim)
-    return energy, True
+    """Energy of rho normalized to admissibility under the problem's constraint."""
+    value = problem.certify(rho_grid)[0]
+    return (value, True) if math.isfinite(value) else (0.0, False)

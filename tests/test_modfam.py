@@ -157,6 +157,37 @@ def test_subadditivity_on_marked_family_union():
     assert v_ab <= (v_a + v_b) * 1.02
 
 
+def test_solve_runs_one_pass_per_candidate_plus_probe(monkeypatch):
+    calls = []
+    dijkstra = modfam.dijkstra
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(modfam, "dijkstra", counted)
+    sc = rectangle_scene(2.0, 1.0, 64)
+    res = discrete_modulus(sc, tol=0.02)
+    assert len(calls) == 1 + res.diagnostics["candidates"]
+    # the reported value is what the one certify path gives for its density
+    value = modfam.ModulusProblem(sc).certify(res.density.values)[0]
+    assert value == pytest.approx(res.value, rel=1e-12)
+
+
+def test_zero_density_certifies_to_inf():
+    problem = modfam.ModulusProblem(rectangle_scene(2.0, 1.0, 32))
+    zero = np.zeros(problem.scene.shape)
+    assert problem.certify(zero) == (math.inf, None, None)
+    assert sets.certify_value(problem, zero) == (0.0, False)
+
+
+def test_budget_with_empty_obstacle_is_unconstrained():
+    sc = rectangle_scene(2.0, 1.0, 48)
+    free = discrete_modulus(sc, tol=0.02).value
+    empty = CurveConstraint("budget", np.zeros(sc.shape, bool), 3)
+    assert discrete_modulus(sc, empty, tol=0.02).value == pytest.approx(free, rel=1e-12)
+
+
 def test_budget_mode_relaxation_order():
     sc = rectangle_scene(1.0, 1.0, 48)
     mask = np.zeros(sc.shape, bool)
@@ -178,7 +209,7 @@ def test_3d_shell_modulus_converges_from_above():
     errs = []
     for n in (32, 48, 64):
         sc = modfam.annulus_scene_3d(1.0, math.e, n)
-        res = discrete_modulus(sc, tol=0.03, polish_iters=4)
+        res = discrete_modulus(sc, tol=0.03)
         assert not res.infeasible
         assert res.value >= exact * 0.95
         errs.append(res.value / exact - 1.0)
