@@ -344,7 +344,7 @@ def _run_qh(cfg: ExperimentConfig, artifacts: dict) -> dict:
         decomp = qhyp.whitney_decompose(domain, p.get("max_depth", 6))
         rep = decomp.verify_exact()
         if rep["lower_violations"] or rep["upper_violations"]:
-            raise InvariantBreach("Whitney inequalities violated")
+            raise InvariantBreach(_whitney_breach(decomp, rep))
         artifacts["whitney"] = decomp
         return {"cubes": rep["cubes"], "truncated": decomp.truncated,
                 "lower_violations": len(rep["lower_violations"]),
@@ -359,6 +359,19 @@ def _run_qh(cfg: ExperimentConfig, artifacts: dict) -> dict:
         levels.append(d)
     return {"levels": levels,
             "anchor": {"name": "shadow sum bounded by quasihyperbolic integral"}}
+
+
+def _whitney_breach(decomp, rep: dict) -> str:
+    """Name each failed Whitney check and its first offending cubes."""
+    parts = []
+    for key, check in (("lower_violations", "lower diam(Q) <= dist(Q, boundary)"),
+                       ("upper_violations", "upper dist(Q, boundary) <= 4 diam(Q)")):
+        bad = rep[key]
+        if bad:
+            first = ", ".join(f"#{k} (depth {decomp.cubes[k].depth}, "
+                              f"ij {decomp.cubes[k].ij})" for k in bad[:3])
+            parts.append(f"{check} fails on {len(bad)} cube(s), first {first}")
+    return "Whitney inequalities violated: " + "; ".join(parts)
 
 
 def _run_sets_probe(cfg: ExperimentConfig, artifacts: dict) -> dict:
@@ -586,6 +599,14 @@ def builtin_experiments() -> dict:
         "whitney-disk": {
             "kind": "quasihyperbolic",
             "params": {"domain": {"builder": "disk"}, "mode": "whitney",
+                       "max_depth": 6}},
+        "whitney-cusp": {
+            "kind": "quasihyperbolic",
+            "params": {"domain": {"builder": "cusp"}, "mode": "whitney",
+                       "max_depth": 6}},
+        "whitney-comb": {
+            "kind": "quasihyperbolic",
+            "params": {"domain": {"builder": "comb"}, "mode": "whitney",
                        "max_depth": 6}},
         "shadow-sum-disk": {
             "kind": "quasihyperbolic",

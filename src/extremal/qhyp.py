@@ -6,8 +6,8 @@ Whitney cubes under the shortest-path tree, and the shadow-sum diagnostic
 comparing sum s(Q)^n with the integral of the quasihyperbolic distance.
 
 Domain boundaries are polygons whose vertices are snapped to a dyadic grid,
-so all Whitney invariants are decided in exact rational arithmetic relative
-to the represented boundary.
+so all Whitney invariants are decided in exact integer arithmetic at the
+dyadic scale, relative to the represented boundary.
 """
 
 from __future__ import annotations
@@ -15,16 +15,19 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from .geom import DomainError, PolyCurve
+from .geom import DomainError, PolyCurve, _cloud_diameter
 
 _SNAP = 2 ** 24   # vertex coordinates are multiples of 1/_SNAP
+# point x edge pairs per chunk of the array kernels: the float temporaries
+# (512 KB each) stay in cache; at 2**18 pairs both kernels ran 1.5-2.7x slower
+# on 200k points against the 128-edge disk
+_CHUNK_PAIRS = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -58,12 +61,7 @@ class PolygonDomain:
     def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
         """Euclidean distance to the boundary polygon(s), vectorized."""
         pts = np.atleast_2d(np.asarray(pts, float))
-        out = np.full(len(pts), np.inf)
-        chunk = 2048
-        for i in range(0, len(pts), chunk):
-            out[i:i + chunk] = _points_segments_dist(
-                pts[i:i + chunk], self._seg_a, self._seg_b)
-        return out
+        return _points_segments_dist(pts, self._seg_a, self._seg_b)
 
     def boundary_length(self) -> float:
         return float(np.linalg.norm(self.segments[:, 1] - self.segments[:, 0],
@@ -99,27 +97,47 @@ def _ring_segments(ring: np.ndarray) -> np.ndarray:
 
 
 def _crossing_number(pts: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    x, y = pts[:, 0], pts[:, 1]
+    """Even-odd membership in one ring, vectorized over points x edges.
+
+    The parity of the crossings right of each point is one xor-reduction
+    per chunk of points.
+    """
+    x1, y1 = ring[:, 0], ring[:, 1]
+    nxt = np.roll(ring, -1, axis=0)
+    x2, y2 = nxt[:, 0], nxt[:, 1]
+    dx, dy = x2 - x1, y2 - y1
     inside = np.zeros(len(pts), bool)
-    n = len(ring)
-    for i in range(n):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % n]
+    rows = max(1, _CHUNK_PAIRS // len(ring))
+    for i in range(0, len(pts), rows):
+        x = pts[i:i + rows, 0:1]
+        y = pts[i:i + rows, 1:2]
         cond = (y1 > y) != (y2 > y)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xcross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= cond & (x < np.where(cond, xcross, np.inf))
+            xcross = x1 + (y - y1) * dx / dy
+        inside[i:i + rows] = np.logical_xor.reduce(cond & (x < xcross), axis=1)
     return inside
 
 
 def _points_segments_dist(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = b - a
-    L2 = (d ** 2).sum(1)
+    """Distance from each point to the nearest segment [a_k, b_k].
+
+    x and y are kept as separate (points, segments) arrays per chunk of
+    points; p - (a + t d) keeps this order of operations, so every distance
+    is the same float as the 2-vector projection formula gives.
+    """
+    ax, ay = a[:, 0], a[:, 1]
+    dx, dy = b[:, 0] - ax, b[:, 1] - ay
+    L2 = dx * dx + dy * dy
     L2 = np.where(L2 == 0, 1e-300, L2)
-    w = pts[:, None, :] - a[None, :, :]
-    t = np.clip((w * d[None]).sum(-1) / L2[None], 0.0, 1.0)
-    proj = a[None] + t[..., None] * d[None]
-    return np.sqrt(((pts[:, None, :] - proj) ** 2).sum(-1)).min(axis=1)
+    out = np.empty(len(pts))
+    rows = max(1, _CHUNK_PAIRS // len(a))
+    for i in range(0, len(pts), rows):
+        px, py = pts[i:i + rows, 0:1], pts[i:i + rows, 1:2]
+        t = np.clip(((px - ax) * dx + (py - ay) * dy) / L2, 0.0, 1.0)
+        ex = px - (ax + t * dx)
+        ey = py - (ay + t * dy)
+        out[i:i + rows] = np.sqrt((ex * ex + ey * ey).min(axis=1))
+    return out
 
 
 # --- builders ---------------------------------------------------------------
@@ -214,17 +232,18 @@ class WhitneyDecomposition:
                          f"{q.side:.12g},{q.dist:.12g}\n")
 
     def verify_exact(self) -> dict:
-        """Exact rational check of both Whitney inequalities for every cube,
+        """Exact integer check of both Whitney inequalities for every cube,
         plus the neighbor side-ratio bound over the adjacency edges."""
-        segs = _exact_segments(self.domain)
+        bd = _DyadicBoundary(self.domain, self.root_corner, self.root_side,
+                             self.max_depth)
         bad_low, bad_high = [], []
         for k, q in enumerate(self.cubes):
-            d2 = _exact_cube_dist2(q, segs, self.root_corner, self.root_side)
-            side = _exact_side(q, self.root_side)
+            num, den = bd.cube_dist2(q.depth, q.ij)
+            side = bd.side(q.depth)
             diam2 = 2 * side * side
-            if not diam2 <= d2:
+            if not diam2 * den <= num:
                 bad_low.append(k)
-            if not d2 <= 16 * diam2:
+            if not num <= 16 * diam2 * den:
                 bad_high.append(k)
         ratio_ok = all(0.25 <= 2.0 ** (self.cubes[i].depth - self.cubes[j].depth) <= 4
                        for i, j in self.adjacency)
@@ -241,13 +260,14 @@ def whitney_decompose(domain: PolygonDomain, max_depth: int = 7) -> WhitneyDecom
     diam <= dist(Q, boundary); since its parent failed that test, the upper
     bound dist <= 4 diam holds automatically.  Cubes still failing at
     max_depth are truncated (counted, not emitted).  Decisions near the
-    float precision margin fall back to exact rational arithmetic.
+    float precision margin fall back to exact integer arithmetic at the
+    dyadic scale.
     """
     lo, hi = domain.bbox()
     span = float((hi - lo).max()) * 1.001
     root_side = 2.0 ** math.ceil(math.log2(span))
     root_corner = _snap(np.asarray(lo, float) - (root_side - span) / 2)
-    segs = _exact_segments(domain)
+    bd = _DyadicBoundary(domain, root_corner, root_side, max_depth)
     cubes: list[WhitneyCube] = []
     truncated = 0
     stack = [(0, (0, 0))]
@@ -269,10 +289,9 @@ def whitney_decompose(domain: PolygonDomain, max_depth: int = 7) -> WhitneyDecom
             elif d_cube - diam < -margin:
                 accept = False
             else:
-                q = WhitneyCube(depth, ij, corner, side, d_cube)
-                d2 = _exact_cube_dist2(q, segs, root_corner, root_side)
-                s_exact = _exact_side(q, root_side)
-                accept = bool(2 * s_exact * s_exact <= d2) and d2 > 0
+                num, den = bd.cube_dist2(depth, ij)
+                s_int = bd.side(depth)
+                accept = 2 * s_int * s_int * den <= num and num > 0
         else:
             accept = False
         if accept:
@@ -336,104 +355,100 @@ def _any_segment_hits_box(a: np.ndarray, b: np.ndarray, lo, hi) -> bool:
     return bool((ok & (t0 <= t1)).any())
 
 
-def _exact_segments(domain: PolygonDomain):
-    segs = []
-    for a, b in domain.segments:
-        segs.append(((Fraction(float(a[0])), Fraction(float(a[1]))),
-                     (Fraction(float(b[0])), Fraction(float(b[1])))))
-    return segs
+class _DyadicBoundary:
+    """The boundary segments as integers at the dyadic scale 2**shift.
+
+    Snapped vertices, the root corner and every cube side down to max_depth
+    are integers at this scale, so a point-segment dist**2 is an integer or
+    cross**2 / L**2, and every Whitney decision is an integer comparison.
+    The segments are converted once; the float midpoints and half-lengths
+    only prune segments that cannot realize the minimum.
+    """
+
+    def __init__(self, domain: PolygonDomain, root_corner, root_side: float,
+                 max_depth: int):
+        self.shift = max(24, max_depth - (math.frexp(root_side)[1] - 1))
+        self.x0, self.y0, self.s0 = (_scaled_int(v, self.shift) for v in
+                                     (root_corner[0], root_corner[1], root_side))
+        self.segs = [tuple(_scaled_int(v, self.shift) for v in (*a, *b))
+                     for a, b in domain.segments]
+        a, b = domain._seg_a, domain._seg_b
+        self.mids = (a + b) / 2
+        self.half = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]) / 2
+
+    def side(self, depth: int) -> int:
+        return self.s0 >> depth
+
+    def cube_dist2(self, depth: int, ij) -> tuple[int, int]:
+        """dist(Q, boundary)**2 of the closed cube, times 4**shift, as an
+        exact fraction (num, den) with den > 0."""
+        s = self.side(depth)
+        x0, y0 = self.x0 + ij[0] * s, self.y0 + ij[1] * s
+        x1, y1 = x0 + s, y0 + s
+        # float prefilter: drop a segment only when its lower bound exceeds
+        # the least upper bound |mid - c| + len/2 + side*sqrt(2)/2
+        cx = math.ldexp(2 * x0 + s, -self.shift - 1)
+        cy = math.ldexp(2 * y0 + s, -self.shift - 1)
+        reach = self.half + math.ldexp(s, -self.shift) * math.sqrt(2) / 2
+        dc = np.hypot(self.mids[:, 0] - cx, self.mids[:, 1] - cy)
+        cutoff = float((dc + reach).min()) * (1 + 1e-9)
+        corners = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+        best_num, best_den = 1, 0                 # +inf
+        for k in np.flatnonzero(dc - reach <= cutoff):
+            ax, ay, bx, by = self.segs[k]
+            if _seg_meets_box(ax, ay, bx, by, x0, y0, x1, y1):
+                return 0, 1
+            # the segment misses the cube: the distance is attained at an
+            # endpoint (to the box) or at a cube corner (to the segment)
+            for px, py in ((ax, ay), (bx, by)):
+                ex = max(x0 - px, 0, px - x1)
+                ey = max(y0 - py, 0, py - y1)
+                num = ex * ex + ey * ey
+                if num * best_den < best_num:
+                    best_num, best_den = num, 1
+            for px, py in corners:
+                num, den = _point_seg_dist2(px, py, ax, ay, bx, by)
+                if num * best_den < best_num * den:
+                    best_num, best_den = num, den
+        return best_num, best_den
 
 
-def _exact_side(q: WhitneyCube, root_side: float) -> Fraction:
-    return Fraction(float(root_side)) / 2 ** q.depth
+def _scaled_int(v: float, shift: int) -> int:
+    """v * 2**shift, which must be an integer."""
+    num, den = float(v).as_integer_ratio()
+    q, r = divmod(num << shift, den)
+    if r:
+        raise ValueError(f"{v!r} is not a multiple of 2**-{shift}")
+    return q
 
 
-def _exact_cube_dist2(q: WhitneyCube, segs, root_corner, root_side) -> Fraction:
-    side = Fraction(float(root_side)) / 2 ** q.depth
-    cx = Fraction(float(root_corner[0])) + q.ij[0] * side
-    cy = Fraction(float(root_corner[1])) + q.ij[1] * side
-    corners = [(cx, cy), (cx + side, cy), (cx + side, cy + side), (cx, cy + side)]
-    edges = [(corners[i], corners[(i + 1) % 4]) for i in range(4)]
-    # float prefilter: only segments that can realize the minimum
-    ccx, ccy = float(cx + side / 2), float(cy + side / 2)
-    mids = np.array([[(float(a[0]) + float(b[0])) / 2,
-                      (float(a[1]) + float(b[1])) / 2] for a, b in segs])
-    lens = np.array([math.hypot(float(b[0]) - float(a[0]),
-                                float(b[1]) - float(a[1])) for a, b in segs])
-    lower = np.hypot(mids[:, 0] - ccx, mids[:, 1] - ccy) - lens / 2 \
-        - float(side) * math.sqrt(2) / 2
-    cutoff = float(lower.min()) + float(side) + 1e-9
-    cand = np.where(lower <= cutoff)[0]
-    best: Fraction | None = None
-    for s in cand:
-        a, b = segs[s]
-        if _seg_in_cube_exact(a, b, cx, cy, side):
-            return Fraction(0)
-        for (ea, eb) in edges:
-            d2 = _seg_seg_dist2_exact(ea, eb, a, b)
-            if best is None or d2 < best:
-                best = d2
-    return best if best is not None else Fraction(10 ** 12)
+def _seg_meets_box(ax, ay, bx, by, x0, y0, x1, y1) -> bool:
+    """Does the segment [a, b] meet the closed box [x0, x1] x [y0, y1]?
+
+    Separating axes: the two box axes, then the segment's normal (the box
+    corners all strictly on one side of the line through a and b).
+    """
+    if max(ax, bx) < x0 or min(ax, bx) > x1 or max(ay, by) < y0 or min(ay, by) > y1:
+        return False
+    dx, dy = bx - ax, by - ay
+    side = [dx * (py - ay) - dy * (px - ax)
+            for px, py in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+    return min(side) <= 0 <= max(side)
 
 
-def _seg_in_cube_exact(a, b, cx, cy, side) -> bool:
-    """Does segment [a,b] meet the closed cube? Exact clip."""
-    t0, t1 = Fraction(0), Fraction(1)
-    for ax, lo in ((0, cx), (1, cy)):
-        hi = lo + side
-        d = b[ax] - a[ax]
-        if d == 0:
-            if a[ax] < lo or a[ax] > hi:
-                return False
-            continue
-        ta, tb = (lo - a[ax]) / d, (hi - a[ax]) / d
-        if ta > tb:
-            ta, tb = tb, ta
-        t0, t1 = max(t0, ta), min(t1, tb)
-        if t0 > t1:
-            return False
-    return True
-
-
-def _point_seg_dist2_exact(p, a, b) -> Fraction:
-    dx, dy = b[0] - a[0], b[1] - a[1]
+def _point_seg_dist2(px, py, ax, ay, bx, by) -> tuple[int, int]:
+    """Squared distance from p to the segment [a, b] as (num, den)."""
+    dx, dy = bx - ax, by - ay
+    wx, wy = px - ax, py - ay
+    t = wx * dx + wy * dy
+    if t <= 0:                                   # also a == b
+        return wx * wx + wy * wy, 1
     L2 = dx * dx + dy * dy
-    if L2 == 0:
-        return (p[0] - a[0]) ** 2 + (p[1] - a[1]) ** 2
-    t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / L2
-    t = min(max(t, Fraction(0)), Fraction(1))
-    qx, qy = a[0] + t * dx, a[1] + t * dy
-    return (p[0] - qx) ** 2 + (p[1] - qy) ** 2
-
-
-def _segments_cross_exact(p, q, a, b) -> bool:
-    def orient(u, v, w):
-        return (v[0] - u[0]) * (w[1] - u[1]) - (v[1] - u[1]) * (w[0] - u[0])
-
-    o1, o2 = orient(p, q, a), orient(p, q, b)
-    o3, o4 = orient(a, b, p), orient(a, b, q)
-    if ((o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0
-            and (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0):
-        return True
-    for (u, v, w) in ((p, q, a), (p, q, b), (a, b, p), (a, b, q)):
-        if orient(u, v, w) == 0:
-            t_num = (w[0] - u[0]) * (v[0] - u[0]) + (w[1] - u[1]) * (v[1] - u[1])
-            L2 = (v[0] - u[0]) ** 2 + (v[1] - u[1]) ** 2
-            if L2 == 0:
-                if u == w:
-                    return True
-            elif 0 <= t_num <= L2:
-                return True
-    return False
-
-
-def _seg_seg_dist2_exact(p, q, a, b) -> Fraction:
-    if _segments_cross_exact(p, q, a, b):
-        return Fraction(0)
-    return min(_point_seg_dist2_exact(p, a, b),
-               _point_seg_dist2_exact(q, a, b),
-               _point_seg_dist2_exact(a, p, q),
-               _point_seg_dist2_exact(b, p, q))
+    if t >= L2:
+        ex, ey = px - bx, py - by
+        return ex * ex + ey * ey, 1
+    cross = wx * dy - wy * dx
+    return cross * cross, L2
 
 
 def _build_adjacency(cubes: list, max_depth: int) -> list:
@@ -642,9 +657,7 @@ def shadows(domain: PolygonDomain, x0, decomp: WhitneyDecomposition,
     for k in range(n):
         idx = np.array(sorted(set(shadow_sets[k])), int)
         if len(idx) >= 2:
-            pts = samples[idx]
-            from .geom import _cloud_diameter
-            s = _cloud_diameter(pts)
+            s = _cloud_diameter(samples[idx])
         else:
             s = 0.0
         records.append(ShadowRecord(k, idx, float(s)))

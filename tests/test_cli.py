@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from extremal import cli
+from extremal import cli, qhyp
 from extremal.cli import (ConfigError, ExperimentConfig, builtin_experiments,
                           list_experiments, main, run_experiment)
 
@@ -63,6 +63,26 @@ def test_invariant_breach_exits_three(tmp_path, monkeypatch, capsys):
                    "scene": {"builder": "rectangle", "grid": 24}}}))
     assert main(["run", str(cfg_path)]) == 3
     assert "invariant breach" in capsys.readouterr().err
+
+
+def test_whitney_breach_names_check_and_cubes(tmp_path, monkeypatch, capsys):
+    def fake_verify(self):
+        return {"cubes": len(self.cubes), "lower_violations": [],
+                "upper_violations": [2, 5], "neighbor_ratio_ok": True}
+    monkeypatch.setattr(qhyp.WhitneyDecomposition, "verify_exact", fake_verify)
+    cfg_path = tmp_path / "w.json"
+    cfg_path.write_text(json.dumps({
+        "kind": "quasihyperbolic", "out": str(tmp_path),
+        "params": {"domain": {"builder": "disk"}, "mode": "whitney",
+                   "max_depth": 4}}))
+    assert main(["run", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    dec = qhyp.whitney_decompose(qhyp.disk_domain(), 4)
+    q = dec.cubes[2]
+    assert "upper dist(Q, boundary) <= 4 diam(Q) fails on 2 cube(s)" in err
+    assert f"#2 (depth {q.depth}, ij {q.ij})" in err
+    assert "#5 (depth" in err
+    assert "lower" not in err
 
 
 def test_results_are_byte_identical_for_same_seed(tmp_path):

@@ -1,8 +1,10 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extremal import qhyp
 from extremal.geom import DomainError
@@ -28,6 +30,100 @@ def test_polygon_contains_and_distance():
 def test_polygon_json_roundtrip():
     d2 = PolygonDomain.from_json(json.loads(json.dumps(DISK.to_json())))
     assert np.allclose(d2.outer, DISK.outer)
+
+
+# The vectorized kernels against the per-edge formulas they replace, compared
+# with ==: every membership bit and every distance must be the same float.
+
+def _ref_crossing_number(pts, ring):
+    x, y = pts[:, 0], pts[:, 1]
+    inside = np.zeros(len(pts), bool)
+    n = len(ring)
+    for i in range(n):
+        x1, y1 = ring[i]
+        x2, y2 = ring[(i + 1) % n]
+        cond = (y1 > y) != (y2 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xcross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= cond & (x < np.where(cond, xcross, np.inf))
+    return inside
+
+
+def _ref_points_segments_dist(pts, a, b):
+    d = b - a
+    L2 = (d ** 2).sum(1)
+    L2 = np.where(L2 == 0, 1e-300, L2)
+    w = pts[:, None, :] - a[None, :, :]
+    t = np.clip((w * d[None]).sum(-1) / L2[None], 0.0, 1.0)
+    proj = a[None] + t[..., None] * d[None]
+    return np.sqrt(((pts[:, None, :] - proj) ** 2).sum(-1)).min(axis=1)
+
+
+# the square and the comb have horizontal edges
+_RINGS = [DISK.outer, square_domain(2.0, (-1.0, -1.0)).outer,
+          comb_domain().outer, cusp_domain().outer]
+
+
+@st.composite
+def _ring_and_points(draw):
+    ring = _RINGS[draw(st.integers(0, len(_RINGS) - 1))]
+    lo, hi = ring.min(axis=0) - 0.1, ring.max(axis=0) + 0.1
+    pts = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["free", "vertex", "edge"]))
+        i = draw(st.integers(0, len(ring) - 1))
+        if kind == "vertex":
+            pts.append(ring[i])
+        elif kind == "edge":
+            u = draw(st.floats(0.0, 1.0))
+            pts.append(ring[i] + u * (ring[(i + 1) % len(ring)] - ring[i]))
+        else:
+            pts.append([draw(st.floats(lo[0], hi[0])), draw(st.floats(lo[1], hi[1]))])
+    return ring, np.array(pts, float).reshape(-1, 2)
+
+
+def _edge_points(ring):
+    """41 points along every edge, vertices included: points on an edge are
+    where a reordered crossing formula flips a membership bit."""
+    u = np.linspace(0.0, 1.0, 41)[:, None, None]
+    return (ring + u * (np.roll(ring, -1, axis=0) - ring)).reshape(-1, 2)
+
+
+def _segments_and_a_point(ring):
+    """The ring's edges plus one zero-length segment."""
+    a = np.concatenate([ring, ring[:1]])
+    b = np.concatenate([np.roll(ring, -1, axis=0), ring[:1]])
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_ring_and_points())
+def test_crossing_number_bit_identical_to_per_edge_loop(case):
+    ring, pts = case
+    assert np.array_equal(qhyp._crossing_number(pts, ring),
+                          _ref_crossing_number(pts, ring))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_ring_and_points())
+def test_points_segments_dist_bit_identical_to_2vector_formula(case):
+    ring, pts = case
+    a, b = _segments_and_a_point(ring)
+    assert np.array_equal(qhyp._points_segments_dist(pts, a, b),
+                          _ref_points_segments_dist(pts, a, b))
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=["disk", "square", "comb", "cusp"])
+def test_kernels_bit_identical_on_vertices_edges_and_chunks(ring):
+    rng = np.random.default_rng(5)
+    lo, hi = ring.min(axis=0), ring.max(axis=0)
+    many = rng.uniform(lo, hi, size=(5000, 2))   # several chunks on disk and cusp
+    a, b = _segments_and_a_point(ring)
+    for pts in (_edge_points(ring), ring[:1], np.empty((0, 2)), many):
+        assert np.array_equal(qhyp._crossing_number(pts, ring),
+                              _ref_crossing_number(pts, ring))
+        assert np.array_equal(qhyp._points_segments_dist(pts, a, b),
+                              _ref_points_segments_dist(pts, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +163,101 @@ def test_whitney_cube_count_grows_near_boundary():
     counts = [len(whitney_decompose(DISK, max_depth=d).cubes) for d in (5, 6, 7)]
     assert counts[1] >= 2 * counts[0]
     assert counts[2] >= 2 * counts[1]
+
+
+# Reference for the exact cube distance: every boundary segment, no prune,
+# coordinates as integers at the fixed scale 2**40, a different formulation
+# from qhyp's (box contact through endpoint-in-box or edge crossing, distances
+# through the projection point).
+
+_REF_SCALE = 2 ** 40
+
+
+def _ref_int(v) -> int:
+    f = Fraction(v) * _REF_SCALE
+    assert f.denominator == 1
+    return f.numerator
+
+
+def _ref_orient(u, v, w) -> int:
+    return (v[0] - u[0]) * (w[1] - u[1]) - (v[1] - u[1]) * (w[0] - u[0])
+
+
+def _ref_on_segment(w, u, v) -> bool:
+    return (min(u[0], v[0]) <= w[0] <= max(u[0], v[0])
+            and min(u[1], v[1]) <= w[1] <= max(u[1], v[1]))
+
+
+def _ref_segments_meet(p, q, a, b) -> bool:
+    o1, o2 = _ref_orient(p, q, a), _ref_orient(p, q, b)
+    o3, o4 = _ref_orient(a, b, p), _ref_orient(a, b, q)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+    return ((o1 == 0 and _ref_on_segment(a, p, q))
+            or (o2 == 0 and _ref_on_segment(b, p, q))
+            or (o3 == 0 and _ref_on_segment(p, a, b))
+            or (o4 == 0 and _ref_on_segment(q, a, b)))
+
+
+def _ref_point_seg_dist2(p, a, b):
+    """|p - (a + t (b - a))|**2 with t clamped to [0, 1], as (num, den)."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    L2 = dx * dx + dy * dy
+    t = (p[0] - a[0]) * dx + (p[1] - a[1]) * dy       # parameter times L2
+    if L2 == 0 or t <= 0:
+        return (p[0] - a[0]) ** 2 + (p[1] - a[1]) ** 2, 1
+    if t >= L2:
+        return (p[0] - b[0]) ** 2 + (p[1] - b[1]) ** 2, 1
+    ex = p[0] * L2 - (a[0] * L2 + t * dx)
+    ey = p[1] * L2 - (a[1] * L2 + t * dy)
+    return ex * ex + ey * ey, L2 * L2
+
+
+def _ref_cube_dist2(dec, segs, q):
+    side = _ref_int(dec.root_side) >> q.depth
+    x0 = _ref_int(dec.root_corner[0]) + q.ij[0] * side
+    y0 = _ref_int(dec.root_corner[1]) + q.ij[1] * side
+    corners = [(x0, y0), (x0 + side, y0), (x0 + side, y0 + side), (x0, y0 + side)]
+    edges = list(zip(corners, corners[1:] + corners[:1]))
+    best = None
+    for a, b in segs:
+        if (any(x0 <= p[0] <= x0 + side and y0 <= p[1] <= y0 + side for p in (a, b))
+                or any(_ref_segments_meet(e0, e1, a, b) for e0, e1 in edges)):
+            return Fraction(0)
+        cands = [_ref_point_seg_dist2(c, a, b) for c in corners]
+        cands += [_ref_point_seg_dist2(p, e0, e1) for p in (a, b) for e0, e1 in edges]
+        for num, den in cands:
+            if best is None or num * best[1] < best[0] * den:
+                best = (num, den)
+    return Fraction(best[0], best[1] * _REF_SCALE ** 2)
+
+
+@pytest.fixture(scope="module")
+def depth6_decompositions():
+    return {dom.name: whitney_decompose(dom, max_depth=6)
+            for dom in (DISK, cusp_domain(), comb_domain())}
+
+
+def test_exact_cube_dist2_matches_all_segment_brute_force(depth6_decompositions):
+    for name, dec in depth6_decompositions.items():
+        bd = qhyp._DyadicBoundary(dec.domain, dec.root_corner, dec.root_side,
+                                  dec.max_depth)
+        segs = [tuple((_ref_int(p[0]), _ref_int(p[1])) for p in seg)
+                for seg in dec.domain.segments]
+        wrong = []
+        for k, q in enumerate(dec.cubes):
+            num, den = bd.cube_dist2(q.depth, q.ij)
+            if Fraction(num, den * 4 ** bd.shift) != _ref_cube_dist2(dec, segs, q):
+                wrong.append(k)
+        assert wrong == [], f"{name}: {len(wrong)} cubes"
+
+
+def test_whitney_cusp_and_comb_verify_clean(depth6_decompositions):
+    for name in ("cusp", "comb"):
+        rep = depth6_decompositions[name].verify_exact()
+        assert rep["lower_violations"] == [], name
+        assert rep["upper_violations"] == [], name
+        assert rep["neighbor_ratio_ok"], name
 
 
 def test_whitney_empty_domain_rejected():
