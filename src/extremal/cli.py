@@ -20,6 +20,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -134,7 +136,7 @@ _VALIDATORS = {
 # Scene / domain / set construction from config records
 
 
-def build_scene(spec: dict, tol_unused=None) -> modfam.GridScene:
+def build_scene(spec: dict) -> modfam.GridScene:
     kind = spec.get("builder", "file")
     if kind == "annulus":
         return modfam.annulus_scene(spec["r"], spec["R"], spec.get("grid", 256),
@@ -467,11 +469,21 @@ _RUNNERS = {
 # Artifact emission
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, write: Callable[[str], object]) -> None:
+    """Have ``write`` fill ``path + ".tmp"``, then rename it onto ``path``:
+    a write that fails part way leaves neither ``path`` nor the temporary."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
+    try:
+        write(tmp)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
+
+
+def _write_text(path: str, text: str) -> None:
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
 def _json_ready(obj):
@@ -502,11 +514,11 @@ def run_experiment(config: ExperimentConfig) -> int:
         "params": _json_ready(config.params),
         "results": _json_ready(results),
     }
-    _atomic_write(os.path.join(config.out, "results.json"),
-                  json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    _atomic_write(os.path.join(config.out, "run.meta.json"),
-                  json.dumps({"elapsed_s": time.time() - t0,
-                              "finished_unix": time.time()}, indent=2) + "\n")
+    _write_text(os.path.join(config.out, "results.json"),
+                json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(os.path.join(config.out, "run.meta.json"),
+                json.dumps({"elapsed_s": time.time() - t0,
+                            "finished_unix": time.time()}, indent=2) + "\n")
     _write_tables(config, results, artifacts)
     _write_figures(config, artifacts)
     return 0
@@ -526,22 +538,27 @@ def _write_tables(config: ExperimentConfig, results: dict, artifacts: dict) -> N
                  for i, r in enumerate(results["runs"])]
     if rows:
         text = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
-        _atomic_write(os.path.join(config.out, "data.csv"), text)
+        _write_text(os.path.join(config.out, "data.csv"), text)
     if "density" in artifacts:
-        artifacts["density"].to_csv(os.path.join(config.out, "density.csv"))
+        _atomic_write(os.path.join(config.out, "density.csv"),
+                      artifacts["density"].to_csv)
     if "whitney" in artifacts:
-        artifacts["whitney"].to_csv(os.path.join(config.out, "cubes.csv"))
+        _atomic_write(os.path.join(config.out, "cubes.csv"),
+                      artifacts["whitney"].to_csv)
 
 
 def _write_figures(config: ExperimentConfig, artifacts: dict) -> None:
     path = os.path.join(config.out, "figure.svg")
     if "density" in artifacts and artifacts["density"].values.ndim == 2:
-        render.svg_density_heatmap(artifacts["density"], path)
+        _atomic_write(path, lambda tmp: render.svg_density_heatmap(
+            artifacts["density"], tmp))
     elif "covering" in artifacts:
-        render.svg_covering(artifacts["covering"], path)
+        _atomic_write(path, lambda tmp: render.svg_covering(
+            artifacts["covering"], tmp))
     elif "whitney" in artifacts:
         decomp = artifacts["whitney"]
-        render.svg_whitney(decomp, [q.side for q in decomp.cubes], path)
+        _atomic_write(path, lambda tmp: render.svg_whitney(
+            decomp, [q.side for q in decomp.cubes], tmp))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geom import Ball, DomainError, Region, balls_disjoint
 
@@ -134,17 +135,6 @@ class CoverPair:
     member_indices: list[int]
     pitch_domain: float
     pitch_range: float
-
-    def domain_region(self) -> Region:
-        return Region(self.domain_points, self.pitch_domain)
-
-    def range_region(self) -> Region:
-        return Region(self.range_points, self.pitch_range)
-
-
-def _diam(points: np.ndarray) -> float:
-    from .geom import _cloud_diameter
-    return _cloud_diameter(points)
 
 
 def _region_subset(a: Region, b: Region) -> bool:
@@ -339,7 +329,6 @@ def verify_cover(family: PairedFamily, out_pairs: list[CoverPair]) -> dict:
 
 
 def _cloud_subset(a: np.ndarray, b: np.ndarray, pitch: float) -> bool:
-    from scipy.spatial import cKDTree
     d, _ = cKDTree(b).query(a, k=1)
     return bool((d <= 0.75 * pitch * math.sqrt(a.shape[1])).all())
 

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import DomainError, eccentricity_of_boundary
+from .geom import DomainError, _cloud_diameter, eccentricity_of_boundary
 from . import modfam
 from .modfam import GridScene, discrete_modulus, ring_modulus_exact
 
@@ -252,9 +252,7 @@ def eccentric_distortion(f: SampledMap, x, r: float, ladder_steps: int = 3,
         s = s_img * 2.0 ** (-k)
         img_bnd = fx + s * circle
         dom_bnd = f.inverse(img_bnd)
-        diam = float(np.linalg.norm(
-            dom_bnd[:, None, :] - dom_bnd[None, :, :], axis=2).max())
-        if diam > 2 * r:
+        if _cloud_diameter(dom_bnd) > 2 * r:
             continue
         centers = f.inverse(fx[None] + s * 0.25 * np.vstack([[0, 0], circle[::8]]))
         e_dom, _ = eccentricity_of_boundary(dom_bnd, centers)

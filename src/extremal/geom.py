@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 
 class DomainError(ValueError):
@@ -142,22 +142,22 @@ class Region:
         return bool(self.contains_points(probes[inside], tol=tol).all())
 
 
+def _hull_points(pts: np.ndarray) -> np.ndarray:
+    """Vertices of the convex hull, which carry the diameter and every
+    farthest point of the cloud (Preparata-Shamos); the whole cloud when
+    Qhull cannot build a hull (flat, too small or one-dimensional)."""
+    try:
+        return pts[ConvexHull(pts).vertices]
+    except (QhullError, ValueError):
+        return pts
+
+
 def _cloud_diameter(pts: np.ndarray) -> float:
-    if len(pts) < 2:
+    """Exact diameter: the largest pairwise distance among hull vertices."""
+    hull = _hull_points(pts)
+    if len(hull) < 2:
         return 0.0
-    if len(pts) > 600:
-        # extremes along coordinate axes bound the hull tightly enough to
-        # restrict the quadratic pass
-        idx = set()
-        for ax in range(pts.shape[1]):
-            idx.add(int(pts[:, ax].argmin()))
-            idx.add(int(pts[:, ax].argmax()))
-        hull = pts[sorted(idx)]
-        best = 0.0
-        for p in hull:
-            best = max(best, float(np.linalg.norm(pts - p, axis=1).max()))
-        return best
-    diff = pts[:, None, :] - pts[None, :, :]
+    diff = hull[:, None, :] - hull[None, :, :]
     return float(np.sqrt((diff ** 2).sum(-1)).max())
 
 
@@ -284,22 +284,6 @@ class PolyCurve:
 
 
 # ---------------------------------------------------------------------------
-# Set models (abstract; concrete constructions live in extremal.sets)
-
-
-class SetModel(Protocol):
-    """Sets with exact membership, segment intersection, and box tests."""
-
-    dim: int
-
-    def contains(self, p) -> bool: ...
-
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]: ...
-
-    def intersects_box(self, lo, hi) -> bool: ...
-
-
-# ---------------------------------------------------------------------------
 # Eccentricity
 
 
@@ -317,33 +301,14 @@ def eccentricity_of_boundary(boundary: np.ndarray, centers: np.ndarray,
     r_in, _ = tree.query(centers, k=1)
     r_in = r_in - inner_tol
     r_out = np.zeros(len(centers))
-    for ax_pt in _diameter_support(boundary):
-        r_out = np.maximum(r_out, np.linalg.norm(centers - ax_pt, axis=1))
+    for p in _hull_points(boundary):
+        r_out = np.maximum(r_out, np.linalg.norm(centers - p, axis=1))
     ok = r_in > 1e-12
     if not ok.any():
         return math.inf, centers[0]
     ratio = np.where(ok, r_out / np.maximum(r_in, 1e-300), np.inf)
     best = int(np.argmin(ratio))
     return float(max(1.0, ratio[best])), centers[best]
-
-
-def _diameter_support(pts: np.ndarray) -> np.ndarray:
-    """Small subset of points sufficient for max-distance queries (hull-ish)."""
-    if len(pts) <= 512:
-        return pts
-    idx = set()
-    dim = pts.shape[1]
-    center = pts.mean(axis=0)
-    for k in range(64):
-        ang = 2 * math.pi * k / 64
-        d = np.array([math.cos(ang), math.sin(ang)]) if dim == 2 else None
-        if d is None:
-            break
-        idx.add(int((pts @ d).argmax()))
-    if not idx:
-        return pts
-    idx.add(int(np.linalg.norm(pts - center, axis=1).argmax()))
-    return pts[sorted(idx)]
 
 
 def eccentricity(region: Region, search_resolution: float) -> float:
@@ -371,9 +336,8 @@ def eccentricity(region: Region, search_resolution: float) -> float:
     tree = cKDTree(bnd)
     r_in, _ = tree.query(centers, k=1)
     r_in = r_in - 0.5 * region.pitch
-    support = _diameter_support(region.samples)
     r_out = np.zeros(len(centers))
-    for p in support:
+    for p in _hull_points(region.samples):
         r_out = np.maximum(r_out, np.linalg.norm(centers - p, axis=1))
     r_out = r_out + pad
     ok = r_in > 1e-12

@@ -75,10 +75,6 @@ class GridScene:
     def shape(self) -> tuple:
         return self.u.shape
 
-    def cell_centers(self, mask: np.ndarray | None = None) -> np.ndarray:
-        idx = np.argwhere(self.u if mask is None else mask)
-        return self.origin + (idx + 0.5) * self.spacing
-
     def to_json(self) -> dict:
         return {
             "schema": 1,

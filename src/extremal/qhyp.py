@@ -63,10 +63,6 @@ class PolygonDomain:
         pts = np.atleast_2d(np.asarray(pts, float))
         return _points_segments_dist(pts, self._seg_a, self._seg_b)
 
-    def boundary_length(self) -> float:
-        return float(np.linalg.norm(self.segments[:, 1] - self.segments[:, 0],
-                                    axis=1).sum())
-
     def boundary_samples(self, spacing: float) -> np.ndarray:
         pts = []
         for a, b in self.segments:

@@ -99,6 +99,23 @@ def test_results_are_byte_identical_for_same_seed(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_failed_figure_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    def partial_then_fail(density, path):
+        with open(path, "w") as fh:
+            fh.write("<svg")
+        raise OSError("disk full")
+    monkeypatch.setattr(cli.render, "svg_density_heatmap", partial_then_fail)
+    cfg = ExperimentConfig.from_json({
+        "kind": "modulus", "out": str(tmp_path),
+        "params": {"mode": "scene",
+                   "scene": {"builder": "rectangle", "grid": 24}}})
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(cfg)
+    # no figure.svg and no figure.svg.tmp
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "density.csv", "results.json", "run.meta.json"]
+
+
 def test_infeasible_family_is_success_with_flag(tmp_path):
     cfg = ExperimentConfig.from_json({
         "kind": "modulus", "out": str(tmp_path), "tol": 0.05,

@@ -94,6 +94,65 @@ def test_region_requires_samples():
 
 
 # ---------------------------------------------------------------------------
+# Diameters and farthest points (convex hull)
+
+def _brute_diameter(pts):
+    if len(pts) < 2:
+        return 0.0
+    return float(np.linalg.norm(pts[:, None] - pts[None], axis=2).max())
+
+
+def test_cloud_diameter_exact_above_600_points():
+    pts = disk_region((0, 0), 0.3, 0.02).samples
+    assert len(pts) == 716
+    assert _brute_diameter(pts) == pytest.approx(0.5993329625508684, rel=1e-15)
+    assert geom._cloud_diameter(pts) == pytest.approx(0.5993329625508684,
+                                                      rel=1e-12, abs=0)
+
+
+def test_eccentricity_of_boundary_far_radius_is_exact():
+    pts = disk_region((0, 0), 1.0, 1 / 100).samples
+    assert len(pts) == 31428
+    rng = np.random.default_rng(20211104)
+    for c in rng.uniform(-0.5, 0.5, size=(400, 2)):
+        dist = np.linalg.norm(pts - c, axis=1)
+        ratio, _ = geom.eccentricity_of_boundary(pts, [c])
+        assert ratio == pytest.approx(dist.max() / dist.min(), rel=1e-12, abs=0)
+
+
+@st.composite
+def _clouds(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.one_of(st.integers(0, 3), st.integers(4, 800)))
+    shape = draw(st.sampled_from(["general", "lattice", "flat", "duplicated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if shape == "lattice":        # many exact ties and collinear hull points
+        pts = rng.integers(-6, 7, size=(n, dim)).astype(float) / 4
+    elif shape == "flat":         # collinear in 2-D, coplanar in 3-D
+        basis = rng.integers(-3, 4, size=(dim - 1, dim)).astype(float)
+        pts = rng.integers(-20, 21, size=(n, dim - 1)).astype(float) @ basis
+    else:
+        pts = rng.normal(size=(n, dim))
+    if shape == "duplicated" and n:
+        pts = np.vstack([pts, pts[rng.integers(0, n, size=n // 2 + 1)]])
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=_clouds())
+def test_hull_farthest_points_match_brute_force(pts):
+    assert geom._cloud_diameter(pts) == pytest.approx(_brute_diameter(pts),
+                                                      rel=1e-12, abs=0)
+    if len(pts) == 0:
+        return
+    hull = geom._hull_points(pts)
+    queries = np.vstack([pts[:5], pts.mean(axis=0) + np.eye(pts.shape[1])])
+    for q in queries:
+        assert np.linalg.norm(hull - q, axis=1).max() == pytest.approx(
+            np.linalg.norm(pts - q, axis=1).max(), rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
 # Relative distance
 
 def test_relative_distance_concentric_circles():
