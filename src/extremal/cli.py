@@ -218,7 +218,7 @@ def _run_modulus(cfg: ExperimentConfig, artifacts: dict) -> dict:
             cmode = p.get("constraint", "avoid")
             constraint = modfam.CurveConstraint(
                 cmode, mask, p.get("budget", 0))
-        res = modfam.discrete_modulus(scene, constraint, tol=cfg.tol)
+        res = modfam.discrete_modulus(scene, constraint)
         out = {"value": res.value, "infeasible": res.infeasible}
         sc = p["scene"]
         if sc.get("builder") == "annulus":
@@ -251,7 +251,7 @@ def _run_modulus(cfg: ExperimentConfig, artifacts: dict) -> dict:
         for (a, b) in ((radii[0], radii[2]), (radii[0], radii[1]),
                        (radii[1], radii[2])):
             scene = modfam.annulus_scene(a, b, grid, half=half)
-            vals[f"md({a},{b})"] = modfam.discrete_modulus(scene, tol=cfg.tol).value
+            vals[f"md({a},{b})"] = modfam.discrete_modulus(scene).value
         keys = list(vals)
         lhs = abs(2 * math.pi / vals[keys[0]] - 2 * math.pi / vals[keys[1]]
                   - 2 * math.pi / vals[keys[2]])
@@ -267,8 +267,7 @@ def _run_modulus(cfg: ExperimentConfig, artifacts: dict) -> dict:
         mask = sets.circle_obstacle_mask(scene, (0.0, 0.0), m)
         gap = _cell_at(scene, (m, 0.0))
         mask[gap] = False
-        res = modfam.discrete_modulus(
-            scene, modfam.CurveConstraint("avoid", mask), tol=cfg.tol)
+        res = modfam.discrete_modulus(scene, modfam.CurveConstraint("avoid", mask))
         values.append({"grid": n, "value": res.value})
     return {"ladder": values,
             "anchor": {"name": "point families carry zero modulus"}}
@@ -304,8 +303,7 @@ def _run_distortion(cfg: ExperimentConfig, artifacts: dict) -> dict:
     if "rings" in p:
         rings = [((0.0, 0.0), r0, r1) for r0, r1 in p["rings"]]
         out["ring_qc"] = distort.ring_qc_test(f, rings, p.get("C1", 6.0),
-                                              grid_n=p.get("grid", 160),
-                                              tol=cfg.tol)
+                                              grid_n=p.get("grid", 160))
         svals = np.linalg.svd(mat, compute_uv=False)
         out["anchor"] = {"name": "K-quasiconformal ring bound md f(G) <= K md G",
                          "K": float(svals[0] / svals[-1])}
@@ -380,7 +378,7 @@ def _run_sets_probe(cfg: ExperimentConfig, artifacts: dict) -> dict:
     p = cfg.params
     scene = build_scene(p["scene"])
     mask = build_obstacle(p["obstacle"], scene)
-    probe = sets.cned_probe(mask, scene, p["budgets"], tol=cfg.tol)
+    probe = sets.cned_probe(mask, scene, p["budgets"])
     order_ok = probe["mod_avoid"] <= min(
         [probe["mod_budget"][k] for k in probe["mod_budget"]] or [math.inf]) + 1e-12
     ks = sorted(probe["mod_budget"])

@@ -110,7 +110,7 @@ def five_b_cover(balls: Sequence[Ball]) -> list[int]:
     Balls are scanned by decreasing radius; each kept ball excludes the ones
     meeting it.  Any excluded ball has radius at most that of the kept ball
     it meets, so its points lie within 3 (hence 5) dilated radii.
-    Disjointness is decided in exact rational arithmetic.
+    Disjointness is decided exactly, in integers (``geom.balls_disjoint``).
     """
     order = sorted(range(len(balls)), key=lambda i: (-balls[i].radius, i))
     chosen: list[int] = []

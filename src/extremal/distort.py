@@ -1,12 +1,12 @@
 """Distortion functionals for sampled homeomorphisms.
 
-Metric distortion (sup/inf image-displacement ratios over radius ladders),
-the eccentric-distortion estimator over uncentered candidate sets, and the
-ring-modulus quasiconformality test.  The eccentric estimator searches two
-candidate families, Euclidean balls and pullbacks of range balls, so the
-reported number is always a certified upper estimate of the infimum over all
-open sets; for anisotropic affine maps both families meet at the singular
-value ratio.
+Metric distortion (max/min image displacement over the circles of a radius
+ladder), the eccentric-distortion estimator over uncentered candidate sets,
+and the ring-modulus quasiconformality test.  The eccentric estimator
+searches two candidate families, Euclidean balls and pullbacks of range
+balls, so the reported number is always a certified upper estimate of the
+infimum over all open sets; for anisotropic affine maps both families meet
+at the singular value ratio.
 """
 
 from __future__ import annotations
@@ -182,29 +182,28 @@ class DistortionProbe:
                 "H_estimate": self.h_estimate, "detail": self.detail}
 
 
+# points sampled on each circle |y - x| = r of the radius ladder
+CIRCLE_SAMPLES = 720
+
+
 def metric_distortion(f: SampledMap, x, ladder) -> DistortionProbe:
-    """Per-radius sup/inf displacement ratios; limsup proxied by the two
-    finest radii of the ladder."""
+    """Per-radius max/min image displacement over the circle |y - x| = r;
+    limsup proxied by the two finest radii of the ladder."""
     x = np.asarray(x, float)
     ladder = sorted(float(r) for r in ladder)
-    if not f.in_domain(x[None], margin=2 * f.pitch)[0]:
-        raise DomainError("probe point too close to the sampled boundary")
     if ladder[0] < 2 * f.pitch:
         raise DomainError("smallest ladder radius must be at least two cells")
-    nodes = f._node_pts
-    imgs = f.values.reshape(-1, 2)
+    theta = np.linspace(0, 2 * math.pi, CIRCLE_SAMPLES, endpoint=False)
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     fx = f.forward(x[None])[0]
-    dist_dom = np.linalg.norm(nodes - x, axis=1)
-    dist_img = np.linalg.norm(imgs - fx, axis=1)
     big, small = [], []
-    eps = 1e-9
     for r in ladder:
-        inside = dist_dom <= r * (1 + eps)
-        outside = dist_dom >= r * (1 - eps)
-        if not inside.any() or not outside.any():
-            raise DomainError(f"radius {r} leaves an empty sample set")
-        big.append(float(dist_img[inside].max()))
-        small.append(float(dist_img[outside].min()))
+        ring = x + r * circle
+        if not f.in_domain(ring).all():
+            raise DomainError(f"circle of radius {r} leaves the sampled domain")
+        disp = np.linalg.norm(f.forward(ring) - fx, axis=1)
+        big.append(float(disp.max()))
+        small.append(float(disp.min()))
     ratios = [L / max(s, 1e-300) for L, s in zip(big, small)]
     h_est = max(ratios[:2]) if len(ratios) >= 2 else ratios[0]
     return DistortionProbe(x, ladder, big, small, h_est,
@@ -269,8 +268,7 @@ def eccentric_distortion(f: SampledMap, x, r: float, ladder_steps: int = 3,
 # Ring-modulus quasiconformality test
 
 
-def ring_qc_test(f: SampledMap, rings, c1: float, grid_n: int = 160,
-                 tol: float = 0.02) -> dict:
+def ring_qc_test(f: SampledMap, rings, c1: float, grid_n: int = 160) -> dict:
     """Discrete modulus of the image of each ring family, against C1.
 
     Each ring (center, r, R) must have analytic modulus at most C1 and a
@@ -294,7 +292,7 @@ def ring_qc_test(f: SampledMap, rings, c1: float, grid_n: int = 160,
                     and f.in_domain((center + pad)[None])[0]):
                 raise DomainError("ring closure not inside the sampled domain")
             scene = image_ring_scene(f, center, r, R, grid_n)
-            res = discrete_modulus(scene, tol=tol)
+            res = discrete_modulus(scene)
             entry["image_modulus"] = res.value
             c2 = max(c2, res.value)
         except DomainError as exc:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
@@ -50,13 +49,16 @@ class Ball:
 
 
 def balls_disjoint(b1: Ball, b2: Ball) -> bool:
-    """Exact disjointness test: |c1-c2| >= r1+r2, decided in rational arithmetic."""
-    d2 = Fraction(0)
-    for a, b in zip(b1.center, b2.center):
-        diff = Fraction(float(a)) - Fraction(float(b))
-        d2 += diff * diff
-    rsum = Fraction(float(b1.radius)) + Fraction(float(b2.radius))
-    return d2 >= rsum * rsum
+    """Exact disjointness test: |c1-c2| >= r1+r2, decided in integers (every
+    float is an integer over a power of two; scale all to the largest one)."""
+    dim = len(b1.center)
+    ratios = [float(v).as_integer_ratio()
+              for v in (*b1.center, *b2.center, b1.radius, b2.radius)]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    c1, c2, (r1, r2) = ints[:dim], ints[dim:-2], ints[-2:]
+    d2 = sum((a - b) ** 2 for a, b in zip(c1, c2))
+    return d2 >= (r1 + r2) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ path (8-neighbor paths in 2D, 26-neighbor in 3D).  Admissibility over all
 paths collapses to the single condition that the rho-shortest-path distance
 between the marked sets is at least 1, which one Dijkstra pass certifies.
 
-The solver builds near-extremal candidates from grid Dirichlet potentials
-(gradient magnitude of the capacity potential; in budget mode also the
-potential of the scene with the obstacle removed), certifies each through
-``ModulusProblem.certify`` (scale it so its shortest constrained path has
-length 1, then take its energy) and keeps the best.  Every reported value is
-the energy of an exactly admissible density, hence a certified upper estimate
-of the discrete optimum.
+``dirichlet_candidates`` gives one near-extremal density per active mask (the
+gradient magnitude of its capacity potential): the solver uses its own active
+cells, in budget mode also the scene with the obstacle removed, certifies each
+through ``ModulusProblem.certify`` (scale it so its shortest constrained path
+has length 1, then take its energy) and keeps the best; ``sets.cned_probe``
+certifies the same two under every constraint.  Every reported value is the
+energy of an exactly admissible density, hence a certified upper estimate of
+the discrete optimum.
 """
 
 from __future__ import annotations
@@ -534,17 +535,24 @@ class ModulusProblem:
         return energy, rho_norm, path
 
 
-def discrete_modulus(scene: GridScene, constraint: CurveConstraint = UNCONSTRAINED,
-                     tol: float = 0.01) -> ModulusResult:
+def dirichlet_candidates(scene: GridScene, actives: Sequence[np.ndarray]) -> list:
+    """One Dirichlet density per active mask that still holds both marked sets."""
+    out = []
+    for active in actives:
+        f1, f2 = scene.f1 & active, scene.f2 & active
+        if f1.any() and f2.any():
+            out.append(_dirichlet_rho(active, f1, f2, scene.spacing, scene.dim))
+    return out
+
+
+def discrete_modulus(scene: GridScene,
+                     constraint: CurveConstraint = UNCONSTRAINED) -> ModulusResult:
     """Discrete p-modulus (p = dimension) of grid paths joining F1 to F2.
 
     Returns a certified upper estimate: the reported density is exactly
     admissible (its constrained shortest-path distance is 1) and the value
-    is its energy.  ``tol`` must be positive; the certified value does not
-    depend on it.
+    is its energy.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
     problem = ModulusProblem(scene, constraint)
     if not problem.f1.any() or not problem.f2.any():
         return ModulusResult(0.0, None, [], infeasible=True,
@@ -555,13 +563,11 @@ def discrete_modulus(scene: GridScene, constraint: CurveConstraint = UNCONSTRAIN
                              diagnostics={"reason": "no admissible path under constraint"})
 
     h, p = scene.spacing, problem.p
-    candidates = [_dirichlet_rho(problem.active, problem.f1, problem.f2, h, p)]
+    actives = [problem.active]
     if constraint.mode == "budget":
         # the avoid-mode potential covers the detour regime
-        av_active = scene.u & ~constraint.cells
-        if (scene.f1 & av_active).any() and (scene.f2 & av_active).any():
-            candidates.append(_dirichlet_rho(av_active, scene.f1 & av_active,
-                                             scene.f2 & av_active, h, p))
+        actives.append(scene.u & ~constraint.cells)
+    candidates = dirichlet_candidates(scene, actives)
 
     best_val, best_rho, best_path = math.inf, None, None
     for cand in candidates:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .geom import DomainError, PolyCurve
 from . import modfam
-from .modfam import CurveConstraint, GridScene, discrete_modulus
+from .modfam import CurveConstraint, GridScene
 
 
 class UnsupportedIntersection(NotImplementedError):
@@ -956,16 +956,16 @@ def circle_obstacle_mask(scene: GridScene, center, radius: float) -> np.ndarray:
     return (dmin <= radius) & (dmax >= radius)
 
 
-def cned_probe(E_or_mask, scene: GridScene, budgets: Sequence[int],
-               tol: float = 0.02) -> dict:
+def cned_probe(E_or_mask, scene: GridScene, budgets: Sequence[int]) -> dict:
     """Constrained-modulus signature of a set at grid scale.
 
-    Computes the discrete modulus unconstrained, under avoidance of E, and
-    under crossing budgets K, cross-evaluating every produced density under
-    every mode so the relaxation ordering
+    Certifies the two Dirichlet candidates of the scene (with and without the
+    obstacle) unconstrained, under avoidance of E, and under crossing budgets
+    K, keeping the least energy in each mode.  Every mode sees the same pool,
+    so the relaxation ordering
     mod_avoid <= mod_budget(K) <= mod_budget(K+1) <= mod_full
     holds structurally.  The ratios to mod_full quantify NED/CNED behavior
-    at this resolution.
+    at this resolution; a mode is infeasible when no candidate certifies.
     """
     if isinstance(E_or_mask, np.ndarray):
         mask = E_or_mask.astype(bool)
@@ -980,21 +980,18 @@ def cned_probe(E_or_mask, scene: GridScene, budgets: Sequence[int],
     for K in budgets:
         constraints[f"budget({K})"] = CurveConstraint("budget", mask, int(K))
 
-    results = {name: discrete_modulus(scene, cons, tol=tol)
-               for name, cons in constraints.items()}
-
-    pool = [res.density.values for res in results.values() if res.density is not None]
+    pool = modfam.dirichlet_candidates(scene, [scene.u, scene.u & ~mask])
     # one problem alive at a time, so no other graph adds to the peak of the
     # layered budget-mode search
-    values = {name: _best_certified(modfam.ModulusProblem(scene, cons), pool)
-              for name, cons in constraints.items()}
-
+    best = {name: _best_certified(modfam.ModulusProblem(scene, cons), pool)
+            for name, cons in constraints.items()}
+    values = {name: 0.0 if v is None else v for name, v in best.items()}
     full = values["full"]
     out = {
         "mod_full": full,
         "mod_avoid": values["avoid"],
         "mod_budget": {int(K): values[f"budget({K})"] for K in budgets},
-        "infeasible": {name: results[name].infeasible for name in constraints},
+        "infeasible": {name: v is None for name, v in best.items()},
         "flags": flags,
     }
     if full > 0:
@@ -1003,14 +1000,10 @@ def cned_probe(E_or_mask, scene: GridScene, budgets: Sequence[int],
     return out
 
 
-def _best_certified(problem: modfam.ModulusProblem, pool) -> float:
-    """Least certified energy over the density pool, 0.0 if none is feasible."""
-    best = math.inf
-    for rho in pool:
-        v, feasible = certify_value(problem, rho)
-        if feasible:
-            best = min(best, v)
-    return 0.0 if math.isinf(best) else best
+def _best_certified(problem: modfam.ModulusProblem, pool) -> float | None:
+    """Least certified energy over the density pool, None if none is feasible."""
+    feasible = [v for v, ok in (certify_value(problem, rho) for rho in pool) if ok]
+    return min(feasible, default=None)
 
 
 def certify_value(problem: modfam.ModulusProblem,

@@ -79,6 +79,20 @@ def test_metric_distortion_radial_stretch_vs_jacobian():
     assert abs(probe.h_estimate - oracle) / oracle < 0.10
 
 
+def test_metric_distortion_exact_off_lattice():
+    # the circles are sampled through the interpolant, so an affine map gives
+    # its singular value ratio at any point, not only at lattice nodes
+    x = (0.025, 0.025)
+    ladder = [0.15, 0.3, 0.6]
+    assert metric_distortion(IDENT, x, ladder).h_estimate == pytest.approx(1, abs=1e-12)
+    assert metric_distortion(DIAG, x, ladder).h_estimate == pytest.approx(2, abs=1e-12)
+
+
+def test_metric_distortion_rejects_circle_leaving_domain():
+    with pytest.raises(DomainError):
+        metric_distortion(IDENT, (3.5, 0.0), [0.2, 0.6])
+
+
 def test_metric_distortion_guards():
     with pytest.raises(DomainError):
         metric_distortion(IDENT, (3.99, 0.0), [0.2])      # touches boundary
@@ -149,7 +163,7 @@ def test_eccentric_symmetry_between_map_and_inverse():
 
 def test_ring_qc_identity_matches_analytic():
     rings = [((0.0, 0.0), 0.5, 1.6), ((0.0, 0.0), 0.4, 1.4)]
-    out = ring_qc_test(IDENT, rings, c1=6.0, grid_n=160, tol=0.02)
+    out = ring_qc_test(IDENT, rings, c1=6.0, grid_n=160)
     for entry in out["table"]:
         assert "error" not in entry
         assert abs(entry["image_modulus"] - entry["input_modulus"]) \
@@ -158,7 +172,7 @@ def test_ring_qc_identity_matches_analytic():
 
 def test_ring_qc_diag_within_k_bound():
     rings = [((0.0, 0.0), 0.5, 1.6)]
-    out = ring_qc_test(DIAG, rings, c1=6.0, grid_n=160, tol=0.02)
+    out = ring_qc_test(DIAG, rings, c1=6.0, grid_n=160)
     md = out["table"][0]["input_modulus"]
     assert out["C2_observed"] <= 2 * md + 2 * 0.02 * md
 

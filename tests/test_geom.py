@@ -33,6 +33,38 @@ def test_balls_disjoint_is_exact_at_touching():
     assert not balls_disjoint(Ball((0.0, 0.0), 1.0), Ball((1.9, 0.0), 1.0))
 
 
+def _balls_disjoint_fraction(b1, b2):
+    """Reference form in rational arithmetic."""
+    d2 = sum((Fraction(float(a)) - Fraction(float(b))) ** 2
+             for a, b in zip(b1.center, b2.center))
+    rsum = Fraction(float(b1.radius)) + Fraction(float(b2.radius))
+    return d2 >= rsum * rsum
+
+
+_coords = st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
+                    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3]))
+_radii = st.one_of(st.floats(5e-324, 1e6, exclude_min=False),
+                   st.sampled_from([5e-324, 2.2e-308, 1e-300, 0.1, 1.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dim=st.sampled_from([2, 3]), data=st.data())
+def test_balls_disjoint_matches_fraction_reference(dim, data):
+    c1 = data.draw(st.lists(_coords, min_size=dim, max_size=dim))
+    r1 = data.draw(_radii)
+    if data.draw(st.booleans()):
+        # tangent along an axis when r1 + r2 rounds exactly
+        r2 = data.draw(_radii)
+        c2 = list(c1)
+        c2[0] = c1[0] + (r1 + r2)
+    else:
+        c2 = data.draw(st.lists(_coords, min_size=dim, max_size=dim))
+        r2 = data.draw(_radii)
+    b1, b2 = Ball(c1, r1), Ball(c2, r2)
+    assert balls_disjoint(b1, b2) == _balls_disjoint_fraction(b1, b2)
+    assert balls_disjoint(b2, b1) == _balls_disjoint_fraction(b1, b2)
+
+
 # ---------------------------------------------------------------------------
 # Eccentricity
 

@@ -83,26 +83,26 @@ def test_density_field_contract():
 # Solver
 
 def test_rectangle_modulus_half():
-    res = discrete_modulus(rectangle_scene(2.0, 1.0, 128), tol=0.02)
+    res = discrete_modulus(rectangle_scene(2.0, 1.0, 128))
     assert abs(res.value - 0.5) / 0.5 < 0.03
     assert not res.infeasible
 
 
 def test_annulus_modulus_small_grid():
-    res = discrete_modulus(annulus_scene(1.0, math.e, 96), tol=0.02)
+    res = discrete_modulus(annulus_scene(1.0, math.e, 96))
     assert abs(res.value - 2 * math.pi) / (2 * math.pi) < 0.12
 
 
 def test_infeasible_family_is_zero_with_flag():
     sc = annulus_scene(1.0, math.e, 64)
     mask = sets.circle_obstacle_mask(sc, (0.0, 0.0), (1 + math.e) / 2)
-    res = discrete_modulus(sc, CurveConstraint("avoid", mask), tol=0.02)
+    res = discrete_modulus(sc, CurveConstraint("avoid", mask))
     assert res.infeasible
     assert res.value == 0.0
 
 
 def test_witnesses_are_admissible():
-    res = discrete_modulus(rectangle_scene(2.0, 1.0, 96), tol=0.02)
+    res = discrete_modulus(rectangle_scene(2.0, 1.0, 96))
     rep = admissible_check(res.density, res.witnesses, tol=1e-6)
     assert rep.ok
 
@@ -133,9 +133,9 @@ def test_avoid_monotone_in_obstacle():
     m1[40:44, 0:30] = True
     m2 = m1.copy()
     m2[40:44, 0:45] = True
-    v0 = discrete_modulus(sc, tol=0.02).value
-    v1 = discrete_modulus(sc, CurveConstraint("avoid", m1), tol=0.02).value
-    v2 = discrete_modulus(sc, CurveConstraint("avoid", m2), tol=0.02).value
+    v0 = discrete_modulus(sc).value
+    v1 = discrete_modulus(sc, CurveConstraint("avoid", m1)).value
+    v2 = discrete_modulus(sc, CurveConstraint("avoid", m2)).value
     assert v1 <= v0 * 1.02
     assert v2 <= v1 * 1.02
 
@@ -151,9 +151,9 @@ def test_subadditivity_on_marked_family_union():
     sc_b = GridScene(h, np.zeros(2), u, f1, f2b)
     sc_ab = GridScene(h, np.zeros(2), u, f1, f2a | f2b,
                       single_continua=False)
-    v_ab = discrete_modulus(sc_ab, tol=0.02).value
-    v_a = discrete_modulus(sc_a, tol=0.02).value
-    v_b = discrete_modulus(sc_b, tol=0.02).value
+    v_ab = discrete_modulus(sc_ab).value
+    v_a = discrete_modulus(sc_a).value
+    v_b = discrete_modulus(sc_b).value
     assert v_ab <= (v_a + v_b) * 1.02
 
 
@@ -167,7 +167,7 @@ def test_solve_runs_one_pass_per_candidate_plus_probe(monkeypatch):
 
     monkeypatch.setattr(modfam, "dijkstra", counted)
     sc = rectangle_scene(2.0, 1.0, 64)
-    res = discrete_modulus(sc, tol=0.02)
+    res = discrete_modulus(sc)
     assert len(calls) == 1 + res.diagnostics["candidates"]
     # the reported value is what the one certify path gives for its density
     value = modfam.ModulusProblem(sc).certify(res.density.values)[0]
@@ -183,16 +183,16 @@ def test_zero_density_certifies_to_inf():
 
 def test_budget_with_empty_obstacle_is_unconstrained():
     sc = rectangle_scene(2.0, 1.0, 48)
-    free = discrete_modulus(sc, tol=0.02).value
+    free = discrete_modulus(sc).value
     empty = CurveConstraint("budget", np.zeros(sc.shape, bool), 3)
-    assert discrete_modulus(sc, empty, tol=0.02).value == pytest.approx(free, rel=1e-12)
+    assert discrete_modulus(sc, empty).value == pytest.approx(free, rel=1e-12)
 
 
 def test_budget_mode_relaxation_order():
     sc = rectangle_scene(1.0, 1.0, 48)
     mask = np.zeros(sc.shape, bool)
     mask[20:28, :] = True       # a wall eight cells thick
-    probe = sets.cned_probe(mask, sc, budgets=[2, 8, 12], tol=0.05)
+    probe = sets.cned_probe(mask, sc, budgets=[2, 8, 12])
     assert probe["mod_avoid"] <= probe["mod_budget"][2] + 1e-12
     assert probe["mod_budget"][2] <= probe["mod_budget"][8] + 1e-12
     assert probe["mod_budget"][8] <= probe["mod_budget"][12] + 1e-12
@@ -209,7 +209,7 @@ def test_3d_shell_modulus_converges_from_above():
     errs = []
     for n in (32, 48, 64):
         sc = modfam.annulus_scene_3d(1.0, math.e, n)
-        res = discrete_modulus(sc, tol=0.03)
+        res = discrete_modulus(sc)
         assert not res.infeasible
         assert res.value >= exact * 0.95
         errs.append(res.value / exact - 1.0)
@@ -313,6 +313,6 @@ def test_survey_rejects_constant_curve():
 
 
 def test_annulus_refinement_is_cauchy():
-    vals = [discrete_modulus(annulus_scene(1.0, math.e, n), tol=0.02).value
+    vals = [discrete_modulus(annulus_scene(1.0, math.e, n)).value
             for n in (64, 128, 256)]
     assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0])

@@ -210,24 +210,62 @@ def test_probe_single_cell_obstacle_is_negligible():
         cells = np.argwhere(sc.u)
         mask[tuple(cells[len(cells) // 2])] = True
     tol = 0.02
-    probe = cned_probe(mask, sc, budgets=[1], tol=tol)
+    probe = cned_probe(mask, sc, budgets=[1])
     assert probe["mod_avoid"] >= probe["mod_full"] * (1 - 2 * tol)
 
 
 def test_probe_separating_circle_signature():
     sc = modfam.annulus_scene(1.0, math.e, 128)
     mask = circle_obstacle_mask(sc, (0.0, 0.0), (1 + math.e) / 2)
-    probe = cned_probe(mask, sc, budgets=[1], tol=0.02)
+    probe = cned_probe(mask, sc, budgets=[1])
     assert probe["mod_avoid"] == 0.0
     assert probe["infeasible"]["avoid"]
     assert probe["mod_budget"][1] >= 0.9 * probe["mod_full"]
+
+
+def _small_circle_scene():
+    sc = modfam.annulus_scene(1.0, math.e, 48)
+    return sc, circle_obstacle_mask(sc, (0.0, 0.0), (1 + math.e) / 2)
+
+
+def test_probe_solves_two_dirichlet_candidates(monkeypatch):
+    sc, mask = _small_circle_scene()
+    calls = []
+    solve = modfam._dirichlet_rho
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(modfam, "_dirichlet_rho", counting)
+    cned_probe(mask, sc, budgets=[1, 2])
+    assert len(calls) == 2
+
+
+def test_probe_without_obstacle_matches_discrete_modulus():
+    sc, _ = _small_circle_scene()
+    probe = cned_probe(np.zeros(sc.shape, bool), sc, budgets=[1])
+    assert probe["mod_full"] == modfam.discrete_modulus(sc).value
+
+
+def test_probe_infeasible_flags_match_discrete_modulus():
+    sc, mask = _small_circle_scene()
+    probe = cned_probe(mask, sc, budgets=[0, 1, 2])
+    constraints = {"full": modfam.UNCONSTRAINED,
+                   "avoid": modfam.CurveConstraint("avoid", mask)}
+    for K in (0, 1, 2):
+        constraints[f"budget({K})"] = modfam.CurveConstraint("budget", mask, K)
+    expected = {name: modfam.discrete_modulus(sc, cons).infeasible
+                for name, cons in constraints.items()}
+    assert probe["infeasible"] == expected
+    assert expected["avoid"] and expected["budget(0)"] and not expected["budget(1)"]
 
 
 def test_probe_flags_obstacle_touching_marked_set():
     sc = modfam.rectangle_scene(2.0, 1.0, 64)
     mask = np.zeros(sc.shape, bool)
     mask[0, :] = True
-    probe = cned_probe(mask, sc, budgets=[], tol=0.05)
+    probe = cned_probe(mask, sc, budgets=[])
     assert probe["flags"]
 
 
@@ -266,7 +304,6 @@ def test_empty_classification_consistent_with_avoid_routing():
     f1 = np.zeros_like(u); f1[:, 0] = True
     f2 = np.zeros_like(u); f2[:, -1] = True
     vert = modfam.GridScene(sc.spacing, sc.origin, u, f1, f2)
-    res = modfam.discrete_modulus(vert, modfam.CurveConstraint("avoid", mask),
-                                  tol=0.05)
+    res = modfam.discrete_modulus(vert, modfam.CurveConstraint("avoid", mask))
     assert not res.infeasible
     assert res.value > 0
