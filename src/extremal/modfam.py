@@ -4,14 +4,17 @@ The modulus of the family of grid paths joining two marked cell sets is the
 minimum of the cell energy  sum rho^p h^n  over densities admissible for every
 path (8-neighbor paths in 2D, 26-neighbor in 3D).  Admissibility over all
 paths collapses to the single condition that the rho-shortest-path distance
-between the marked sets is at least 1, which one Dijkstra pass certifies.
+between the marked sets is at least 1, which one ``ModulusProblem`` search
+certifies: one Dijkstra pass, or under a crossing budget K a sweep of at most
+K + 1 passes whose memory does not grow with K.
 
-``dirichlet_candidates`` gives one near-extremal density per active mask (the
-gradient magnitude of its capacity potential): the solver uses its own active
-cells, in budget mode also the scene with the obstacle removed, certifies each
-through ``ModulusProblem.certify`` (scale it so its shortest constrained path
-has length 1, then take its energy) and keeps the best; ``sets.cned_probe``
-certifies the same two under every constraint.  Every reported value is the
+``dirichlet_candidates`` gives one near-extremal density per active mask in
+which a path joins the marked sets (the gradient magnitude of its capacity
+potential): the solver uses its own active cells, in budget mode also the
+scene with the obstacle removed, certifies each through
+``ModulusProblem.certify`` (scale it so its shortest constrained path has
+length 1, then take its energy) and keeps the best; ``sets.cned_probe``
+certifies the same pool under every constraint.  Every reported value is the
 energy of an exactly admissible density, hence a certified upper estimate of
 the discrete optimum.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -96,18 +100,9 @@ class GridScene:
 
 
 def _rle_encode(mask: np.ndarray) -> list:
-    flat = mask.ravel()
-    runs = []
-    start = None
-    for i, v in enumerate(flat):
-        if v and start is None:
-            start = i
-        elif not v and start is not None:
-            runs.append([start, i - start])
-            start = None
-    if start is not None:
-        runs.append([start, len(flat) - start])
-    return runs
+    edges = np.diff(np.concatenate([[0], mask.ravel().astype(np.int8), [0]]))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    return np.stack([starts, ends - starts], axis=1).tolist()
 
 
 def _rle_decode(runs: list, shape: tuple) -> np.ndarray:
@@ -163,7 +158,8 @@ class CurveConstraint:
     every step into an obstacle cell costs one unit (a path starting in one
     pays for it too), so crossing a wall eight cells thick costs 8; a path may
     spend at most ``budget``.  This is the grid-scale surrogate for families
-    meeting a set in finitely many points.
+    meeting a set in finitely many points.  ``ModulusProblem`` enforces the
+    budget by sweeping the crossings, one Dijkstra pass per crossing spent.
     """
 
     mode: str = "unconstrained"
@@ -266,114 +262,10 @@ def annulus_scene_3d(r: float, R: float, n_cells: int, pad: float = 1.08) -> Gri
 
 
 # ---------------------------------------------------------------------------
-# Graph machinery
-
-
-def _offsets(dim: int) -> list[tuple]:
-    if dim == 2:
-        return [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                if (dx, dy) != (0, 0)]
-    return [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-            for dz in (-1, 0, 1) if (dx, dy, dz) != (0, 0, 0)]
-
-
-class _Graph:
-    """Directed edge lists over the active cells of a scene."""
-
-    def __init__(self, active: np.ndarray, h: float):
-        self.active = active
-        self.h = h
-        shape = active.shape
-        self.idx = -np.ones(shape, np.int64)
-        self.n = int(active.sum())
-        self.idx[active] = np.arange(self.n)
-        self.cells = np.argwhere(active)
-        srcs, dsts, elens = [], [], []
-        for off in _offsets(active.ndim):
-            src = self.cells
-            dst = src + np.array(off)
-            ok = np.all((dst >= 0) & (dst < np.array(shape)), axis=1)
-            src, dst = src[ok], dst[ok]
-            ok2 = active[tuple(dst.T)]
-            src, dst = src[ok2], dst[ok2]
-            srcs.append(self.idx[tuple(src.T)])
-            dsts.append(self.idx[tuple(dst.T)])
-            elens.append(np.full(len(src), math.hypot(*off) * h))
-        self.src = np.concatenate(srcs) if srcs else np.zeros(0, np.int64)
-        self.dst = np.concatenate(dsts) if dsts else np.zeros(0, np.int64)
-        self.elen = np.concatenate(elens) if elens else np.zeros(0)
-
-    def weights(self, rho_flat: np.ndarray) -> np.ndarray:
-        return 0.5 * (rho_flat[self.src] + rho_flat[self.dst]) * self.elen
-
-
-def _shortest_distance(graph: _Graph, rho_flat: np.ndarray, f1_ids: np.ndarray,
-                       f2_ids: np.ndarray, ecost: np.ndarray | None = None,
-                       budget: int = 0, want_path: bool = False):
-    """rho-shortest-path distance between the marked node sets.
-
-    With ``ecost`` (per-node entry cost) a resource-constrained search over
-    states (cell, entries used) enforces the crossing budget; label setting is
-    realized on the layered product graph.
-    """
-    n = graph.n
-    w = graph.weights(rho_flat)
-    if ecost is None:
-        S = n
-        rows = np.concatenate([graph.src, np.full(len(f1_ids), S)])
-        cols = np.concatenate([graph.dst, f1_ids])
-        data = np.concatenate([w, np.zeros(len(f1_ids))])
-        mat = sp.csr_matrix((data, (rows, cols)), shape=(n + 1, n + 1))
-        dist, pred = dijkstra(mat, directed=True, indices=S,
-                              return_predecessors=True)
-        targets = f2_ids
-        layer_of = None
-    else:
-        K = budget
-        layers = K + 1
-        edge_cost = ecost[graph.dst]
-        rows, cols, data = [], [], []
-        for k in range(layers):
-            k2 = edge_cost + k
-            ok = k2 <= K
-            rows.append(graph.src[ok] + k * n)
-            cols.append(graph.dst[ok] + k2[ok] * n)
-            data.append(w[ok])
-        S = n * layers
-        start_cost = ecost[f1_ids]
-        ok0 = start_cost <= K
-        rows.append(np.full(int(ok0.sum()), S))
-        cols.append(f1_ids[ok0] + start_cost[ok0] * n)
-        data.append(np.zeros(int(ok0.sum())))
-        mat = sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(S + 1, S + 1))
-        dist, pred = dijkstra(mat, directed=True, indices=S,
-                              return_predecessors=True)
-        targets = np.concatenate([f2_ids + k * n for k in range(layers)])
-        layer_of = n
-    finite = np.isfinite(dist[targets])
-    if not finite.any():
-        return math.inf, None
-    tvals = dist[targets]
-    best = int(targets[np.argmin(np.where(finite, tvals, np.inf))])
-    d = float(dist[best])
-    if not want_path:
-        return d, None
-    path = []
-    node = best
-    while node != S and node >= 0:
-        cell_node = node % n if layer_of else node
-        path.append(cell_node)
-        node = pred[node]
-    path.reverse()
-    # collapse layered duplicates from consecutive layer hops
-    dedup = [p for i, p in enumerate(path) if i == 0 or p != path[i - 1]]
-    return d, dedup
-
-
-# ---------------------------------------------------------------------------
 # Dirichlet candidate
+
+
+_CG_MAXITER = 2000
 
 
 def _dirichlet_rho(active: np.ndarray, f1: np.ndarray, f2: np.ndarray,
@@ -430,9 +322,12 @@ def _dirichlet_rho(active: np.ndarray, f1: np.ndarray, f2: np.ndarray,
             # 3D sparse LU fill-in is prohibitive; the system is SPD
             from scipy.sparse.linalg import cg
             precond = sp.diags(1.0 / L.diagonal())
-            sol, info = cg(L, rhs, rtol=1e-8, maxiter=2000, M=precond)
+            sol, info = cg(L, rhs, rtol=1e-8, maxiter=_CG_MAXITER, M=precond)
             if info == 0:
                 return sol
+            warnings.warn(f"Jacobi-CG on {nfree} unknowns did not converge within "
+                          f"{_CG_MAXITER} iterations (info={info}); "
+                          "falling back to spsolve", RuntimeWarning)
         return spsolve(L.tocsc(), rhs)
 
     if nfree:
@@ -491,12 +386,22 @@ class ModulusResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _offsets(dim: int) -> list[tuple]:
+    if dim == 2:
+        return [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                if (dx, dy) != (0, 0)]
+    return [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+            for dz in (-1, 0, 1) if (dx, dy, dz) != (0, 0, 0)]
+
+
 class ModulusProblem:
     """The grid path family of one (scene, constraint) pair, ready to certify.
 
-    Holds the active cells (the scene minus the obstacle in avoid mode), the
-    marked node ids, the path graph, the per-node entry costs and budget in
-    budget mode, and the energy exponent p = scene dimension.
+    Numbers the active cells (the scene minus the obstacle in avoid mode) and
+    holds the 8-/26-neighbor steps between them with their lengths, the
+    marked node ids and the energy exponent p = scene dimension.  In budget
+    mode the steps are split once into crossing steps (into an obstacle cell,
+    each spending one unit of the budget) and free steps.
     """
 
     def __init__(self, scene: GridScene, constraint: CurveConstraint = UNCONSTRAINED):
@@ -508,14 +413,35 @@ class ModulusProblem:
             self.active = scene.u
         self.f1 = scene.f1 & self.active
         self.f2 = scene.f2 & self.active
-        self.graph = _Graph(self.active, scene.spacing)
-        self.f1_ids = self.graph.idx[self.f1]
-        self.f2_ids = self.graph.idx[self.f2]
-        self.ecost = None
-        self.budget = 0
+        active, h = self.active, scene.spacing
+        idx = -np.ones(active.shape, np.int64)
+        self.n = int(active.sum())
+        idx[active] = np.arange(self.n)
+        self.cells = np.argwhere(active)
+        srcs, dsts, elens = [], [], []
+        for off in _offsets(active.ndim):
+            dst = self.cells + off
+            ok = np.all((dst >= 0) & (dst < active.shape), axis=1)
+            ok[ok] = active[tuple(dst[ok].T)]
+            # node ids are the row numbers of self.cells
+            srcs.append(np.flatnonzero(ok))
+            dsts.append(idx[tuple(dst[ok].T)])
+            elens.append(np.full(len(srcs[-1]), math.hypot(*off) * h))
+        src, dst, elen = map(np.concatenate, (srcs, dsts, elens))
+        self.f1_ids = idx[self.f1]
+        self.f2_ids = idx[self.f2]
+        self.budget, self.crossing = 0, None
+        # F1 cells seed pass 0, or pass 1 when they lie in the obstacle
+        self.starts = self.f1_ids, self.f1_ids[:0]
         if constraint.mode == "budget":
-            self.ecost = constraint.cells[self.active].astype(np.int64)
             self.budget = constraint.budget
+            spends = constraint.cells[active]
+            f1_spends = spends[self.f1_ids]
+            self.starts = self.f1_ids[~f1_spends], self.f1_ids[f1_spends]
+            cross = spends[dst]
+            self.crossing = src[cross], dst[cross], elen[cross]
+            src, dst, elen = src[~cross], dst[~cross], elen[~cross]
+        self.steps = src, dst, elen
 
     def certify(self, rho_grid: np.ndarray, want_path: bool = False):
         """Scale rho so its shortest constrained path has length 1.
@@ -524,9 +450,7 @@ class ModulusProblem:
         the rest None) when no path exists or its rho-length is 0.
         """
         rho = np.where(self.active, rho_grid, 0.0)
-        d, path = _shortest_distance(self.graph, rho[self.active], self.f1_ids,
-                                     self.f2_ids, self.ecost, self.budget,
-                                     want_path=want_path)
+        d, path = self._distance(rho[self.active], want_path)
         if not np.isfinite(d) or d <= 0:
             return math.inf, None, None
         rho_norm = rho / d
@@ -534,13 +458,82 @@ class ModulusProblem:
                        * self.scene.spacing ** self.p)
         return energy, rho_norm, path
 
+    def _distance(self, rho_flat: np.ndarray, want_path: bool = False):
+        """rho-length of the shortest F1-F2 path within the budget, and the
+        path's node ids when asked.
+
+        Pass k is one Dijkstra over the free steps from a super source that
+        seeds each cell first reached after k crossings at its distance; the
+        crossing steps out of pass k seed pass k + 1.  The sweep stops after
+        pass K, or once no seed is shorter than the best F2 distance so far.
+        Ties go to the lowest pass, then to the first F2 cell.
+        """
+        n = S = self.n
+        src, dst, elen = self.steps
+        w = 0.5 * (rho_flat[src] + rho_flat[dst]) * elen
+        if self.budget:
+            csrc, cdst, celen = self.crossing
+            wc = 0.5 * (rho_flat[csrc] + rho_flat[cdst]) * celen
+        seed, nxt = np.full((2, n), np.inf)
+        seed[self.starts[0]] = 0.0
+        nxt[self.starts[1]] = 0.0
+        best, best_node, best_k = math.inf, -1, -1
+        # per pass: Dijkstra predecessors and the crossing step into each seed
+        trail, via = [], None
+        for k in range(self.budget + 1):
+            ids = np.flatnonzero(seed < best)
+            if not ids.size and not (nxt < best).any():
+                break
+            mat = sp.csr_matrix(
+                (np.concatenate([w, seed[ids]]),
+                 (np.concatenate([src, np.full(len(ids), S)]),
+                  np.concatenate([dst, ids]))),
+                shape=(n + 1, n + 1))
+            dist, pred = dijkstra(mat, directed=True, indices=S,
+                                  return_predecessors=True)
+            tvals = dist[self.f2_ids]
+            if tvals.size and tvals.min() < best:
+                j = int(np.argmin(tvals))
+                best, best_node, best_k = float(tvals[j]), int(self.f2_ids[j]), k
+            if want_path:
+                trail.append((pred, via))
+            if k < self.budget:
+                reach = dist[csrc] + wc
+                np.minimum.at(nxt, cdst, reach)
+                if want_path:
+                    hit = reach == nxt[cdst]
+                    via = np.full(n, -1)
+                    via[cdst[hit]] = csrc[hit]
+            seed, nxt = nxt, seed
+            nxt.fill(np.inf)
+        if best_node < 0:
+            return math.inf, None
+        if not want_path:
+            return best, None
+        path, node = [], best_node
+        for pred, via in reversed(trail[:best_k + 1]):
+            while node != S:
+                path.append(node)
+                seeded, node = node, pred[node]
+            if via is None or via[seeded] < 0:
+                break
+            node = via[seeded]
+        path.reverse()
+        return best, path
+
 
 def dirichlet_candidates(scene: GridScene, actives: Sequence[np.ndarray]) -> list:
-    """One Dirichlet density per active mask that still holds both marked sets."""
+    """One Dirichlet density per active mask in which a grid path joins F1 to F2.
+
+    Without such a path the potential is constant on each component and its
+    gradient is rounding noise, so that mask is not solved.
+    """
+    structure = np.ones((3,) * scene.dim, int)
     out = []
     for active in actives:
         f1, f2 = scene.f1 & active, scene.f2 & active
-        if f1.any() and f2.any():
+        labels, _ = ndimage.label(active, structure=structure)
+        if np.intersect1d(labels[f1], labels[f2]).size:
             out.append(_dirichlet_rho(active, f1, f2, scene.spacing, scene.dim))
     return out
 
@@ -580,7 +573,7 @@ def discrete_modulus(scene: GridScene,
 
     witnesses = []
     if best_path:
-        centers = scene.origin + (problem.graph.cells[best_path] + 0.5) * h
+        centers = scene.origin + (problem.cells[best_path] + 0.5) * h
         witnesses.append(PolyCurve(centers))
     density = DensityField(best_rho, h, scene.origin, p)
     return ModulusResult(best_val, density, witnesses,

@@ -959,10 +959,10 @@ def circle_obstacle_mask(scene: GridScene, center, radius: float) -> np.ndarray:
 def cned_probe(E_or_mask, scene: GridScene, budgets: Sequence[int]) -> dict:
     """Constrained-modulus signature of a set at grid scale.
 
-    Certifies the two Dirichlet candidates of the scene (with and without the
-    obstacle) unconstrained, under avoidance of E, and under crossing budgets
-    K, keeping the least energy in each mode.  Every mode sees the same pool,
-    so the relaxation ordering
+    Certifies the Dirichlet candidates of the scene (with the obstacle, and
+    without it when a path still joins the marked sets) unconstrained, under
+    avoidance of E, and under crossing budgets K, keeping the least energy in
+    each mode.  Every mode sees the same pool, so the relaxation ordering
     mod_avoid <= mod_budget(K) <= mod_budget(K+1) <= mod_full
     holds structurally.  The ratios to mod_full quantify NED/CNED behavior
     at this resolution; a mode is infeasible when no candidate certifies.
@@ -981,8 +981,8 @@ def cned_probe(E_or_mask, scene: GridScene, budgets: Sequence[int]) -> dict:
         constraints[f"budget({K})"] = CurveConstraint("budget", mask, int(K))
 
     pool = modfam.dirichlet_candidates(scene, [scene.u, scene.u & ~mask])
-    # one problem alive at a time, so no other graph adds to the peak of the
-    # layered budget-mode search
+    # one problem alive at a time, so only one set of step arrays adds to
+    # the peak
     best = {name: _best_certified(modfam.ModulusProblem(scene, cons), pool)
             for name, cons in constraints.items()}
     values = {name: 0.0 if v is None else v for name, v in best.items()}

@@ -1,8 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from extremal import modfam, sets
 from extremal.geom import DomainError, PolyCurve
@@ -60,13 +65,40 @@ def test_scene_validation():
         GridScene(0.1, np.zeros(2), u, f_broken, f2)
 
 
+def _rle_encode_loop(mask):
+    """Run-length encoding one cell at a time (the reference form)."""
+    flat = mask.ravel()
+    runs = []
+    start = None
+    for i, v in enumerate(flat):
+        if v and start is None:
+            start = i
+        elif not v and start is not None:
+            runs.append([start, i - start])
+            start = None
+    if start is not None:
+        runs.append([start, len(flat) - start])
+    return runs
+
+
 def test_scene_json_roundtrip():
-    sc = annulus_scene(1.0, 2.0, 48)
-    sc2 = GridScene.from_json(json.loads(json.dumps(sc.to_json())))
-    assert np.array_equal(sc.u, sc2.u)
-    assert np.array_equal(sc.f1, sc2.f1)
-    assert np.array_equal(sc.f2, sc2.f2)
-    assert sc2.spacing == sc.spacing
+    # the annulus masks start and end false; the rectangle's u is all true,
+    # its F1 starts the flat order and its F2 ends it
+    for sc in (annulus_scene(1.0, 2.0, 48), rectangle_scene(2.0, 1.0, 24)):
+        obj = sc.to_json()
+        expected = {k: _rle_encode_loop(getattr(sc, k)) for k in ("u", "f1", "f2")}
+        assert json.dumps(obj["masks"]) == json.dumps(expected)
+        sc2 = GridScene.from_json(json.loads(json.dumps(obj)))
+        assert np.array_equal(sc.u, sc2.u)
+        assert np.array_equal(sc.f1, sc2.f1)
+        assert np.array_equal(sc.f2, sc2.f2)
+        assert sc2.spacing == sc.spacing
+    ends = np.zeros((5, 7), bool)
+    ends[0, 0] = ends[-1, -1] = True
+    rng = np.random.default_rng(3)
+    for mask in (np.zeros((5, 7), bool), np.ones((5, 7), bool), ends,
+                 rng.random((6, 5, 4)) < 0.5, np.zeros(0, bool)):
+        assert modfam._rle_encode(mask) == _rle_encode_loop(mask)
 
 
 def test_density_field_contract():
@@ -186,6 +218,146 @@ def test_budget_with_empty_obstacle_is_unconstrained():
     free = discrete_modulus(sc).value
     empty = CurveConstraint("budget", np.zeros(sc.shape, bool), 3)
     assert discrete_modulus(sc, empty).value == pytest.approx(free, rel=1e-12)
+
+
+def _reference_distance(active, h, rho_flat, f1_ids, f2_ids, ecost=None,
+                        budget=0):
+    """The rho-distance from F1 to F2 by Dijkstra on the (K+1)-layer product
+    graph of states (cell, crossings spent): the search the sweep replaced."""
+    shape = active.shape
+    idx = -np.ones(shape, np.int64)
+    n = int(active.sum())
+    idx[active] = np.arange(n)
+    cells = np.argwhere(active)
+    srcs, dsts, elens = [], [], []
+    for off in modfam._offsets(active.ndim):
+        dst = cells + np.array(off)
+        ok = np.all((dst >= 0) & (dst < np.array(shape)), axis=1)
+        src, dst = cells[ok], dst[ok]
+        ok2 = active[tuple(dst.T)]
+        src, dst = src[ok2], dst[ok2]
+        srcs.append(idx[tuple(src.T)])
+        dsts.append(idx[tuple(dst.T)])
+        elens.append(np.full(len(src), math.hypot(*off) * h))
+    gsrc, gdst, elen = np.concatenate(srcs), np.concatenate(dsts), np.concatenate(elens)
+    w = 0.5 * (rho_flat[gsrc] + rho_flat[gdst]) * elen
+    if ecost is None:
+        S = n
+        rows = np.concatenate([gsrc, np.full(len(f1_ids), S)])
+        cols = np.concatenate([gdst, f1_ids])
+        data = np.concatenate([w, np.zeros(len(f1_ids))])
+        mat = sp.csr_matrix((data, (rows, cols)), shape=(n + 1, n + 1))
+        targets = f2_ids
+    else:
+        layers = budget + 1
+        edge_cost = ecost[gdst]
+        rows, cols, data = [], [], []
+        for k in range(layers):
+            k2 = edge_cost + k
+            ok = k2 <= budget
+            rows.append(gsrc[ok] + k * n)
+            cols.append(gdst[ok] + k2[ok] * n)
+            data.append(w[ok])
+        S = n * layers
+        start_cost = ecost[f1_ids]
+        ok0 = start_cost <= budget
+        rows.append(np.full(int(ok0.sum()), S))
+        cols.append(f1_ids[ok0] + start_cost[ok0] * n)
+        data.append(np.zeros(int(ok0.sum())))
+        mat = sp.csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(S + 1, S + 1))
+        targets = np.concatenate([f2_ids + k * n for k in range(layers)])
+    dist = dijkstra(mat, directed=True, indices=S)
+    tvals = dist[targets]
+    return float(tvals.min()) if np.isfinite(tvals).any() else math.inf
+
+
+def _path_length(problem, rho_flat, path):
+    cells = problem.cells[path]
+    steps = np.linalg.norm(np.diff(cells, axis=0), axis=1) * problem.scene.spacing
+    return float(np.sum(0.5 * (rho_flat[path[:-1]] + rho_flat[path[1:]]) * steps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nx=st.integers(6, 14), ny=st.integers(6, 14),
+       mode=st.sampled_from(["unconstrained", "avoid", "budget"]),
+       budget=st.integers(0, 5), ties=st.booleans(), walled_f1=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_matches_product_graph(nx, ny, mode, budget, ties, walled_f1, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.random((nx, ny)) < 0.9
+    u[0, :] = u[-1, :] = True
+    f1 = np.zeros_like(u); f1[0, :] = True
+    f2 = np.zeros_like(u); f2[-1, :] = True
+    sc = GridScene(1.0 / nx, np.zeros(2), u, f1, f2, single_continua=False)
+    mask = rng.random(u.shape) < rng.uniform(0.0, 0.5)
+    # every F1 cell in the obstacle: the sweep starts at pass 1
+    mask[0, :] |= walled_f1
+    rho = rng.uniform(0.0, 2.0, u.shape)
+    if ties:
+        rho = np.round(4 * rho) / 4
+    rho[rng.random(u.shape) < 0.25] = 0.0
+    cons = (modfam.UNCONSTRAINED if mode == "unconstrained"
+            else CurveConstraint(mode, mask, budget))
+    problem = modfam.ModulusProblem(sc, cons)
+    rho_flat = np.where(problem.active, rho, 0.0)[problem.active]
+    ecost = mask[problem.active].astype(np.int64) if mode == "budget" else None
+    ref = _reference_distance(problem.active, sc.spacing, rho_flat,
+                              problem.f1_ids, problem.f2_ids, ecost, budget)
+
+    d, path = problem._distance(rho_flat, want_path=True)
+    assert d == ref
+    energy, rho_norm, cpath = problem.certify(rho, want_path=True)
+    if not math.isfinite(ref) or ref <= 0:
+        assert energy == math.inf
+    else:
+        scaled = np.where(problem.active, rho, 0.0) / ref
+        assert energy == float(np.sum(scaled[problem.active] ** 2) * sc.spacing ** 2)
+        assert abs(_path_length(problem, rho_norm[problem.active], cpath) - 1) <= 1e-12
+    if not math.isfinite(ref):
+        assert path is None
+        return
+    # the witness is a chain of grid steps from F1 to F2 within the budget
+    cells = problem.cells[path]
+    assert problem.f1[tuple(cells[0])] and problem.f2[tuple(cells[-1])]
+    assert np.all(np.abs(np.diff(cells, axis=0)).max(axis=1) == 1)
+    if mode == "budget":
+        assert mask[tuple(cells.T)].sum() <= budget
+    assert _path_length(problem, rho_flat, path) == pytest.approx(d, abs=1e-12)
+
+
+def test_budget_search_memory_does_not_grow_with_budget():
+    sc = rectangle_scene(1.0, 1.0, 32)
+    mask = np.zeros(sc.shape, bool)
+    mask[4::4, :] = True        # seven walls, one cell thick
+    rho = np.ones(sc.shape)
+
+    def peak(K):
+        problem = modfam.ModulusProblem(sc, CurveConstraint("budget", mask, K))
+        tracemalloc.start()
+        try:
+            value = problem.certify(rho)[0]
+            return value, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    value_50, peak_50 = peak(50)
+    value_5000, peak_5000 = peak(5000)
+    assert value_5000 == value_50 < math.inf
+    assert peak_5000 <= 2 * peak_50
+
+
+def test_cg_non_convergence_warns_before_spsolve(monkeypatch):
+    sc = modfam.annulus_scene_3d(1.0, math.e, 12)
+    nfree = int((sc.u & ~sc.f1 & ~sc.f2).sum())
+    expected = modfam._dirichlet_rho(sc.u, sc.f1, sc.f2, sc.spacing, 2)
+    monkeypatch.setattr(scipy.sparse.linalg, "cg",
+                        lambda A, b, **kwargs: (np.zeros_like(b), 1))
+    with pytest.warns(RuntimeWarning,
+                      match=rf"{nfree} unknowns .* within 2000 iterations"):
+        rho = modfam._dirichlet_rho(sc.u, sc.f1, sc.f2, sc.spacing, 2)
+    assert np.allclose(rho, expected, rtol=1e-6, atol=1e-9)
 
 
 def test_budget_mode_relaxation_order():

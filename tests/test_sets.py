@@ -238,7 +238,15 @@ def test_probe_solves_two_dirichlet_candidates(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(modfam, "_dirichlet_rho", counting)
+    # the circle separates F1 from F2, so the avoid-mode potential is noise
+    # and is not solved
     cned_probe(mask, sc, budgets=[1, 2])
+    assert len(calls) == 1
+    # a one-cell gap on the positive x-axis lets paths through
+    gap = mask.copy()
+    gap[sc.shape[0] // 2:, sc.shape[1] // 2] = False
+    calls.clear()
+    cned_probe(gap, sc, budgets=[1, 2])
     assert len(calls) == 2
 
 
