@@ -55,8 +55,8 @@ class ExperimentConfig:
             raise ConfigError(f"kind: unknown experiment kind {self.kind!r}")
         if not isinstance(self.params, dict):
             raise ConfigError("params: must be an object")
-        if self.tol <= 0:
-            raise ConfigError("tol: must be positive")
+        if not math.isfinite(self.tol) or self.tol <= 0:
+            raise ConfigError("tol: must be positive and finite")
         if self.kind in self.STOCHASTIC and self.seed is None:
             raise ConfigError(f"seed: mandatory for stochastic kind {self.kind!r}")
         _VALIDATORS[self.kind](self.params)
@@ -199,8 +199,11 @@ def build_obstacle(spec: dict, scene: modfam.GridScene) -> np.ndarray:
 
 def _cell_at(scene: modfam.GridScene, point) -> tuple:
     p = np.asarray(point, float)
-    cell = tuple(int((x - o) // scene.spacing) for x, o in zip(p, scene.origin))
-    return cell
+    if p.shape == (scene.dim,) and np.isfinite(p).all():
+        cell = tuple(int((x - o) // scene.spacing) for x, o in zip(p, scene.origin))
+        if all(0 <= c < n for c, n in zip(cell, scene.shape)):
+            return cell
+    raise ConfigError(f"obstacle point {p.tolist()} lies outside the grid")
 
 
 # ---------------------------------------------------------------------------

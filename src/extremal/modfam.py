@@ -25,12 +25,12 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy import ndimage
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import dijkstra, laplacian
 from scipy.sparse.linalg import spsolve
 
 from .geom import DomainError, PolyCurve, line_integral
@@ -106,8 +106,12 @@ def _rle_encode(mask: np.ndarray) -> list:
 
 
 def _rle_decode(runs: list, shape: tuple) -> np.ndarray:
-    flat = np.zeros(int(np.prod(shape)), bool)
+    size = int(np.prod(shape))
+    flat = np.zeros(size, bool)
     for start, length in runs:
+        if not (0 <= start and 0 <= length and start + length <= size):
+            raise DomainError(f"mask run [{start}, {length}] does not fit "
+                              f"{size} cells")
         flat[start:start + length] = True
     return flat.reshape(shape)
 
@@ -270,81 +274,62 @@ _CG_MAXITER = 2000
 
 def _dirichlet_rho(active: np.ndarray, f1: np.ndarray, f2: np.ndarray,
                    h: float, p: float, irls_iters: int = 8) -> np.ndarray:
-    """Gradient magnitude of the (p-)capacity potential: u=0 on F1, u=1 on F2."""
-    shape = active.shape
+    """Gradient magnitude of the (p-)capacity potential: u=0 on F1, u=1 on F2.
+
+    The system is the graph Laplacian of the face-neighbour conductances
+    between active cells, restricted to the free cells (diagonal floored at
+    1e-12), with the marked cells moved to the right-hand side.  For p != 2
+    each IRLS round sets the conductance of an edge to
+    max((g_i + g_j)/2, 1e-8)^(p-2) from the current gradient g.
+    """
     dim = active.ndim
-    free = active & ~f1 & ~f2
-    nfree = int(free.sum())
-    idx = -np.ones(shape, np.int64)
-    idx[free] = np.arange(nfree)
-    uval = np.zeros(shape)
-    uval[f2] = 1.0
-    uval[~active] = np.nan
-
-    fr = np.argwhere(free)
-    axes_offs = []
+    n = int(active.sum())
+    idx = np.full(active.shape, -1, np.int64)
+    idx[active] = np.arange(n)
+    heads, tails = [], []
     for ax in range(dim):
-        for s in (-1, 1):
-            off = np.zeros(dim, int)
-            off[ax] = s
-            axes_offs.append(off)
-
-    def solve_with(cond_of_edge: Callable | None):
-        rows, cols, data = [], [], []
-        rhs = np.zeros(nfree)
-        diag = np.zeros(nfree)
-        for off in axes_offs:
-            nb = fr + off
-            inb = np.all((nb >= 0) & (nb < np.array(shape)), axis=1)
-            exists = np.zeros(len(fr), bool)
-            exists[inb] = active[tuple(nb[inb].T)]
-            cond = np.ones(len(fr))
-            if cond_of_edge is not None:
-                cond = cond_of_edge(fr, nb, inb, exists)
-            diag += exists * cond
-            nbf = np.zeros(len(fr), bool)
-            nbf[inb] = free[tuple(nb[inb].T)]
-            src_ids = idx[tuple(fr[nbf].T)]
-            dst_ids = idx[tuple(nb[nbf].T)]
-            rows.append(src_ids)
-            cols.append(dst_ids)
-            data.append(-cond[nbf])
-            fixed = exists & ~nbf
-            np.add.at(rhs, idx[tuple(fr[fixed].T)],
-                      cond[fixed] * uval[tuple(nb[fixed].T)])
-        rows.append(np.arange(nfree))
-        cols.append(np.arange(nfree))
-        data.append(np.maximum(diag, 1e-12))
-        L = sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nfree, nfree))
-        if nfree > 60_000 or dim == 3:
-            # 3D sparse LU fill-in is prohibitive; the system is SPD
-            from scipy.sparse.linalg import cg
-            precond = sp.diags(1.0 / L.diagonal())
-            sol, info = cg(L, rhs, rtol=1e-8, maxiter=_CG_MAXITER, M=precond)
-            if info == 0:
-                return sol
-            warnings.warn(f"Jacobi-CG on {nfree} unknowns did not converge within "
-                          f"{_CG_MAXITER} iterations (info={info}); "
-                          "falling back to spsolve", RuntimeWarning)
-        return spsolve(L.tocsc(), rhs)
-
-    if nfree:
-        uval[free] = solve_with(None)
-        if abs(p - 2) > 1e-12:
-            for _ in range(irls_iters):
-                grad = _grad_magnitude(uval, active, h)
-
-                def cond_fn(fr_, nb_, inb_, exists_):
-                    ga = grad[tuple(fr_.T)]
-                    gb = np.zeros(len(fr_))
-                    gb[inb_] = grad[tuple(nb_[inb_].T)]
-                    g = 0.5 * (ga + np.where(exists_, gb, ga))
-                    return np.maximum(g, 1e-8) ** (p - 2)
-
-                uval[free] = solve_with(cond_fn)
+        lo, hi = [slice(None)] * dim, [slice(None)] * dim
+        lo[ax], hi[ax] = slice(0, -1), slice(1, None)
+        both = active[tuple(lo)] & active[tuple(hi)]
+        heads.append(idx[tuple(lo)][both])
+        tails.append(idx[tuple(hi)][both])
+    a, b = np.concatenate(heads), np.concatenate(tails)
+    pairs = np.concatenate([a, b]), np.concatenate([b, a])
+    free = ~(f1 | f2)[active]
+    u = f2[active].astype(float)
+    uval = np.full(active.shape, np.nan)
+    cond = np.ones(len(a))
+    rounds = 1 + (irls_iters if abs(p - 2) > 1e-12 else 0)
+    for k in range(rounds if free.any() else 0):
+        if k:
+            uval[active] = u
+            g = _grad_magnitude(uval, active, h)[active]
+            cond = np.maximum(0.5 * (g[a] + g[b]), 1e-8) ** (p - 2)
+        W = sp.csr_matrix((np.concatenate([cond, cond]), pairs), shape=(n, n))
+        L = laplacian(W).tocsr()[free]
+        rhs = -(L[:, ~free] @ u[~free])
+        L = L[:, free]
+        L.setdiag(np.maximum(L.diagonal(), 1e-12))
+        u[free] = _solve_spd(L, rhs, dim)
+    uval[active] = u
     return _grad_magnitude(uval, active, h)
+
+
+def _solve_spd(L, rhs: np.ndarray, dim: int) -> np.ndarray:
+    """Solve the SPD system: spsolve, or Jacobi-CG above 60,000 unknowns and
+    in 3D, where sparse LU fill-in is prohibitive; CG warns and falls back to
+    spsolve when it fails."""
+    nfree = L.shape[0]
+    if nfree > 60_000 or dim == 3:
+        from scipy.sparse.linalg import cg
+        precond = sp.diags(1.0 / L.diagonal())
+        sol, info = cg(L, rhs, rtol=1e-8, maxiter=_CG_MAXITER, M=precond)
+        if info == 0:
+            return sol
+        warnings.warn(f"Jacobi-CG on {nfree} unknowns did not converge within "
+                      f"{_CG_MAXITER} iterations (info={info}); "
+                      "falling back to spsolve", RuntimeWarning)
+    return spsolve(L.tocsc(), rhs)
 
 
 def _grad_magnitude(uval: np.ndarray, active: np.ndarray, h: float) -> np.ndarray:
@@ -474,6 +459,12 @@ class ModulusProblem:
         if self.budget:
             csrc, cdst, celen = self.crossing
             wc = 0.5 * (rho_flat[csrc] + rho_flat[cdst]) * celen
+        # the free steps in CSR once, the super source's row empty; each pass
+        # writes its seeds into the spare tail and ends that last row there
+        base = sp.csr_matrix((w, (src, dst)), shape=(n + 1, n + 1))
+        nnz, indptr = base.nnz, base.indptr
+        data = np.concatenate([base.data, np.empty(n)])
+        indices = np.concatenate([base.indices, np.empty(n, base.indices.dtype)])
         seed, nxt = np.full((2, n), np.inf)
         seed[self.starts[0]] = 0.0
         nxt[self.starts[1]] = 0.0
@@ -484,11 +475,10 @@ class ModulusProblem:
             ids = np.flatnonzero(seed < best)
             if not ids.size and not (nxt < best).any():
                 break
-            mat = sp.csr_matrix(
-                (np.concatenate([w, seed[ids]]),
-                 (np.concatenate([src, np.full(len(ids), S)]),
-                  np.concatenate([dst, ids]))),
-                shape=(n + 1, n + 1))
+            end = nnz + len(ids)
+            data[nnz:end], indices[nnz:end], indptr[S + 1] = seed[ids], ids, end
+            mat = sp.csr_matrix((data[:end], indices[:end], indptr),
+                                shape=(n + 1, n + 1))
             dist, pred = dijkstra(mat, directed=True, indices=S,
                                   return_predecessors=True)
             tvals = dist[self.f2_ids]

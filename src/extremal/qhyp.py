@@ -12,7 +12,6 @@ dyadic scale, relative to the represented boundary.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -586,9 +585,10 @@ def shadows(domain: PolygonDomain, x0, decomp: WhitneyDecomposition,
     """Shadow of each Whitney cube under the shortest-path tree from x0.
 
     The tree lives on the cube adjacency graph with quasihyperbolic edge
-    weights and deterministic lexicographic tie-breaking.  Each boundary
-    sample is routed from its nearest cube to the root; SH(Q) collects the
-    samples whose route passes through Q, and s(Q) = diam SH(Q).
+    weights; the parent of a cube is its least-index shortest-path
+    predecessor within 1e-15 (-1 at the root and where unreachable).  Each
+    boundary sample is routed from its nearest cube to the root; SH(Q)
+    collects the samples whose route passes through Q, and s(Q) = diam SH(Q).
     """
     cubes = decomp.cubes
     n = len(cubes)
@@ -596,34 +596,22 @@ def shadows(domain: PolygonDomain, x0, decomp: WhitneyDecomposition,
         raise DomainError("empty decomposition")
     centers = np.array([q.center for q in cubes])
     dists = np.array([max(q.dist, 1e-12) for q in cubes])
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in decomp.adjacency:
-        adj[i].append(j)
-        adj[j].append(i)
     x0 = np.asarray(x0, float)
     root = _cube_containing(cubes, x0)
     if root is None:
         root = int(np.linalg.norm(centers - x0, axis=1).argmin())
-    # deterministic Dijkstra over cubes
-    INF = math.inf
-    dist = [INF] * n
-    parent = [-1] * n
-    dist[root] = 0.0
-    heap = [(0.0, root)]
-    done = [False] * n
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v in sorted(adj[u]):
-            w = float(np.linalg.norm(centers[u] - centers[v])) \
-                * 0.5 * (1 / dists[u] + 1 / dists[v])
-            nd = d + w
-            if nd < dist[v] - 1e-15 or (abs(nd - dist[v]) <= 1e-15 and u < parent[v]):
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
+    i, j = np.array(decomp.adjacency, np.int64).reshape(-1, 2).T
+    w = np.linalg.norm(centers[i] - centers[j], axis=1) \
+        * 0.5 * (1 / dists[i] + 1 / dists[j])
+    u, v, w = np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([w, w])
+    dist = dijkstra(sp.csr_matrix((w, (u, v)), shape=(n, n)), indices=root)
+    # the finiteness guard keeps inf + w <= inf from parenting unreachable cubes
+    tight = np.isfinite(dist[v]) & (dist[u] + w <= dist[v] + 1e-15)
+    parent = np.full(n, n)
+    np.minimum.at(parent, v[tight], u[tight])
+    parent[parent == n] = -1
+    parent[root] = -1
+    parent = parent.tolist()
     if boundary_spacing is None:
         boundary_spacing = min(q.side for q in cubes)
     samples = domain.boundary_samples(boundary_spacing)
@@ -658,7 +646,7 @@ def shadows(domain: PolygonDomain, x0, decomp: WhitneyDecomposition,
             s = 0.0
         records.append(ShadowRecord(k, idx, float(s)))
     return {"records": records, "parent": parent, "root": root,
-            "boundary_samples": samples, "tree_distances": dist}
+            "boundary_samples": samples, "tree_distances": dist.tolist()}
 
 
 def _cube_containing(cubes, p) -> int | None:

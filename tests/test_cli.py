@@ -3,9 +3,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from extremal import cli, qhyp
+from extremal import cli, modfam, qhyp
 from extremal.cli import (ConfigError, ExperimentConfig, builtin_experiments,
                           list_experiments, main, run_experiment)
 
@@ -185,3 +186,52 @@ def test_bundled_configs_execute(name, tmp_path):
     assert run_experiment(cfg) == 0
     results = json.loads((tmp_path / "results.json").read_text())
     assert "anchor" in json.dumps(results["results"])
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exits_two(tol, tmp_path, capsys):
+    assert main(["run", "ring-reciprocal", "--out", str(tmp_path), "--tol", tol]) == 2
+    assert "tol: must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "results.json").exists()
+
+
+def _rectangle_with_obstacle(tmp_path, obstacle):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "kind": "modulus", "out": str(tmp_path),
+        "params": {"mode": "scene",
+                   "scene": {"builder": "rectangle", "grid": 16},
+                   "obstacle": obstacle, "constraint": "avoid"}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("obstacle", [
+    {"kind": "cell", "at": [-0.3, 0.5]},          # -3 would wrap to cell (13, 4)
+    {"kind": "cell", "at": [1.0, 1.0]},           # one past the last row
+    {"kind": "cell", "at": [0.5]},
+    {"kind": "cell", "at": [float("nan"), 0.5]},
+    {"kind": "circle-minus-cell", "center": [1.0, 0.5], "radius": 0.3,
+     "gap_at": [2.5, 0.5]}])
+def test_obstacle_point_off_the_grid_exits_two(obstacle, tmp_path, capsys):
+    assert main(["run", _rectangle_with_obstacle(tmp_path, obstacle)]) == 2
+    assert "lies outside the grid" in capsys.readouterr().err
+
+
+def test_cell_obstacle_marks_the_cell_under_the_point():
+    scene = modfam.rectangle_scene(2.0, 1.0, 16)       # spacing 1/8
+    mask = cli.build_obstacle({"kind": "cell", "at": [0.3, 0.99]}, scene)
+    assert np.argwhere(mask).tolist() == [[2, 7]]
+
+
+def test_scene_file_with_bad_run_exits_two(tmp_path, capsys):
+    scene = modfam.rectangle_scene(2.0, 1.0, 16).to_json()
+    scene["masks"]["u"].append([-5, 3])
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(scene))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({
+        "kind": "modulus", "out": str(tmp_path),
+        "params": {"mode": "scene",
+                   "scene": {"builder": "file", "path": str(scene_path)}}}))
+    assert main(["run", str(cfg_path)]) == 2
+    assert "mask run [-5, 3]" in capsys.readouterr().err

@@ -101,6 +101,20 @@ def test_scene_json_roundtrip():
         assert modfam._rle_encode(mask) == _rle_encode_loop(mask)
 
 
+def test_scene_json_rejects_runs_off_the_mask():
+    obj = rectangle_scene(2.0, 1.0, 16).to_json()       # 16 x 8 = 128 cells
+    GridScene.from_json(json.loads(json.dumps(obj)))
+    # a negative start would wrap to the end, a run past the end be cut
+    for run in ([-5, 3], [126, 3], [0, -1], [129, 0]):
+        bad = json.loads(json.dumps(obj))
+        bad["masks"]["u"].append(run)
+        with pytest.raises(DomainError, match="does not fit 128 cells"):
+            GridScene.from_json(bad)
+    edge = json.loads(json.dumps(obj))
+    edge["masks"]["u"] += [[128, 0], [127, 1]]          # empty run at the end
+    assert np.array_equal(GridScene.from_json(edge).u, np.ones((16, 8), bool))
+
+
 def test_density_field_contract():
     with pytest.raises(DomainError):
         DensityField(np.array([[1.0, -0.5]]), 0.1, np.zeros(2), 2)
@@ -358,6 +372,94 @@ def test_cg_non_convergence_warns_before_spsolve(monkeypatch):
                       match=rf"{nfree} unknowns .* within 2000 iterations"):
         rho = modfam._dirichlet_rho(sc.u, sc.f1, sc.f2, sc.spacing, 2)
     assert np.allclose(rho, expected, rtol=1e-6, atol=1e-9)
+
+
+def _dirichlet_rho_loop(active, f1, f2, h, p, irls_iters=8):
+    """The Dirichlet density assembled one face offset at a time (the
+    reference form): diagonal and right-hand side accumulated per offset."""
+    shape, dim = active.shape, active.ndim
+    free = active & ~f1 & ~f2
+    nfree = int(free.sum())
+    idx = -np.ones(shape, np.int64)
+    idx[free] = np.arange(nfree)
+    uval = np.zeros(shape)
+    uval[f2] = 1.0
+    uval[~active] = np.nan
+    fr = np.argwhere(free)
+    offs = [s * np.eye(dim, dtype=int)[ax] for ax in range(dim) for s in (-1, 1)]
+
+    def solve_with(cond_of_edge):
+        rows, cols, data = [], [], []
+        rhs, diag = np.zeros(nfree), np.zeros(nfree)
+        for off in offs:
+            nb = fr + off
+            inb = np.all((nb >= 0) & (nb < np.array(shape)), axis=1)
+            exists = np.zeros(len(fr), bool)
+            exists[inb] = active[tuple(nb[inb].T)]
+            cond = np.ones(len(fr))
+            if cond_of_edge is not None:
+                cond = cond_of_edge(nb, inb, exists)
+            diag += exists * cond
+            nbf = np.zeros(len(fr), bool)
+            nbf[inb] = free[tuple(nb[inb].T)]
+            rows.append(idx[tuple(fr[nbf].T)])
+            cols.append(idx[tuple(nb[nbf].T)])
+            data.append(-cond[nbf])
+            fixed = exists & ~nbf
+            np.add.at(rhs, idx[tuple(fr[fixed].T)],
+                      cond[fixed] * uval[tuple(nb[fixed].T)])
+        rows.append(np.arange(nfree))
+        cols.append(np.arange(nfree))
+        data.append(np.maximum(diag, 1e-12))
+        L = sp.csr_matrix((np.concatenate(data),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(nfree, nfree))
+        if nfree > 60_000 or dim == 3:
+            sol, info = scipy.sparse.linalg.cg(L, rhs, rtol=1e-8, maxiter=2000,
+                                               M=sp.diags(1.0 / L.diagonal()))
+            assert info == 0
+            return sol
+        return scipy.sparse.linalg.spsolve(L.tocsc(), rhs)
+
+    if nfree:
+        uval[free] = solve_with(None)
+        if abs(p - 2) > 1e-12:
+            for _ in range(irls_iters):
+                grad = modfam._grad_magnitude(uval, active, h)
+
+                def cond_fn(nb, inb, exists):
+                    ga = grad[tuple(fr.T)]
+                    gb = np.zeros(len(fr))
+                    gb[inb] = grad[tuple(nb[inb].T)]
+                    g = 0.5 * (ga + np.where(exists, gb, ga))
+                    return np.maximum(g, 1e-8) ** (p - 2)
+
+                uval[free] = solve_with(cond_fn)
+    return modfam._grad_magnitude(uval, active, h)
+
+
+def test_dirichlet_rho_matches_per_offset_assembly():
+    ann = annulus_scene(1.0, 2.0, 64)
+    rect = rectangle_scene(2.0, 1.0, 32)
+    wall = np.zeros(rect.shape, bool)
+    wall[10:14, 3:] = True                    # avoid mode: a wall with a gap
+    avoid = rect.u & ~wall
+    lone = np.ones((8, 8), bool)
+    lone[3:6, :] = False
+    lone[4, 4] = True                         # a free cell with no face neighbour
+    edge_f1, edge_f2 = np.zeros((2, 8, 8), bool)
+    edge_f1[0], edge_f2[-1] = True, True
+    for active, f1, f2, h in ((ann.u, ann.f1, ann.f2, ann.spacing),
+                              (avoid, rect.f1 & avoid, rect.f2 & avoid, rect.spacing),
+                              (lone, edge_f1, edge_f2, 0.125)):
+        rho = modfam._dirichlet_rho(active, f1, f2, h, 2)
+        assert np.array_equal(rho, _dirichlet_rho_loop(active, f1, f2, h, 2))
+    # p = 3 on a 3D shell: the diagonal sums the same conductances in
+    # another order, so the IRLS rounds agree to rounding
+    shell = modfam.annulus_scene_3d(1.0, math.e, 16)
+    args = shell.u, shell.f1, shell.f2, shell.spacing, 3
+    rho, expected = modfam._dirichlet_rho(*args), _dirichlet_rho_loop(*args)
+    assert np.abs(rho - expected).max() <= 1e-13 * expected.max()
 
 
 def test_budget_mode_relaxation_order():

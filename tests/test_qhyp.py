@@ -1,3 +1,4 @@
+import heapq
 import json
 import math
 from fractions import Fraction
@@ -347,6 +348,56 @@ def test_tree_paths_follow_adjacency(disk_shadows):
         path = tree_path_cubes(parent, start)
         for a, b in zip(path[:-1], path[1:]):
             assert (min(a, b), max(a, b)) in adj
+
+
+def _heapq_tree(decomp, root):
+    """Shortest-path tree over the cubes, one heap pop at a time (the
+    reference form): ties within 1e-15 go to the smaller parent index."""
+    cubes = decomp.cubes
+    n = len(cubes)
+    centers = np.array([q.center for q in cubes])
+    dists = np.array([max(q.dist, 1e-12) for q in cubes])
+    adj = [[] for _ in range(n)]
+    for i, j in decomp.adjacency:
+        adj[i].append(j)
+        adj[j].append(i)
+    dist, parent, done = [math.inf] * n, [-1] * n, [False] * n
+    dist[root] = 0.0
+    heap = [(0.0, root)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v in sorted(adj[u]):
+            w = float(np.linalg.norm(centers[u] - centers[v])) \
+                * 0.5 * (1 / dists[u] + 1 / dists[v])
+            nd = d + w
+            if nd < dist[v] - 1e-15 or (abs(nd - dist[v]) <= 1e-15 and u < parent[v]):
+                dist[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd, v))
+    return parent, dist
+
+
+@pytest.mark.parametrize("name", ["disk", "cusp", "comb", "square"])
+def test_shadow_tree_matches_heap_dijkstra(name):
+    domain = {"disk": DISK, "cusp": cusp_domain(), "comb": comb_domain(),
+              "square": square_domain()}[name]
+    lo, hi = map(np.asarray, domain.bbox())
+    # the comb has no interior at depth 5
+    for depth in (6, 7) if name == "comb" else (5, 6, 7):
+        dec = whitney_decompose(domain, max_depth=depth)
+        roots = set()
+        for x0 in (0.5 * (lo + hi), dec.cubes[len(dec.cubes) // 3].center):
+            sh = shadows(domain, x0, dec)
+            roots.add(sh["root"])
+            parent, dist = _heapq_tree(dec, sh["root"])
+            assert sh["parent"] == parent
+            assert sh["tree_distances"] == dist
+            if name == "comb" and depth == 6:
+                assert math.inf in dist       # cubes that no path reaches
+        assert len(roots) == 2
 
 
 def test_boundary_adjacent_shadows_comparable_to_side(disk_shadows):
