@@ -522,6 +522,7 @@ def run_experiment(config: ExperimentConfig) -> int:
                             "finished_unix": time.time()}, indent=2) + "\n")
     _write_tables(config, results, artifacts)
     _write_figures(config, artifacts)
+    modfam.release_free_memory()    # the next experiment starts from the live set
     return 0
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 
@@ -14,12 +16,17 @@ def _color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def _doc(elements: list[str], view: tuple) -> str:
+def _write_doc(path: str, elements: Iterable[str], view: tuple) -> None:
+    """Write the SVG document, one element per line, as ``elements`` yields
+    them: a 512^2 heatmap is 166k elements, which are never all held."""
     x0, y0, w, h = view
-    head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'viewBox="{x0:.4f} {y0:.4f} {w:.4f} {h:.4f}" '
-            f'width="640" height="{640 * h / w:.0f}">')
-    return "\n".join([head, *elements, "</svg>"])
+    with open(path, "w") as fh:
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
+                 f'viewBox="{x0:.4f} {y0:.4f} {w:.4f} {h:.4f}" '
+                 f'width="640" height="{640 * h / w:.0f}">')
+        for el in elements:
+            fh.write("\n" + el)
+        fh.write("\n</svg>")
 
 
 def svg_density_heatmap(density, path: str) -> None:
@@ -30,16 +37,11 @@ def svg_density_heatmap(density, path: str) -> None:
     h = density.spacing
     ox, oy = density.origin
     vmax = float(vals.max()) or 1.0
-    cells = np.argwhere(vals > 0)
-    elems = []
-    for i, j in cells:
-        t = float(vals[i, j]) / vmax
-        elems.append(
-            f'<rect x="{ox + i * h:.5f}" y="{oy + j * h:.5f}" '
-            f'width="{h:.5f}" height="{h:.5f}" fill="{_color(t)}"/>')
+    rects = (f'<rect x="{ox + i * h:.5f}" y="{oy + j * h:.5f}" width="{h:.5f}" '
+             f'height="{h:.5f}" fill="{_color(float(vals[i, j]) / vmax)}"/>'
+             for i, j in np.argwhere(vals > 0))
     nx, ny = vals.shape
-    with open(path, "w") as fh:
-        fh.write(_doc(elems, (ox, oy, nx * h, ny * h)))
+    _write_doc(path, rects, (ox, oy, nx * h, ny * h))
 
 
 def svg_covering(cover_pairs, path: str, side: str = "domain") -> None:
@@ -60,22 +62,18 @@ def svg_covering(cover_pairs, path: str, side: str = "domain") -> None:
     pts = np.vstack(all_pts)
     lo = pts.min(axis=0) - 1
     hi = pts.max(axis=0) + 1
-    with open(path, "w") as fh:
-        fh.write(_doc(elems, (lo[0], lo[1], hi[0] - lo[0], hi[1] - lo[1])))
+    _write_doc(path, elems, (lo[0], lo[1], hi[0] - lo[0], hi[1] - lo[1]))
 
 
 def svg_whitney(decomp, shadow_s, path: str) -> None:
     """Whitney cubes colored by shadow diameter s(Q)."""
     smax = max(shadow_s) or 1.0
-    elems = []
-    for q, s in zip(decomp.cubes, shadow_s):
-        elems.append(
-            f'<rect x="{q.corner[0]:.5f}" y="{q.corner[1]:.5f}" '
-            f'width="{q.side:.5f}" height="{q.side:.5f}" '
-            f'fill="{_color(s / smax)}" stroke="#333" '
-            f'stroke-width="{q.side * 0.03:.5f}"/>')
+    elems = (f'<rect x="{q.corner[0]:.5f}" y="{q.corner[1]:.5f}" '
+             f'width="{q.side:.5f}" height="{q.side:.5f}" '
+             f'fill="{_color(s / smax)}" stroke="#333" '
+             f'stroke-width="{q.side * 0.03:.5f}"/>'
+             for q, s in zip(decomp.cubes, shadow_s))
     lo, hi = decomp.domain.bbox()
     pad = 0.05 * float((hi - lo).max())
-    with open(path, "w") as fh:
-        fh.write(_doc(elems, (lo[0] - pad, lo[1] - pad,
-                              hi[0] - lo[0] + 2 * pad, hi[1] - lo[1] + 2 * pad)))
+    _write_doc(path, elems, (lo[0] - pad, lo[1] - pad,
+                             hi[0] - lo[0] + 2 * pad, hi[1] - lo[1] + 2 * pad))

@@ -462,6 +462,22 @@ def test_dirichlet_rho_matches_per_offset_assembly():
     assert np.abs(rho - expected).max() <= 1e-13 * expected.max()
 
 
+def test_dirichlet_candidates_survive_releasing_free_memory():
+    # each solve hands the heap's free pages back; the candidates kept so far
+    # and the ones that follow are the plain solves, bit for bit
+    sc = annulus_scene(1.0, 2.0, 48)
+    inner = sc.u & ~(sc.f2 & np.roll(sc.f2, 1, axis=0))
+    pool = modfam.dirichlet_candidates(sc, [sc.u, inner])
+    assert len(pool) == 2
+    for rho, active in zip(pool, (sc.u, inner)):
+        f1, f2 = sc.f1 & active, sc.f2 & active
+        assert np.array_equal(rho, modfam._dirichlet_rho(active, f1, f2,
+                                                         sc.spacing, sc.dim))
+    modfam.release_free_memory()
+    assert np.array_equal(pool[0], modfam._dirichlet_rho(sc.u, sc.f1, sc.f2,
+                                                         sc.spacing, sc.dim))
+
+
 def test_budget_mode_relaxation_order():
     sc = rectangle_scene(1.0, 1.0, 48)
     mask = np.zeros(sc.shape, bool)
