@@ -109,7 +109,12 @@ def _rle_encode(mask: np.ndarray) -> list:
 def _rle_decode(runs: list, shape: tuple) -> np.ndarray:
     size = int(np.prod(shape))
     flat = np.zeros(size, bool)
-    for start, length in runs:
+    for run in runs:
+        # JSON gives lists of ints; bool is an int subclass but no index
+        if not (isinstance(run, list) and len(run) == 2
+                and all(type(v) is int for v in run)):
+            raise DomainError(f"mask run {run!r} is not a pair of integers")
+        start, length = run
         if not (0 <= start and 0 <= length and start + length <= size):
             raise DomainError(f"mask run [{start}, {length}] does not fit "
                               f"{size} cells")

@@ -23,10 +23,16 @@ from scipy.spatial import cKDTree
 from .geom import DomainError, PolyCurve, _cloud_diameter
 
 _SNAP = 2 ** 24   # vertex coordinates are multiples of 1/_SNAP
-# point x edge pairs per chunk of the array kernels: the float temporaries
-# (512 KB each) stay in cache; at 2**18 pairs both kernels ran 1.5-2.7x slower
-# on 200k points against the 128-edge disk
-_CHUNK_PAIRS = 2 ** 16
+# pairs per chunk of the array kernels: point x edge in _crossing_number and
+# _points_segments_dist, cube x segment end in the Whitney frontier's
+# _cube_boundary_dist and _segments_hit_boxes.  The float temporaries (128 KB
+# each) stay in cache and below glibc's heap trim threshold; at 2**16 pairs
+# one chunk's temporaries were returned to the OS and faulted in again chunk
+# after chunk early in a process (a fresh process building the 128-edge
+# disk's grids at pitch 0.02, then 0.01: 0.99-1.05 s and 220k minor faults
+# for the second, against 0.55-0.71 s and 5.6k at 2**14), and at 2**18 the
+# point kernels ran 1.5-2.7x slower on 200k points
+_CHUNK_PAIRS = 2 ** 14
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +126,31 @@ def _points_segments_dist(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
     points; p - (a + t d) keeps this order of operations, so every distance
     is the same float as the 2-vector projection formula gives.
     """
-    ax, ay = a[:, 0], a[:, 1]
-    dx, dy = b[:, 0] - ax, b[:, 1] - ay
-    L2 = dx * dx + dy * dy
-    L2 = np.where(L2 == 0, 1e-300, L2)
+    ax, ay, dx, dy, L2 = _seg_frame(a, b)
     out = np.empty(len(pts))
     rows = max(1, _CHUNK_PAIRS // len(a))
     for i in range(0, len(pts), rows):
         px, py = pts[i:i + rows, 0:1], pts[i:i + rows, 1:2]
-        t = np.clip(((px - ax) * dx + (py - ay) * dy) / L2, 0.0, 1.0)
-        ex = px - (ax + t * dx)
-        ey = py - (ay + t * dy)
-        out[i:i + rows] = np.sqrt((ex * ex + ey * ey).min(axis=1))
+        out[i:i + rows] = np.sqrt(_seg_dist2(px, py, ax, ay, dx, dy, L2).min(axis=1))
     return out
+
+
+def _seg_frame(a: np.ndarray, b: np.ndarray):
+    """x, y, direction and squared length (zero lengths floored) of the
+    segments [a_k, b_k]."""
+    ax, ay = a[..., 0], a[..., 1]
+    dx, dy = b[..., 0] - ax, b[..., 1] - ay
+    L2 = dx * dx + dy * dy
+    return ax, ay, dx, dy, np.where(L2 == 0, 1e-300, L2)
+
+
+def _seg_dist2(px, py, ax, ay, dx, dy, L2):
+    """Squared distance from p to the segment a + t d, t clamped to [0, 1],
+    element-wise over the broadcast of the point and segment arrays."""
+    t = np.clip(((px - ax) * dx + (py - ay) * dy) / L2, 0.0, 1.0)
+    ex = px - (ax + t * dx)
+    ey = py - (ay + t * dy)
+    return ex * ex + ey * ey
 
 
 # --- builders ---------------------------------------------------------------
@@ -248,15 +266,23 @@ class WhitneyDecomposition:
                 "neighbor_ratio_ok": bool(ratio_ok)}
 
 
+_CHILDREN = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], np.int64)   # ij offsets
+
+
 def whitney_decompose(domain: PolygonDomain, max_depth: int = 7) -> WhitneyDecomposition:
     """Dyadic Whitney cubes of the domain: diam(Q) <= dist(Q, bd) <= 4 diam(Q).
 
     A cube is emitted at the first (coarsest) generation where
     diam <= dist(Q, boundary); since its parent failed that test, the upper
     bound dist <= 4 diam holds automatically.  Cubes still failing at
-    max_depth are truncated (counted, not emitted).  Decisions near the
-    float precision margin fall back to exact integer arithmetic at the
-    dyadic scale.
+    max_depth are truncated (counted, not emitted).
+
+    The pass goes level by level.  Each depth's frontier is one (m, 2) array
+    of cube indices ij: one ``contains`` call takes all its centres and one
+    chunked kernel all its float cube-to-boundary distances.  Only the
+    decisions within the float precision margin fall back to exact integer
+    arithmetic at the dyadic scale, cube by cube.  Cubes that are neither
+    accepted nor entirely outside split into the next depth's frontier.
     """
     lo, hi = domain.bbox()
     span = float((hi - lo).max()) * 1.001
@@ -265,39 +291,31 @@ def whitney_decompose(domain: PolygonDomain, max_depth: int = 7) -> WhitneyDecom
     bd = _DyadicBoundary(domain, root_corner, root_side, max_depth)
     cubes: list[WhitneyCube] = []
     truncated = 0
-    stack = [(0, (0, 0))]
     margin = 1e-9 * max(1.0, root_side)
-    while stack:
-        depth, ij = stack.pop()
+    ij = np.zeros((1, 2), np.int64)
+    for depth in range(max_depth + 1):
+        if not len(ij):
+            break
         side = root_side / 2 ** depth
-        corner = root_corner + np.array(ij, float) * side
-        center = corner + side / 2
-        d_cube = _cube_boundary_dist_float(corner, side, domain)
-        inside = bool(domain.contains(center[None])[0])
-        if d_cube > 0 and not inside:
-            continue                      # entirely outside
-        diam = side * math.sqrt(2)
-        accept = None
-        if inside:
-            if d_cube - diam > margin:
-                accept = True
-            elif d_cube - diam < -margin:
-                accept = False
-            else:
-                num, den = bd.cube_dist2(depth, ij)
-                s_int = bd.side(depth)
-                accept = 2 * s_int * s_int * den <= num and num > 0
-        else:
-            accept = False
-        if accept:
-            cubes.append(WhitneyCube(depth, ij, corner, side, d_cube))
-            continue
-        if depth >= max_depth:
-            truncated += 1
-            continue
-        for di in (0, 1):
-            for dj in (0, 1):
-                stack.append((depth + 1, (2 * ij[0] + di, 2 * ij[1] + dj)))
+        corner = root_corner + ij * side
+        d_cube = _cube_boundary_dist(corner, corner + side, domain._seg_a,
+                                     domain._seg_b)
+        inside = domain.contains(corner + side / 2)
+        gap = d_cube - side * math.sqrt(2)
+        accept = inside & (gap > margin)
+        s_int = bd.side(depth)
+        for k in np.flatnonzero(inside & (np.abs(gap) <= margin)):
+            num, den = bd.cube_dist2(depth, ij[k].tolist())
+            accept[k] = 2 * s_int * s_int * den <= num and num > 0
+        acc = np.flatnonzero(accept)
+        cubes += [WhitneyCube(depth, tuple(q), c, side, d)
+                  for q, c, d in zip(ij[acc].tolist(), corner[acc],
+                                     d_cube[acc].tolist())]
+        # a cube with d > 0 whose centre is outside lies entirely outside
+        split = ij[~accept & (inside | ~(d_cube > 0))]
+        if depth == max_depth:
+            truncated = len(split)
+        ij = (2 * split[:, None, :] + _CHILDREN).reshape(-1, 2)
     if not cubes:
         raise DomainError("domain has no interior at this depth")
     cubes.sort(key=lambda q: (q.depth, q.ij))
@@ -306,48 +324,51 @@ def whitney_decompose(domain: PolygonDomain, max_depth: int = 7) -> WhitneyDecom
                                 root_corner, root_side, max_depth)
 
 
-def _cube_boundary_dist_float(corner: np.ndarray, side: float,
-                              domain: PolygonDomain) -> float:
-    """Float distance from the closed cube to the boundary segments.
+def _cube_boundary_dist(lo: np.ndarray, hi: np.ndarray, a: np.ndarray,
+                        b: np.ndarray) -> np.ndarray:
+    """Float distance from each closed cube [lo_k, hi_k] to the segments [a, b].
 
-    Exact segment-to-segment formula (up to float rounding): zero when some
-    boundary segment meets the cube, else the minimum over cube-edge versus
-    boundary-segment pairs of endpoint-to-segment distances.
+    The exact segment-to-segment formula up to float rounding: zero where
+    some segment meets the cube (slab test), else the least of the
+    corner-to-segment and segment-end-to-cube-edge distances.  Cubes go
+    through in chunks of _CHUNK_PAIRS cube x segment-end pairs.
     """
-    a, b = domain._seg_a, domain._seg_b
-    lo = corner
-    hi = corner + side
-    # any boundary segment intersecting the cube -> distance 0
-    if _any_segment_hits_box(a, b, lo, hi):
-        return 0.0
-    corners = np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])
-    best = float(_points_segments_dist(corners, a, b).min())
+    out = np.zeros(len(lo))
     ends = np.concatenate([a, b], axis=0)
-    for edge_a, edge_b in ((corners[0], corners[1]), (corners[1], corners[2]),
-                           (corners[3], corners[2]), (corners[0], corners[3])):
-        d = _points_segments_dist(ends, edge_a[None], edge_b[None])
-        best = min(best, float(d.min()))
-    return best
+    rows = max(1, _CHUNK_PAIRS // len(ends))
+    for i in range(0, len(lo), rows):
+        miss = ~_segments_hit_boxes(a, b, lo[i:i + rows], hi[i:i + rows])
+        l, h = lo[i:i + rows][miss], hi[i:i + rows][miss]
+        c = [l, np.stack([h[:, 0], l[:, 1]], axis=1), h,
+             np.stack([l[:, 0], h[:, 1]], axis=1)]
+        best = _points_segments_dist(np.concatenate(c), a, b).reshape(4, -1).min(axis=0)
+        for ea, eb in ((c[0], c[1]), (c[1], c[2]), (c[3], c[2]), (c[0], c[3])):
+            ax, ay, dx, dy, L2 = _seg_frame(ea[:, None], eb[:, None])
+            d2 = _seg_dist2(ends[:, 0], ends[:, 1], ax, ay, dx, dy, L2)
+            best = np.minimum(best, np.sqrt(d2.min(axis=1)))
+        out[i:i + rows][miss] = best
+    return out
 
 
-def _any_segment_hits_box(a: np.ndarray, b: np.ndarray, lo, hi) -> bool:
-    t0 = np.zeros(len(a))
-    t1 = np.ones(len(a))
+def _segments_hit_boxes(a: np.ndarray, b: np.ndarray, lo: np.ndarray,
+                        hi: np.ndarray) -> np.ndarray:
+    """Does some segment [a, b] meet the closed box [lo_k, hi_k]?  Per box:
+    clip each segment's parameter range to the slab of each axis; a segment
+    flat in an axis must lie within that slab."""
     d = b - a
-    ok = np.ones(len(a), bool)
+    t0 = np.zeros((len(lo), len(a)))
+    t1 = np.ones((len(lo), len(a)))
+    ok = np.ones((len(lo), len(a)), bool)
     for ax in range(2):
+        l, h = lo[:, ax:ax + 1], hi[:, ax:ax + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            ta = (lo[ax] - a[:, ax]) / d[:, ax]
-            tb = (hi[ax] - a[:, ax]) / d[:, ax]
-        swap = ta > tb
-        ta2 = np.where(swap, tb, ta)
-        tb2 = np.where(swap, ta, tb)
+            ta = (l - a[:, ax]) / d[:, ax]
+            tb = (h - a[:, ax]) / d[:, ax]
         flat = d[:, ax] == 0
-        outside_flat = flat & ((a[:, ax] < lo[ax]) | (a[:, ax] > hi[ax]))
-        ok &= ~outside_flat
-        t0 = np.where(flat, t0, np.maximum(t0, ta2))
-        t1 = np.where(flat, t1, np.minimum(t1, tb2))
-    return bool((ok & (t0 <= t1)).any())
+        ok &= ~(flat & ((a[:, ax] < l) | (a[:, ax] > h)))
+        t0 = np.where(flat, t0, np.maximum(t0, np.minimum(ta, tb)))
+        t1 = np.where(flat, t1, np.minimum(t1, np.maximum(ta, tb)))
+    return (ok & (t0 <= t1)).any(axis=1)
 
 
 class _DyadicBoundary:
@@ -480,8 +501,7 @@ class QhGrid:
     """Fine grid graph with edge weight = length / boundary distance at the
     midpoint; Dijkstra fields reusable across queries."""
 
-    def __init__(self, domain: PolygonDomain, pitch: float,
-                 min_delta_factor: float = 1.0):
+    def __init__(self, domain: PolygonDomain, pitch: float):
         self.domain = domain
         self.pitch = pitch
         lo, hi = domain.bbox()
@@ -494,7 +514,7 @@ class QhGrid:
         delta = domain.boundary_distance(pts)
         # cells with delta below the pitch cannot support the midpoint
         # quadrature at this resolution; refinement admits them later
-        ok = domain.contains(pts) & (delta > pitch * min_delta_factor)
+        ok = domain.contains(pts) & (delta > pitch)
         self.nodes = pts[ok]
         self.delta = delta[ok]
         self.index = -np.ones(nx * ny, np.int64)
@@ -502,20 +522,8 @@ class QhGrid:
         self._shape = (nx, ny)
         self._tree = cKDTree(self.nodes)
         rows, cols, data = [], [], []
-        grid_idx = self.index.reshape(nx, ny)
-        for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
-            src = np.argwhere(grid_idx >= 0)
-            dst = src + np.array([dx, dy])
-            keep = np.all((dst >= 0) & (dst < np.array([nx, ny])), axis=1)
-            src, dst = src[keep], dst[keep]
-            si = grid_idx[src[:, 0], src[:, 1]]
-            di = grid_idx[dst[:, 0], dst[:, 1]]
-            keep2 = di >= 0
-            si, di = si[keep2], di[keep2]
-            mid = 0.5 * (self.nodes[si] + self.nodes[di])
-            dmid = domain.boundary_distance(mid)
-            inside = domain.contains(mid) & (dmid > 0)
-            si, di, dmid = si[inside], di[inside], dmid[inside]
+        for (dx, dy), si, di, dmid in _grid_steps(
+                domain, pts.reshape(nx, ny, 2), self.index.reshape(nx, ny)):
             w = math.hypot(dx, dy) * pitch / dmid
             rows += [si, di]
             cols += [di, si]
@@ -533,6 +541,34 @@ class QhGrid:
         dist, pred = dijkstra(self.mat, directed=False, indices=src,
                               return_predecessors=True)
         return dist, pred
+
+
+def _grid_steps(domain: PolygonDomain, P: np.ndarray, g: np.ndarray):
+    """Yield each step (dx, dy) of the grid graph with the node ids at its
+    two ends and the boundary distance at its midpoint, in the row-major
+    order of the source node.
+
+    P holds the (nx, ny) grid points, g their node ids (-1 off the graph).
+    A step joins two nodes and has its midpoint inside, at positive
+    distance from the boundary.  Both diagonals of a cell have the cell
+    centre as midpoint, so the distances are taken once per x-step, y-step
+    and cell centre.
+    """
+    steps = [((1, 0), g[:-1, :], g[1:, :]), ((0, 1), g[:, :-1], g[:, 1:]),
+             ((1, 1), g[:-1, :-1], g[1:, 1:]), ((1, -1), g[:-1, 1:], g[1:, :-1])]
+    both = [(src >= 0) & (dst >= 0) for _, src, dst in steps]
+    ends = [(P[:-1, :], P[1:, :]), (P[:, :-1], P[:, 1:]), (P[:-1, :-1], P[1:, 1:])]
+    used = [both[0], both[1], both[2] | both[3]]
+    q = np.concatenate([0.5 * (p[u] + r[u]) for (p, r), u in zip(ends, used)])
+    dq = domain.boundary_distance(q)
+    dq[~domain.contains(q)] = 0.0
+    dmid = [np.zeros(u.shape) for u in used]
+    parts = np.split(dq, np.cumsum([u.sum() for u in used])[:-1])
+    for d, u, part in zip(dmid, used, parts):
+        d[u] = part
+    for (step, src, dst), b, d in zip(steps, both, dmid + [dmid[2]]):
+        keep = b & (d > 0)
+        yield step, src[keep], dst[keep], d[keep]
 
 
 def qh_distance(domain: PolygonDomain, x1, x2, pitch: float = 0.01,

@@ -224,14 +224,23 @@ def test_cell_obstacle_marks_the_cell_under_the_point():
 
 
 def test_scene_file_with_bad_run_exits_two(tmp_path, capsys):
-    scene = modfam.rectangle_scene(2.0, 1.0, 16).to_json()
-    scene["masks"]["u"].append([-5, 3])
-    scene_path = tmp_path / "scene.json"
-    scene_path.write_text(json.dumps(scene))
-    cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps({
-        "kind": "modulus", "out": str(tmp_path),
-        "params": {"mode": "scene",
-                   "scene": {"builder": "file", "path": str(scene_path)}}}))
-    assert main(["run", str(cfg_path)]) == 2
-    assert "mask run [-5, 3]" in capsys.readouterr().err
+    # a run off the mask, then runs that are not a pair of integers: [1]
+    # failed to unpack, [0.5, 2] and "ab" failed to slice, and [true, 3]
+    # marked cells 1 to 3
+    for k, (run, msg) in enumerate([
+            ([-5, 3], "mask run [-5, 3] does not fit"),
+            ([1], "mask run [1] is not a pair of integers"),
+            ([0.5, 2], "mask run [0.5, 2] is not a pair of integers"),
+            ("ab", "mask run 'ab' is not a pair of integers"),
+            ([True, 3], "mask run [True, 3] is not a pair of integers")]):
+        scene = modfam.rectangle_scene(2.0, 1.0, 16).to_json()
+        scene["masks"]["u"].append(run)
+        scene_path = tmp_path / f"scene{k}.json"
+        scene_path.write_text(json.dumps(scene))
+        cfg_path = tmp_path / f"c{k}.json"
+        cfg_path.write_text(json.dumps({
+            "kind": "modulus", "out": str(tmp_path / str(k)),
+            "params": {"mode": "scene",
+                       "scene": {"builder": "file", "path": str(scene_path)}}}))
+        assert main(["run", str(cfg_path)]) == 2, run
+        assert msg in capsys.readouterr().err

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from extremal import qhyp
@@ -166,6 +167,136 @@ def test_whitney_cube_count_grows_near_boundary():
     assert counts[2] >= 2 * counts[1]
 
 
+# The per-cube decomposition that the level-by-level frontier replaced: one
+# cube popped off a stack at a time, with its own float distance and
+# membership calls.  Every field of every cube must come out ==.
+
+def _ref_any_segment_hits_box(a, b, lo, hi) -> bool:
+    t0 = np.zeros(len(a))
+    t1 = np.ones(len(a))
+    d = b - a
+    ok = np.ones(len(a), bool)
+    for ax in range(2):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ta = (lo[ax] - a[:, ax]) / d[:, ax]
+            tb = (hi[ax] - a[:, ax]) / d[:, ax]
+        swap = ta > tb
+        ta2 = np.where(swap, tb, ta)
+        tb2 = np.where(swap, ta, tb)
+        flat = d[:, ax] == 0
+        outside_flat = flat & ((a[:, ax] < lo[ax]) | (a[:, ax] > hi[ax]))
+        ok &= ~outside_flat
+        t0 = np.where(flat, t0, np.maximum(t0, ta2))
+        t1 = np.where(flat, t1, np.minimum(t1, tb2))
+    return bool((ok & (t0 <= t1)).any())
+
+
+def _ref_cube_boundary_dist_float(corner, side, domain) -> float:
+    a, b = domain._seg_a, domain._seg_b
+    lo = corner
+    hi = corner + side
+    if _ref_any_segment_hits_box(a, b, lo, hi):
+        return 0.0
+    corners = np.array([lo, [hi[0], lo[1]], hi, [lo[0], hi[1]]])
+    best = float(_ref_points_segments_dist(corners, a, b).min())
+    ends = np.concatenate([a, b], axis=0)
+    for edge_a, edge_b in ((corners[0], corners[1]), (corners[1], corners[2]),
+                           (corners[3], corners[2]), (corners[0], corners[3])):
+        d = _ref_points_segments_dist(ends, edge_a[None], edge_b[None])
+        best = min(best, float(d.min()))
+    return best
+
+
+def _ref_whitney_decompose(domain, max_depth):
+    lo, hi = domain.bbox()
+    span = float((hi - lo).max()) * 1.001
+    root_side = 2.0 ** math.ceil(math.log2(span))
+    root_corner = qhyp._snap(np.asarray(lo, float) - (root_side - span) / 2)
+    bd = qhyp._DyadicBoundary(domain, root_corner, root_side, max_depth)
+    cubes = []
+    truncated = 0
+    stack = [(0, (0, 0))]
+    margin = 1e-9 * max(1.0, root_side)
+    while stack:
+        depth, ij = stack.pop()
+        side = root_side / 2 ** depth
+        corner = root_corner + np.array(ij, float) * side
+        center = corner + side / 2
+        d_cube = _ref_cube_boundary_dist_float(corner, side, domain)
+        inside = bool(domain.contains(center[None])[0])
+        if d_cube > 0 and not inside:
+            continue
+        diam = side * math.sqrt(2)
+        if not inside:
+            accept = False
+        elif d_cube - diam > margin:
+            accept = True
+        elif d_cube - diam < -margin:
+            accept = False
+        else:
+            num, den = bd.cube_dist2(depth, ij)
+            s_int = bd.side(depth)
+            accept = 2 * s_int * s_int * den <= num and num > 0
+        if accept:
+            cubes.append(qhyp.WhitneyCube(depth, ij, corner, side, d_cube))
+            continue
+        if depth >= max_depth:
+            truncated += 1
+            continue
+        for di in (0, 1):
+            for dj in (0, 1):
+                stack.append((depth + 1, (2 * ij[0] + di, 2 * ij[1] + dj)))
+    if not cubes:
+        raise DomainError("domain has no interior at this depth")
+    cubes.sort(key=lambda q: (q.depth, q.ij))
+    return cubes, truncated, qhyp._build_adjacency(cubes, max_depth)
+
+
+def _cut_square():
+    """The unit square cut along x + y = c, with c chosen so that some cube
+    corners lie at distance exactly diam from the cut: those decisions fall
+    to the exact path."""
+    side7 = 2.0 / 2 ** 7                 # the root cube has side 2
+    corner = qhyp._snap(np.array([-(2.0 - 1.001) / 2]))[0]
+    c = 2 * corner + round((1.6 - 2 * corner) / side7) * side7
+    return PolygonDomain([(0, 0), (1, 0), (1, c - 1), (c - 1, 1), (0, 1)], name="cut")
+
+
+# a square with a spike into the domain from each side: a spike's tip is
+# nearest to the cubes beyond it, so each cube edge's distance decides some
+SPIKES = PolygonDomain([(0, 0), (0.47, 0), (0.5, 0.3), (0.53, 0), (1, 0),
+                        (1, 0.47), (0.7, 0.5), (1, 0.53), (1, 1), (0.53, 1),
+                        (0.5, 0.7), (0.47, 1), (0, 1), (0, 0.53), (0.3, 0.5),
+                        (0, 0.47)], name="spikes")
+
+
+@pytest.mark.parametrize("name", ["disk", "cusp", "square", "comb", "cut", "spikes"])
+def test_whitney_frontier_matches_per_cube_reference(name):
+    domain = {"disk": DISK, "cusp": cusp_domain(), "comb": comb_domain(),
+              "square": square_domain(), "cut": _cut_square(), "spikes": SPIKES}[name]
+    # cubes per chunk of the frontier kernels
+    rows = qhyp._CHUNK_PAIRS // (2 * len(domain.segments))
+    chunked = False
+    for depth in (6, 7) if name == "comb" else (5, 6, 7):
+        dec = whitney_decompose(domain, max_depth=depth)
+        cubes, truncated, adjacency = _ref_whitney_decompose(domain, depth)
+        assert len(dec.cubes) == len(cubes)
+        for q, r in zip(dec.cubes, cubes):
+            assert (q.depth, q.ij, q.side, q.dist) == (r.depth, r.ij, r.side, r.dist)
+            assert type(q.dist) is float and all(type(v) is int for v in q.ij)
+            assert q.corner.dtype == r.corner.dtype and np.array_equal(q.corner, r.corner)
+        assert dec.truncated == truncated
+        assert dec.adjacency == adjacency
+        # the truncated cubes are all in the last frontier
+        chunked |= truncated > rows
+    assert chunked or name in ("square", "cut")   # 2,048 and 1,638 cubes a chunk
+    if name == "comb":
+        # no cube of the comb fits between its slits at depth 5
+        for decompose in (whitney_decompose, _ref_whitney_decompose):
+            with pytest.raises(DomainError):
+                decompose(domain, 5)
+
+
 # Reference for the exact cube distance: every boundary segment, no prune,
 # coordinates as integers at the fixed scale 2**40, a different formulation
 # from qhyp's (box contact through endpoint-in-box or edge crossing, distances
@@ -311,6 +442,70 @@ def test_qh_distance_unreachable_is_infeasible():
 def test_qh_distance_rejects_exterior_points():
     with pytest.raises(DomainError):
         qh_distance(DISK, (0.0, 0.0), (2.0, 0.0), pitch=0.05)
+
+
+# The QhGrid assembly that evaluated each step direction's midpoints on its
+# own (the two diagonals of a cell twice); the CSR arrays must be ==.
+
+def _ref_qhgrid_mat(domain, pitch):
+    lo, hi = domain.bbox()
+    nx = int(math.ceil((hi[0] - lo[0]) / pitch)) + 1
+    ny = int(math.ceil((hi[1] - lo[1]) / pitch)) + 1
+    xs = lo[0] + pitch * np.arange(nx)
+    ys = lo[1] + pitch * np.arange(ny)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+    delta = domain.boundary_distance(pts)
+    ok = domain.contains(pts) & (delta > pitch)
+    nodes = pts[ok]
+    index = -np.ones(nx * ny, np.int64)
+    index[ok] = np.arange(len(nodes))
+    rows, cols, data = [], [], []
+    grid_idx = index.reshape(nx, ny)
+    for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        src = np.argwhere(grid_idx >= 0)
+        dst = src + np.array([dx, dy])
+        keep = np.all((dst >= 0) & (dst < np.array([nx, ny])), axis=1)
+        src, dst = src[keep], dst[keep]
+        si = grid_idx[src[:, 0], src[:, 1]]
+        di = grid_idx[dst[:, 0], dst[:, 1]]
+        keep2 = di >= 0
+        si, di = si[keep2], di[keep2]
+        mid = 0.5 * (nodes[si] + nodes[di])
+        dmid = domain.boundary_distance(mid)
+        inside = domain.contains(mid) & (dmid > 0)
+        si, di, dmid = si[inside], di[inside], dmid[inside]
+        w = math.hypot(dx, dy) * pitch / dmid
+        rows += [si, di]
+        cols += [di, si]
+        data += [w, w]
+    n = len(nodes)
+    mat = sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n))
+    return nodes, mat
+
+
+@pytest.mark.parametrize("name,pitch,x1,x2", [
+    ("disk", 0.02, (0.0, 0.0), (0.0, 0.9)),
+    ("disk", 0.01, (0.3, 0.4), (-0.5, 0.1)),
+    ("cusp", 0.02, (1.75, 0.0), (1.1, 0.02)),
+    ("cusp", 0.005, (1.75, 0.0), (0.9, 0.0)),
+    ("comb", 0.01, (0.1, 0.9), (1.9, 0.9)),
+])
+def test_qhgrid_matches_per_direction_assembly(name, pitch, x1, x2):
+    domain = {"disk": DISK, "cusp": cusp_domain(), "comb": comb_domain()}[name]
+    grid = QhGrid(domain, pitch)
+    nodes, mat = _ref_qhgrid_mat(domain, pitch)
+    assert np.array_equal(grid.nodes, nodes)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(grid.mat, attr), getattr(mat, attr)), attr
+    res = qh_distance(domain, x1, x2, grid=grid)
+    grid.mat = mat
+    ref = qh_distance(domain, x1, x2, grid=grid)
+    assert not res["infeasible"]
+    assert res["value"] == ref["value"]
+    assert np.array_equal(res["geodesic"].vertices, ref["geodesic"].vertices)
 
 
 # ---------------------------------------------------------------------------
