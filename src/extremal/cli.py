@@ -114,6 +114,8 @@ def _validate_qh(p: dict):
 
 def _validate_sets_probe(p: dict):
     _need(p, "obstacle", "scene", "budgets")
+    if not isinstance(p["budgets"], list):
+        raise ConfigError("params.budgets: must be a list of integers")
 
 
 def _validate_survey(p: dict):

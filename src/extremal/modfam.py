@@ -4,14 +4,15 @@ The modulus of the family of grid paths joining two marked cell sets is the
 minimum of the cell energy  sum rho^p h^n  over densities admissible for every
 path (8-neighbor paths in 2D, 26-neighbor in 3D).  Admissibility over all
 paths collapses to the single condition that the rho-shortest-path distance
-between the marked sets is at least 1, which one ``ModulusProblem`` search
-certifies: one Dijkstra pass, or under a crossing budget K a sweep of at most
-K + 1 passes whose memory does not grow with K.
+between the marked sets is at least 1, which the scene's one
+``ModulusProblem`` certifies under any constraint: one Dijkstra pass, or under
+a crossing budget K a sweep of at most K + 1 passes whose memory does not grow
+with K.  Avoiding E is the budget-0 sweep with the energy off E.
 
 ``dirichlet_candidates`` gives one near-extremal density per active mask in
 which a path joins the marked sets (the gradient magnitude of its capacity
-potential): the solver uses its own active cells, in budget mode also the
-scene with the obstacle removed, certifies each through
+potential): the solver uses the cells that carry energy, in budget mode also
+the scene with the obstacle removed, certifies each through
 ``ModulusProblem.certify`` (scale it so its shortest constrained path has
 length 1, then take its energy) and keeps the best; ``sets.cned_probe``
 certifies the same pool under every constraint.  Every reported value is the
@@ -26,6 +27,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -167,9 +169,9 @@ class CurveConstraint:
     ``cells`` rasterizes the obstacle set onto the scene grid.  In budget mode
     every step into an obstacle cell costs one unit (a path starting in one
     pays for it too), so crossing a wall eight cells thick costs 8; a path may
-    spend at most ``budget``.  This is the grid-scale surrogate for families
-    meeting a set in finitely many points.  ``ModulusProblem`` enforces the
-    budget by sweeping the crossings, one Dijkstra pass per crossing spent.
+    spend at most the integer ``budget``.  This is the grid-scale surrogate
+    for families meeting a set in finitely many points.  Avoid mode is budget
+    0 with the energy taken off the obstacle.
     """
 
     mode: str = "unconstrained"
@@ -181,8 +183,15 @@ class CurveConstraint:
             raise DomainError(f"unknown constraint mode {self.mode!r}")
         if self.mode != "unconstrained" and self.cells is None:
             raise DomainError(f"{self.mode} mode needs an obstacle raster")
+        if isinstance(self.budget, bool) or not isinstance(self.budget, Integral):
+            raise DomainError(f"budget must be an integer, not {self.budget!r}")
         if self.budget < 0:
             raise DomainError("budget must be >= 0")
+
+    def carrier(self, u: np.ndarray) -> np.ndarray:
+        """The cells of ``u`` that carry energy: all but the obstacle in avoid
+        mode, all of them otherwise."""
+        return u & ~self.cells if self.mode == "avoid" else u
 
 
 UNCONSTRAINED = CurveConstraint()
@@ -386,100 +395,91 @@ def _offsets(dim: int) -> list[tuple]:
 
 
 class ModulusProblem:
-    """The grid path family of one (scene, constraint) pair, ready to certify.
+    """The grid path family of one scene, ready to certify under any constraint.
 
-    Numbers the active cells (the scene minus the obstacle in avoid mode) and
-    holds the 8-/26-neighbor steps between them with their lengths, the
-    marked node ids and the energy exponent p = scene dimension.  In budget
-    mode the steps are split once into crossing steps (into an obstacle cell,
-    each spending one unit of the budget) and free steps.
+    Numbers the scene's cells and holds the 8-/26-neighbor steps between them
+    with their lengths, the marked node ids and the energy exponent
+    p = scene dimension.
     """
 
-    def __init__(self, scene: GridScene, constraint: CurveConstraint = UNCONSTRAINED):
+    def __init__(self, scene: GridScene):
         self.scene = scene
         self.p = scene.dim
-        if constraint.mode == "avoid":
-            self.active = scene.u & ~constraint.cells
-        else:
-            self.active = scene.u
-        self.f1 = scene.f1 & self.active
-        self.f2 = scene.f2 & self.active
-        active, h = self.active, scene.spacing
-        idx = -np.ones(active.shape, np.int64)
-        self.n = int(active.sum())
-        idx[active] = np.arange(self.n)
-        self.cells = np.argwhere(active)
+        u, h = scene.u, scene.spacing
+        idx = -np.ones(u.shape, np.int64)
+        self.n = int(u.sum())
+        idx[u] = np.arange(self.n)
+        self.cells = np.argwhere(u)
         srcs, dsts, elens = [], [], []
-        for off in _offsets(active.ndim):
+        for off in _offsets(u.ndim):
             dst = self.cells + off
-            ok = np.all((dst >= 0) & (dst < active.shape), axis=1)
-            ok[ok] = active[tuple(dst[ok].T)]
+            ok = np.all((dst >= 0) & (dst < u.shape), axis=1)
+            ok[ok] = u[tuple(dst[ok].T)]
             # node ids are the row numbers of self.cells
             srcs.append(np.flatnonzero(ok))
             dsts.append(idx[tuple(dst[ok].T)])
             elens.append(np.full(len(srcs[-1]), math.hypot(*off) * h))
-        src, dst, elen = map(np.concatenate, (srcs, dsts, elens))
-        self.f1_ids = idx[self.f1]
-        self.f2_ids = idx[self.f2]
-        self.budget, self.crossing = 0, None
-        # F1 cells seed pass 0, or pass 1 when they lie in the obstacle
-        self.starts = self.f1_ids, self.f1_ids[:0]
-        if constraint.mode == "budget":
-            self.budget = constraint.budget
-            spends = constraint.cells[active]
-            f1_spends = spends[self.f1_ids]
-            self.starts = self.f1_ids[~f1_spends], self.f1_ids[f1_spends]
-            cross = spends[dst]
-            self.crossing = src[cross], dst[cross], elen[cross]
-            src, dst, elen = src[~cross], dst[~cross], elen[~cross]
-        self.steps = src, dst, elen
+        self.steps = tuple(map(np.concatenate, (srcs, dsts, elens)))
+        self.f1_ids = idx[scene.f1]
+        self.f2_ids = idx[scene.f2]
 
-    def certify(self, rho_grid: np.ndarray, want_path: bool = False):
-        """Scale rho so its shortest constrained path has length 1.
+    def certify(self, rho_grid: np.ndarray, constraint=UNCONSTRAINED,
+                want_path: bool = False):
+        """Zero rho off the cells that carry energy and scale it so its
+        shortest path under the constraint has length 1.
 
         Returns (energy, normalized rho, binding path); the energy is inf (and
         the rest None) when no path exists or its rho-length is 0.
         """
-        rho = np.where(self.active, rho_grid, 0.0)
-        d, path = self._distance(rho[self.active], want_path)
+        u, carry = self.scene.u, constraint.carrier(self.scene.u)
+        rho = np.where(carry, rho_grid, 0.0)
+        d, path = self._distance(rho[u], constraint, want_path)
         if not np.isfinite(d) or d <= 0:
             return math.inf, None, None
         rho_norm = rho / d
-        energy = float(np.sum(rho_norm[self.active] ** self.p)
+        energy = float(np.sum(rho_norm[carry] ** self.p)
                        * self.scene.spacing ** self.p)
         return energy, rho_norm, path
 
-    def _distance(self, rho_flat: np.ndarray, want_path: bool = False):
+    def _distance(self, rho_flat: np.ndarray, constraint=UNCONSTRAINED,
+                  want_path: bool = False):
         """rho-length of the shortest F1-F2 path within the budget, and the
         path's node ids when asked.
 
-        Pass k is one Dijkstra over the free steps from a super source that
-        seeds each cell first reached after k crossings at its distance; the
-        crossing steps out of pass k seed pass k + 1.  The sweep stops after
-        pass K, or once no seed is shorter than the best F2 distance so far.
-        Ties go to the lowest pass, then to the first F2 cell.
+        A step into an obstacle cell crosses, spending one unit.  Pass k is
+        one Dijkstra over the free steps from a super source that seeds each
+        cell first reached after k crossings at its distance; the crossing
+        steps out of pass k seed pass k + 1.  The sweep stops after pass K (0
+        outside budget mode), or once no seed is shorter than the best F2
+        distance so far.  Ties go to the lowest pass, then to the first F2 cell.
         """
         n = S = self.n
+        budget = constraint.budget if constraint.mode == "budget" else 0
         src, dst, elen = self.steps
+        seed, nxt = np.full((2, n), np.inf)
+        seed[self.f1_ids] = 0.0
+        if constraint.mode != "unconstrained":
+            spends = constraint.cells[self.scene.u]
+            # an F1 cell in the obstacle is paid for, so it seeds pass 1
+            walled = self.f1_ids[spends[self.f1_ids]]
+            seed[walled], nxt[walled] = np.inf, 0.0
+            cross = spends[dst]
+            csrc, cdst = src[cross], dst[cross]
+            wc = 0.5 * (rho_flat[csrc] + rho_flat[cdst]) * elen[cross]
+            src, dst, elen = src[~cross], dst[~cross], elen[~cross]
         w = 0.5 * (rho_flat[src] + rho_flat[dst]) * elen
-        if self.budget:
-            csrc, cdst, celen = self.crossing
-            wc = 0.5 * (rho_flat[csrc] + rho_flat[cdst]) * celen
         # the free steps in CSR once, the super source's row empty; each pass
         # writes its seeds into the spare tail and ends that last row there
         base = sp.csr_matrix((w, (src, dst)), shape=(n + 1, n + 1))
         nnz, indptr = base.nnz, base.indptr
         data = np.concatenate([base.data, np.empty(n)])
         indices = np.concatenate([base.indices, np.empty(n, base.indices.dtype)])
-        seed, nxt = np.full((2, n), np.inf)
-        seed[self.starts[0]] = 0.0
-        nxt[self.starts[1]] = 0.0
         best, best_node, best_k = math.inf, -1, -1
         # per pass: Dijkstra predecessors and the crossing step into each seed
         trail, via = [], None
-        for k in range(self.budget + 1):
+        for k in range(budget + 1):
             ids = np.flatnonzero(seed < best)
-            if not ids.size and not (nxt < best).any():
+            if not ids.size and (k == budget or not (nxt < best).any()):
                 break
             end = nnz + len(ids)
             data[nnz:end], indices[nnz:end], indptr[S + 1] = seed[ids], ids, end
@@ -493,7 +493,7 @@ class ModulusProblem:
                 best, best_node, best_k = float(tvals[j]), int(self.f2_ids[j]), k
             if want_path:
                 trail.append((pred, via))
-            if k < self.budget:
+            if k < budget:
                 reach = dist[csrc] + wc
                 np.minimum.at(nxt, cdst, reach)
                 if want_path:
@@ -502,9 +502,7 @@ class ModulusProblem:
                     via[cdst[hit]] = csrc[hit]
             seed, nxt = nxt, seed
             nxt.fill(np.inf)
-        if best_node < 0:
-            return math.inf, None
-        if not want_path:
+        if best_node < 0 or not want_path:
             return best, None
         path, node = [], best_node
         for pred, via in reversed(trail[:best_k + 1]):
@@ -553,17 +551,18 @@ def discrete_modulus(scene: GridScene,
     admissible (its constrained shortest-path distance is 1) and the value
     is its energy.
     """
-    problem = ModulusProblem(scene, constraint)
-    if not problem.f1.any() or not problem.f2.any():
+    carry = constraint.carrier(scene.u)
+    if not (scene.f1 & carry).any() or not (scene.f2 & carry).any():
         return ModulusResult(0.0, None, [], infeasible=True,
                              diagnostics={"reason": "marked set removed by constraint"})
+    problem = ModulusProblem(scene)
     # reachability probe with unit density
-    if math.isinf(problem.certify(np.ones(scene.shape))[0]):
+    if math.isinf(problem.certify(np.ones(scene.shape), constraint)[0]):
         return ModulusResult(0.0, None, [], infeasible=True,
                              diagnostics={"reason": "no admissible path under constraint"})
 
     h, p = scene.spacing, problem.p
-    actives = [problem.active]
+    actives = [carry]
     if constraint.mode == "budget":
         # the avoid-mode potential covers the detour regime
         actives.append(scene.u & ~constraint.cells)
@@ -571,7 +570,7 @@ def discrete_modulus(scene: GridScene,
 
     best_val, best_rho, best_path = math.inf, None, None
     for cand in candidates:
-        val, rho_norm, path = problem.certify(cand, want_path=True)
+        val, rho_norm, path = problem.certify(cand, constraint, want_path=True)
         if val < best_val:
             best_val, best_rho, best_path = val, rho_norm, path
     if best_rho is None:

@@ -511,12 +511,14 @@ class QhGrid:
         ys = lo[1] + pitch * np.arange(ny)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        delta = domain.boundary_distance(pts)
+        inside = np.flatnonzero(domain.contains(pts))
+        delta = domain.boundary_distance(pts[inside])
         # cells with delta below the pitch cannot support the midpoint
         # quadrature at this resolution; refinement admits them later
-        ok = domain.contains(pts) & (delta > pitch)
+        far = delta > pitch
+        ok = inside[far]
         self.nodes = pts[ok]
-        self.delta = delta[ok]
+        self.delta = delta[far]
         self.index = -np.ones(nx * ny, np.int64)
         self.index[ok] = np.arange(len(self.nodes))
         self._shape = (nx, ny)
@@ -549,10 +551,11 @@ def _grid_steps(domain: PolygonDomain, P: np.ndarray, g: np.ndarray):
     order of the source node.
 
     P holds the (nx, ny) grid points, g their node ids (-1 off the graph).
-    A step joins two nodes and has its midpoint inside, at positive
-    distance from the boundary.  Both diagonals of a cell have the cell
-    centre as midpoint, so the distances are taken once per x-step, y-step
-    and cell centre.
+    A step joins two nodes.  Its midpoint lies within pitch * sqrt(2) / 2 of
+    a node, whose boundary distance exceeds the pitch, so it is inside at
+    positive distance from the boundary.  Both diagonals of a cell have the
+    cell centre as midpoint, so the distances are taken once per x-step,
+    y-step and cell centre.
     """
     steps = [((1, 0), g[:-1, :], g[1:, :]), ((0, 1), g[:, :-1], g[:, 1:]),
              ((1, 1), g[:-1, :-1], g[1:, 1:]), ((1, -1), g[:-1, 1:], g[1:, :-1])]
@@ -561,14 +564,12 @@ def _grid_steps(domain: PolygonDomain, P: np.ndarray, g: np.ndarray):
     used = [both[0], both[1], both[2] | both[3]]
     q = np.concatenate([0.5 * (p[u] + r[u]) for (p, r), u in zip(ends, used)])
     dq = domain.boundary_distance(q)
-    dq[~domain.contains(q)] = 0.0
     dmid = [np.zeros(u.shape) for u in used]
     parts = np.split(dq, np.cumsum([u.sum() for u in used])[:-1])
     for d, u, part in zip(dmid, used, parts):
         d[u] = part
     for (step, src, dst), b, d in zip(steps, both, dmid + [dmid[2]]):
-        keep = b & (d > 0)
-        yield step, src[keep], dst[keep], d[keep]
+        yield step, src[b], dst[b], d[b]
 
 
 def qh_distance(domain: PolygonDomain, x1, x2, pitch: float = 0.01,

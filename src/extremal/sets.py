@@ -960,9 +960,10 @@ def cned_probe(E_or_mask, scene: GridScene, budgets: Sequence[int]) -> dict:
     """Constrained-modulus signature of a set at grid scale.
 
     Certifies the Dirichlet candidates of the scene (with the obstacle, and
-    without it when a path still joins the marked sets) unconstrained, under
-    avoidance of E, and under crossing budgets K, keeping the least energy in
-    each mode.  Every mode sees the same pool, so the relaxation ordering
+    without it when a path still joins the marked sets) on one
+    ``ModulusProblem``: unconstrained, under avoidance of E, and under
+    crossing budgets K, keeping the least energy in each mode.  Every mode
+    sees the same pool, so the relaxation ordering
     mod_avoid <= mod_budget(K) <= mod_budget(K+1) <= mod_full
     holds structurally.  The ratios to mod_full quantify NED/CNED behavior
     at this resolution; a mode is infeasible when no candidate certifies.
@@ -978,36 +979,31 @@ def cned_probe(E_or_mask, scene: GridScene, budgets: Sequence[int]) -> dict:
     constraints = {"full": modfam.UNCONSTRAINED,
                    "avoid": CurveConstraint("avoid", mask)}
     for K in budgets:
-        constraints[f"budget({K})"] = CurveConstraint("budget", mask, int(K))
+        constraints[f"budget({K})"] = CurveConstraint("budget", mask, K)
 
     pool = modfam.dirichlet_candidates(scene, [scene.u, scene.u & ~mask])
-    # one problem alive at a time, so only one set of step arrays adds to
-    # the peak
-    best = {name: _best_certified(modfam.ModulusProblem(scene, cons), pool)
-            for name, cons in constraints.items()}
-    values = {name: 0.0 if v is None else v for name, v in best.items()}
+    problem = modfam.ModulusProblem(scene)
+    values, infeasible = {}, {}
+    for name, cons in constraints.items():
+        feasible = [v for v, ok in (certify_value(problem, rho, cons)
+                                    for rho in pool) if ok]
+        values[name], infeasible[name] = min(feasible, default=0.0), not feasible
     full = values["full"]
     out = {
         "mod_full": full,
         "mod_avoid": values["avoid"],
-        "mod_budget": {int(K): values[f"budget({K})"] for K in budgets},
-        "infeasible": {name: v is None for name, v in best.items()},
+        "mod_budget": {K: values[f"budget({K})"] for K in budgets},
+        "infeasible": infeasible,
         "flags": flags,
     }
     if full > 0:
         out["avoid_ratio"] = values["avoid"] / full
-        out["budget_ratios"] = {int(K): values[f"budget({K})"] / full for K in budgets}
+        out["budget_ratios"] = {K: values[f"budget({K})"] / full for K in budgets}
     return out
 
 
-def _best_certified(problem: modfam.ModulusProblem, pool) -> float | None:
-    """Least certified energy over the density pool, None if none is feasible."""
-    feasible = [v for v, ok in (certify_value(problem, rho) for rho in pool) if ok]
-    return min(feasible, default=None)
-
-
-def certify_value(problem: modfam.ModulusProblem,
-                  rho_grid: np.ndarray) -> tuple[float, bool]:
-    """Energy of rho normalized to admissibility under the problem's constraint."""
-    value = problem.certify(rho_grid)[0]
+def certify_value(problem: modfam.ModulusProblem, rho_grid: np.ndarray,
+                  constraint=modfam.UNCONSTRAINED) -> tuple[float, bool]:
+    """Energy of rho normalized to admissibility under the constraint."""
+    value = problem.certify(rho_grid, constraint)[0]
     return (value, True) if math.isfinite(value) else (0.0, False)

@@ -217,6 +217,26 @@ def test_obstacle_point_off_the_grid_exits_two(obstacle, tmp_path, capsys):
     assert "lies outside the grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, key, budget, msg", [
+    ("sets-probe", "budgets", [1.5], "budget must be an integer, not 1.5"),
+    ("sets-probe", "budgets", ["x"], "budget must be an integer, not 'x'"),
+    ("sets-probe", "budgets", 3, "params.budgets: must be a list"),
+    ("modulus", "budget", 1.5, "budget must be an integer, not 1.5")],
+    ids=["float-in-list", "string-in-list", "not-a-list", "float-budget"])
+def test_malformed_budget_exits_two(kind, key, budget, msg, tmp_path, capsys):
+    # [1.5] used to run as budget 1 under key "1"; the others raised
+    params = {"scene": {"builder": "rectangle", "grid": 16},
+              "obstacle": {"kind": "cell", "at": [1.0, 0.5]}, key: budget}
+    if kind == "modulus":
+        params.update(mode="scene", constraint="budget")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"kind": kind, "out": str(tmp_path / "out"),
+                                "params": params}))
+    assert main(["run", str(path)]) == 2
+    assert msg in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 def test_cell_obstacle_marks_the_cell_under_the_point():
     scene = modfam.rectangle_scene(2.0, 1.0, 16)       # spacing 1/8
     mask = cli.build_obstacle({"kind": "cell", "at": [0.3, 0.99]}, scene)

@@ -223,8 +223,49 @@ def test_solve_runs_one_pass_per_candidate_plus_probe(monkeypatch):
 def test_zero_density_certifies_to_inf():
     problem = modfam.ModulusProblem(rectangle_scene(2.0, 1.0, 32))
     zero = np.zeros(problem.scene.shape)
-    assert problem.certify(zero) == (math.inf, None, None)
-    assert sets.certify_value(problem, zero) == (0.0, False)
+    mask = np.zeros(zero.shape, bool)
+    mask[16, :] = True
+    for cons in (modfam.UNCONSTRAINED, CurveConstraint("avoid", mask),
+                 CurveConstraint("budget", mask, 2)):
+        assert problem.certify(zero, cons) == (math.inf, None, None)
+        assert sets.certify_value(problem, zero, cons) == (0.0, False)
+
+
+@pytest.mark.parametrize("budget", [1.5, 2.0, True, "1", None])
+def test_budget_must_be_an_integer(budget):
+    with pytest.raises(DomainError, match="budget must be an integer"):
+        CurveConstraint("budget", np.zeros((4, 4), bool), budget)
+
+
+def test_avoid_is_budget_zero_with_energy_off_the_obstacle():
+    sc = rectangle_scene(2.0, 1.0, 32)
+    mask = np.zeros(sc.shape, bool)
+    mask[16, 4:] = True                     # a wall with a gap at the bottom
+    rho = np.random.default_rng(5).uniform(0.5, 1.5, sc.shape)
+    problem = modfam.ModulusProblem(sc)
+    avoid = problem.certify(rho, CurveConstraint("avoid", mask))
+    zero = problem.certify(np.where(mask, 0.0, rho),
+                           CurveConstraint("budget", mask, 0))
+    assert avoid[0] == zero[0] < math.inf
+    assert np.array_equal(avoid[1], zero[1])
+    assert not avoid[1][mask].any()
+
+
+def test_walled_f1_without_crossings_runs_no_pass(monkeypatch):
+    # every F1 cell is in the obstacle, so only pass 1 has seeds; with no
+    # crossing to spend there is nothing to search
+    calls = []
+    dijkstra = modfam.dijkstra
+    monkeypatch.setattr(modfam, "dijkstra",
+                        lambda *a, **k: calls.append(1) or dijkstra(*a, **k))
+    sc = rectangle_scene(2.0, 1.0, 32)
+    problem, rho = modfam.ModulusProblem(sc), np.ones(sc.shape)
+    for cons in (CurveConstraint("avoid", sc.f1),
+                 CurveConstraint("budget", sc.f1, 0)):
+        assert problem.certify(rho, cons)[0] == math.inf
+    assert not calls
+    assert problem.certify(rho, CurveConstraint("budget", sc.f1, 1))[0] < math.inf
+    assert len(calls) == 2
 
 
 def test_budget_with_empty_obstacle_is_unconstrained():
@@ -314,30 +355,36 @@ def test_sweep_matches_product_graph(nx, ny, mode, budget, ties, walled_f1, seed
     rho[rng.random(u.shape) < 0.25] = 0.0
     cons = (modfam.UNCONSTRAINED if mode == "unconstrained"
             else CurveConstraint(mode, mask, budget))
-    problem = modfam.ModulusProblem(sc, cons)
-    rho_flat = np.where(problem.active, rho, 0.0)[problem.active]
-    ecost = mask[problem.active].astype(np.int64) if mode == "budget" else None
-    ref = _reference_distance(problem.active, sc.spacing, rho_flat,
-                              problem.f1_ids, problem.f2_ids, ecost, budget)
+    problem = modfam.ModulusProblem(sc)
+    # avoid mode is the budget-0 sweep; the reference searches the scene
+    # with the obstacle removed
+    active = u & ~mask if mode == "avoid" else u
+    idx = -np.ones(u.shape, np.int64)
+    idx[active] = np.arange(int(active.sum()))
+    ecost = mask[active].astype(np.int64) if mode == "budget" else None
+    ref = _reference_distance(active, sc.spacing, rho[active],
+                              idx[f1 & active], idx[f2 & active], ecost, budget)
 
-    d, path = problem._distance(rho_flat, want_path=True)
+    rho_flat = rho[u]
+    d, path = problem._distance(rho_flat, cons, want_path=True)
     assert d == ref
-    energy, rho_norm, cpath = problem.certify(rho, want_path=True)
+    energy, rho_norm, cpath = problem.certify(rho, cons, want_path=True)
+    carry = cons.carrier(u)
     if not math.isfinite(ref) or ref <= 0:
         assert energy == math.inf
     else:
-        scaled = np.where(problem.active, rho, 0.0) / ref
-        assert energy == float(np.sum(scaled[problem.active] ** 2) * sc.spacing ** 2)
-        assert abs(_path_length(problem, rho_norm[problem.active], cpath) - 1) <= 1e-12
+        scaled = np.where(carry, rho, 0.0) / ref
+        assert energy == float(np.sum(scaled[carry] ** 2) * sc.spacing ** 2)
+        assert abs(_path_length(problem, rho_norm[u], cpath) - 1) <= 1e-12
     if not math.isfinite(ref):
         assert path is None
         return
     # the witness is a chain of grid steps from F1 to F2 within the budget
     cells = problem.cells[path]
-    assert problem.f1[tuple(cells[0])] and problem.f2[tuple(cells[-1])]
+    assert f1[tuple(cells[0])] and f2[tuple(cells[-1])]
     assert np.all(np.abs(np.diff(cells, axis=0)).max(axis=1) == 1)
-    if mode == "budget":
-        assert mask[tuple(cells.T)].sum() <= budget
+    if mode != "unconstrained":
+        assert mask[tuple(cells.T)].sum() <= (budget if mode == "budget" else 0)
     assert _path_length(problem, rho_flat, path) == pytest.approx(d, abs=1e-12)
 
 
@@ -347,11 +394,13 @@ def test_budget_search_memory_does_not_grow_with_budget():
     mask[4::4, :] = True        # seven walls, one cell thick
     rho = np.ones(sc.shape)
 
+    problem = modfam.ModulusProblem(sc)
+
     def peak(K):
-        problem = modfam.ModulusProblem(sc, CurveConstraint("budget", mask, K))
+        cons = CurveConstraint("budget", mask, K)
         tracemalloc.start()
         try:
-            value = problem.certify(rho)[0]
+            value = problem.certify(rho, cons)[0]
             return value, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

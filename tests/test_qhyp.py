@@ -444,8 +444,10 @@ def test_qh_distance_rejects_exterior_points():
         qh_distance(DISK, (0.0, 0.0), (2.0, 0.0), pitch=0.05)
 
 
-# The QhGrid assembly that evaluated each step direction's midpoints on its
-# own (the two diagonals of a cell twice); the CSR arrays must be ==.
+# The QhGrid assembly that took boundary distances on the whole bounding-box
+# lattice and evaluated each step direction's midpoints on its own (the two
+# diagonals of a cell twice), dropping midpoints outside the domain or at
+# distance 0; the node, delta and CSR arrays must be ==.
 
 def _ref_qhgrid_mat(domain, pitch):
     lo, hi = domain.bbox()
@@ -483,7 +485,11 @@ def _ref_qhgrid_mat(domain, pitch):
     mat = sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
-    return nodes, mat
+    return nodes, mat, delta[ok]
+
+
+_HOLED = PolygonDomain([(0, 0), (2, 0), (2, 2), (0, 2)],
+                       holes=[[(0.6, 0.6), (0.6, 1.3), (1.4, 1.3), (1.4, 0.6)]])
 
 
 @pytest.mark.parametrize("name,pitch,x1,x2", [
@@ -492,12 +498,20 @@ def _ref_qhgrid_mat(domain, pitch):
     ("cusp", 0.02, (1.75, 0.0), (1.1, 0.02)),
     ("cusp", 0.005, (1.75, 0.0), (0.9, 0.0)),
     ("comb", 0.01, (0.1, 0.9), (1.9, 0.9)),
+    ("comb", 0.02, (0.1, 0.9), (1.9, 0.9)),
+    ("holed", 0.02, (0.3, 0.3), (1.7, 1.7)),
+    ("holed", 0.01, (0.3, 1.0), (1.7, 1.0)),
 ])
 def test_qhgrid_matches_per_direction_assembly(name, pitch, x1, x2):
-    domain = {"disk": DISK, "cusp": cusp_domain(), "comb": comb_domain()}[name]
+    # every step midpoint lies within pitch * sqrt(2) / 2 of a node whose
+    # boundary distance exceeds the pitch, so it is inside at positive
+    # distance, holes included; exterior lattice points need no distance
+    domain = {"disk": DISK, "cusp": cusp_domain(), "comb": comb_domain(),
+              "holed": _HOLED}[name]
     grid = QhGrid(domain, pitch)
-    nodes, mat = _ref_qhgrid_mat(domain, pitch)
+    nodes, mat, delta = _ref_qhgrid_mat(domain, pitch)
     assert np.array_equal(grid.nodes, nodes)
+    assert np.array_equal(grid.delta, delta)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(grid.mat, attr), getattr(mat, attr)), attr
     res = qh_distance(domain, x1, x2, grid=grid)

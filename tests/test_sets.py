@@ -250,6 +250,21 @@ def test_probe_solves_two_dirichlet_candidates(monkeypatch):
     assert len(calls) == 2
 
 
+def test_probe_certifies_every_mode_on_one_problem(monkeypatch):
+    sc, mask = _small_circle_scene()
+    built = []
+
+    class Counted(modfam.ModulusProblem):
+        def __init__(self, scene):
+            built.append(scene)
+            super().__init__(scene)
+
+    monkeypatch.setattr(modfam, "ModulusProblem", Counted)
+    probe = cned_probe(mask, sc, budgets=[0, 1, 2])
+    assert built == [sc]
+    assert len(probe["infeasible"]) == 5
+
+
 def test_probe_without_obstacle_matches_discrete_modulus():
     sc, _ = _small_circle_scene()
     probe = cned_probe(np.zeros(sc.shape, bool), sc, budgets=[1])
