@@ -154,12 +154,13 @@ class DensityField:
         return self.value_at_cell(cell)
 
     def to_csv(self, path) -> None:
-        idx = np.argwhere(self.values > 0)
+        mask = self.values > 0
+        dim = self.values.ndim
+        row = "%d," * dim + "%.12g\n"
         with open(path, "w") as fh:
-            fh.write(",".join(f"i{k}" for k in range(self.values.ndim)) + ",value\n")
-            for cell in idx:
-                fh.write(",".join(str(int(c)) for c in cell)
-                         + f",{self.values[tuple(cell)]:.12g}\n")
+            fh.write(",".join(f"i{k}" for k in range(dim)) + ",value\n")
+            fh.writelines(row % (*c, v) for c, v in
+                          zip(np.argwhere(mask).tolist(), self.values[mask].tolist()))
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,19 @@ from typing import Iterable
 import numpy as np
 
 
+def _colors(t) -> list[str]:
+    """Blue-to-red ramp on [0, 1], one ``#rrggbb`` string per entry of ``t``.
+
+    Each channel is truncated toward zero, as ``int`` would truncate it."""
+    t = np.clip(np.asarray(t, float), 0.0, 1.0)
+    r = (255 * t).astype(np.int64)
+    b = (255 * (1 - t)).astype(np.int64)
+    g = (64 * (1 - np.abs(2 * t - 1))).astype(np.int64)
+    return [f"#{c:06x}" for c in ((r << 16) | (g << 8) | b).tolist()]
+
+
 def _color(t: float) -> str:
-    """Blue-to-red ramp on [0, 1]."""
-    t = min(max(t, 0.0), 1.0)
-    r = int(255 * t)
-    b = int(255 * (1 - t))
-    g = int(64 * (1 - abs(2 * t - 1)))
-    return f"#{r:02x}{g:02x}{b:02x}"
+    return _colors([t])[0]
 
 
 def _write_doc(path: str, elements: Iterable[str], view: tuple) -> None:
@@ -30,18 +36,28 @@ def _write_doc(path: str, elements: Iterable[str], view: tuple) -> None:
 
 
 def svg_density_heatmap(density, path: str) -> None:
-    """One rect per positive cell, colored by relative density."""
+    """One rect per positive cell, colored by relative density.
+
+    The document is built one row of cells at a time: each rect joins its
+    row's x-prefix, its column's y-suffix and its colour, all formatted once."""
     vals = density.values
     if vals.ndim != 2:
         raise ValueError("heatmaps are 2D only")
     h = density.spacing
     ox, oy = density.origin
     vmax = float(vals.max()) or 1.0
-    rects = (f'<rect x="{ox + i * h:.5f}" y="{oy + j * h:.5f}" width="{h:.5f}" '
-             f'height="{h:.5f}" fill="{_color(float(vals[i, j]) / vmax)}"/>'
-             for i, j in np.argwhere(vals > 0))
     nx, ny = vals.shape
-    _write_doc(path, rects, (ox, oy, nx * h, ny * h))
+    suffix = [f'{oy + j * h:.5f}" width="{h:.5f}" height="{h:.5f}" fill="'
+              for j in range(ny)]
+
+    def rects():
+        for i, row in enumerate(vals):
+            cells = np.flatnonzero(row > 0)
+            prefix = f'<rect x="{ox + i * h:.5f}" y="'
+            for j, col in zip(cells.tolist(), _colors(row[cells] / vmax)):
+                yield f'{prefix}{suffix[j]}{col}"/>'
+
+    _write_doc(path, rects(), (ox, oy, nx * h, ny * h))
 
 
 def svg_covering(cover_pairs, path: str, side: str = "domain") -> None:
@@ -65,14 +81,16 @@ def svg_covering(cover_pairs, path: str, side: str = "domain") -> None:
     _write_doc(path, elems, (lo[0], lo[1], hi[0] - lo[0], hi[1] - lo[1]))
 
 
-def svg_whitney(decomp, shadow_s, path: str) -> None:
-    """Whitney cubes colored by shadow diameter s(Q)."""
-    smax = max(shadow_s) or 1.0
+def svg_whitney(decomp, values, path: str) -> None:
+    """Whitney cubes colored by ``values`` (one per cube) relative to their
+    maximum; the CLI passes each cube's side."""
+    vmax = max(values) or 1.0
+    colors = _colors(np.asarray(values, float) / vmax)
     elems = (f'<rect x="{q.corner[0]:.5f}" y="{q.corner[1]:.5f}" '
              f'width="{q.side:.5f}" height="{q.side:.5f}" '
-             f'fill="{_color(s / smax)}" stroke="#333" '
+             f'fill="{col}" stroke="#333" '
              f'stroke-width="{q.side * 0.03:.5f}"/>'
-             for q, s in zip(decomp.cubes, shadow_s))
+             for q, col in zip(decomp.cubes, colors))
     lo, hi = decomp.domain.bbox()
     pad = 0.05 * float((hi - lo).max())
     _write_doc(path, elems, (lo[0] - pad, lo[1] - pad,

@@ -128,6 +128,41 @@ def test_density_field_contract():
 # ---------------------------------------------------------------------------
 # Solver
 
+def _ref_to_csv(density, path) -> None:
+    """The per-cell ``DensityField.to_csv`` the array-based writer replaced."""
+    idx = np.argwhere(density.values > 0)
+    with open(path, "w") as fh:
+        fh.write(",".join(f"i{k}" for k in range(density.values.ndim)) + ",value\n")
+        for cell in idx:
+            fh.write(",".join(str(int(c)) for c in cell)
+                     + f",{density.values[tuple(cell)]:.12g}\n")
+
+
+@st.composite
+def _csv_fields(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim)))
+    n = int(np.prod(shape))
+    value = st.one_of(st.just(0.0), st.just(1.0),
+                      st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-300]),
+                      st.integers(0, 255).map(lambda k: k / 255),
+                      st.floats(0.0, 1e300))
+    vals = np.array(draw(st.lists(value, min_size=n, max_size=n))).reshape(shape)
+    if draw(st.booleans()):
+        vals[...] = 0.0
+    return vals
+
+
+@settings(max_examples=300, deadline=None)
+@given(vals=_csv_fields())
+def test_to_csv_bytes_match_per_cell_writer(tmp_path_factory, vals):
+    density = DensityField(vals, 1 / 3, np.full(vals.ndim, -0.5), 2.0)
+    out = tmp_path_factory.mktemp("csv")
+    density.to_csv(out / "new.csv")
+    _ref_to_csv(density, out / "ref.csv")
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
 def test_rectangle_modulus_half():
     res = discrete_modulus(rectangle_scene(2.0, 1.0, 128))
     assert abs(res.value - 0.5) / 0.5 < 0.03
