@@ -154,13 +154,16 @@ class DensityField:
         return self.value_at_cell(cell)
 
     def to_csv(self, path) -> None:
-        mask = self.values > 0
+        """One row per positive cell, written one slab ``values[i]`` at a
+        time so that the cell lists hold one slab, not the whole field."""
         dim = self.values.ndim
         row = "%d," * dim + "%.12g\n"
         with open(path, "w") as fh:
             fh.write(",".join(f"i{k}" for k in range(dim)) + ",value\n")
-            fh.writelines(row % (*c, v) for c, v in
-                          zip(np.argwhere(mask).tolist(), self.values[mask].tolist()))
+            for i, slab in enumerate(self.values):
+                mask = slab > 0
+                fh.writelines(row % (i, *c, v) for c, v in
+                              zip(np.argwhere(mask).tolist(), slab[mask].tolist()))
 
 
 @dataclass(frozen=True)
