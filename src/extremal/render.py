@@ -39,7 +39,8 @@ def svg_density_heatmap(density, path: str) -> None:
     """One rect per positive cell, colored by relative density.
 
     The document is built one row of cells at a time: each rect joins its
-    row's x-prefix, its column's y-suffix and its colour, all formatted once."""
+    row's x-prefix and its column's y-suffix, both formatted once, with its
+    colour from one ramp call per row."""
     vals = density.values
     if vals.ndim != 2:
         raise ValueError("heatmaps are 2D only")
