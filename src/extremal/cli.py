@@ -122,6 +122,9 @@ def _validate_survey(p: dict):
     _need(p, "type", "samples")
     if p["type"] not in ("translation", "radial", "avg-line-integral"):
         raise ConfigError(f"params.type: unknown survey type {p['type']!r}")
+    n = p["samples"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ConfigError(f"params.samples: must be a positive integer, got {n!r}")
 
 
 _VALIDATORS = {
@@ -427,17 +430,26 @@ def _run_survey(cfg: ExperimentConfig, artifacts: dict) -> dict:
 
 def _density_from_spec(spec: dict):
     kind = spec.get("kind", "constant")
+    # each density maps an (N, dim) point array to N values
     if kind == "constant":
         c = spec.get("value", 1.0)
-        return lambda x: c
+        return lambda x: np.full(len(x), c)
     if kind == "linear-x":
         lo = spec.get("clip_lo", -100.0)
         hi = spec.get("clip_hi", 100.0)
-        return lambda x: min(max(x[0], lo), hi)
+        return lambda x: np.clip(x[:, 0], lo, hi)
     if kind == "log-ring":
         a = spec.get("a", 0.5)
-        return lambda x: 1.0 / (np.linalg.norm(x) * math.log(1 / a)) \
-            if a <= np.linalg.norm(x) <= 1 else 0.0
+        if isinstance(a, bool) or not isinstance(a, (int, float)) or not 0 < a < 1:
+            raise ConfigError(f"density.a: must lie in (0, 1), got {a!r}")
+
+        def log_ring(x):
+            norm = np.linalg.norm(x, axis=1)
+            ring = (a <= norm) & (norm <= 1)
+            out = np.zeros(len(x))
+            out[ring] = 1.0 / (norm[ring] * math.log(1 / a))
+            return out
+        return log_ring
     raise ConfigError(f"density.kind: unknown kind {kind!r}")
 
 

@@ -139,6 +139,14 @@ class CoverPair:
 
 def _region_subset(a: Region, b: Region) -> bool:
     tol = 0.75 * max(a.pitch, b.pitch) * math.sqrt(a.dim)
+    # a sample of a that lies beyond b's bbox along one axis by more than the
+    # query tolerance is that far from every sample of b, so the kd-tree
+    # query would fail it; the relative margin covers the rounding of the
+    # coordinate differences (each is within one ulp of its exact value)
+    (alo, ahi), (blo, bhi) = a.bbox, b.bbox
+    reach = (tol + 1e-12) * (1 + 1e-9)
+    if (blo - alo > reach).any() or (ahi - bhi > reach).any():
+        return False
     return bool(b.contains_points(a.samples, tol=tol).all())
 
 

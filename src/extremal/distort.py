@@ -245,15 +245,19 @@ def eccentric_distortion(f: SampledMap, x, r: float, ladder_steps: int = 3,
         records.append({"family": "ball", "scale": s, "value": val})
         best = min(best, val)
 
-    # (b) pullbacks of range balls around f(x)
+    # (b) pullbacks of range balls around f(x); the boundary circle and the
+    # centre probes of every level go through one inverse call (Newton steps
+    # are pointwise, so each row is what a call of its own would give)
     s_img = r / max(f.inverse_lipschitz(), 1e-300)
-    for k in range(ladder_steps):
-        s = s_img * 2.0 ** (-k)
-        img_bnd = fx + s * circle
-        dom_bnd = f.inverse(img_bnd)
+    scales = [s_img * 2.0 ** (-k) for k in range(ladder_steps)]
+    levels = [np.vstack([fx + s * circle,
+                         fx[None] + s * 0.25 * np.vstack([[0, 0], circle[::8]])])
+              for s in scales]
+    pulled = np.split(f.inverse(np.vstack(levels)), len(levels)) if levels else []
+    for s, level in zip(scales, pulled):
+        dom_bnd, centers = level[:n_boundary], level[n_boundary:]
         if _cloud_diameter(dom_bnd) > 2 * r:
             continue
-        centers = f.inverse(fx[None] + s * 0.25 * np.vstack([[0, 0], circle[::8]]))
         e_dom, _ = eccentricity_of_boundary(dom_bnd, centers)
         val = max(1.0, e_dom)
         records.append({"family": "pullback", "scale": s, "value": val})

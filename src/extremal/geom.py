@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -89,9 +90,11 @@ class Region:
     def dim(self) -> int:
         return self.samples.shape[1]
 
-    @property
+    @cached_property
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.samples.min(axis=0), self.samples.max(axis=0)
+        lo, hi = self.samples.min(axis=0), self.samples.max(axis=0)
+        lo.flags.writeable = hi.flags.writeable = False
+        return lo, hi
 
     def diameter(self) -> float:
         return _cloud_diameter(self.samples)
@@ -471,31 +474,53 @@ def _cell_traversal(a: np.ndarray, b: np.ndarray, origin: np.ndarray,
         yield cell, (t1 - t0) * seg_len
 
 
+def translate_line_integrals(rho, curve: PolyCurve, offsets,
+                             samples_per_segment: int = 64) -> np.ndarray:
+    """Integral of a callable density over curve + x for each row x of offsets.
+
+    Composite Simpson quadrature per segment; each segment's nodes of every
+    translate go through one ``rho`` call.  ``rho`` maps an (N, dim) point
+    array to N values.
+    """
+    offsets = np.atleast_2d(np.asarray(offsets, float))
+    m = samples_per_segment + (samples_per_segment % 2)  # even panels
+    t = np.linspace(0.0, 1.0, m + 1)
+    w = np.ones(m + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    totals = np.zeros(len(offsets))
+    for va, vb in curve.segments():
+        a, b = va + offsets, vb + offsets
+        seg_len = np.array([float(np.linalg.norm(d)) for d in b - a])
+        on = seg_len != 0
+        if not on.any():
+            continue
+        a, b = a[on], b[on]
+        pts = (a[:, None] + t[None, :, None] * (b - a)[:, None]).reshape(-1, curve.dim)
+        vals = np.asarray(rho(pts), float)
+        # never broadcast a scalar: that is how a pointwise density fails
+        if vals.shape != (len(pts),):
+            raise DomainError(f"density must map {len(pts)} points to "
+                              f"{len(pts)} values, got shape {vals.shape}")
+        vals = vals.reshape(len(a), m + 1)
+        totals[on] += (vals * w).sum(axis=1) * seg_len[on] / (3 * m)
+    return totals
+
+
 def line_integral(rho, curve: PolyCurve, samples_per_segment: int = 64) -> float:
     """Integral of a nonnegative density along a polygonal curve.
 
-    ``rho`` is either a callable on points (composite Simpson quadrature per
-    segment) or an object with ``value_at_cell(cell) / origin / spacing``
+    ``rho`` is either a callable from an (N, dim) point array to N values
+    (composite Simpson quadrature per segment, ``translate_line_integrals``
+    at offset 0) or an object with ``value_at_cell(cell) / origin / spacing``
     (exact for densities piecewise constant on grid cells: the curve is split
     at every cell boundary it crosses).
     """
     if curve.length() == 0:
         return 0.0
     if not hasattr(rho, "value_at_cell"):
-        total = 0.0
-        for a, b in curve.segments():
-            seg_len = float(np.linalg.norm(b - a))
-            if seg_len == 0:
-                continue
-            m = samples_per_segment + (samples_per_segment % 2)  # even panels
-            t = np.linspace(0.0, 1.0, m + 1)
-            pts = a[None] + t[:, None] * (b - a)[None]
-            vals = np.array([float(rho(p)) for p in pts])
-            w = np.ones(m + 1)
-            w[1:-1:2] = 4.0
-            w[2:-1:2] = 2.0
-            total += float((vals * w).sum()) * seg_len / (3 * m)
-        return total
+        return float(translate_line_integrals(rho, curve, np.zeros((1, curve.dim)),
+                                              samples_per_segment)[0])
     origin = np.asarray(rho.origin, float)
     h = float(rho.spacing)
     total = 0.0

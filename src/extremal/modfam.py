@@ -36,7 +36,7 @@ from scipy import ndimage
 from scipy.sparse.csgraph import dijkstra, laplacian
 from scipy.sparse.linalg import spsolve
 
-from .geom import DomainError, PolyCurve, line_integral
+from .geom import DomainError, PolyCurve, line_integral, translate_line_integrals
 
 
 # ---------------------------------------------------------------------------
@@ -630,16 +630,19 @@ def avg_line_integral(rho, curve: PolyCurve, r: float, samples: int,
     """
     if r <= 0:
         raise DomainError("averaging radius must be positive")
+    if samples < 1:
+        raise DomainError("averaging needs at least one sample")
     rng = np.random.default_rng(seed)
-    dim = curve.dim
-    vals = np.empty(samples)
-    got = 0
-    while got < samples:
-        x = rng.uniform(-r, r, size=dim)
-        if np.dot(x, x) > r * r:
-            continue
-        vals[got] = line_integral(rho, curve.translate(x))
-        got += 1
+    # chunks draw the same doubles in the same order as one draw per translate
+    accepted = []
+    while len(accepted) < samples:
+        accepted += [x for x in rng.uniform(-r, r, size=(samples, curve.dim))
+                     if not np.dot(x, x) > r * r]
+    offsets = np.array(accepted[:samples])
+    if hasattr(rho, "value_at_cell"):
+        vals = np.array([line_integral(rho, curve.translate(x)) for x in offsets])
+    else:
+        vals = translate_line_integrals(rho, curve, offsets)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return {"mean": mean, "stderr": stderr, "radius": r, "samples": samples}

@@ -264,3 +264,51 @@ def test_scene_file_with_bad_run_exits_two(tmp_path, capsys):
                        "scene": {"builder": "file", "path": str(scene_path)}}}))
         assert main(["run", str(cfg_path)]) == 2, run
         assert msg in capsys.readouterr().err
+
+
+def _survey_config(tmp_path, **params):
+    path = tmp_path / "survey.json"
+    path.write_text(json.dumps({
+        "kind": "survey", "seed": 3, "out": str(tmp_path / "out"),
+        "params": {"type": "avg-line-integral", "samples": 20,
+                   "radii": [0.1], **params}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("samples", [0, -4, "abc", 2.5, True, None, [10]])
+def test_survey_samples_must_be_a_positive_integer(samples, tmp_path, capsys):
+    # 0 wrote "mean": NaN and exited 0; "abc" and 2.5 ended in a traceback
+    assert main(["run", _survey_config(tmp_path, samples=samples)]) == 2
+    assert "params.samples: must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
+@pytest.mark.parametrize("a", [0, 0.0, 1, 1.5, -0.5, "half", True])
+def test_log_ring_radius_outside_unit_interval_exits_two(a, tmp_path, capsys):
+    # a = 0 raised ZeroDivisionError; a >= 1 gave a zero or undefined density
+    density = {"kind": "log-ring", "a": a}
+    assert main(["run", _survey_config(tmp_path, density=density)]) == 2
+    assert "density.a: must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
+def test_log_ring_survey_runs(tmp_path):
+    density = {"kind": "log-ring", "a": 0.5}
+    assert main(["run", _survey_config(tmp_path, density=density,
+                                       curve=[[0.5, 0.0], [1.0, 0.0]])]) == 0
+    with open(tmp_path / "out" / "results.json") as fh:
+        res = json.load(fh)
+    # 1/(|x| log 2) integrates to 1 along the radius; translates by up to 0.1
+    # leave part of the segment outside the ring
+    assert 0.8 < res["results"]["averages"]["r=0.1"]["mean"] <= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("kind, want", [
+    ("constant", [1.0, 1.0, 1.0]),
+    ("linear-x", [0.3, -100.0, 100.0]),
+    ("log-ring", [1.0 / (0.5 * math.log(2)), 0.0, 0.0])])
+def test_density_specs_map_point_arrays(kind, want):
+    pts = np.array([[0.3, 0.4], [-200.0, 0.0], [150.0, 0.0]])
+    got = cli._density_from_spec({"kind": kind})(pts)
+    assert got.shape == (3,)
+    assert got.tolist() == pytest.approx(want, rel=1e-15)

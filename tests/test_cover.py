@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extremal import cover
 from extremal.cover import (EggYolkPair, PairedFamily, affine_map, _disk_cloud,
@@ -238,3 +239,44 @@ def test_non_injective_correspondence_rejected():
     broken = PairedFamily(fam.domain_pairs, fam.range_pairs, collapse)
     with pytest.raises(DomainError):
         normalize_comparable(broken)
+
+
+# ---------------------------------------------------------------------------
+# Subset test with the bounding-box reject
+
+def _brute_subset(a, b):
+    tol = 0.75 * max(a.pitch, b.pitch) * math.sqrt(a.dim)
+    return bool(b.contains_points(a.samples, tol=tol).all())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([2, 3]),
+       st.sampled_from([0.05, 0.1, 0.37]), st.integers(0, 2), st.booleans(),
+       st.one_of(st.sampled_from([-1e-9, -1e-13, 0.0, 5e-13, 1e-12, 1.5e-12,
+                                  1e-9, 0.2]),
+                 st.floats(-3e-12, 3e-12)))
+def test_region_subset_bbox_reject_agrees_with_brute_force(seed, dim, pitch, axis,
+                                                           upper, delta):
+    # b is a random cloud; a is part of b plus one point placed beyond b's
+    # bbox along one axis by the query tolerance plus delta, so it sits just
+    # inside or just outside the tolerance of b's extreme sample
+    rng = np.random.default_rng(seed)
+    axis = axis % dim
+    b = Region(rng.uniform(-5.0, 5.0, size=(int(rng.integers(1, 40)), dim)), pitch)
+    tol = 0.75 * pitch * math.sqrt(dim)
+    ext = b.samples[np.argmax(b.samples[:, axis]) if upper
+                    else np.argmin(b.samples[:, axis])].copy()
+    ext[axis] += (tol + delta) if upper else -(tol + delta)
+    inner = b.samples[:int(rng.integers(0, len(b.samples) + 1))]
+    a = Region(np.vstack([inner, ext[None]]), pitch)
+    assert cover._region_subset(a, b) == _brute_subset(a, b)
+    assert cover._region_subset(b, a) == _brute_subset(b, a)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_region_subset_agrees_on_random_families(seed):
+    fam = random_paired_family(12, 4.0, "diag(2,1)", seed=seed)
+    regions = [p.region for p in fam.domain_pairs + fam.range_pairs]
+    for a in regions:
+        for b in regions:
+            assert cover._region_subset(a, b) == _brute_subset(a, b)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from extremal import distort
 from extremal.distort import (SampledMap, eccentric_distortion, linear_sampled_map,
                               metric_distortion, ring_qc_test)
-from extremal.geom import DomainError
+from extremal.geom import DomainError, _cloud_diameter, eccentricity_of_boundary
 from extremal.modfam import ring_modulus_exact
 
 
@@ -137,6 +138,63 @@ def test_eccentric_bounded_by_metric_ratio():
 def test_eccentric_scale_guard():
     with pytest.raises(DomainError):
         eccentric_distortion(IDENT, (0.0, 0.0), 2.0)
+
+
+def _ref_eccentric_distortion(f, x, r, ladder_steps=3, n_boundary=96):
+    """``eccentric_distortion(..., detail=True)`` as it was with one
+    ``inverse`` call per cloud and level."""
+    x = np.asarray(x, float)
+    fx = f.forward(x[None])[0]
+    theta = np.linspace(0, 2 * math.pi, n_boundary, endpoint=False)
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    best = math.inf
+    records = []
+    for k in range(ladder_steps):
+        s = r * 2.0 ** (-k)
+        img_bnd = f.forward(x + s * circle)
+        centers = f.forward(x[None] + s * 0.25 * np.vstack([[0, 0], circle[::8]]))
+        val = max(1.0, eccentricity_of_boundary(img_bnd, centers)[0])
+        records.append({"family": "ball", "scale": s, "value": val})
+        best = min(best, val)
+    s_img = r / max(f.inverse_lipschitz(), 1e-300)
+    for k in range(ladder_steps):
+        s = s_img * 2.0 ** (-k)
+        dom_bnd = f.inverse(fx + s * circle)
+        if _cloud_diameter(dom_bnd) > 2 * r:
+            continue
+        centers = f.inverse(fx[None] + s * 0.25 * np.vstack([[0, 0], circle[::8]]))
+        val = max(1.0, eccentricity_of_boundary(dom_bnd, centers)[0])
+        records.append({"family": "pullback", "scale": s, "value": val})
+        best = min(best, val)
+    return best, records
+
+
+# a curved map: Newton needs several steps, and at x = 0, r = 0.9 a centre
+# probe other than x wins on a pullback level
+SHEAR = SampledMap.from_function(
+    lambda p: np.stack([p[:, 0] + 2.0 * p[:, 1] ** 2, p[:, 1]], axis=1),
+    (-4.0, -4.0), (4.0, 4.0), 0.05, name="parabolic-shear")
+
+
+@settings(max_examples=40, deadline=None)
+@example(SHEAR, (0.0, 0.0), 0.9, 3, 96)
+@given(st.sampled_from([IDENT, DIAG, ROT, SHEAR]),
+       st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       st.floats(0.05, 0.95), st.integers(1, 4), st.sampled_from([24, 96]))
+def test_eccentric_one_inverse_matches_one_per_level(f, x, r, steps, n_boundary):
+    got = eccentric_distortion(f, x, r, ladder_steps=steps, n_boundary=n_boundary,
+                               detail=True)
+    assert got == _ref_eccentric_distortion(f, x, r, steps, n_boundary)
+
+
+def test_eccentric_makes_one_inverse_call(monkeypatch):
+    calls = []
+    inverse = SampledMap.inverse
+    monkeypatch.setattr(SampledMap, "inverse",
+                        lambda self, pts, **kw: calls.append(len(pts))
+                        or inverse(self, pts, **kw))
+    eccentric_distortion(DIAG, (0.3, -0.2), 0.5)
+    assert calls == [3 * (96 + 13)]
 
 
 def test_eccentric_symmetry_between_map_and_inverse():

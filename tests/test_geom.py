@@ -9,7 +9,8 @@ from extremal import geom, sets
 from extremal.geom import (Ball, DomainError, PolyCurve, Region, balls_disjoint,
                            disk_region, eccentricity, ellipse_region,
                            hausdorff_content, hausdorff_normalization,
-                           line_integral, rect_region, relative_distance)
+                           line_integral, rect_region, relative_distance,
+                           translate_line_integrals)
 
 
 # ---------------------------------------------------------------------------
@@ -261,24 +262,24 @@ def test_content_rejects_bad_parameters():
 
 def test_line_integral_constant_density():
     gamma = PolyCurve.segment((0, 0), (3, 4))
-    assert abs(line_integral(lambda p: 1.0, gamma) - 5.0) < 1e-12
+    assert abs(line_integral(lambda p: np.ones(len(p)), gamma) - 5.0) < 1e-12
 
 
 def test_line_integral_log_density_radial():
     # 1/(|x| log 2) along |x| from 1/2 to 1 integrates to exactly 1
     gamma = PolyCurve.segment((0.5, 0.0), (1.0, 0.0))
-    rho = lambda p: 1.0 / (np.linalg.norm(p) * math.log(2))
+    rho = lambda p: 1.0 / (np.linalg.norm(p, axis=1) * math.log(2))
     assert abs(line_integral(rho, gamma, samples_per_segment=128) - 1.0) < 1e-6
 
 
 def test_line_integral_circle_circumference():
     gamma = PolyCurve.circle((0, 0), 2.0, 512)
-    val = line_integral(lambda p: 1.0, gamma)
+    val = line_integral(lambda p: np.ones(len(p)), gamma)
     assert abs(val - 4 * math.pi) < 4 * math.pi * 1e-3
 
 
 def test_line_integral_additive_under_concatenation():
-    rho = lambda p: 1.0 + p[0] ** 2
+    rho = lambda p: 1.0 + p[:, 0] ** 2
     g1 = PolyCurve.segment((0, 0), (1, 1))
     g2 = PolyCurve.segment((1, 1), (2, 0))
     whole = g1.concatenate(g2)
@@ -287,17 +288,85 @@ def test_line_integral_additive_under_concatenation():
 
 
 def test_line_integral_reparametrization_invariant():
-    rho = lambda p: abs(p[1]) + 0.3
+    rho = lambda p: np.abs(p[:, 1]) + 0.3
     gamma = PolyCurve([(0, 0), (1, 2), (2, 2), (3, 0)])
     dense = PolyCurve(gamma.sample_arclength(400))
     assert abs(line_integral(rho, gamma) - line_integral(rho, dense)) < 2e-3
 
 
 def test_weak_subpath_integral_bounded_by_full():
-    rho = lambda p: 1.0 + abs(p[0])
+    rho = lambda p: 1.0 + np.abs(p[:, 0])
     gamma = PolyCurve([(0, 0), (2, 0), (2, 2)])
     sub = gamma.subcurve(0.5, 2.5)
     assert line_integral(rho, sub) <= line_integral(rho, gamma) + 1e-12
+
+
+def _ref_line_integral(rho, curve, samples_per_segment=64):
+    """The per-point Simpson loop that ``translate_line_integrals`` replaced;
+    ``rho`` here takes one point."""
+    if curve.length() == 0:
+        return 0.0
+    total = 0.0
+    for a, b in curve.segments():
+        seg_len = float(np.linalg.norm(b - a))
+        if seg_len == 0:
+            continue
+        m = samples_per_segment + (samples_per_segment % 2)
+        t = np.linspace(0.0, 1.0, m + 1)
+        pts = a[None] + t[:, None] * (b - a)[None]
+        vals = np.array([float(rho(p)) for p in pts])
+        w = np.ones(m + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        total += float((vals * w).sum()) * seg_len / (3 * m)
+    return total
+
+
+# one density, pointwise for the reference and on arrays for the new path:
+# the same correctly rounded float operations on every point
+def _rho_point(p):
+    return 1.0 + p[0] * p[0] + 0.5 * abs(p[-1]) + 1.0 / (1.0 + p[1] * p[1])
+
+
+def _rho_array(p):
+    return (1.0 + p[:, 0] * p[:, 0] + 0.5 * np.abs(p[:, -1])
+            + 1.0 / (1.0 + p[:, 1] * p[:, 1]))
+
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: round(v, 3))
+
+
+@st.composite
+def _curves(draw):
+    # vertices drawn from a small pool, so repeats give zero-length segments
+    dim = draw(st.sampled_from([2, 3]))
+    pool = draw(st.lists(st.tuples(*[_coord] * dim), min_size=1, max_size=4))
+    idx = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=7))
+    return PolyCurve([pool[i] for i in idx])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_curves(), st.integers(1, 70),
+       st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=3, max_size=15))
+def test_translate_line_integrals_match_per_point_loop(curve, spp, flat):
+    offsets = np.array(flat[:len(flat) // curve.dim * curve.dim]).reshape(-1, curve.dim)
+    got = translate_line_integrals(_rho_array, curve, offsets, spp)
+    want = [_ref_line_integral(_rho_point, curve.translate(x), spp) for x in offsets]
+    assert got.tolist() == want
+    assert line_integral(_rho_array, curve, spp) == _ref_line_integral(
+        _rho_point, curve, spp)
+
+
+def test_pointwise_or_scalar_density_is_rejected():
+    gamma = PolyCurve([(0.0, 0.0), (1.0, 0.0), (1.0, 2.0)])
+    # a scalar used to be broadcast: 1/(|p| log 2) over the whole node array
+    # is one number, about 0.083 on the segment from 1/2 to 1
+    for rho in (lambda p: 1.0, lambda p: 1.0 / (np.linalg.norm(p) * math.log(2)),
+                lambda p: abs(p[1]) + 0.3, lambda p: np.ones((len(p), 1))):
+        with pytest.raises(DomainError, match="density must map"):
+            line_integral(rho, gamma)
+        with pytest.raises(DomainError, match="density must map"):
+            translate_line_integrals(rho, gamma, np.zeros((3, 2)))
 
 
 def test_line_integral_exact_for_piecewise_constant_cells():

@@ -199,8 +199,11 @@ def test_admissible_check_zero_density():
 def test_log_density_exactly_admissible_for_radial_segments():
     # the annular log density gives every radial crossing length exactly 1
     a = 0.5
-    rho = lambda p: (1.0 / (np.linalg.norm(p) * math.log(1 / a))
-                     if a <= np.linalg.norm(p) <= 1.0 else 0.0)
+
+    def rho(p):
+        n = np.linalg.norm(p, axis=1)
+        return np.where((a <= n) & (n <= 1.0), 1.0 / (n * math.log(1 / a)), 0.0)
+
     radials = [PolyCurve.segment((a * math.cos(t), a * math.sin(t)),
                                  (math.cos(t), math.sin(t)))
                for t in np.linspace(0, 2 * math.pi, 9)]
@@ -596,14 +599,15 @@ def test_3d_shell_modulus_converges_from_above():
 
 def test_avg_line_integral_constant_density_exact():
     gamma = PolyCurve.segment((0, 0), (0.6, 0.8))
-    out = avg_line_integral(lambda p: 1.0, gamma, r=0.3, samples=50, seed=1)
+    out = avg_line_integral(lambda p: np.ones(len(p)), gamma, r=0.3, samples=50,
+                            seed=1)
     assert abs(out["mean"] - 1.0) < 1e-12
     assert out["stderr"] < 1e-12
 
 
 def test_avg_line_integral_linear_density_symmetric():
     gamma = PolyCurve.segment((0.0, 0.0), (1.0, 0.0))
-    rho = lambda p: min(max(p[0], -50.0), 50.0)
+    rho = lambda p: np.clip(p[:, 0], -50.0, 50.0)
     for r in (0.1, 0.01):
         out = avg_line_integral(rho, gamma, r=r, samples=600, seed=2)
         assert abs(out["mean"] - 0.5) <= 4 * out["stderr"] + 1e-3
@@ -624,9 +628,57 @@ def test_avg_line_integral_converges_to_direct():
     assert err_f <= 0.5 * err_c + 2 * fine["stderr"]
 
 
+def _ref_avg_line_integral(rho, curve, r, samples, seed=0):
+    """The one-translate-at-a-time loop that ``avg_line_integral`` replaced."""
+    from extremal.geom import line_integral
+    rng = np.random.default_rng(seed)
+    vals = np.empty(samples)
+    got = 0
+    while got < samples:
+        x = rng.uniform(-r, r, size=curve.dim)
+        if np.dot(x, x) > r * r:
+            continue
+        vals[got] = line_integral(rho, curve.translate(x))
+        got += 1
+    mean = float(vals.mean())
+    stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return {"mean": mean, "stderr": stderr, "radius": r, "samples": samples}
+
+
+def _rho_quadratic(p):
+    return 1.0 + p[:, 0] * p[:, 0] + 0.5 * np.abs(p[:, -1])
+
+
+_AVG_FIELD = DensityField(np.random.default_rng(5).uniform(0.2, 3.0, size=(6, 6)),
+                          spacing=0.25, origin=np.array([-0.25, -0.6]), exponent=2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([
+           PolyCurve([(0.0, 0.0), (0.8, 0.1), (0.8, 0.1), (1.1, -0.3)]),
+           PolyCurve.segment((0.0, 0.0), (1.0, 0.0)),
+           PolyCurve([(0.0, 0.0, 0.0), (0.3, -0.2, 0.5), (0.6, 0.4, 0.1)]),
+           PolyCurve.segment((0.2, 0.3, -0.1), (0.2, 0.3, -0.1))]),
+       st.sampled_from([1e-9, 1e-3, 0.05, 0.3, 1.5]),
+       st.integers(1, 25), st.integers(0, 2 ** 31 - 1), st.booleans())
+def test_avg_line_integral_matches_one_at_a_time_loop(curve, r, samples, seed,
+                                                      field):
+    # 3-D draws are rejected about half the time; r = 1e-9 keeps the
+    # translates within rounding of the curve
+    rho = _AVG_FIELD if field and curve.dim == 2 else _rho_quadratic
+    assert (avg_line_integral(rho, curve, r, samples, seed)
+            == _ref_avg_line_integral(rho, curve, r, samples, seed))
+
+
+def test_avg_line_integral_rejects_no_samples():
+    with pytest.raises(DomainError):
+        avg_line_integral(_rho_quadratic, PolyCurve.segment((0, 0), (1, 0)),
+                          r=0.1, samples=0)
+
+
 def test_avg_line_integral_rejects_bad_radius():
     with pytest.raises(DomainError):
-        avg_line_integral(lambda p: 1.0, PolyCurve.segment((0, 0), (1, 0)),
+        avg_line_integral(lambda p: np.ones(len(p)), PolyCurve.segment((0, 0), (1, 0)),
                           r=0.0, samples=10)
 
 
