@@ -359,8 +359,9 @@ def test_translate_line_integrals_match_per_point_loop(curve, spp, flat):
 
 def test_pointwise_or_scalar_density_is_rejected():
     gamma = PolyCurve([(0.0, 0.0), (1.0, 0.0), (1.0, 2.0)])
-    # a scalar used to be broadcast: 1/(|p| log 2) over the whole node array
-    # is one number, about 0.083 on the segment from 1/2 to 1
+    # pointwise densities given the node array return a scalar or the wrong
+    # shape; a broadcast scalar would be silently wrong (1/(|p| log 2) on the
+    # radius from 1/2 to 1 would integrate to 0.083 instead of 1)
     for rho in (lambda p: 1.0, lambda p: 1.0 / (np.linalg.norm(p) * math.log(2)),
                 lambda p: abs(p[1]) + 0.3, lambda p: np.ones((len(p), 1))):
         with pytest.raises(DomainError, match="density must map"):
