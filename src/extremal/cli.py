@@ -428,15 +428,22 @@ def _run_survey(cfg: ExperimentConfig, artifacts: dict) -> dict:
     return table
 
 
+def _density_number(spec: dict, key: str, default: float) -> float:
+    v = spec.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"density.{key}: must be a number, got {v!r}")
+    return v
+
+
 def _density_from_spec(spec: dict):
     kind = spec.get("kind", "constant")
     # each density maps an (N, dim) point array to N values
     if kind == "constant":
-        c = spec.get("value", 1.0)
+        c = _density_number(spec, "value", 1.0)
         return lambda x: np.full(len(x), c)
     if kind == "linear-x":
-        lo = spec.get("clip_lo", -100.0)
-        hi = spec.get("clip_hi", 100.0)
+        lo = _density_number(spec, "clip_lo", -100.0)
+        hi = _density_number(spec, "clip_hi", 100.0)
         return lambda x: np.clip(x[:, 0], lo, hi)
     if kind == "log-ring":
         a = spec.get("a", 0.5)

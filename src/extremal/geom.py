@@ -96,8 +96,13 @@ class Region:
         lo.flags.writeable = hi.flags.writeable = False
         return lo, hi
 
-    def diameter(self) -> float:
+    @cached_property
+    def _diameter(self) -> float:
         return _cloud_diameter(self.samples)
+
+    def diameter(self) -> float:
+        """Exact diameter of the sample cloud, its hull taken once."""
+        return self._diameter
 
     def center_of_mass(self) -> np.ndarray:
         return self.samples.mean(axis=0)

@@ -292,6 +292,22 @@ def test_log_ring_radius_outside_unit_interval_exits_two(a, tmp_path, capsys):
     assert not (tmp_path / "out" / "results.json").exists()
 
 
+@pytest.mark.parametrize("density", [
+    {"kind": "constant", "value": "abc"},
+    {"kind": "constant", "value": True},
+    {"kind": "constant", "value": None},
+    {"kind": "linear-x", "clip_lo": "x"},
+    {"kind": "linear-x", "clip_hi": False},
+    {"kind": "linear-x", "clip_hi": [1.0]}])
+def test_non_numeric_density_field_exits_two(density, tmp_path, capsys):
+    # a string value ended in a ValueError traceback, a string clip in numpy's
+    # _UFuncNoLoopError, both with exit 1
+    key = next(k for k in density if k != "kind")
+    assert main(["run", _survey_config(tmp_path, density=density)]) == 2
+    assert f"density.{key}: must be a number" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 def test_log_ring_survey_runs(tmp_path):
     density = {"kind": "log-ring", "a": 0.5}
     assert main(["run", _survey_config(tmp_path, density=density,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremal import cover
+from extremal import cover, geom
 from extremal.cover import (EggYolkPair, PairedFamily, affine_map, _disk_cloud,
                             egg_yolk_cover, five_b_cover, normalize_comparable,
                             random_paired_family, validate_egg_yolk)
@@ -203,6 +203,26 @@ def test_cover_anisotropic_reports_constant():
     assert all(res.report["verified"].values())
     # baseline from the first verified run of this configuration
     assert res.achieved_constant <= 25.0
+
+
+def test_cover_takes_each_region_hull_once(monkeypatch):
+    # normalize_comparable sorts by diameter and the first cluster pass takes
+    # the diameters of the kept regions again; the second asks hit the cache
+    hulls = []                    # the clouds themselves, so no id is reused
+
+    def counted(pts):
+        hulls.append(pts)
+        return diameter(pts)
+    diameter = geom._cloud_diameter
+    monkeypatch.setattr(geom, "_cloud_diameter", counted)
+    fam = random_paired_family(30, 4.0, "diag(2,1)", seed=77)
+    region = fam.domain_pairs[0].region
+    assert region.diameter() == region.diameter() == diameter(region.samples)
+    assert len(hulls) == 1
+    res = egg_yolk_cover(fam)
+    assert all(res.report["verified"].values())
+    assert len(hulls) > 30
+    assert len({id(pts) for pts in hulls}) == len(hulls)
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -449,16 +450,112 @@ def test_budget_search_memory_does_not_grow_with_budget():
     assert peak_5000 <= 2 * peak_50
 
 
+def test_dirichlet_solve_memory_grows_linearly():
+    # the multigrid hierarchy is O(n); 4x the cells may take at most about
+    # 4.5x the traced peak.  (tracemalloc sees numpy and scipy.sparse arrays,
+    # not SuperLU's own allocations, so the small coarsest factor is unseen.)
+    def peak(n_cells):
+        sc = annulus_scene(1.0, math.e, n_cells)
+        tracemalloc.start()
+        try:
+            modfam._dirichlet_rho(sc.u, sc.f1, sc.f2, sc.spacing, 2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(256) <= 4.5 * peak(128)
+
+
 def test_cg_non_convergence_warns_before_spsolve(monkeypatch):
     sc = modfam.annulus_scene_3d(1.0, math.e, 12)
     nfree = int((sc.u & ~sc.f1 & ~sc.f2).sum())
     expected = modfam._dirichlet_rho(sc.u, sc.f1, sc.f2, sc.spacing, 2)
     monkeypatch.setattr(scipy.sparse.linalg, "cg",
                         lambda A, b, **kwargs: (np.zeros_like(b), 1))
-    with pytest.warns(RuntimeWarning,
-                      match=rf"{nfree} unknowns .* within 2000 iterations"):
+    with pytest.warns(RuntimeWarning, match=rf"multigrid-CG on {nfree} unknowns "
+                                            r".* within 2000 iterations"):
         rho = modfam._dirichlet_rho(sc.u, sc.f1, sc.f2, sc.spacing, 2)
     assert np.allclose(rho, expected, rtol=1e-6, atol=1e-9)
+
+
+def _solver_system(name):
+    """(active, f1, f2, h, p) of one Dirichlet problem of the solver tests."""
+    if name in ("annulus-64", "annulus-352"):
+        sc = annulus_scene(1.0, 2.0, int(name[8:]))
+        return sc.u, sc.f1, sc.f2, sc.spacing, 2
+    if name == "avoid-wall":
+        rect = rectangle_scene(2.0, 1.0, 32)
+        wall = np.zeros(rect.shape, bool)
+        wall[10:14, 3:] = True                # a wall with a gap
+        avoid = rect.u & ~wall
+        return avoid, rect.f1 & avoid, rect.f2 & avoid, rect.spacing, 2
+    if name == "lone-cell":
+        lone = np.ones((8, 8), bool)
+        lone[3:6, :] = False
+        lone[4, 4] = True                     # a cell with no face neighbour
+        f1, f2 = np.zeros((2, 8, 8), bool)
+        f1[0], f2[-1] = True, True
+        return lone, f1, f2, 0.125, 2
+    shell = modfam.annulus_scene_3d(1.0, math.e, 24)     # 4,344 free cells
+    return shell.u, shell.f1, shell.f2, shell.spacing, 3
+
+
+def _dirichlet_system(monkeypatch, active, f1, f2, h, p):
+    """(L, rhs, cells) of the first solve of ``_dirichlet_rho`` for p = 2,
+    and of its first IRLS round otherwise."""
+    systems = []
+
+    def record(L, rhs, cells):
+        systems.append((L, rhs, cells))
+        return scipy.sparse.linalg.spsolve(L.tocsc(), rhs)
+    with monkeypatch.context() as m:
+        m.setattr(modfam, "_solve_spd", record)
+        modfam._dirichlet_rho(active, f1, f2, h, p, irls_iters=1)
+    return systems[-1]
+
+
+@pytest.mark.parametrize("name", ["annulus-64", "avoid-wall", "lone-cell",
+                                  "shell-3d-p3", "annulus-352"])
+def test_multigrid_cg_meets_tolerance_and_matches_spsolve(name, monkeypatch):
+    L, rhs, cells = _dirichlet_system(monkeypatch, *_solver_system(name))
+    iters = []
+    cg = scipy.sparse.linalg.cg
+
+    def counted(A, b, **kwargs):
+        iters.append(0)
+
+        def count(xk):
+            iters[-1] += 1
+        return cg(A, b, callback=count, **kwargs)
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")        # no fall back to spsolve
+        u = modfam._solve_spd(L, rhs, cells)
+    assert len(iters) == 1
+    assert np.linalg.norm(L @ u - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    exact = scipy.sparse.linalg.spsolve(L.tocsc(), rhs)
+    assert np.abs(u - exact).max() <= 1e-9 * np.abs(exact).max()
+    # a Jacobi-preconditioned CG needs hundreds of iterations on these grids
+    assert iters[0] <= 40
+    if name == "annulus-352":
+        assert L.shape[0] > 60_000
+
+
+@pytest.mark.parametrize("n_cells, lo, size", [(16, 6, 2), (64, 30, 3)])
+def test_walled_island_holds_no_potential(n_cells, lo, size):
+    # active cells walled off from both marked sets made the system singular,
+    # and the factored coarsest level raised "Factor is exactly singular"
+    sc = rectangle_scene(1.0, 1.0, n_cells)
+    island = np.zeros(sc.shape, bool)
+    island[lo:lo + size, lo:lo + size] = True
+    ring = np.zeros(sc.shape, bool)
+    ring[lo - 1:lo + size + 1, lo - 1:lo + size + 1] = True
+    ring &= ~island
+    res = discrete_modulus(sc, CurveConstraint("avoid", ring, 0))
+    filled = discrete_modulus(sc, CurveConstraint("avoid", ring | island, 0))
+    assert not res.infeasible
+    assert res.value == pytest.approx(filled.value, rel=1e-12)
+    assert not res.density.values[island].any()
 
 
 def _dirichlet_rho_loop(active, f1, f2, h, p, irls_iters=8):
@@ -501,12 +598,7 @@ def _dirichlet_rho_loop(active, f1, f2, h, p, irls_iters=8):
         L = sp.csr_matrix((np.concatenate(data),
                            (np.concatenate(rows), np.concatenate(cols))),
                           shape=(nfree, nfree))
-        if nfree > 60_000 or dim == 3:
-            sol, info = scipy.sparse.linalg.cg(L, rhs, rtol=1e-8, maxiter=2000,
-                                               M=sp.diags(1.0 / L.diagonal()))
-            assert info == 0
-            return sol
-        return scipy.sparse.linalg.spsolve(L.tocsc(), rhs)
+        return modfam._solve_spd(L, rhs, fr)
 
     if nfree:
         uval[free] = solve_with(None)
