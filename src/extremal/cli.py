@@ -697,13 +697,12 @@ def builtin_experiments() -> dict:
     return cat
 
 
-def list_experiments(stream=None) -> list[str]:
-    stream = stream or sys.stdout
+def list_experiments() -> list[str]:
     cat = builtin_experiments()
     names = sorted(cat)
     width = max(len(n) for n in names)
     for n in names:
-        print(f"{n:<{width}}  [{cat[n]['kind']}]", file=stream)
+        print(f"{n:<{width}}  [{cat[n]['kind']}]")
     return names
 
 

@@ -84,12 +84,12 @@ class PairedFamily:
     def __len__(self) -> int:
         return len(self.domain_pairs)
 
-    def check_correspondence(self, tol_factor: float = 1.5) -> None:
+    def check_correspondence(self) -> None:
         """f must map each domain region's samples injectively into its
-        range region."""
+        range region, within 1.5 range pitches of a range sample."""
         for i, (dp, rp) in enumerate(zip(self.domain_pairs, self.range_pairs)):
             img = self.forward(dp.region.samples)
-            tol = tol_factor * rp.region.pitch * math.sqrt(rp.region.dim)
+            tol = 1.5 * rp.region.pitch * math.sqrt(rp.region.dim)
             if not rp.region.contains_points(img, tol=tol).all():
                 raise DomainError(f"correspondence violated on pair {i}")
             if len(img) > 1:
@@ -209,8 +209,7 @@ class CoverResult:
                 "verified": self.report.get("verified", {})}
 
 
-def _cluster_pass(dom_pairs: list[EggYolkPair], rng_pairs: list[EggYolkPair],
-                  select_on_range: bool = True):
+def _cluster_pass(dom_pairs: list[EggYolkPair], rng_pairs: list[EggYolkPair]):
     """One covering pass: selection yolks become disjoint on the range side.
 
     Implements the generation scan of the covering proof: pairs are grouped
@@ -229,8 +228,6 @@ def _cluster_pass(dom_pairs: list[EggYolkPair], rng_pairs: list[EggYolkPair],
     while not all(covered):
         lo, hi = 2.0 ** (-m - 1) * L, 2.0 ** (-m) * L
         gen = [i for i in range(n) if not covered[i] and lo < dom_diam[i] <= hi]
-        if m == 0:
-            gen = [i for i in range(n) if not covered[i] and dom_diam[i] > lo]
         gen.sort(key=lambda i: (-rng_diam[i], i))
         for i1 in gen:
             if covered[i1]:
@@ -345,12 +342,11 @@ def _cloud_subset(a: np.ndarray, b: np.ndarray, pitch: float) -> bool:
 # Random family generation (experiments and property tests)
 
 
-def affine_map(matrix, shift=(0.0, 0.0)) -> Callable[[np.ndarray], np.ndarray]:
+def affine_map(matrix) -> Callable[[np.ndarray], np.ndarray]:
     mat = np.asarray(matrix, float)
-    sh = np.asarray(shift, float)
 
     def f(pts: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(pts) @ mat.T + sh
+        return np.atleast_2d(pts) @ mat.T
 
     return f
 
@@ -364,13 +360,14 @@ NAMED_MAPS = {
 
 
 def random_paired_family(n_pairs: int, M: float, map_name: str,
-                         seed: int = 0, box: float = 10.0) -> PairedFamily:
+                         seed: int = 0) -> PairedFamily:
     """Random disk-based M-egg-yolk pairs pushed through a named linear map.
 
-    Domain regions are disks; range yolks are inscribed-scale balls of the
-    image ellipses.  Anisotropic maps need M >= 4 to leave the egg-yolk
-    property intact on the range side (a 2-egg-yolk pair forces A = 2B, which
-    no non-conformal linear image preserves), so M < 4 rejects them.
+    Domain regions are disks centred in [0, 10]^2; range yolks are
+    inscribed-scale balls of the image ellipses.  Anisotropic maps need
+    M >= 4 to leave the egg-yolk property intact on the range side (a
+    2-egg-yolk pair forces A = 2B, which no non-conformal linear image
+    preserves), so M < 4 rejects them.
     """
     mat, _ = NAMED_MAPS[map_name]
     svals = np.linalg.svd(mat, compute_uv=False)
@@ -383,7 +380,7 @@ def random_paired_family(n_pairs: int, M: float, map_name: str,
     for _ in range(n_pairs):
         r = float(rng.uniform(0.35, 1.0))
         s = float(rng.uniform(2 * r, M * r))
-        center = rng.uniform(0, box, size=2)
+        center = rng.uniform(0, 10.0, size=2)
         pitch = s / 7
         region = _disk_cloud(center, s, pitch)
         dom_pairs.append(EggYolkPair(region, Ball(center, r), M))

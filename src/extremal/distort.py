@@ -19,7 +19,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geom import DomainError, _cloud_diameter, eccentricity_of_boundary
-from . import modfam
 from .modfam import GridScene, discrete_modulus, ring_modulus_exact
 
 
@@ -77,10 +76,9 @@ class SampledMap:
     def domain_hi(self) -> np.ndarray:
         return self.origin + self.pitch * (np.array(self.shape) - 1)
 
-    def in_domain(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    def in_domain(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        return np.all((pts >= self.domain_lo + margin)
-                      & (pts <= self.domain_hi - margin), axis=1)
+        return np.all((pts >= self.domain_lo) & (pts <= self.domain_hi), axis=1)
 
     def forward(self, pts) -> np.ndarray:
         """Bilinear interpolation of the node values."""
@@ -109,12 +107,12 @@ class SampledMap:
             J[:, :, ax] = (self.forward(pts + off) - self.forward(pts - off)) / (2 * eps)
         return J
 
-    def inverse(self, pts, iters: int = 8) -> np.ndarray:
-        """Preimages under the interpolated map (nearest node + Newton)."""
+    def inverse(self, pts) -> np.ndarray:
+        """Preimages under the interpolated map (nearest node + 8 Newton steps)."""
         pts = np.atleast_2d(np.asarray(pts, float))
         _, nearest = self._img_tree.query(pts, k=1)
         x = self._node_pts[nearest].copy()
-        for _ in range(iters):
+        for _ in range(8):
             r = self.forward(x) - pts
             J = self.jacobian(x)
             det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
@@ -126,10 +124,11 @@ class SampledMap:
             x = np.clip(x, self.domain_lo, self.domain_hi)
         return x
 
-    def roundtrip_error(self, n_probe: int = 64, seed: int = 0) -> float:
-        rng = np.random.default_rng(seed)
+    def roundtrip_error(self) -> float:
+        """Largest |f^-1(f(p)) - p| over 64 seeded points inside the domain."""
+        rng = np.random.default_rng(0)
         pts = rng.uniform(self.domain_lo + self.pitch,
-                          self.domain_hi - self.pitch, size=(n_probe, 2))
+                          self.domain_hi - self.pitch, size=(64, 2))
         back = self.inverse(self.forward(pts))
         return float(np.linalg.norm(back - pts, axis=1).max())
 

@@ -9,7 +9,7 @@ threads once built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -45,8 +45,8 @@ class Ball:
         """lam*B: same center, radius multiplied by lam."""
         return Ball(self.center, lam * self.radius)
 
-    def contains_point(self, p, tol: float = 0.0) -> bool:
-        return float(np.linalg.norm(np.asarray(p, float) - self.center)) < self.radius + tol
+    def contains_point(self, p) -> bool:
+        return float(np.linalg.norm(np.asarray(p, float) - self.center)) < self.radius
 
 
 def balls_disjoint(b1: Ball, b2: Ball) -> bool:
@@ -77,14 +77,17 @@ class Region:
 
     samples: np.ndarray
     pitch: float
-    _tree: cKDTree = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         pts = np.asarray(self.samples, float)
         if pts.ndim != 2 or len(pts) == 0:
             raise DomainError("region needs a nonempty (N, dim) sample array")
         object.__setattr__(self, "samples", pts)
-        object.__setattr__(self, "_tree", cKDTree(pts))
+
+    @cached_property
+    def _tree(self) -> cKDTree:
+        # built on the first query: a covering's merged clusters never query
+        return cKDTree(self.samples)
 
     @property
     def dim(self) -> int:
@@ -297,8 +300,8 @@ class PolyCurve:
 # Eccentricity
 
 
-def eccentricity_of_boundary(boundary: np.ndarray, centers: np.ndarray,
-                             inner_tol: float = 0.0) -> tuple[float, np.ndarray]:
+def eccentricity_of_boundary(boundary: np.ndarray,
+                             centers: np.ndarray) -> tuple[float, np.ndarray]:
     """Least max/min distance ratio to a sampled boundary over candidate centers.
 
     For an open set A with boundary cloud ``boundary`` and a center c inside A,
@@ -309,7 +312,6 @@ def eccentricity_of_boundary(boundary: np.ndarray, centers: np.ndarray,
     centers = np.atleast_2d(np.asarray(centers, float))
     tree = cKDTree(boundary)
     r_in, _ = tree.query(centers, k=1)
-    r_in = r_in - inner_tol
     r_out = np.zeros(len(centers))
     for p in _hull_points(boundary):
         r_out = np.maximum(r_out, np.linalg.norm(centers - p, axis=1))
@@ -393,12 +395,11 @@ def hausdorff_normalization(s: float) -> float:
     return math.pi ** (s / 2) / (2 ** s * math.gamma(s / 2 + 1))
 
 
-def hausdorff_content(set_model, s: float, delta: float = math.inf,
-                      budget: int = 400_000) -> float:
+def hausdorff_content(set_model, s: float, delta: float = math.inf) -> float:
     """Upper estimate of the s-dimensional Hausdorff delta-content.
 
     Covers by axis-aligned dyadic cubes of diameter <= delta (deterministic),
-    refined while the cube count stays within ``budget``.  When the model
+    refined while the cube count stays within 400,000.  When the model
     exposes exact components, covering by the components themselves is also
     tried; for s equal to the ambient dimension the Lebesgue volume of the
     dyadic cover is an additional valid upper bound (fine covers by balls
@@ -415,8 +416,8 @@ def hausdorff_content(set_model, s: float, delta: float = math.inf,
 
     comps = getattr(set_model, "components", None)
     if callable(comps):
-        diams = [d for d in comps() if d <= delta + 1e-15]
-        if diams and len(diams) == len(list(set_model.components())):
+        diams = comps()
+        if diams and all(d <= delta + 1e-15 for d in diams):
             best = min(best, c_s * sum(d ** s for d in diams))
 
     lo, hi = set_model.bbox()
@@ -434,7 +435,7 @@ def hausdorff_content(set_model, s: float, delta: float = math.inf,
             best = min(best, c_s * len(corners) * diam ** s)
             if abs(s - dim) < 1e-12:
                 best = min(best, len(corners) * side ** dim)
-        if len(corners) * (2 ** dim) > budget or side < 1e-12:
+        if len(corners) * (2 ** dim) > 400_000 or side < 1e-12:
             break
         half = side / 2
         kids = (corners[:, None, :] + child_offs[None] * half).reshape(-1, dim)
@@ -479,16 +480,15 @@ def _cell_traversal(a: np.ndarray, b: np.ndarray, origin: np.ndarray,
         yield cell, (t1 - t0) * seg_len
 
 
-def translate_line_integrals(rho, curve: PolyCurve, offsets,
-                             samples_per_segment: int = 64) -> np.ndarray:
+def translate_line_integrals(rho, curve: PolyCurve, offsets) -> np.ndarray:
     """Integral of a callable density over curve + x for each row x of offsets.
 
-    Composite Simpson quadrature per segment; each segment's nodes of every
-    translate go through one ``rho`` call.  ``rho`` maps an (N, dim) point
-    array to N values.
+    Composite Simpson quadrature with 64 panels per segment; each segment's
+    nodes of every translate go through one ``rho`` call.  ``rho`` maps an
+    (N, dim) point array to N values.
     """
     offsets = np.atleast_2d(np.asarray(offsets, float))
-    m = samples_per_segment + (samples_per_segment % 2)  # even panels
+    m = 64
     t = np.linspace(0.0, 1.0, m + 1)
     w = np.ones(m + 1)
     w[1:-1:2] = 4.0
@@ -512,7 +512,7 @@ def translate_line_integrals(rho, curve: PolyCurve, offsets,
     return totals
 
 
-def line_integral(rho, curve: PolyCurve, samples_per_segment: int = 64) -> float:
+def line_integral(rho, curve: PolyCurve) -> float:
     """Integral of a nonnegative density along a polygonal curve.
 
     ``rho`` is either a callable from an (N, dim) point array to N values
@@ -524,8 +524,7 @@ def line_integral(rho, curve: PolyCurve, samples_per_segment: int = 64) -> float
     if curve.length() == 0:
         return 0.0
     if not hasattr(rho, "value_at_cell"):
-        return float(translate_line_integrals(rho, curve, np.zeros((1, curve.dim)),
-                                              samples_per_segment)[0])
+        return float(translate_line_integrals(rho, curve, np.zeros((1, curve.dim)))[0])
     origin = np.asarray(rho.origin, float)
     h = float(rho.spacing)
     total = 0.0

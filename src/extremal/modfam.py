@@ -61,9 +61,6 @@ class GridScene:
     f1: np.ndarray
     f2: np.ndarray
     name: str = ""
-    # family-union scenes mark several continua at once; connectivity of each
-    # marked set is only enforced for plain scenes
-    single_continua: bool = True
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, float)
@@ -76,12 +73,11 @@ class GridScene:
             raise DomainError("marked continua must be nonempty")
         if (self.f1 & self.f2).any():
             raise DomainError("marked continua must be disjoint")
-        if self.single_continua:
-            structure = np.ones((3,) * self.dim, int)
-            for mask, label in ((self.f1, "F1"), (self.f2, "F2")):
-                _, num = ndimage.label(mask, structure=structure)
-                if num != 1:
-                    raise DomainError(f"{label} must be connected in the grid graph")
+        structure = np.ones((3,) * self.dim, int)
+        for mask, label in ((self.f1, "F1"), (self.f2, "F2")):
+            _, num = ndimage.label(mask, structure=structure)
+            if num != 1:
+                raise DomainError(f"{label} must be connected in the grid graph")
 
     @property
     def dim(self) -> int:
@@ -236,10 +232,10 @@ def square_ring_lower_bound(r: float, R: float) -> float:
 # Scene builders
 
 
-def annulus_scene(r: float, R: float, n_cells: int, pad: float = 1.04,
-                  half: float | None = None, center=(0.0, 0.0)) -> GridScene:
+def annulus_scene(r: float, R: float, n_cells: int, half: float | None = None,
+                  center=(0.0, 0.0)) -> GridScene:
     """2D annulus with marked bands centered on the boundary circles."""
-    half = half if half is not None else R * pad
+    half = half if half is not None else R * 1.04
     h = 2 * half / n_cells
     cx, cy = center
     xs = (np.arange(n_cells) + 0.5) * h - half
@@ -265,9 +261,9 @@ def rectangle_scene(width: float, height: float, n_cells: int) -> GridScene:
                      name=f"rect[{width}x{height}]x{n_cells}")
 
 
-def square_ring_scene(r: float, R: float, n_cells: int, pad: float = 1.04) -> GridScene:
+def square_ring_scene(r: float, R: float, n_cells: int) -> GridScene:
     """Region between concentric axis-aligned squares of half-sides r < R."""
-    half = R * pad
+    half = R * 1.04
     h = 2 * half / n_cells
     xs = (np.arange(n_cells) + 0.5) * h - half
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -279,8 +275,8 @@ def square_ring_scene(r: float, R: float, n_cells: int, pad: float = 1.04) -> Gr
                      name=f"sqring[{r},{R}]x{n_cells}")
 
 
-def annulus_scene_3d(r: float, R: float, n_cells: int, pad: float = 1.08) -> GridScene:
-    half = R * pad
+def annulus_scene_3d(r: float, R: float, n_cells: int) -> GridScene:
+    half = R * 1.08
     h = 2 * half / n_cells
     xs = (np.arange(n_cells) + 0.5) * h - half
     X, Y, Z = np.meshgrid(xs, xs, xs, indexing="ij")
@@ -726,7 +722,7 @@ def avg_line_integral(rho, curve: PolyCurve, r: float, samples: int,
 
 
 def translation_survey(E, curve: PolyCurve, n_max: int, samples: int,
-                       seed: int = 0, box_pad: float = 0.0) -> dict:
+                       seed: int = 0) -> dict:
     """Monte Carlo estimates of m*(F_N): translates meeting E at >= N points.
 
     F_N is the set of translates x with #((curve+x) cap E) >= N.  The sampling
@@ -735,17 +731,22 @@ def translation_survey(E, curve: PolyCurve, n_max: int, samples: int,
     intervals, together with the geometric F_1 envelope bound
     max(len(curve), diam E) * diam(E)^(n-1).
     """
+    if curve.dim != E.dim:
+        raise DomainError(f"survey curve is {curve.dim}-dimensional, "
+                          f"the set {E.dim}-dimensional")
     if curve.length() <= 0:
         raise DomainError("survey curve must be non-constant")
     rng = np.random.default_rng(seed)
     elo, ehi = E.bbox()
     clo = curve.vertices.min(axis=0)
     chi = curve.vertices.max(axis=0)
-    lo = np.asarray(elo, float) - chi - box_pad
-    hi = np.asarray(ehi, float) - clo + box_pad
+    lo = np.asarray(elo, float) - chi
+    hi = np.asarray(ehi, float) - clo
     vol = float(np.prod(hi - lo))
     xs = rng.uniform(lo, hi, size=(samples, curve.dim))
-    counts = _batched_counts(E, curve, xs)
+    counts = np.zeros(samples)
+    for a, b in curve.segments():
+        counts += E.count_segment_hits_batch(xs + a, xs + b)
     diam_e = float(np.linalg.norm(np.asarray(ehi, float) - np.asarray(elo, float)))
     table = []
     for N in range(1, n_max + 1):
@@ -767,8 +768,11 @@ def radial_survey(E, x, r: float, R: float, n_max: int, samples: int,
     """Directional measure of w with #(segment [x+rw, x+Rw] cap E) >= N."""
     if not 0 < r < R:
         raise DomainError("need 0 < r < R")
-    rng = np.random.default_rng(seed)
     x = np.asarray(x, float)
+    if x.shape != (E.dim,) or E.dim not in _SPHERE_AREA:
+        raise DomainError(f"survey centre {x.tolist()} is no point of the set's "
+                          f"{E.dim}-dimensional space (2 or 3)")
+    rng = np.random.default_rng(seed)
     dim = len(x)
     w = rng.normal(size=(samples, dim))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
@@ -782,13 +786,3 @@ def radial_survey(E, x, r: float, R: float, n_max: int, samples: int,
         se = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples)
         table.append({"N": N, "measure": p_hat * omega, "ci95": 1.96 * se * omega})
     return {"table": table, "sphere_area": omega, "samples": samples}
-
-
-def _batched_counts(E, curve: PolyCurve, offsets: np.ndarray) -> np.ndarray:
-    batch = getattr(E, "count_curve_hits_batch", None)
-    if callable(batch):
-        return batch(curve, offsets)
-    total = np.zeros(len(offsets), float)
-    for a, b in curve.segments():
-        total += E.count_segment_hits_batch(offsets + a, offsets + b)
-    return total

@@ -617,15 +617,15 @@ class ShadowRecord:
     s: float
 
 
-def shadows(domain: PolygonDomain, x0, decomp: WhitneyDecomposition,
-            boundary_spacing: float | None = None) -> dict:
+def shadows(domain: PolygonDomain, x0, decomp: WhitneyDecomposition) -> dict:
     """Shadow of each Whitney cube under the shortest-path tree from x0.
 
     The tree lives on the cube adjacency graph with quasihyperbolic edge
     weights; the parent of a cube is its least-index shortest-path
     predecessor within 1e-15 (-1 at the root and where unreachable).  Each
-    boundary sample is routed from its nearest cube to the root; SH(Q)
-    collects the samples whose route passes through Q, and s(Q) = diam SH(Q).
+    boundary sample (spaced by the smallest cube side) is routed from its
+    nearest cube to the root; SH(Q) collects the samples whose route passes
+    through Q, and s(Q) = diam SH(Q).
     """
     cubes = decomp.cubes
     n = len(cubes)
@@ -649,9 +649,7 @@ def shadows(domain: PolygonDomain, x0, decomp: WhitneyDecomposition,
     parent[parent == n] = -1
     parent[root] = -1
     parent = parent.tolist()
-    if boundary_spacing is None:
-        boundary_spacing = min(q.side for q in cubes)
-    samples = domain.boundary_samples(boundary_spacing)
+    samples = domain.boundary_samples(min(q.side for q in cubes))
     tree = cKDTree(centers)
     _, near = tree.query(samples, k=min(8, n))
     near = np.atleast_2d(near)

@@ -61,13 +61,12 @@ def svg_density_heatmap(density, path: str) -> None:
     _write_doc(path, rects(), (ox, oy, nx * h, ny * h))
 
 
-def svg_covering(cover_pairs, path: str, side: str = "domain") -> None:
-    """Yolk circles over region sample clouds for one side of a covering."""
+def svg_covering(cover_pairs, path: str) -> None:
+    """Yolk circles over region sample clouds, domain side of a covering."""
     elems = []
     all_pts = []
     for k, cp in enumerate(cover_pairs):
-        pts = cp.domain_points if side == "domain" else cp.range_points
-        yolk = cp.domain_yolk if side == "domain" else cp.range_yolk
+        pts, yolk = cp.domain_points, cp.domain_yolk
         all_pts.append(pts)
         col = _color(k / max(len(cover_pairs) - 1, 1))
         for p in pts[:: max(1, len(pts) // 400)]:

@@ -32,6 +32,14 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(float(x))
 
 
+def _round_float(x: Fraction, up: bool) -> float:
+    """The least float >= x (up) or the greatest float <= x (down)."""
+    f = float(x)
+    if (f < x) if up else (f > x):
+        f = math.nextafter(f, math.inf if up else -math.inf)
+    return f
+
+
 # ---------------------------------------------------------------------------
 # 1D interval unions (Cantor-type sets, primitive unions on a line)
 
@@ -48,7 +56,7 @@ class IntervalUnionSet:
 
     intervals: list
     limit_measure_zero: bool | None = None
-    dim: int = 1
+    dim = 1
 
     def __post_init__(self):
         iv = sorted(((_frac(a), _frac(b)) for a, b in self.intervals),
@@ -63,8 +71,10 @@ class IntervalUnionSet:
             else:
                 merged.append((a, b))
         self.intervals = merged
-        self._lo = np.array([float(a) for a, _ in merged])
-        self._hi = np.array([float(b) for _, b in merged])
+        # a float lies in [a, b] exactly when it lies between the least float
+        # >= a and the greatest float <= b, so the float queries are exact
+        self._lo = np.array([_round_float(a, up=True) for a, _ in merged])
+        self._hi = np.array([_round_float(b, up=False) for _, b in merged])
 
     def measure(self) -> Fraction:
         return sum((b - a for a, b in self.intervals), Fraction(0))
@@ -218,7 +228,7 @@ class ProductSet:
 
     gx: IntervalUnionSet
     fy: IntervalUnionSet
-    dim: int = 2
+    dim = 2
 
     def contains(self, p) -> bool:
         return (self.gx.contains_fraction(_frac(p[0]))
@@ -316,7 +326,7 @@ class PrimitiveUnionSet:
     """Union of geometric primitives with exact per-segment intersection."""
 
     primitives: list
-    dim: int = 2
+    dim = 2
 
     def bbox(self):
         los, his = [], []
@@ -684,7 +694,7 @@ class PackingResidualSet:
     """closure(outer) minus the packed open regions."""
 
     spec: PackingSpec
-    dim: int = 2
+    dim = 2
 
     def contains(self, p) -> bool:
         if not self.spec.outer.contains_closed(p):

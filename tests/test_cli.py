@@ -308,6 +308,22 @@ def test_non_numeric_density_field_exits_two(density, tmp_path, capsys):
     assert not (tmp_path / "out" / "results.json").exists()
 
 
+_CIRCLE = {"kind": "circle", "radius": 1.25}
+
+
+@pytest.mark.parametrize("params", [
+    {"type": "radial", "E": _CIRCLE, "x": [0, 0, 0]},
+    {"type": "radial", "E": _CIRCLE, "x": [0]},
+    {"type": "translation", "E": {"kind": "segments", "segments": [[[0, 0], [1, 0]]]},
+     "curve": [[0, 0, 0], [0, 1, 0]]}])
+def test_mis_dimensioned_survey_exits_two(params, tmp_path, capsys):
+    # a 3-D centre ended in a broadcast ValueError, a 1-D one in KeyError: 1
+    # and a 3-D curve in a ValueError, each a traceback with exit 1
+    assert main(["run", _survey_config(tmp_path, **params)]) == 2
+    assert "-dimensional" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 def test_log_ring_survey_runs(tmp_path):
     density = {"kind": "log-ring", "a": 0.5}
     assert main(["run", _survey_config(tmp_path, density=density,

@@ -27,6 +27,18 @@ def test_five_b_identical_overlapping_pair():
     assert b5.contains_point((0.9, 0))
 
 
+def test_covering_builds_fewer_trees_than_regions(monkeypatch):
+    # merged clusters are never queried, so they build no kd-tree
+    trees, regions = [], []
+    tree, post_init = geom.cKDTree, geom.Region.__post_init__
+    monkeypatch.setattr(geom, "cKDTree", lambda pts: trees.append(1) or tree(pts))
+    monkeypatch.setattr(geom.Region, "__post_init__",
+                        lambda self: regions.append(1) or post_init(self))
+    res = egg_yolk_cover(random_paired_family(30, 4.0, "diag(2,1)", seed=77))
+    assert all(res.report["verified"].values())
+    assert 0 < len(trees) < len(regions)
+
+
 def test_five_b_random_balls_disjoint_and_cover():
     rng = np.random.default_rng(12)
     balls = [Ball(rng.uniform(0, 1, 2), float(rng.uniform(0.02, 0.12)))

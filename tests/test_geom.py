@@ -126,6 +126,23 @@ def test_region_requires_samples():
         Region(np.zeros((0, 2)), 0.1)
 
 
+def test_region_builds_its_tree_once_on_first_query(monkeypatch):
+    built = []
+    tree = geom.cKDTree
+    monkeypatch.setattr(geom, "cKDTree", lambda pts: built.append(len(pts)) or tree(pts))
+    reg = disk_region((0.2, -0.1), 0.5, 0.05)
+    assert built == []
+    probes = np.random.default_rng(4).uniform(-0.5, 0.8, size=(300, 2))
+    got = reg.contains_points(probes)
+    assert built == [len(reg.samples)]
+    # the answers of a tree built up front, as every Region once did
+    d, _ = tree(reg.samples).query(probes, k=1)
+    assert got.tolist() == (d <= 0.5 * reg.pitch * math.sqrt(2) + 1e-12).tolist()
+    reg.boundary_samples()
+    assert reg.contains_points(probes).tolist() == got.tolist()
+    assert built == [len(reg.samples)]
+
+
 # ---------------------------------------------------------------------------
 # Diameters and farthest points (convex hull)
 
@@ -269,7 +286,7 @@ def test_line_integral_log_density_radial():
     # 1/(|x| log 2) along |x| from 1/2 to 1 integrates to exactly 1
     gamma = PolyCurve.segment((0.5, 0.0), (1.0, 0.0))
     rho = lambda p: 1.0 / (np.linalg.norm(p, axis=1) * math.log(2))
-    assert abs(line_integral(rho, gamma, samples_per_segment=128) - 1.0) < 1e-6
+    assert abs(line_integral(rho, gamma) - 1.0) < 1e-6
 
 
 def test_line_integral_circle_circumference():
@@ -301,9 +318,9 @@ def test_weak_subpath_integral_bounded_by_full():
     assert line_integral(rho, sub) <= line_integral(rho, gamma) + 1e-12
 
 
-def _ref_line_integral(rho, curve, samples_per_segment=64):
-    """The per-point Simpson loop that ``translate_line_integrals`` replaced;
-    ``rho`` here takes one point."""
+def _ref_line_integral(rho, curve):
+    """The per-point 64-panel Simpson loop that ``translate_line_integrals``
+    replaced; ``rho`` here takes one point."""
     if curve.length() == 0:
         return 0.0
     total = 0.0
@@ -311,7 +328,7 @@ def _ref_line_integral(rho, curve, samples_per_segment=64):
         seg_len = float(np.linalg.norm(b - a))
         if seg_len == 0:
             continue
-        m = samples_per_segment + (samples_per_segment % 2)
+        m = 64
         t = np.linspace(0.0, 1.0, m + 1)
         pts = a[None] + t[:, None] * (b - a)[None]
         vals = np.array([float(rho(p)) for p in pts])
@@ -346,15 +363,14 @@ def _curves(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_curves(), st.integers(1, 70),
+@given(_curves(),
        st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=3, max_size=15))
-def test_translate_line_integrals_match_per_point_loop(curve, spp, flat):
+def test_translate_line_integrals_match_per_point_loop(curve, flat):
     offsets = np.array(flat[:len(flat) // curve.dim * curve.dim]).reshape(-1, curve.dim)
-    got = translate_line_integrals(_rho_array, curve, offsets, spp)
-    want = [_ref_line_integral(_rho_point, curve.translate(x), spp) for x in offsets]
+    got = translate_line_integrals(_rho_array, curve, offsets)
+    want = [_ref_line_integral(_rho_point, curve.translate(x)) for x in offsets]
     assert got.tolist() == want
-    assert line_integral(_rho_array, curve, spp) == _ref_line_integral(
-        _rho_point, curve, spp)
+    assert line_integral(_rho_array, curve) == _ref_line_integral(_rho_point, curve)
 
 
 def test_pointwise_or_scalar_density_is_rejected():

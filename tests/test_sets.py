@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from extremal import modfam, sets
 from extremal.geom import DomainError, PolyCurve, hausdorff_content
@@ -54,6 +54,30 @@ def test_cantor_monotone_in_depth(num, k):
     shallow = make_cantor(CantorSpec.middle_thirds(k))
     if deep.contains_fraction(x):
         assert shallow.contains_fraction(x)
+
+
+# dyadic endpoints are floats; the others lie strictly between two floats
+_endpoints = st.builds(Fraction, st.integers(-60, 60),
+                       st.sampled_from([1, 2, 8, 64, 3, 7, 10, 27, 81]))
+
+
+@settings(max_examples=150, deadline=None)
+@example(ends=[Fraction(1, 3)])
+@given(ends=st.lists(_endpoints, min_size=1, max_size=8))
+def test_float_interval_queries_match_exact(ends):
+    # consecutive sorted endpoints pair up; an odd one out is a point
+    ends = sorted(ends)
+    E = IntervalUnionSet([(ends[i], ends[min(i + 1, len(ends) - 1)])
+                          for i in range(0, len(ends), 2)])
+    xs = sorted({q for e in ends for f in (float(e),)
+                 for q in (math.nextafter(f, -math.inf), f,
+                           math.nextafter(f, math.inf))})
+    assert E.contains_float_batch(np.array(xs)).tolist() == [
+        E.contains(x) for x in xs]
+    a, b = map(np.array, zip(*[(x, y) for i, x in enumerate(xs)
+                               for y in xs[i:i + 4]]))
+    assert E.intersects_intervals_batch(a, b).tolist() == [
+        E.intersects_interval(x, y) for x, y in zip(a.tolist(), b.tolist())]
 
 
 # ---------------------------------------------------------------------------
