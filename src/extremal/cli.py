@@ -76,10 +76,50 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _need(params: dict, *keys):
+def _need(params: dict, *keys, where: str = "params"):
     for k in keys:
         if k not in params:
-            raise ConfigError(f"params.{k}: missing")
+            raise ConfigError(f"{where}.{k}: missing")
+
+
+def _object(where: str, v) -> dict:
+    if not isinstance(v, dict):
+        raise ConfigError(f"{where}: must be an object, got {v!r}")
+    return v
+
+
+def _number(where: str, v):
+    # JSON numbers only: a bool is an int to Python, and a numeric string
+    # would pass float()
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{where}: must be a number, got {v!r}")
+    return v
+
+
+def _integer(where: str, v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{where}: must be an integer, got {v!r}")
+    return v
+
+
+def _numbers(where: str, v, dim: int | None = None):
+    """A nonempty list of numbers, such as a point (of ``dim`` coordinates
+    when given)."""
+    if (not isinstance(v, (list, tuple)) or not v
+            or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in v)):
+        raise ConfigError(f"{where}: must be a list of numbers, got {v!r}")
+    if dim is not None and len(v) != dim:
+        raise ConfigError(f"{where}: must have {dim} coordinates, got {v!r}")
+    return v
+
+
+def _points(where: str, v) -> list:
+    """A nonempty list of points of one dimension, such as a curve."""
+    if not isinstance(v, (list, tuple)) or not v:
+        raise ConfigError(f"{where}: must be a list of points, got {v!r}")
+    if len({len(_numbers(where, q)) for q in v}) > 1:
+        raise ConfigError(f"{where}: points of different dimensions, got {v!r}")
+    return v
 
 
 def _validate_modulus(p: dict):
@@ -122,6 +162,8 @@ def _validate_survey(p: dict):
     _need(p, "type", "samples")
     if p["type"] not in ("translation", "radial", "avg-line-integral"):
         raise ConfigError(f"params.type: unknown survey type {p['type']!r}")
+    if p["type"] != "avg-line-integral":
+        _need(p, "E")
     n = p["samples"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigError(f"params.samples: must be a positive integer, got {n!r}")
@@ -404,46 +446,43 @@ def _run_sets_probe(cfg: ExperimentConfig, artifacts: dict) -> dict:
 def _run_survey(cfg: ExperimentConfig, artifacts: dict) -> dict:
     p = cfg.params
     if p["type"] == "avg-line-integral":
-        curve = PolyCurve(p.get("curve", [[0.0, 0.0], [1.0, 0.0]]))
+        curve = PolyCurve(_points("params.curve",
+                                  p.get("curve", [[0.0, 0.0], [1.0, 0.0]])))
         rho = _density_from_spec(p.get("density", {"kind": "linear-x"}))
         out = {}
-        for r in p.get("radii", [0.1, 0.01]):
+        for r in _numbers("params.radii", p.get("radii", [0.1, 0.01])):
             out[f"r={r}"] = modfam.avg_line_integral(rho, curve, r,
                                                      p["samples"], seed=cfg.seed)
         return {"averages": out,
                 "anchor": {"name": "averaged line integrals converge to the integral"}}
     E = _survey_set_from_spec(p["E"])
     if p["type"] == "translation":
-        curve = PolyCurve(p.get("curve", [[0.0, 0.0], [0.0, 1.0]]))
-        table = modfam.translation_survey(E, curve, p.get("n_max", 16),
-                                          p["samples"], seed=cfg.seed)
+        curve = PolyCurve(_points("params.curve",
+                                  p.get("curve", [[0.0, 0.0], [0.0, 1.0]])))
+        n_max = _integer("params.n_max", p.get("n_max", 16))
+        table = modfam.translation_survey(E, curve, n_max, p["samples"], seed=cfg.seed)
         table["anchor"] = {"name": "N * m(F_N) bounded by len(curve) * H^{n-1}(E)"}
         artifacts["survey_table"] = table["table"]
         return table
-    table = modfam.radial_survey(E, p.get("x", (0.0, 0.0)), p.get("r", 0.5),
-                                 p.get("R", 2.0), p.get("n_max", 8),
-                                 p["samples"], seed=cfg.seed)
+    x = _numbers("params.x", p.get("x", (0.0, 0.0)))
+    r = _number("params.r", p.get("r", 0.5))
+    R = _number("params.R", p.get("R", 2.0))
+    n_max = _integer("params.n_max", p.get("n_max", 8))
+    table = modfam.radial_survey(E, x, r, R, n_max, p["samples"], seed=cfg.seed)
     table["anchor"] = {"name": "directional measure decays like 1/N"}
     artifacts["survey_table"] = table["table"]
     return table
 
 
-def _density_number(spec: dict, key: str, default: float) -> float:
-    v = spec.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"density.{key}: must be a number, got {v!r}")
-    return v
-
-
 def _density_from_spec(spec: dict):
-    kind = spec.get("kind", "constant")
+    kind = _object("density", spec).get("kind", "constant")
     # each density maps an (N, dim) point array to N values
     if kind == "constant":
-        c = _density_number(spec, "value", 1.0)
+        c = _number("density.value", spec.get("value", 1.0))
         return lambda x: np.full(len(x), c)
     if kind == "linear-x":
-        lo = _density_number(spec, "clip_lo", -100.0)
-        hi = _density_number(spec, "clip_hi", 100.0)
+        lo = _number("density.clip_lo", spec.get("clip_lo", -100.0))
+        hi = _number("density.clip_hi", spec.get("clip_hi", 100.0))
         return lambda x: np.clip(x[:, 0], lo, hi)
     if kind == "log-ring":
         a = spec.get("a", 0.5)
@@ -461,18 +500,32 @@ def _density_from_spec(spec: dict):
 
 
 def _survey_set_from_spec(spec: dict):
+    _need(_object("E", spec), "kind", where="E")
     kind = spec["kind"]
     if kind == "segments":
-        prims = [sets.Segment(tuple(a), tuple(b)) for a, b in spec["segments"]]
+        _need(spec, "segments", where="E")
+        segs = spec["segments"]
+        if (not isinstance(segs, list) or not segs
+                or any(not isinstance(ab, list) or len(ab) != 2 for ab in segs)):
+            raise ConfigError(
+                f"E.segments: must be a list of point pairs, got {segs!r}")
+        prims = [sets.Segment(*(tuple(_numbers("E.segments", q, 2)) for q in ab))
+                 for ab in segs]
         return sets.PrimitiveUnionSet(prims)
     if kind == "point":
-        return sets.PrimitiveUnionSet([sets.PointPrim(tuple(spec["at"]))])
+        _need(spec, "at", where="E")
+        at = _numbers("E.at", spec["at"], 2)
+        return sets.PrimitiveUnionSet([sets.PointPrim(tuple(at))])
     if kind == "circle":
+        _need(spec, "radius", where="E")
+        center = _numbers("E.center", spec.get("center", (0, 0)), 2)
         return sets.PrimitiveUnionSet(
-            [sets.CirclePrim(tuple(spec.get("center", (0, 0))), spec["radius"])])
+            [sets.CirclePrim(tuple(center), _number("E.radius", spec["radius"]))])
     if kind == "cantor-rows":
-        c = sets.make_cantor(sets.CantorSpec.fat(spec.get("depth", 5)))
-        rows = sets.IntervalUnionSet.points(spec.get("rows", [0.25, 0.5, 0.75]))
+        depth = _integer("E.depth", spec.get("depth", 5))
+        c = sets.make_cantor(sets.CantorSpec.fat(depth))
+        rows = sets.IntervalUnionSet.points(
+            _numbers("E.rows", spec.get("rows", [0.25, 0.5, 0.75])))
         return sets.product_set(c, rows)
     raise ConfigError(f"E.kind: unknown set kind {kind!r}")
 

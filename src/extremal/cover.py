@@ -1,4 +1,4 @@
-"""Covering algorithms: the 5B lemma and the egg-yolk covering machinery.
+"""Covering algorithms: the egg-yolk covering machinery.
 
 An M-egg-yolk pair is a bounded open region A with a ball B ("yolk") such
 that B c 2B c A c MB.  Given two matched families of such pairs related by a
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -22,7 +22,7 @@ from .geom import Ball, DomainError, Region, balls_disjoint
 
 
 # ---------------------------------------------------------------------------
-# Pairs and validation
+# Pairs
 
 
 @dataclass
@@ -34,35 +34,6 @@ class EggYolkPair:
     def __post_init__(self):
         if self.constant < 2:
             raise DomainError("egg-yolk constant must be at least 2")
-
-
-@dataclass
-class EggYolkCertificate:
-    holds: bool
-    tight_m: float
-    checks: dict
-
-
-def validate_egg_yolk(pair: EggYolkPair) -> EggYolkCertificate:
-    """Check B c 2B c A c MB on samples; report the smallest working M.
-
-    Also checks the separation property dist(B, complement of A) >= r(B)
-    whenever the sampling window shows a nonempty complement (equivalent to
-    2B c A, reported separately for the record).
-    """
-    region, yolk, M = pair.region, pair.yolk, pair.constant
-    dists = np.linalg.norm(region.samples - yolk.center, axis=1)
-    tol = 0.5 * region.pitch * math.sqrt(region.dim)
-    tight_m = float(dists.max() / yolk.radius)
-    inside_m = tight_m <= M * (1 + 1e-9) + tol / yolk.radius
-    twob_in = region.covers_ball(yolk.center, 2 * yolk.radius)
-    separation = twob_in  # dist(B, complement A) >= r(B)  <=>  2B c A
-    holds = bool(inside_m and twob_in)
-    return EggYolkCertificate(holds, tight_m, {
-        "region_in_MB": bool(inside_m),
-        "2B_in_region": bool(twob_in),
-        "yolk_separation": bool(separation),
-    })
 
 
 @dataclass
@@ -98,26 +69,6 @@ class PairedFamily:
                 if gaps.min() < 1e-12 * (1 + np.abs(img).max()):
                     raise DomainError(
                         f"sampled correspondence not injective on pair {i}")
-
-
-# ---------------------------------------------------------------------------
-# 5B covering
-
-
-def five_b_cover(balls: Sequence[Ball]) -> list[int]:
-    """Greedy disjoint subfamily whose 5-fold dilates cover the input union.
-
-    Balls are scanned by decreasing radius; each kept ball excludes the ones
-    meeting it.  Any excluded ball has radius at most that of the kept ball
-    it meets, so its points lie within 3 (hence 5) dilated radii.
-    Disjointness is decided exactly, in integers (``geom.balls_disjoint``).
-    """
-    order = sorted(range(len(balls)), key=lambda i: (-balls[i].radius, i))
-    chosen: list[int] = []
-    for i in order:
-        if all(balls_disjoint(balls[i], balls[j]) for j in chosen):
-            chosen.append(i)
-    return sorted(chosen)
 
 
 # ---------------------------------------------------------------------------

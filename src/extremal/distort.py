@@ -124,14 +124,6 @@ class SampledMap:
             x = np.clip(x, self.domain_lo, self.domain_hi)
         return x
 
-    def roundtrip_error(self) -> float:
-        """Largest |f^-1(f(p)) - p| over 64 seeded points inside the domain."""
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(self.domain_lo + self.pitch,
-                          self.domain_hi - self.pitch, size=(64, 2))
-        back = self.inverse(self.forward(pts))
-        return float(np.linalg.norm(back - pts, axis=1).max())
-
     def inverse_lipschitz(self) -> float:
         """Upper estimate of Lip(f^{-1}) from grid-edge image lengths."""
         dx = np.linalg.norm(np.diff(self.values, axis=0), axis=2)
@@ -140,26 +132,6 @@ class SampledMap:
         if m <= 0:
             raise DomainError("sampled map is not injective on grid edges")
         return self.pitch / m
-
-    def to_csv(self, path) -> None:
-        """Rows x1, x2, f1, f2 over the node lattice."""
-        pts = self._node_pts
-        vals = self.values.reshape(-1, 2)
-        with open(path, "w") as fh:
-            fh.write("x1,x2,f1,f2\n")
-            for p, v in zip(pts, vals):
-                fh.write(f"{p[0]:.12g},{p[1]:.12g},{v[0]:.12g},{v[1]:.12g}\n")
-
-    @staticmethod
-    def from_csv(path, name: str = "") -> "SampledMap":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        pts, vals = data[:, :2], data[:, 2:]
-        xs = np.unique(pts[:, 0])
-        ys = np.unique(pts[:, 1])
-        pitch = float(np.diff(xs).min())
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        grid = vals[order].reshape(len(xs), len(ys), 2)
-        return SampledMap((xs[0], ys[0]), pitch, grid, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +146,6 @@ class DistortionProbe:
     small_l: list        # l_f(x, r)
     h_estimate: float
     detail: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"point": np.asarray(self.point).tolist(), "radii": self.radii,
-                "L": self.big_l, "l": self.small_l,
-                "H_estimate": self.h_estimate, "detail": self.detail}
 
 
 # points sampled on each circle |y - x| = r of the radius ladder

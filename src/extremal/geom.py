@@ -1,9 +1,8 @@
 """Core geometric types and functionals.
 
-Balls, sampled regions, polygonal curves, eccentricity and relative-distance
-estimators, Hausdorff content, and line integrals.  Everything here is a pure
-function of immutable inputs; regions and curves are safe to share across
-threads once built.
+Balls, sampled regions, polygonal curves, boundary eccentricity, Hausdorff
+content, and line integrals.  Everything here is a pure function of immutable
+inputs; regions and curves are safe to share across threads once built.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -36,17 +35,6 @@ class Ball:
         object.__setattr__(self, "center", np.asarray(self.center, float))
         if not self.radius > 0:
             raise DomainError(f"ball radius must be positive, got {self.radius}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    def dilate(self, lam: float) -> "Ball":
-        """lam*B: same center, radius multiplied by lam."""
-        return Ball(self.center, lam * self.radius)
-
-    def contains_point(self, p) -> bool:
-        return float(np.linalg.norm(np.asarray(p, float) - self.center)) < self.radius
 
 
 def balls_disjoint(b1: Ball, b2: Ball) -> bool:
@@ -107,52 +95,12 @@ class Region:
         """Exact diameter of the sample cloud, its hull taken once."""
         return self._diameter
 
-    def center_of_mass(self) -> np.ndarray:
-        return self.samples.mean(axis=0)
-
     def contains_points(self, pts: np.ndarray, tol: float | None = None) -> np.ndarray:
         """True where each query point lies within tol of some sample."""
         if tol is None:
             tol = 0.5 * self.pitch * math.sqrt(self.dim)
         d, _ = self._tree.query(np.atleast_2d(np.asarray(pts, float)), k=1)
         return d <= tol + 1e-12
-
-    def boundary_samples(self) -> np.ndarray:
-        """Samples with at least one missing lattice neighbor."""
-        offsets = []
-        dim = self.dim
-        for ax in range(dim):
-            for s in (-1.0, 1.0):
-                off = np.zeros(dim)
-                off[ax] = s * self.pitch
-                offsets.append(off)
-        inside = np.ones(len(self.samples), bool)
-        for off in offsets:
-            d, _ = self._tree.query(self.samples + off, k=1)
-            inside &= d <= 0.25 * self.pitch
-        bnd = self.samples[~inside]
-        return bnd if len(bnd) else self.samples
-
-    def covers_ball(self, center, radius: float) -> bool:
-        """B(center, radius) inside the region, up to half-pitch tolerance.
-
-        Probe points on a pitch lattice across the ball must all sit within
-        a cell of some sample; robust for regions assembled from several
-        sample clouds.
-        """
-        center = np.asarray(center, float)
-        if not self.contains_points(center[None])[0]:
-            return False
-        g = self.pitch
-        n = int(math.ceil(2 * radius / g)) + 1
-        axes = [center[ax] - radius + g * np.arange(n + 1) for ax in range(self.dim)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        probes = np.stack([gg.ravel() for gg in grids], axis=1)
-        inside = np.linalg.norm(probes - center, axis=1) <= radius - 0.26 * g
-        if not inside.any():
-            return True
-        tol = 0.75 * g * math.sqrt(self.dim)
-        return bool(self.contains_points(probes[inside], tol=tol).all())
 
 
 def _hull_points(pts: np.ndarray) -> np.ndarray:
@@ -172,42 +120,6 @@ def _cloud_diameter(pts: np.ndarray) -> float:
         return 0.0
     diff = hull[:, None, :] - hull[None, :, :]
     return float(np.sqrt((diff ** 2).sum(-1)).max())
-
-
-def region_from_mask(mask: Callable[[np.ndarray], np.ndarray], lo, hi,
-                     pitch: float) -> Region:
-    """Sample a membership predicate on a lattice of the given pitch."""
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
-    axes = [np.arange(l + pitch / 2, h, pitch) for l, h in zip(lo, hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    keep = mask(pts)
-    if not keep.any():
-        raise DomainError("mask selected no lattice points")
-    return Region(pts[keep], pitch)
-
-
-def disk_region(center, radius: float, pitch: float) -> Region:
-    center = np.asarray(center, float)
-    return region_from_mask(
-        lambda p: np.linalg.norm(p - center, axis=1) < radius,
-        center - radius, center + radius, pitch)
-
-
-def rect_region(lo, hi, pitch: float) -> Region:
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
-    return region_from_mask(
-        lambda p: np.all((p > lo) & (p < hi), axis=1), lo, hi, pitch)
-
-
-def ellipse_region(center, semi_axes, pitch: float) -> Region:
-    center = np.asarray(center, float)
-    semi = np.asarray(semi_axes, float)
-    return region_from_mask(
-        lambda p: (((p - center) / semi) ** 2).sum(axis=1) < 1.0,
-        center - semi, center + semi, pitch)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +145,6 @@ class PolyCurve:
     def length(self) -> float:
         return float(self._cum[-1])
 
-    @property
-    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.vertices[0], self.vertices[-1]
-
     def point_at(self, s: float) -> np.ndarray:
         """Point at arclength s in [0, length]."""
         s = min(max(s, 0.0), self.length())
@@ -256,9 +164,6 @@ class PolyCurve:
     def translate(self, x) -> "PolyCurve":
         return PolyCurve(self.vertices + np.asarray(x, float))
 
-    def reverse(self) -> "PolyCurve":
-        return PolyCurve(self.vertices[::-1])
-
     def subcurve(self, s0: float, s1: float) -> "PolyCurve":
         """Strong subpath between arclengths s0 <= s1."""
         s0 = min(max(s0, 0.0), self.length())
@@ -275,14 +180,6 @@ class PolyCurve:
     def segments(self) -> Iterable[tuple[np.ndarray, np.ndarray]]:
         for a, b in zip(self.vertices[:-1], self.vertices[1:]):
             yield a, b
-
-    def to_json(self) -> dict:
-        return {"vertices": self.vertices.tolist(), "unit_scale": 1.0}
-
-    @staticmethod
-    def from_json(obj: dict) -> "PolyCurve":
-        scale = float(obj.get("unit_scale", 1.0))
-        return PolyCurve(np.asarray(obj["vertices"], float) * scale)
 
     @staticmethod
     def segment(a, b) -> "PolyCurve":
@@ -321,65 +218,6 @@ def eccentricity_of_boundary(boundary: np.ndarray,
     ratio = np.where(ok, r_out / np.maximum(r_in, 1e-300), np.inf)
     best = int(np.argmin(ratio))
     return float(max(1.0, ratio[best])), centers[best]
-
-
-def eccentricity(region: Region, search_resolution: float) -> float:
-    """Upper estimate of the eccentricity E(A) = inf {M : B c A c M B}.
-
-    Ball centers are searched on a grid of pitch ``search_resolution`` inside
-    the region's bounding box; for each center the inscribed radius comes from
-    the distance to the sampled boundary.  The estimate decreases (toward the
-    true infimum) as the resolution and the region's sampling pitch shrink.
-    """
-    if search_resolution <= 0:
-        raise DomainError("search_resolution must be positive")
-    lo, hi = region.bbox
-    axes = [np.arange(l, h + search_resolution / 2, search_resolution)
-            for l, h in zip(lo, hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([g.ravel() for g in grids], axis=1)
-    inside = region.contains_points(centers)
-    centers = centers[inside]
-    if len(centers) == 0:
-        centers = region.center_of_mass()[None]
-    bnd = region.boundary_samples()
-    # half-pitch inflation keeps the ratio an upper estimate for the sampled set
-    pad = 0.5 * region.pitch * math.sqrt(region.dim)
-    tree = cKDTree(bnd)
-    r_in, _ = tree.query(centers, k=1)
-    r_in = r_in - 0.5 * region.pitch
-    r_out = np.zeros(len(centers))
-    for p in _hull_points(region.samples):
-        r_out = np.maximum(r_out, np.linalg.norm(centers - p, axis=1))
-    r_out = r_out + pad
-    ok = r_in > 1e-12
-    if not ok.any():
-        raise DomainError("region too thin for its sampling pitch")
-    ratio = np.where(ok, r_out / np.maximum(r_in, 1e-300), np.inf)
-    return float(max(1.0, ratio.min()))
-
-
-# ---------------------------------------------------------------------------
-# Relative distance
-
-
-def _as_cloud(obj) -> np.ndarray:
-    if isinstance(obj, Region):
-        return obj.samples
-    if isinstance(obj, PolyCurve):
-        n = max(len(obj.vertices) * 4, 64)
-        return obj.sample_arclength(min(n, 2048))
-    return np.atleast_2d(np.asarray(obj, float))
-
-
-def relative_distance(f1, f2) -> float:
-    """dist(F1, F2) / min(diam F1, diam F2) for curves or regions."""
-    c1, c2 = _as_cloud(f1), _as_cloud(f2)
-    d1, d2 = _cloud_diameter(c1), _cloud_diameter(c2)
-    if d1 <= 0 or d2 <= 0:
-        raise DomainError("relative distance needs non-degenerate sets")
-    dist = float(cKDTree(c1).query(c2, k=1)[0].min())
-    return dist / min(d1, d2)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +266,6 @@ def hausdorff_content(set_model, s: float, delta: float = math.inf) -> float:
     side = side0
     child_offs = np.array([[(k >> a) & 1 for a in range(dim)]
                            for k in range(2 ** dim)], float)
-    batch = getattr(set_model, "intersects_boxes_batch", None)
     while True:
         diam = side * math.sqrt(dim)
         if diam <= delta + 1e-15:
@@ -439,10 +276,7 @@ def hausdorff_content(set_model, s: float, delta: float = math.inf) -> float:
             break
         half = side / 2
         kids = (corners[:, None, :] + child_offs[None] * half).reshape(-1, dim)
-        if callable(batch):
-            keep = batch(kids, kids + half)
-        else:
-            keep = np.array([set_model.intersects_box(c, c + half) for c in kids])
+        keep = set_model.intersects_boxes_batch(kids, kids + half)
         if not keep.any():
             best = min(best, 0.0)
             break

@@ -30,7 +30,6 @@ back to a sparse LU solve.
 from __future__ import annotations
 
 import ctypes
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -143,19 +142,10 @@ class DensityField:
         if (self.values < 0).any() or not np.isfinite(self.values).all():
             raise DomainError("density values must be finite and nonnegative")
 
-    def energy(self) -> float:
-        dim = self.values.ndim
-        return float(np.sum(self.values ** self.exponent) * self.spacing ** dim)
-
     def value_at_cell(self, cell: tuple) -> float:
         if any(c < 0 or c >= s for c, s in zip(cell, self.values.shape)):
             return 0.0
         return float(self.values[cell])
-
-    def __call__(self, p) -> float:
-        cell = tuple(int(math.floor((x - o) / self.spacing))
-                     for x, o in zip(np.asarray(p, float), self.origin))
-        return self.value_at_cell(cell)
 
     def to_csv(self, path) -> None:
         """One row per positive cell, written one slab ``values[i]`` at a

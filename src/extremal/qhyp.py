@@ -77,16 +77,6 @@ class PolygonDomain:
             pts.append(a[None] + t[:, None] * (b - a)[None])
         return np.concatenate(pts, axis=0)
 
-    def to_json(self) -> dict:
-        return {"outer": self.outer.tolist(),
-                "holes": [h.tolist() for h in self.holes],
-                "orientation": "ccw", "name": self.name}
-
-    @staticmethod
-    def from_json(obj: dict) -> "PolygonDomain":
-        return PolygonDomain(obj["outer"], obj.get("holes", ()),
-                             obj.get("name", ""))
-
 
 def _snap(v: np.ndarray) -> np.ndarray:
     return np.round(v * _SNAP) / _SNAP
@@ -216,10 +206,6 @@ class WhitneyCube:
     corner: np.ndarray
     side: float
     dist: float
-
-    @property
-    def diam(self) -> float:
-        return self.side * math.sqrt(2)
 
     @property
     def center(self) -> np.ndarray:
@@ -690,26 +676,6 @@ def _cube_containing(cubes, p) -> int | None:
                 and q.corner[1] <= p[1] <= q.corner[1] + q.side):
             return k
     return None
-
-
-def tree_path_cubes(parent: list, start: int) -> list:
-    out = [start]
-    while parent[out[-1]] != -1:
-        out.append(parent[out[-1]])
-    return out
-
-
-def shadow_table_json(decomp: WhitneyDecomposition, shadow_result: dict) -> dict:
-    """Serializable shadow table: per cube, s(Q) and the sample count."""
-    rows = []
-    for rec in shadow_result["records"]:
-        q = decomp.cubes[rec.cube_index]
-        rows.append({"cube": rec.cube_index, "depth": q.depth,
-                     "side": q.side, "s": rec.s,
-                     "shadow_samples": int(len(rec.shadow_indices))})
-    return {"root": shadow_result["root"],
-            "boundary_samples": int(len(shadow_result["boundary_samples"])),
-            "table": rows}
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,43 @@ def test_mis_dimensioned_survey_exits_two(params, tmp_path, capsys):
     assert not (tmp_path / "out" / "results.json").exists()
 
 
+_SEGMENT = {"kind": "segments", "segments": [[[0, 0], [1, 0]]]}
+
+
+@pytest.mark.parametrize("params, msg", [
+    ({"type": "radial", "E": _CIRCLE, "x": "abc"},
+     "params.x: must be a list of numbers, got 'abc'"),
+    ({"type": "radial", "E": _CIRCLE, "r": "a"}, "params.r: must be a number"),
+    ({"type": "radial", "E": _CIRCLE, "n_max": 2.5},
+     "params.n_max: must be an integer, got 2.5"),
+    ({"type": "radial", "E": {"kind": "circle", "radius": "z"}},
+     "E.radius: must be a number, got 'z'"),
+    ({"type": "radial", "E": {"kind": "segments", "segments": [[0, 0]]}},
+     "E.segments: must be a list of numbers, got 0"),
+    ({"type": "radial", "E": {"kind": "segments", "segments": []}},
+     "E.segments: must be a list of point pairs"),
+    ({"type": "radial", "E": {"kind": "cantor-rows", "depth": "x"}},
+     "E.depth: must be an integer, got 'x'"),
+    ({"type": "radial", "E": {"kind": "point"}}, "E.at: missing"),
+    ({"type": "radial", "E": 5}, "E: must be an object"),
+    ({"type": "radial"}, "params.E: missing"),
+    ({"type": "translation", "E": _SEGMENT, "curve": [[0, "q"], [1, 1]]},
+     "params.curve: must be a list of numbers, got [0, 'q']"),
+    ({"curve": "x"}, "params.curve: must be a list of points, got 'x'"),
+    ({"radii": ["a"]}, "params.radii: must be a list of numbers, got ['a']"),
+    ({"density": "x"}, "density: must be an object")],
+    ids=["x-string", "r-string", "n_max-float", "radius-string", "segment-not-pairs",
+         "segments-empty", "depth-string", "point-without-at", "E-not-object",
+         "E-missing", "curve-string-coordinate", "curve-string", "radii-string",
+         "density-not-object"])
+def test_malformed_survey_field_exits_two(params, msg, tmp_path, capsys):
+    # each ended in a TypeError, ValueError, KeyError or AttributeError
+    # traceback with exit 1
+    assert main(["run", _survey_config(tmp_path, **params)]) == 2
+    assert msg in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 def test_log_ring_survey_runs(tmp_path):
     density = {"kind": "log-ring", "a": 0.5}
     assert main(["run", _survey_config(tmp_path, density=density,

@@ -6,25 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from extremal import cover, geom
 from extremal.cover import (EggYolkPair, PairedFamily, affine_map, _disk_cloud,
-                            egg_yolk_cover, five_b_cover, normalize_comparable,
-                            random_paired_family, validate_egg_yolk)
+                            egg_yolk_cover, normalize_comparable,
+                            random_paired_family)
 from extremal.geom import Ball, DomainError, Region, balls_disjoint
-
-
-# ---------------------------------------------------------------------------
-# 5B covering
-
-def test_five_b_single_ball():
-    assert five_b_cover([Ball((1, 1), 2.0)]) == [0]
-
-
-def test_five_b_identical_overlapping_pair():
-    balls = [Ball((0, 0), 1.0), Ball((0, 0), 1.0)]
-    chosen = five_b_cover(balls)
-    assert len(chosen) == 1
-    # the 5-dilate of the chosen ball covers both
-    b5 = balls[chosen[0]].dilate(5.0)
-    assert b5.contains_point((0.9, 0))
 
 
 def test_covering_builds_fewer_trees_than_regions(monkeypatch):
@@ -39,43 +23,8 @@ def test_covering_builds_fewer_trees_than_regions(monkeypatch):
     assert 0 < len(trees) < len(regions)
 
 
-def test_five_b_random_balls_disjoint_and_cover():
-    rng = np.random.default_rng(12)
-    balls = [Ball(rng.uniform(0, 1, 2), float(rng.uniform(0.02, 0.12)))
-             for _ in range(100)]
-    chosen = five_b_cover(balls)
-    for i, a in enumerate(chosen):
-        for b in chosen[i + 1:]:
-            assert balls_disjoint(balls[a], balls[b])
-    # Monte Carlo containment: samples of the input union lie in the 5-dilates
-    pts = rng.uniform(-0.2, 1.2, size=(100_000, 2))
-    in_union = np.zeros(len(pts), bool)
-    for b in balls:
-        in_union |= np.linalg.norm(pts - b.center, axis=1) < b.radius
-    in_dilates = np.zeros(len(pts), bool)
-    for i in chosen:
-        b = balls[i]
-        in_dilates |= np.linalg.norm(pts - b.center, axis=1) < 5 * b.radius
-    assert bool((~in_dilates & in_union).sum()) == 0
-
-
 # ---------------------------------------------------------------------------
-# Egg-yolk validation
-
-def test_validate_concentric_four_pair():
-    A = _disk_cloud(np.zeros(2), 4.0, 0.2)
-    cert = validate_egg_yolk(EggYolkPair(A, Ball((0, 0), 1.0), 4.0))
-    assert cert.holds
-    assert abs(cert.tight_m - 4.0) < 0.1
-    assert cert.checks["yolk_separation"]
-
-
-def test_validate_fails_when_double_yolk_leaves_region():
-    A = _disk_cloud(np.zeros(2), 4.0, 0.2)
-    cert = validate_egg_yolk(EggYolkPair(A, Ball((0, 0), 3.0), 4.0))
-    assert not cert.holds
-    assert not cert.checks["2B_in_region"]
-
+# Egg-yolk pairs
 
 def test_pair_constant_at_least_two():
     A = _disk_cloud(np.zeros(2), 2.0, 0.2)
@@ -91,9 +40,7 @@ def test_diameter_chain_for_certified_pairs():
         M = float(rng.choice([2.0, 4.0, 8.0]))
         s = float(rng.uniform(2 * r, M * r))
         A = _disk_cloud(np.zeros(2), s, s / 9)
-        pair = EggYolkPair(A, Ball((0, 0), r), M)
-        cert = validate_egg_yolk(pair)
-        assert cert.holds
+        EggYolkPair(A, Ball((0, 0), r), M)
         dA = A.diameter()
         tol = 2.5 * A.pitch
         assert 2 * r <= dA + tol
@@ -118,22 +65,6 @@ def test_intersecting_yolks_comparable_diameters():
         bound = 1.0 / (M * (M + 1))
         assert d2 >= bound * d1 * 0.9
         assert d1 >= bound * d2 * 0.9
-
-
-def test_cluster_with_anchor_yolk_is_egg_yolk_pair():
-    # merging pairs that touch an anchor, diameters at most a * anchor's,
-    # stays an egg-yolk pair with constant at most (2a+1)M
-    M, a = 4.0, 2.0
-    anchor = EggYolkPair(_disk_cloud(np.zeros(2), 3.9, 0.15), Ball((0, 0), 1.0), M)
-    others = [EggYolkPair(_disk_cloud(np.array([3.0, 0.0]), 2.0, 0.15),
-                          Ball((3.0, 0.0), 0.6), M),
-              EggYolkPair(_disk_cloud(np.array([-2.5, 1.0]), 1.8, 0.15),
-                          Ball((-2.5, 1.0), 0.5), M)]
-    merged = np.vstack([anchor.region.samples] + [p.region.samples for p in others])
-    pair = EggYolkPair(Region(merged, 0.15), anchor.yolk, (2 * a + 1) * M)
-    cert = validate_egg_yolk(pair)
-    assert cert.holds
-    assert cert.tight_m <= (2 * a + 1) * M
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +190,6 @@ def test_cover_result_json_records():
     rec = obj["pairs"][0]
     assert set(rec) == {"domain_yolk", "range_yolk", "region_samples", "members"}
     assert obj["certified_constant"] == res.achieved_constant
-
-
-def test_five_b_empty_input_is_empty_output():
-    assert five_b_cover([]) == []
 
 
 def test_non_injective_correspondence_rejected():

@@ -22,8 +22,12 @@ ROT = linear_sampled_map(1.3 * np.array([[math.cos(0.6), -math.sin(0.6)],
 # Sampled maps
 
 def test_roundtrip_within_half_cell():
+    # f^-1(f(p)) at 64 seeded points one cell inside the domain
     for m in (IDENT, DIAG, ROT):
-        assert m.roundtrip_error() <= 0.5 * m.pitch
+        pts = np.random.default_rng(0).uniform(m.domain_lo + m.pitch,
+                                               m.domain_hi - m.pitch, size=(64, 2))
+        back = m.inverse(m.forward(pts))
+        assert np.linalg.norm(back - pts, axis=1).max() <= 0.5 * m.pitch
 
 
 def test_inverse_accuracy_affine():
@@ -255,21 +259,3 @@ def test_ring_qc_flags_fold_singularity():
     assert "error" not in small["table"][0]
     # regression trend from the first verified run
     assert small["C2_observed"] >= 1.25 * big["C2_observed"]
-
-
-def test_sampled_map_csv_roundtrip(tmp_path):
-    path = tmp_path / "map.csv"
-    small = linear_sampled_map(np.diag([2.0, 1.0]), lo=(-1, -1), hi=(1, 1),
-                               pitch=0.25)
-    small.to_csv(path)
-    back = SampledMap.from_csv(path)
-    assert back.pitch == small.pitch
-    assert np.allclose(back.values, small.values)
-    assert np.allclose(back.origin, small.origin)
-
-
-def test_probe_report_json():
-    probe = metric_distortion(DIAG, (0.2, 0.1), [0.2, 0.4])
-    obj = probe.to_json()
-    assert obj["H_estimate"] == probe.h_estimate
-    assert len(obj["L"]) == len(obj["radii"]) == 2

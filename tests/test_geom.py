@@ -7,21 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from extremal import geom, sets
 from extremal.geom import (Ball, DomainError, PolyCurve, Region, balls_disjoint,
-                           disk_region, eccentricity, ellipse_region,
                            hausdorff_content, hausdorff_normalization,
-                           line_integral, rect_region, relative_distance,
-                           translate_line_integrals)
+                           line_integral, translate_line_integrals)
 
 
 # ---------------------------------------------------------------------------
 # Balls
-
-def test_ball_dilation_preserves_center():
-    b = Ball((1.0, -2.0), 0.5)
-    b2 = b.dilate(3.0)
-    assert np.allclose(b2.center, b.center)
-    assert b2.radius == 1.5
-
 
 def test_ball_requires_positive_radius():
     with pytest.raises(DomainError):
@@ -67,58 +58,16 @@ def test_balls_disjoint_matches_fraction_reference(dim, data):
 
 
 # ---------------------------------------------------------------------------
-# Eccentricity
+# Regions
 
-def _rect_eccentricity_oracle(w, h, res=1e-3):
-    """Brute-force grid search over centers; closed-form per-center radii."""
-    xs = np.arange(res, w, res)
-    ys = np.arange(res, h, res)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    r_in = np.minimum.reduce([X, w - X, Y, h - Y])
-    corners = [(0, 0), (w, 0), (0, h), (w, h)]
-    r_out = np.zeros_like(X)
-    for cx, cy in corners:
-        r_out = np.maximum(r_out, np.hypot(X - cx, Y - cy))
-    return float((r_out / r_in).min())
-
-
-def test_eccentricity_unit_disk_is_one():
-    reg = disk_region((0.0, 0.0), 1.0, pitch=1 / 96)
-    est = eccentricity(reg, search_resolution=1 / 32)
-    assert abs(est - 1.0) <= 0.1
-
-
-def test_eccentricity_rectangle_matches_bruteforce_sqrt5():
-    oracle = _rect_eccentricity_oracle(2.0, 1.0)
-    assert abs(oracle - math.sqrt(5)) < 2e-3
-    reg = rect_region((0, 0), (2, 1), pitch=1 / 128)
-    est = eccentricity(reg, search_resolution=1 / 64)
-    # upper estimate converging from above as the sampling refines
-    assert est >= oracle - 0.02
-    assert est - oracle <= 0.08
-
-
-def test_eccentricity_ellipse_two_to_one():
-    reg = ellipse_region((0, 0), (2.0, 1.0), pitch=1 / 48)
-    est = eccentricity(reg, search_resolution=1 / 24)
-    assert abs(est - 2.0) <= 0.15
-
-
-@settings(max_examples=12, deadline=None)
-@given(lam=st.floats(0.5, 3.0), vx=st.floats(-2, 2), vy=st.floats(-2, 2))
-def test_eccentricity_scale_translation_invariant(lam, vx, vy):
-    pitch = 1 / 32
-    reg = ellipse_region((0, 0), (1.5, 1.0), pitch=pitch)
-    scaled = Region(reg.samples * lam + np.array([vx, vy]), pitch * lam)
-    e1 = eccentricity(reg, search_resolution=1 / 16)
-    e2 = eccentricity(scaled, search_resolution=lam / 16)
-    assert abs(e1 - e2) <= 1e-9
-
-
-def test_eccentricity_rejects_bad_resolution():
-    reg = disk_region((0, 0), 1.0, pitch=0.1)
-    with pytest.raises(DomainError):
-        eccentricity(reg, search_resolution=0.0)
+def _disk_samples(center, radius: float, pitch: float) -> np.ndarray:
+    """The cell centres of a pitch lattice over the disk's bounding box that
+    lie inside the open disk."""
+    center = np.asarray(center, float)
+    axes = [np.arange(l + pitch / 2, h, pitch)
+            for l, h in zip(center - radius, center + radius)]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return pts[np.linalg.norm(pts - center, axis=1) < radius]
 
 
 def test_region_requires_samples():
@@ -130,7 +79,7 @@ def test_region_builds_its_tree_once_on_first_query(monkeypatch):
     built = []
     tree = geom.cKDTree
     monkeypatch.setattr(geom, "cKDTree", lambda pts: built.append(len(pts)) or tree(pts))
-    reg = disk_region((0.2, -0.1), 0.5, 0.05)
+    reg = Region(_disk_samples((0.2, -0.1), 0.5, 0.05), 0.05)
     assert built == []
     probes = np.random.default_rng(4).uniform(-0.5, 0.8, size=(300, 2))
     got = reg.contains_points(probes)
@@ -138,7 +87,6 @@ def test_region_builds_its_tree_once_on_first_query(monkeypatch):
     # the answers of a tree built up front, as every Region once did
     d, _ = tree(reg.samples).query(probes, k=1)
     assert got.tolist() == (d <= 0.5 * reg.pitch * math.sqrt(2) + 1e-12).tolist()
-    reg.boundary_samples()
     assert reg.contains_points(probes).tolist() == got.tolist()
     assert built == [len(reg.samples)]
 
@@ -153,7 +101,7 @@ def _brute_diameter(pts):
 
 
 def test_cloud_diameter_exact_above_600_points():
-    pts = disk_region((0, 0), 0.3, 0.02).samples
+    pts = _disk_samples((0, 0), 0.3, 0.02)
     assert len(pts) == 716
     assert _brute_diameter(pts) == pytest.approx(0.5993329625508684, rel=1e-15)
     assert geom._cloud_diameter(pts) == pytest.approx(0.5993329625508684,
@@ -161,7 +109,7 @@ def test_cloud_diameter_exact_above_600_points():
 
 
 def test_eccentricity_of_boundary_far_radius_is_exact():
-    pts = disk_region((0, 0), 1.0, 1 / 100).samples
+    pts = _disk_samples((0, 0), 1.0, 1 / 100)
     assert len(pts) == 31428
     rng = np.random.default_rng(20211104)
     for c in rng.uniform(-0.5, 0.5, size=(400, 2)):
@@ -203,34 +151,6 @@ def test_hull_farthest_points_match_brute_force(pts):
 
 
 # ---------------------------------------------------------------------------
-# Relative distance
-
-def test_relative_distance_concentric_circles():
-    f1 = PolyCurve.circle((0, 0), 1.0, 512)
-    f2 = PolyCurve.circle((0, 0), 0.5, 512)
-    # dist = 1/2, min diam = 1: the (1-a)/(2a) value at a = 1/2
-    assert abs(relative_distance(f1, f2) - 0.5) < 0.01
-
-
-def test_relative_distance_touching_is_zero():
-    f1 = PolyCurve.segment((0, 0), (1, 0))
-    f2 = PolyCurve.segment((1, 0), (2, 1))
-    assert relative_distance(f1, f2) == 0.0
-
-
-def test_relative_distance_direct_definition():
-    f1 = PolyCurve.segment((0, 0), (1, 0))          # diam 1
-    f2 = PolyCurve.segment((3, 0), (3, 3))          # diam 3, dist 2
-    assert abs(relative_distance(f1, f2) - 2.0) < 1e-9
-
-
-def test_relative_distance_rejects_degenerate():
-    with pytest.raises(DomainError):
-        relative_distance(PolyCurve.segment((0, 0), (0, 0)),
-                          PolyCurve.segment((1, 1), (2, 2)))
-
-
-# ---------------------------------------------------------------------------
 # Hausdorff content
 
 def test_normalization_constants():
@@ -251,8 +171,7 @@ def test_content_cantor_scales_like_two_thirds(k):
 
 
 def test_content_unit_square_matches_area():
-    E = sets.packing_residual(sets.PackingSpec(
-        sets.BoxRegion((0, 0), (1, 1)), []))
+    E = sets.product_set(sets.interval_set(0, 1), sets.interval_set(0, 1))
     val = hausdorff_content(E, 2, delta=0.1)
     assert abs(val - 1.0) <= 0.05
 

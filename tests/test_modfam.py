@@ -120,10 +120,8 @@ def test_density_field_contract():
     with pytest.raises(DomainError):
         DensityField(np.array([[1.0, -0.5]]), 0.1, np.zeros(2), 2)
     rho = DensityField(np.array([[1.0, 2.0]]), 0.5, np.zeros(2), 2)
-    assert abs(rho.energy() - (1 + 4) * 0.25) < 1e-12
     assert rho.value_at_cell((0, 1)) == 2.0
     assert rho.value_at_cell((5, 5)) == 0.0
-    assert rho((0.25, 0.75)) == 2.0
 
 
 # ---------------------------------------------------------------------------

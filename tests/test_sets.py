@@ -6,14 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from extremal import modfam, sets
-from extremal.geom import DomainError, PolyCurve, hausdorff_content
-from extremal.sets import (BoxRegion, CantorSpec, CirclePrim, IntervalUnionSet,
-                           PackingSpec, PointPrim, PrimitiveUnionSet, Segment,
-                           TriangleRegion, UnsupportedIntersection, cned_probe,
-                           circle_obstacle_mask, curve_intersection_class,
-                           gasket_spec, interval_set, make_cantor,
-                           packing_residual, product_set,
-                           sierpinski_carpet_spec)
+from extremal.geom import DomainError, hausdorff_content
+from extremal.sets import (CantorSpec, IntervalUnionSet, cned_probe,
+                           circle_obstacle_mask, interval_set, make_cantor,
+                           product_set)
 
 
 # ---------------------------------------------------------------------------
@@ -83,39 +79,9 @@ def test_float_interval_queries_match_exact(ends):
 # ---------------------------------------------------------------------------
 # Products
 
-def test_product_point_times_interval():
-    g = IntervalUnionSet([(0, 0)])
-    f = interval_set(0, 1)
-    p = product_set(g, f)
-    assert p.contains((0.0, 0.5))
-    assert not p.contains((0.1, 0.5))
-
-
-def test_product_slice_classifications():
-    E = product_set(make_cantor(CantorSpec.middle_thirds(5)), interval_set(0, 1))
-    horizontal = PolyCurve.segment((-0.5, 0.5), (1.5, 0.5))
-    assert curve_intersection_class(E, horizontal).kind == "infinite-nulllength"
-    gap = PolyCurve.segment((0.5, -1.0), (0.5, 2.0))
-    assert curve_intersection_class(E, gap).kind == "empty"
-    at_endpoint = PolyCurve.segment((Fraction(1, 3), -1.0), (Fraction(1, 3), 2.0))
-    assert curve_intersection_class(E, at_endpoint).kind == "positive-length"
-
-
-def test_fat_product_slice_is_positive_length():
-    E = product_set(make_cantor(CantorSpec.fat(5)), interval_set(0, 1))
-    horizontal = PolyCurve.segment((-0.5, 0.5), (1.5, 0.5))
-    assert curve_intersection_class(E, horizontal).kind == "positive-length"
-
-
 def test_product_area_is_product_of_measures():
     g = make_cantor(CantorSpec.fat(5))
     assert float(g.measure()) * 1.0 == pytest.approx(float(g.measure()))
-
-
-def test_oblique_against_product_raises():
-    E = product_set(make_cantor(CantorSpec.middle_thirds(3)), interval_set(0, 1))
-    with pytest.raises(UnsupportedIntersection):
-        curve_intersection_class(E, PolyCurve.segment((0, 0), (1, 1)))
 
 
 def test_cantor_square_content_does_not_vanish():
@@ -123,103 +89,6 @@ def test_cantor_square_content_does_not_vanish():
     E = product_set(c, c)
     vals = [hausdorff_content(E, 1.0, delta=d) for d in (1 / 4, 1 / 16, 1 / 64)]
     assert all(v > 0.3 for v in vals)
-
-
-# ---------------------------------------------------------------------------
-# Packings
-
-def test_square_annulus_frame():
-    frame = packing_residual(PackingSpec(
-        BoxRegion((0, 0), (1, 1)),
-        [BoxRegion((Fraction(1, 4), Fraction(1, 4)),
-                   (Fraction(3, 4), Fraction(3, 4)))]))
-    assert frame.contains((0.1, 0.1))
-    assert frame.contains((0.25, 0.5))      # boundary of the hole stays
-    assert not frame.contains((0.5, 0.5))
-    assert frame.residual_area() == Fraction(3, 4)
-
-
-def test_carpet_generation_areas_and_validation():
-    res = packing_residual(sierpinski_carpet_spec(3))
-    assert res.residual_area() == Fraction(8, 9) ** 3
-    assert not res.contains((0.5, 0.5))
-    assert res.contains((0.0, 0.0))
-
-
-def test_gasket_generation_three_area():
-    res = packing_residual(gasket_spec(3))
-    assert res.residual_area() == Fraction(1, 2) * Fraction(3, 4) ** 3
-
-
-def test_overlapping_packing_rejected():
-    spec = PackingSpec(BoxRegion((0, 0), (4, 4)),
-                       [BoxRegion((0, 0), (2, 2)), BoxRegion((1, 1), (3, 3))])
-    with pytest.raises(DomainError):
-        packing_residual(spec)
-
-
-def test_escaping_packing_rejected():
-    spec = PackingSpec(BoxRegion((0, 0), (1, 1)), [BoxRegion((0.5, 0.5), (2, 2))])
-    with pytest.raises(DomainError):
-        packing_residual(spec)
-
-
-def test_gasket_boundary_intersections_are_points():
-    # removed medial triangles touch in finitely many points: no edge of one
-    # overlaps an edge of another with positive length
-    spec = gasket_spec(2)
-    segs = []
-    for t in spec.packed:
-        segs.extend(t.edges())
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            _, ivs = sets._segment_segment_exact(segs[i][0], segs[i][1],
-                                                 segs[j][0], segs[j][1])
-            for lo, hi in ivs:
-                assert lo == hi
-
-
-def test_residual_segment_classification():
-    frame = packing_residual(PackingSpec(
-        BoxRegion((0, 0), (1, 1)),
-        [BoxRegion((Fraction(1, 4), Fraction(1, 4)),
-                   (Fraction(3, 4), Fraction(3, 4)))]))
-    crossing = PolyCurve.segment((-0.5, 0.5), (1.5, 0.5))
-    cls = curve_intersection_class(frame, crossing)
-    assert cls.kind == "positive-length"
-    inside_hole = PolyCurve.segment((0.3, 0.5), (0.7, 0.5))
-    cls2 = curve_intersection_class(frame, inside_hole)
-    assert cls2.kind == "empty"
-
-
-# ---------------------------------------------------------------------------
-# Primitive unions and exactness
-
-def test_primitive_classification_counts():
-    E = PrimitiveUnionSet([Segment((0.0, 0.0), (1.0, 0.0)),
-                           PointPrim((0.75, 0.25))])
-    diag = PolyCurve.segment((0.0, -0.5), (1.0, 0.5))  # hits both primitives
-    cls = curve_intersection_class(E, diag)
-    assert cls.kind == "finite"
-    assert cls.count == 2
-
-
-def test_intersection_points_satisfy_membership():
-    # a point reported by intersection must pass the membership predicate
-    E = PrimitiveUnionSet([Segment((0.0, 0.0), (1.0, 0.0))])
-    diag = PolyCurve.segment((0.25, -1.0), (0.25, 1.0))
-    cls = curve_intersection_class(E, diag)
-    assert cls.count == 1
-    for seg in cls.detail:
-        if seg["class"] == "finite":
-            pass
-    assert E.contains((0.25, 0.0))
-
-
-def test_collinear_overlap_is_positive_length():
-    E = PrimitiveUnionSet([Segment((0.0, 0.0), (1.0, 0.0))])
-    overlap = PolyCurve.segment((0.5, 0.0), (2.0, 0.0))
-    assert curve_intersection_class(E, overlap).kind == "positive-length"
 
 
 # ---------------------------------------------------------------------------
@@ -327,24 +196,12 @@ def test_circle_mask_is_supercover():
         assert mask[cell]
 
 
-def test_json_roundtrips():
-    c = make_cantor(CantorSpec.middle_thirds(3))
-    c2 = IntervalUnionSet.from_json(c.to_json())
-    assert c2.intervals == c.intervals
-    E = product_set(c, interval_set(0, 1))
-    assert E.to_json()["kind"] == "product"
-    res = packing_residual(sierpinski_carpet_spec(1))
-    assert res.to_json()["kind"] == "packing_residual"
-
-
 def test_empty_classification_consistent_with_avoid_routing():
-    # a vertical segment through a gap is classified empty, and the
-    # avoid-mode search can route paths through the same gap column
+    # the avoid-mode search routes paths through the gap column of the
+    # rastered product
     sc = modfam.rectangle_scene(1.0, 1.0, 81)
     third = make_cantor(CantorSpec.middle_thirds(1))  # [0,1/3] u [2/3,1]
     E = product_set(third, interval_set(-1.0, 2.0))
-    gap_segment = PolyCurve.segment((0.5, -1.0), (0.5, 2.0))
-    assert curve_intersection_class(E, gap_segment).kind == "empty"
     mask = sets.raster_mask(E, sc)
     # family joins bottom to top: the gap column is the only way through
     u = sc.u
