@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from extremal import modfam, sets
 from extremal.geom import DomainError, hausdorff_content
-from extremal.sets import (CantorSpec, IntervalUnionSet, cned_probe,
+from extremal.sets import (CantorSpec, IntervalUnionSet, PointPrim,
+                           PrimitiveUnionSet, Segment, cned_probe,
                            circle_obstacle_mask, interval_set, make_cantor,
                            product_set)
 
@@ -79,6 +80,39 @@ def test_float_interval_queries_match_exact(ends):
 # ---------------------------------------------------------------------------
 # Products
 
+def _length(intervals) -> Fraction:
+    return sum((b - a for a, b in intervals), Fraction(0))
+
+
+def test_product_point_times_interval():
+    # a point of the plane is a degenerate box
+    g = IntervalUnionSet([(0, 0)])
+    f = interval_set(0, 1)
+    p = product_set(g, f)
+    pts = np.array([[0.0, 0.5], [0.1, 0.5]])
+    assert p.intersects_boxes_batch(pts, pts).tolist() == [True, False]
+
+
+def test_product_slice_classifications():
+    # axis-parallel segments as degenerate boxes: the horizontal slice at
+    # y = 1/2 is the Cantor factor, the vertical one through the gap at
+    # x = 1/2 is empty, the one through the endpoint 1/3 is a unit segment
+    E = product_set(make_cantor(CantorSpec.middle_thirds(5)), interval_set(0, 1))
+    lo = np.array([[-0.5, 0.5], [0.5, -1.0], [1 / 3, -1.0]])
+    hi = np.array([[1.5, 0.5], [0.5, 2.0], [1 / 3, 2.0]])
+    assert E.intersects_boxes_batch(lo, hi).tolist() == [True, False, True]
+    assert _length(E.gx.intersect_interval(-0.5, 1.5)) == Fraction(2, 3) ** 5
+    assert E.gx.limit_measure_zero
+    assert _length(E.fy.intersect_interval(-1.0, 2.0)) == 1
+
+
+def test_fat_product_slice_is_positive_length():
+    E = product_set(make_cantor(CantorSpec.fat(5)), interval_set(0, 1))
+    lo, hi = np.array([[-0.5, 0.5]]), np.array([[1.5, 0.5]])
+    assert E.intersects_boxes_batch(lo, hi).tolist() == [True]
+    assert _length(E.gx.intersect_interval(-0.5, 1.5)) == E.gx.measure() > 0
+    assert not E.gx.limit_measure_zero
+
 def test_product_area_is_product_of_measures():
     g = make_cantor(CantorSpec.fat(5))
     assert float(g.measure()) * 1.0 == pytest.approx(float(g.measure()))
@@ -89,6 +123,34 @@ def test_cantor_square_content_does_not_vanish():
     E = product_set(c, c)
     vals = [hausdorff_content(E, 1.0, delta=d) for d in (1 / 4, 1 / 16, 1 / 64)]
     assert all(v > 0.3 for v in vals)
+
+
+# ---------------------------------------------------------------------------
+# Primitive unions
+
+def test_primitive_classification_counts():
+    E = PrimitiveUnionSet([Segment((0.0, 0.0), (1.0, 0.0)),
+                           PointPrim((0.75, 0.25))])
+    # the diagonal hits both primitives
+    counts = E.count_segment_hits_batch([(0.0, -0.5)], [(1.0, 0.5)])
+    assert counts.tolist() == [2.0]
+
+
+def test_intersection_points_satisfy_membership():
+    # the point where a curve crosses E lies on E's segment
+    E = PrimitiveUnionSet([Segment((0.0, 0.0), (1.0, 0.0))])
+    assert E.count_segment_hits_batch([(0.25, -1.0)], [(0.25, 1.0)]).tolist() == [1.0]
+    for p, hits in (((0.25, 0.0), 1.0), ((0.25, 0.1), 0.0)):
+        at = PrimitiveUnionSet([PointPrim(p)])
+        assert at.count_segment_hits_batch([(0.0, 0.0)], [(1.0, 0.0)]).tolist() == [hits]
+
+
+def test_collinear_overlap_is_positive_length():
+    E = PrimitiveUnionSet([Segment((0.0, 0.0), (1.0, 0.0))])
+    counts = E.count_segment_hits_batch([(0.5, 0.0), (1.0, 0.0)],
+                                        [(2.0, 0.0), (2.0, 0.0)])
+    # a positive-length overlap counts inf, a shared endpoint once
+    assert counts.tolist() == [math.inf, 1.0]
 
 
 # ---------------------------------------------------------------------------
