@@ -102,6 +102,16 @@ def _integer(where: str, v) -> int:
     return v
 
 
+def _positive(where: str, v):
+    if not (math.isfinite(_number(where, v)) and v > 0):
+        raise ConfigError(f"{where}: must be positive and finite, got {v!r}")
+
+
+def _depth(where: str, v):
+    if _integer(where, v) < 0:
+        raise ConfigError(f"{where}: must be a non-negative integer, got {v!r}")
+
+
 def _numbers(where: str, v, dim: int | None = None):
     """A nonempty list of numbers, such as a point (of ``dim`` coordinates
     when given)."""
@@ -148,8 +158,26 @@ def _validate_distortion(p: dict):
 
 def _validate_qh(p: dict):
     _need(p, "domain", "mode")
-    if p["mode"] not in ("distance", "shadow-sum", "whitney"):
-        raise ConfigError(f"params.mode: unknown quasihyperbolic mode {p['mode']!r}")
+    mode = p["mode"]
+    if mode == "distance":
+        _need(p, "x1", "x2")
+        _numbers("params.x1", p["x1"], 2)
+        _numbers("params.x2", p["x2"], 2)
+        _positive("params.pitch", p.get("pitch", 0.01))
+    elif mode == "whitney":
+        _depth("params.max_depth", p.get("max_depth", 6))
+    elif mode == "shadow-sum":
+        _numbers("params.x0", p.get("x0", (0.0, 0.0)), 2)
+        levels = p.get("levels", [])
+        if not isinstance(levels, list):
+            raise ConfigError(f"params.levels: must be a list of objects, got {levels!r}")
+        for k, lev in enumerate(levels):
+            where = f"params.levels[{k}]"
+            _need(_object(where, lev), "max_depth", "qh_pitch", where=where)
+            _depth(f"{where}.max_depth", lev["max_depth"])
+            _positive(f"{where}.qh_pitch", lev["qh_pitch"])
+    else:
+        raise ConfigError(f"params.mode: unknown quasihyperbolic mode {mode!r}")
 
 
 def _validate_sets_probe(p: dict):

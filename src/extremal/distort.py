@@ -34,18 +34,17 @@ class SampledMap:
     the bilinear patch.
     """
 
-    def __init__(self, origin, pitch: float, values: np.ndarray, name: str = ""):
+    def __init__(self, origin, pitch: float, values: np.ndarray):
         self.origin = np.asarray(origin, float)
         self.pitch = float(pitch)
         self.values = np.asarray(values, float)
         if self.values.ndim != 3 or self.values.shape[2] != 2:
             raise DomainError("sampled maps store (nx, ny, 2) node values")
-        self.name = name
         self._node_pts = self.node_points().reshape(-1, 2)
         self._img_tree = cKDTree(self.values.reshape(-1, 2))
 
     @staticmethod
-    def from_function(f: Callable, lo, hi, pitch: float, name: str = "") -> "SampledMap":
+    def from_function(f: Callable, lo, hi, pitch: float) -> "SampledMap":
         lo = np.asarray(lo, float)
         hi = np.asarray(hi, float)
         nx = int(round((hi[0] - lo[0]) / pitch)) + 1
@@ -55,7 +54,7 @@ class SampledMap:
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         pts = np.stack([X.ravel(), Y.ravel()], axis=1)
         vals = np.asarray(f(pts), float).reshape(nx, ny, 2)
-        return SampledMap(lo, pitch, vals, name=name)
+        return SampledMap(lo, pitch, vals)
 
     @property
     def shape(self) -> tuple:
@@ -312,7 +311,6 @@ def image_ring_scene(f: SampledMap, center, r: float, R: float,
 
 
 def linear_sampled_map(matrix, lo=(-4.0, -4.0), hi=(4.0, 4.0),
-                       pitch: float = 0.05, name: str = "") -> SampledMap:
+                       pitch: float = 0.05) -> SampledMap:
     mat = np.asarray(matrix, float)
-    return SampledMap.from_function(lambda p: p @ mat.T, lo, hi, pitch,
-                                    name=name or "linear")
+    return SampledMap.from_function(lambda p: p @ mat.T, lo, hi, pitch)

@@ -23,15 +23,14 @@ from scipy.spatial import cKDTree
 from .geom import DomainError, PolyCurve, _cloud_diameter
 
 _SNAP = 2 ** 24   # vertex coordinates are multiples of 1/_SNAP
-# pairs per chunk of the array kernels: point x edge in _crossing_number and
-# _points_segments_dist, cube x segment end in the Whitney frontier's
-# _cube_boundary_dist and _segments_hit_boxes.  The float temporaries (128 KB
-# each) stay in cache and below glibc's heap trim threshold; at 2**16 pairs
-# one chunk's temporaries were returned to the OS and faulted in again chunk
-# after chunk early in a process (a fresh process building the 128-edge
-# disk's grids at pitch 0.02, then 0.01: 0.99-1.05 s and 220k minor faults
-# for the second, against 0.55-0.71 s and 5.6k at 2**14), and at 2**18 the
-# point kernels ran 1.5-2.7x slower on 200k points
+# pairs per chunk of the Whitney frontier's kernels, cube x segment end in
+# _cube_boundary_dist and _segments_hit_boxes, and of _points_segments_dist,
+# bucket centre x segment and point x kept segment.  The float temporaries (128 KB each) stay in cache
+# and below glibc's heap trim threshold; at 2**16 pairs one chunk's
+# temporaries were returned to the OS and faulted in again chunk after chunk
+# early in a process (a fresh process building the 128-edge disk's grids at
+# pitch 0.02, then 0.01: 0.99-1.05 s and 220k minor faults for the second,
+# against 0.55-0.71 s and 5.6k at 2**14)
 _CHUNK_PAIRS = 2 ** 14
 
 
@@ -42,10 +41,9 @@ _CHUNK_PAIRS = 2 ** 14
 class PolygonDomain:
     """Open region bounded by a simple polygon (optionally with holes)."""
 
-    def __init__(self, outer, holes=(), name: str = ""):
+    def __init__(self, outer, holes=()):
         self.outer = _snap(np.asarray(outer, float))
         self.holes = [_snap(np.asarray(h, float)) for h in holes]
-        self.name = name
         segs = [_ring_segments(self.outer)]
         segs += [_ring_segments(h) for h in self.holes]
         self.segments = np.concatenate(segs, axis=0)
@@ -88,40 +86,86 @@ def _ring_segments(ring: np.ndarray) -> np.ndarray:
 
 
 def _crossing_number(pts: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    """Even-odd membership in one ring, vectorized over points x edges.
+    """Even-odd membership in one ring.
 
-    The parity of the crossings right of each point is one xor-reduction
-    per chunk of points.
+    The points are sorted by y once.  Edge k straddles the y with
+    min(y1, y2) <= y < max(y1, y2), one contiguous run of the sorted points
+    found by two binary searches, and its crossing test runs on that run
+    only; a point's parity flips at each crossing strictly right of it.  The
+    cost is one sort plus one comparison per point and straddling edge,
+    where the all-pairs form paid one per point and edge.  The crossing
+    abscissa keeps the expression x1 + (y - y1) * dx / dy, so every bit is
+    the same as the all-pairs form gives.
     """
     x1, y1 = ring[:, 0], ring[:, 1]
     nxt = np.roll(ring, -1, axis=0)
-    x2, y2 = nxt[:, 0], nxt[:, 1]
-    dx, dy = x2 - x1, y2 - y1
-    inside = np.zeros(len(pts), bool)
-    rows = max(1, _CHUNK_PAIRS // len(ring))
-    for i in range(0, len(pts), rows):
-        x = pts[i:i + rows, 0:1]
-        y = pts[i:i + rows, 1:2]
-        cond = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xcross = x1 + (y - y1) * dx / dy
-        inside[i:i + rows] = np.logical_xor.reduce(cond & (x < xcross), axis=1)
+    dx, dy = nxt[:, 0] - x1, nxt[:, 1] - y1
+    order = np.argsort(pts[:, 1], kind="stable")
+    x, y = pts[order, 0], pts[order, 1]
+    first = np.searchsorted(y, np.minimum(y1, nxt[:, 1]), "left")
+    stop = np.searchsorted(y, np.maximum(y1, nxt[:, 1]), "left")
+    odd = np.zeros(len(pts), bool)
+    for k in np.flatnonzero(stop > first).tolist():
+        run = slice(first[k], stop[k])
+        odd[run] ^= x[run] < x1[k] + (y[run] - y1[k]) * dx[k] / dy[k]
+    inside = np.empty(len(pts), bool)
+    inside[order] = odd
     return inside
+
+
+# points per bucket of _points_segments_dist: on 100k-point clouds and
+# lattices of the disk, the cusp and the comb, 256 to 512 were fastest; 64
+# paid for its loop on the 20-edge comb (2x), 1024 kept too many of the
+# disk's 128 segments per bucket
+_BUCKET_POINTS = 256
 
 
 def _points_segments_dist(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance from each point to the nearest segment [a_k, b_k].
 
-    x and y are kept as separate (points, segments) arrays per chunk of
-    points; p - (a + t d) keeps this order of operations, so every distance
-    is the same float as the 2-vector projection formula gives.
+    The points are bucketed on a uniform g x g grid over their bounding box,
+    about _BUCKET_POINTS to a bucket.  A point p of a bucket with centre c
+    and half-diagonal r has its nearest segment s* among those with
+    dist(c, s) <= min_s dist(c, s) + 2r: dist(c, s*) <= dist(p, s*) + r and
+    dist(p, s*) <= min_s dist(c, s) + r.  The margin of 1e-9 times the
+    coordinate scale covers float rounding in both distances and in the
+    bucket of a point on a border.  Each bucket's points then go through the
+    element-wise _seg_dist2 against its kept segments only.  Both passes run
+    in chunks of at most _CHUNK_PAIRS pairs, so a clustered cloud (one far
+    outlier puts nearly every point in one bucket) stays in bounded memory.
+    x and y stay separate (points, segments) arrays and p - (a + t d) keeps
+    its order of operations, so every distance is the same float as the
+    2-vector projection formula over all segments.
     """
     ax, ay, dx, dy, L2 = _seg_frame(a, b)
     out = np.empty(len(pts))
-    rows = max(1, _CHUNK_PAIRS // len(a))
-    for i in range(0, len(pts), rows):
-        px, py = pts[i:i + rows, 0:1], pts[i:i + rows, 1:2]
-        out[i:i + rows] = np.sqrt(_seg_dist2(px, py, ax, ay, dx, dy, L2).min(axis=1))
+    if not len(pts):
+        return out
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    g = max(1, round(math.sqrt(len(pts) / _BUCKET_POINTS)))
+    w = (hi - lo) / g
+    cell = np.minimum(((pts - lo) / np.where(w > 0, w, 1.0)).astype(np.int64), g - 1)
+    bucket = cell[:, 0] * g + cell[:, 1]
+    order = np.argsort(bucket)
+    bucket = bucket[order]
+    start = np.flatnonzero(np.diff(bucket, prepend=-1))
+    ids = bucket[start]
+    ends = np.append(start[1:], len(pts)).tolist()
+    centres = lo + (np.stack([ids // g, ids % g], axis=1) + 0.5) * w
+    slack = math.hypot(w[0], w[1]) + 1e-9 * max(np.abs(pts).max(), np.abs(a).max(),
+                                                np.abs(b).max())
+    keep = []
+    step = max(1, _CHUNK_PAIRS // len(ax))
+    for c in (centres[k:k + step] for k in range(0, len(centres), step)):
+        dc = np.sqrt(_seg_dist2(c[:, 0:1], c[:, 1:2], ax, ay, dx, dy, L2))
+        keep += list(dc <= dc.min(axis=1, keepdims=True) + slack)
+    for kept, i0, i1 in zip(keep, start.tolist(), ends):
+        s = np.flatnonzero(kept)
+        seg = ax[s], ay[s], dx[s], dy[s], L2[s]
+        rows = max(1, _CHUNK_PAIRS // len(s))
+        for j in range(i0, i1, rows):
+            i = order[j:min(j + rows, i1)]
+            out[i] = np.sqrt(_seg_dist2(pts[i, 0:1], pts[i, 1:2], *seg).min(axis=1))
     return out
 
 
@@ -150,15 +194,13 @@ def disk_domain(radius: float = 1.0, n_vertices: int = 128,
                 center=(0.0, 0.0)) -> PolygonDomain:
     th = np.linspace(0, 2 * math.pi, n_vertices, endpoint=False)
     c = np.asarray(center, float)
-    return PolygonDomain(c + radius * np.stack([np.cos(th), np.sin(th)], axis=1),
-                         name=f"disk(r={radius})")
+    return PolygonDomain(c + radius * np.stack([np.cos(th), np.sin(th)], axis=1))
 
 
 def square_domain(side: float = 1.0, corner=(0.0, 0.0)) -> PolygonDomain:
     x0, y0 = corner
     s = side
-    return PolygonDomain([(x0, y0), (x0 + s, y0), (x0 + s, y0 + s), (x0, y0 + s)],
-                         name="square")
+    return PolygonDomain([(x0, y0), (x0 + s, y0), (x0 + s, y0 + s), (x0, y0 + s)])
 
 
 def cusp_domain(exponent: float = 8.0, x_min: float = 0.35,
@@ -178,7 +220,7 @@ def cusp_domain(exponent: float = 8.0, x_min: float = 0.35,
     verts += [tuple(p) for p in upper[1:]]
     verts += [tuple(p) for p in lower]
     verts += [(mouth + 0.5, -0.5)]
-    return PolygonDomain(list(reversed(verts)), name="cusp")
+    return PolygonDomain(list(reversed(verts)))
 
 
 def comb_domain(teeth: int = 4, slit_width: float = 0.02,
@@ -192,7 +234,7 @@ def comb_domain(teeth: int = 4, slit_width: float = 0.02,
                   (x - slit_width / 2, 1.0 - slit_depth),
                   (x - slit_width / 2, 1.0)]
     verts += [(0.0, 1.0)]
-    return PolygonDomain(verts, name="comb")
+    return PolygonDomain(verts)
 
 
 # ---------------------------------------------------------------------------
@@ -634,40 +676,47 @@ def shadows(domain: PolygonDomain, x0, decomp: WhitneyDecomposition) -> dict:
     np.minimum.at(parent, v[tight], u[tight])
     parent[parent == n] = -1
     parent[root] = -1
-    parent = parent.tolist()
     samples = domain.boundary_samples(min(q.side for q in cubes))
-    tree = cKDTree(centers)
-    _, near = tree.query(samples, k=min(8, n))
-    near = np.atleast_2d(near)
-    shadow_sets: list[list[int]] = [[] for _ in range(n)]
-    for si in range(len(samples)):
-        cands = near[si]
-        best, best_key = None, None
-        for c in cands:
-            q = cubes[int(c)]
-            dx = max(q.corner[0] - samples[si, 0], 0,
-                     samples[si, 0] - q.corner[0] - q.side)
-            dy = max(q.corner[1] - samples[si, 1], 0,
-                     samples[si, 1] - q.corner[1] - q.side)
-            key = (math.hypot(dx, dy), q.side, int(c))
-            if best_key is None or key < best_key:
-                best, best_key = int(c), key
-        node = best
-        seen = set()
-        while node != -1 and node not in seen:
-            shadow_sets[node].append(si)
-            seen.add(node)
-            node = parent[node]
     records = []
-    for k in range(n):
-        idx = np.array(sorted(set(shadow_sets[k])), int)
-        if len(idx) >= 2:
-            s = _cloud_diameter(samples[idx])
-        else:
-            s = 0.0
+    for k, idx in enumerate(_route_samples(samples, cubes, centers, parent)):
+        s = _cloud_diameter(samples[idx]) if len(idx) >= 2 else 0.0
         records.append(ShadowRecord(k, idx, float(s)))
-    return {"records": records, "parent": parent, "root": root,
+    return {"records": records, "parent": parent.tolist(), "root": root,
             "boundary_samples": samples, "tree_distances": dist.tolist()}
+
+
+def _route_samples(samples: np.ndarray, cubes: list, centers: np.ndarray,
+                   parent: np.ndarray) -> list:
+    """For each cube, the sorted indices of the boundary samples whose route
+    to the root passes through it.
+
+    A sample starts at the least of its 8 nearest cubes by centre under the
+    key (distance from the sample to the closed cube, side, index), and
+    walks the parent pointers to the root, all samples one tree level at a
+    time.  A route visits each cube at most once, so n steps end every
+    route; a sample is recorded once per cube even on a route that loops.
+    """
+    n = len(cubes)
+    near = cKDTree(centers).query(samples, k=min(8, n))[1].reshape(len(samples), -1)
+    lo = np.array([q.corner for q in cubes])[near]
+    side = np.array([q.side for q in cubes])[near]
+    sx, sy = samples[:, 0:1], samples[:, 1:2]
+    gx = np.maximum(np.maximum(lo[..., 0] - sx, 0), sx - lo[..., 0] - side)
+    gy = np.maximum(np.maximum(lo[..., 1] - sy, 0), sy - lo[..., 1] - side)
+    best = np.lexsort((near, side, np.hypot(gx, gy)), axis=-1)[:, 0]
+    node = near[np.arange(len(samples)), best]
+    sample = np.arange(len(samples))
+    hops = []
+    for _ in range(n):
+        on = node != -1
+        if not on.any():
+            break
+        node, sample = node[on], sample[on]
+        hops.append(node * len(samples) + sample)
+        node = parent[node]
+    hops = np.unique(np.concatenate(hops))
+    cube, idx = np.divmod(hops, len(samples))
+    return np.split(idx, np.searchsorted(cube, np.arange(1, n)))
 
 
 def _cube_containing(cubes, p) -> int | None:

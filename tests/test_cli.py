@@ -361,6 +361,45 @@ def test_malformed_survey_field_exits_two(params, msg, tmp_path, capsys):
     assert not (tmp_path / "out" / "results.json").exists()
 
 
+def _qh_config(tmp_path, **params):
+    path = tmp_path / "qh.json"
+    path.write_text(json.dumps({
+        "kind": "quasihyperbolic", "out": str(tmp_path / "out"),
+        "params": {"domain": {"builder": "disk"}, **params}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("params, msg", [
+    ({"mode": "distance", "x1": [0, 0]}, "params.x2: missing"),
+    ({"mode": "distance", "x1": [0, 0], "x2": [0, 0.5], "pitch": "x"},
+     "params.pitch: must be a number, got 'x'"),
+    ({"mode": "shadow-sum", "levels": [{"max_depth": 4}]},
+     "params.levels[0].qh_pitch: missing"),
+    ({"mode": "whitney", "max_depth": "6"},
+     "params.max_depth: must be an integer, got '6'"),
+    ({"mode": "distance", "x1": [0, 0, 0], "x2": [0, 0.5]},
+     "params.x1: must have 2 coordinates"),
+    ({"mode": "distance", "x1": [0, 0], "x2": [0, 0.5], "pitch": 0},
+     "params.pitch: must be positive and finite, got 0"),
+    ({"mode": "whitney", "max_depth": -1},
+     "params.max_depth: must be a non-negative integer, got -1"),
+    ({"mode": "shadow-sum", "x0": "origin"},
+     "params.x0: must be a list of numbers, got 'origin'"),
+    ({"mode": "shadow-sum", "levels": {"max_depth": 4, "qh_pitch": 0.02}},
+     "params.levels: must be a list of objects"),
+    ({"mode": "shadow-sum", "levels": [5]}, "params.levels[0]: must be an object, got 5"),
+    ({"mode": "shadow-sum", "levels": [{"max_depth": 4, "qh_pitch": -0.02}]},
+     "params.levels[0].qh_pitch: must be positive and finite, got -0.02")],
+    ids=["distance-without-x2", "pitch-string", "level-without-qh_pitch",
+         "max_depth-string", "x1-3d", "pitch-zero", "max_depth-negative",
+         "x0-string", "levels-not-list", "level-not-object", "qh_pitch-negative"])
+def test_malformed_quasihyperbolic_field_exits_two(params, msg, tmp_path, capsys):
+    # the first four ended in a KeyError or TypeError traceback with exit 1
+    assert main(["run", _qh_config(tmp_path, **params)]) == 2
+    assert msg in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 def test_log_ring_survey_runs(tmp_path):
     density = {"kind": "log-ring", "a": 0.5}
     assert main(["run", _survey_config(tmp_path, density=density,

@@ -177,7 +177,7 @@ def _ref_eccentric_distortion(f, x, r, ladder_steps=3, n_boundary=96):
 # probe other than x wins on a pullback level
 SHEAR = SampledMap.from_function(
     lambda p: np.stack([p[:, 0] + 2.0 * p[:, 1] ** 2, p[:, 1]], axis=1),
-    (-4.0, -4.0), (4.0, 4.0), 0.05, name="parabolic-shear")
+    (-4.0, -4.0), (4.0, 4.0), 0.05)
 
 
 @settings(max_examples=40, deadline=None)

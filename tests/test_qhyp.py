@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 from hypothesis import given, settings, strategies as st
 
-from extremal import qhyp
+from extremal import geom, qhyp
 from extremal.geom import DomainError
 from extremal.qhyp import (PolygonDomain, QhGrid, comb_domain, cusp_domain,
                            disk_domain, qh_distance, shadow_sum_diagnostic,
@@ -119,6 +120,132 @@ def test_kernels_bit_identical_on_vertices_edges_and_chunks(ring):
                               _ref_crossing_number(pts, ring))
         assert np.array_equal(qhyp._points_segments_dist(pts, a, b),
                               _ref_points_segments_dist(pts, a, b))
+
+
+# The mechanism of the two kernels: the crossing test runs on the run of
+# y-sorted points each edge straddles, and the distance kernel keeps, per
+# bucket of points, only the segments that can be nearest.  Each case is one
+# where a wrong run or a wrong prune would flip a bit.
+
+def _assert_kernels_match(pts, rings):
+    segs = np.concatenate([qhyp._ring_segments(r) for r in rings])
+    a, b = segs[:, 0], segs[:, 1]
+    for ring in rings:
+        assert np.array_equal(qhyp._crossing_number(pts, ring),
+                              _ref_crossing_number(pts, ring))
+    assert np.array_equal(qhyp._points_segments_dist(pts, a, b),
+                          _ref_points_segments_dist(pts, a, b))
+
+
+def _lattice(lo, hi, n):
+    X, Y = np.meshgrid(np.linspace(lo[0], hi[0], n), np.linspace(lo[1], hi[1], n),
+                       indexing="ij")
+    return np.stack([X.ravel(), Y.ravel()], axis=1)
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=["disk", "square", "comb", "cusp"])
+def test_kernels_on_a_lattice_with_many_points_per_row(ring):
+    lo, hi = ring.min(axis=0) - 0.05, ring.max(axis=0) + 0.05
+    pts = _lattice(lo, hi, 150)                 # 150 points on each of 150 rows
+    _assert_kernels_match(pts, [ring])
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=["disk", "square", "comb", "cusp"])
+def test_kernels_at_crossing_abscissae_and_vertices(ring):
+    # on every vertex row and every row halfway between two of them, each
+    # edge's crossing abscissa itself and its two float neighbours, plus
+    # every vertex
+    x1, y1 = ring[:, 0], ring[:, 1]
+    nxt = np.roll(ring, -1, axis=0)
+    dx, dy = nxt[:, 0] - x1, nxt[:, 1] - y1
+    vy = np.unique(y1)
+    y = np.concatenate([vy, (vy[1:] + vy[:-1]) / 2])[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xc = x1 + (y - y1) * dx / dy
+    on = ((y1 > y) != (nxt[:, 1] > y)) & np.isfinite(xc)
+    xs = xc[on]
+    ys = np.broadcast_to(y, xc.shape)[on]
+    pts = np.concatenate([np.stack([np.nextafter(xs, -np.inf), ys], axis=1),
+                          np.stack([xs, ys], axis=1),
+                          np.stack([np.nextafter(xs, np.inf), ys], axis=1), ring])
+    assert len(xs) >= 2 * len(vy)
+    _assert_kernels_match(pts, [ring])
+
+
+def test_kernels_on_rows_through_horizontal_edges():
+    comb = comb_domain()
+    # rows at the comb's floor, slit bottoms and top, the three heights of
+    # its horizontal edges, each with points across the whole width
+    flat = np.unique(comb.outer[:, 1])
+    assert list(flat) == [0.0, 0.25, 1.0]
+    xs = np.concatenate([np.linspace(-0.1, 2.1, 221), comb.outer[:, 0]])
+    pts = np.array([(x, y) for y in flat for x in xs])
+    _assert_kernels_match(pts, [comb.outer])
+
+
+def test_kernels_on_a_domain_with_a_hole():
+    ring = square_domain(2.0, (-1.0, -1.0)).outer
+    hole = disk_domain(0.5, 32).outer
+    dom = PolygonDomain(ring, [hole])
+    pts = np.concatenate([_lattice((-1.1, -1.1), (1.1, 1.1), 90), hole, _edge_points(hole)])
+    _assert_kernels_match(pts, [dom.outer, dom.holes[0]])
+    want = _ref_crossing_number(pts, dom.outer) & ~_ref_crossing_number(pts, dom.holes[0])
+    assert np.array_equal(dom.contains(pts), want)
+    assert not dom.contains([[0.0, 0.0]])[0] and dom.contains([[0.75, 0.0]])[0]
+
+
+def test_distance_kernel_on_bucket_borders():
+    # 4400 points whose bounding box is [0, 2] x [0, 1], 20 on every border
+    # line between the g x g buckets, one at every bucket corner, and the
+    # rest random
+    n = 4400
+    g = round(math.sqrt(n / qhyp._BUCKET_POINTS))
+    assert g > 2
+    gx, gy = np.linspace(0.0, 2.0, g + 1), np.linspace(0.0, 1.0, g + 1)
+    t = np.linspace(0.0, 1.0, 20)
+    border = [np.stack([np.full(20, x), t], axis=1) for x in gx]
+    border += [np.stack([2 * t, np.full(20, y)], axis=1) for y in gy]
+    border.append(np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2))
+    border = np.concatenate(border)
+    rng = np.random.default_rng(11)
+    pts = np.concatenate([rng.uniform((0.0, 0.0), (2.0, 1.0), size=(n - len(border), 2)),
+                          border])
+    for ring in _RINGS:
+        _assert_kernels_match(pts, [ring])
+
+
+def test_distance_prune_keeps_a_nearest_segment_far_from_the_centre():
+    # one bucket, [0, 1]^2 with centre c and half-diagonal r = sqrt(2) / 2;
+    # a point segment at c makes min_s dist(c, s) = 0.  The corner point
+    # (0, 0) is nearest to a point segment t = 0.65 beyond it on the
+    # diagonal, at r + t = 1.357 from c: inside the bound 2r = 1.414, so a
+    # prune any tighter than 2r loses it
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.2], [0.3, 0.9]])
+    q = -0.65 / math.sqrt(2)
+    a = np.array([[0.5, 0.5], [q, q], [3.0, 0.5]])
+    got = qhyp._points_segments_dist(pts, a, a.copy())
+    assert np.array_equal(got, _ref_points_segments_dist(pts, a, a.copy()))
+    assert abs(got[0] - 0.65) < 1e-12
+
+
+def test_kernels_with_one_far_outlier():
+    # the outlier stretches the bucket grid, so nearly every point shares
+    # one bucket whose centre is far from all of them
+    rng = np.random.default_rng(12)
+    for ring in _RINGS:
+        lo, hi = ring.min(axis=0), ring.max(axis=0)
+        pts = np.concatenate([rng.uniform(lo, hi, size=(3000, 2)), [[900.0, -700.0]]])
+        _assert_kernels_match(pts, [ring])
+
+
+def test_kernels_on_a_domain_far_from_the_origin():
+    # coordinates near 1e6 round p - a to 2**-33: the prune margin scales
+    # with the coordinates, not with the distances
+    far = disk_domain(0.5, 128, center=(1.0e6, -3.0e5))
+    lo, hi = far.bbox()
+    pts = np.concatenate([_lattice(lo - 0.01, hi + 0.01, 120), _edge_points(far.outer),
+                          np.random.default_rng(13).uniform(lo, hi, size=(3000, 2))])
+    _assert_kernels_match(pts, [far.outer])
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +379,7 @@ def _cut_square():
     side7 = 2.0 / 2 ** 7                 # the root cube has side 2
     corner = qhyp._snap(np.array([-(2.0 - 1.001) / 2]))[0]
     c = 2 * corner + round((1.6 - 2 * corner) / side7) * side7
-    return PolygonDomain([(0, 0), (1, 0), (1, c - 1), (c - 1, 1), (0, 1)], name="cut")
+    return PolygonDomain([(0, 0), (1, 0), (1, c - 1), (c - 1, 1), (0, 1)])
 
 
 # a square with a spike into the domain from each side: a spike's tip is
@@ -260,7 +387,7 @@ def _cut_square():
 SPIKES = PolygonDomain([(0, 0), (0.47, 0), (0.5, 0.3), (0.53, 0), (1, 0),
                         (1, 0.47), (0.7, 0.5), (1, 0.53), (1, 1), (0.53, 1),
                         (0.5, 0.7), (0.47, 1), (0, 1), (0, 0.53), (0.3, 0.5),
-                        (0, 0.47)], name="spikes")
+                        (0, 0.47)])
 
 
 @pytest.mark.parametrize("name", ["disk", "cusp", "square", "comb", "cut", "spikes"])
@@ -359,8 +486,9 @@ def _ref_cube_dist2(dec, segs, q):
 
 @pytest.fixture(scope="module")
 def depth6_decompositions():
-    return {dom.name: whitney_decompose(dom, max_depth=6)
-            for dom in (DISK, cusp_domain(), comb_domain())}
+    return {name: whitney_decompose(dom, max_depth=6)
+            for name, dom in (("disk", DISK), ("cusp", cusp_domain()),
+                              ("comb", comb_domain()))}
 
 
 def test_exact_cube_dist2_matches_all_segment_brute_force(depth6_decompositions):
@@ -602,6 +730,52 @@ def test_shadow_tree_matches_heap_dijkstra(name):
             if name == "comb" and depth == 6:
                 assert math.inf in dist       # cubes that no path reaches
         assert len(roots) == 2
+
+
+def _ref_shadow_routes(samples, cubes, parent):
+    """The per-sample routing loop (the reference form): the nearest cube by
+    (math.hypot distance to the closed cube, side, index) among the 8
+    nearest centres, then the parent pointers to the root, each cube once."""
+    centers = np.array([q.center for q in cubes])
+    _, near = cKDTree(centers).query(samples, k=min(8, len(cubes)))
+    near = np.asarray(near).reshape(len(samples), -1)
+    routes = [set() for _ in cubes]
+    for si in range(len(samples)):
+        best_key = None
+        for c in near[si]:
+            q = cubes[int(c)]
+            dx = max(q.corner[0] - samples[si, 0], 0,
+                     samples[si, 0] - q.corner[0] - q.side)
+            dy = max(q.corner[1] - samples[si, 1], 0,
+                     samples[si, 1] - q.corner[1] - q.side)
+            key = (math.hypot(dx, dy), q.side, int(c))
+            if best_key is None or key < best_key:
+                node, best_key = int(c), key
+        seen = set()
+        while node != -1 and node not in seen:
+            routes[node].add(si)
+            seen.add(node)
+            node = parent[node]
+    return [np.array(sorted(r), int) for r in routes]
+
+
+@pytest.mark.parametrize("name", ["disk", "cusp", "comb", "square", "spikes", "cut"])
+def test_shadow_routes_match_per_sample_loop(name):
+    # np.hypot may differ from math.hypot in the last bit; the array routing
+    # must still pick the same cube for every sample, so the records match
+    domain = {"disk": DISK, "cusp": cusp_domain(), "comb": comb_domain(),
+              "square": square_domain(), "spikes": SPIKES, "cut": _cut_square()}[name]
+    lo, hi = map(np.asarray, domain.bbox())
+    for depth in (6, 7) if name == "comb" else (5, 6, 7):
+        dec = whitney_decompose(domain, max_depth=depth)
+        for x0 in (0.5 * (lo + hi), dec.cubes[len(dec.cubes) // 3].center):
+            sh = shadows(domain, x0, dec)
+            want = _ref_shadow_routes(sh["boundary_samples"], dec.cubes, sh["parent"])
+            for rec, idx in zip(sh["records"], want):
+                assert rec.shadow_indices.dtype == idx.dtype
+                assert np.array_equal(rec.shadow_indices, idx)
+                pts = sh["boundary_samples"][idx]
+                assert rec.s == (geom._cloud_diameter(pts) if len(idx) >= 2 else 0.0)
 
 
 def test_boundary_adjacent_shadows_comparable_to_side(disk_shadows):
