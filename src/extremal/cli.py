@@ -105,6 +105,11 @@ def _integer(where: str, v) -> int:
 def _positive(where: str, v):
     if not (math.isfinite(_number(where, v)) and v > 0):
         raise ConfigError(f"{where}: must be positive and finite, got {v!r}")
+    return v
+
+
+def _count(where: str, v) -> int:
+    return _positive(where, _integer(where, v))
 
 
 def _depth(where: str, v):
@@ -212,60 +217,87 @@ _VALIDATORS = {
 
 
 def build_scene(spec: dict) -> modfam.GridScene:
-    kind = spec.get("builder", "file")
+    kind = _object("scene", spec).get("builder", "file")
+    if kind in ("annulus", "square-ring"):
+        _need(spec, "r", "R", where="scene")
+        r, R = _positive("scene.r", spec["r"]), _positive("scene.R", spec["R"])
     if kind == "annulus":
-        return modfam.annulus_scene(spec["r"], spec["R"], spec.get("grid", 256),
-                                    half=spec.get("half"))
+        half = spec.get("half")
+        if half is not None:
+            _positive("scene.half", half)
+        return modfam.annulus_scene(r, R, _count("scene.grid", spec.get("grid", 256)),
+                                    half=half)
     if kind == "rectangle":
-        return modfam.rectangle_scene(spec.get("width", 2.0),
-                                      spec.get("height", 1.0),
-                                      spec.get("grid", 256))
+        return modfam.rectangle_scene(_positive("scene.width", spec.get("width", 2.0)),
+                                      _positive("scene.height", spec.get("height", 1.0)),
+                                      _count("scene.grid", spec.get("grid", 256)))
     if kind == "square-ring":
-        return modfam.square_ring_scene(spec["r"], spec["R"], spec.get("grid", 192))
+        return modfam.square_ring_scene(r, R, _count("scene.grid", spec.get("grid", 192)))
     if kind == "file":
-        with open(spec["path"]) as fh:
-            return modfam.GridScene.from_json(json.load(fh))
+        _need(spec, "path", where="scene")
+        try:
+            with open(spec["path"]) as fh:
+                obj = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"scene.path: {exc}") from exc
+        return modfam.GridScene.from_json(obj)
     raise ConfigError(f"scene.builder: unknown builder {kind!r}")
 
 
 def build_domain(spec: dict) -> qhyp.PolygonDomain:
-    kind = spec.get("builder", "disk")
+    kind = _object("domain", spec).get("builder", "disk")
     if kind == "disk":
-        return qhyp.disk_domain(spec.get("radius", 1.0), spec.get("vertices", 128))
+        return qhyp.disk_domain(_positive("domain.radius", spec.get("radius", 1.0)),
+                                _count("domain.vertices", spec.get("vertices", 128)))
     if kind == "cusp":
-        return qhyp.cusp_domain(spec.get("exponent", 8.0))
+        return qhyp.cusp_domain(_number("domain.exponent", spec.get("exponent", 8.0)))
     if kind == "comb":
-        return qhyp.comb_domain(spec.get("teeth", 4))
+        return qhyp.comb_domain(_count("domain.teeth", spec.get("teeth", 4)))
     if kind == "polygon":
-        return qhyp.PolygonDomain(spec["outer"], spec.get("holes", ()))
+        _need(spec, "outer", where="domain")
+        holes = spec.get("holes", [])
+        if not isinstance(holes, list):
+            raise ConfigError(f"domain.holes: must be a list of rings, got {holes!r}")
+        rings = [("domain.outer", spec["outer"])]
+        rings += [(f"domain.holes[{k}]", ring) for k, ring in enumerate(holes)]
+        for where, ring in rings:
+            for q in _points(where, ring):
+                _numbers(where, q, 2)
+        return qhyp.PolygonDomain(spec["outer"], holes)
     raise ConfigError(f"domain.builder: unknown builder {kind!r}")
 
 
 def build_obstacle(spec: dict, scene: modfam.GridScene) -> np.ndarray:
+    _need(_object("obstacle", spec), "kind", where="obstacle")
     kind = spec["kind"]
-    if kind == "circle":
-        return sets.circle_obstacle_mask(scene, spec.get("center", (0.0, 0.0)),
-                                         spec["radius"])
-    if kind == "circle-minus-cell":
-        mask = sets.circle_obstacle_mask(scene, spec.get("center", (0.0, 0.0)),
-                                         spec["radius"])
-        cell = _cell_at(scene, spec["gap_at"])
-        mask[cell] = False
+    if kind in ("circle", "circle-minus-cell"):
+        _need(spec, "radius", where="obstacle")
+        mask = sets.circle_obstacle_mask(
+            scene, _numbers("obstacle.center", spec.get("center", (0.0, 0.0)), 2),
+            _positive("obstacle.radius", spec["radius"]))
+        if kind == "circle-minus-cell":
+            _need(spec, "gap_at", where="obstacle")
+            mask[_cell_at(scene, spec["gap_at"])] = False
         return mask
     if kind == "cantor-product":
-        c = sets.make_cantor(sets.CantorSpec.fat(spec.get("depth", 6))
-                             if spec.get("fat", True)
-                             else sets.CantorSpec.middle_thirds(spec.get("depth", 6)))
+        depth = _integer("obstacle.depth", spec.get("depth", 6))
+        a = _number("obstacle.from", spec.get("from", 0.8))
+        b = _number("obstacle.to", spec.get("to", 1.2))
+        f = sets.interval_set(_number("obstacle.y0", spec.get("y0", -10.0)),
+                              _number("obstacle.y1", spec.get("y1", 10.0)))
+        fat = spec.get("fat", True)
+        if not isinstance(fat, bool):
+            raise ConfigError(f"obstacle.fat: must be true or false, got {fat!r}")
+        c = sets.make_cantor(sets.CantorSpec.fat(depth) if fat
+                             else sets.CantorSpec.middle_thirds(depth))
         span = c.intervals[-1][1] - c.intervals[0][0]
-        a = spec.get("from", 0.8)
-        b = spec.get("to", 1.2)
         scale = (b - a) / float(span)
         iv = [(a + (lo - c.intervals[0][0]) * scale,
                a + (hi - c.intervals[0][0]) * scale) for lo, hi in c.intervals]
-        g = sets.IntervalUnionSet(iv, c.limit_measure_zero)
-        f = sets.interval_set(spec.get("y0", -10.0), spec.get("y1", 10.0))
+        g = sets.IntervalUnionSet(iv)
         return sets.raster_mask(sets.product_set(g, f), scene)
     if kind == "cell":
+        _need(spec, "at", where="obstacle")
         mask = np.zeros(scene.shape, bool)
         mask[_cell_at(scene, spec["at"])] = True
         return mask
@@ -322,8 +354,12 @@ def _run_modulus(cfg: ExperimentConfig, artifacts: dict) -> dict:
             artifacts["density"] = res.density
         return out
     if mode == "reciprocal":
-        radii = p["radii"]
-        grid = p["grid"]
+        radii = [_positive(f"params.radii[{k}]", r)
+                 for k, r in enumerate(_numbers("params.radii", p["radii"]))]
+        if len(radii) != 3 or not radii[0] < radii[1] < radii[2]:
+            raise ConfigError(
+                f"params.radii: must be three increasing radii, got {radii!r}")
+        grid = _count("params.grid", p["grid"])
         half = max(radii) * 1.04
         vals = {}
         for (a, b) in ((radii[0], radii[2]), (radii[0], radii[1]),
@@ -338,10 +374,14 @@ def _run_modulus(cfg: ExperimentConfig, artifacts: dict) -> dict:
                 "anchor": {"name": "serial law: extremal distances add",
                            "log_ratio": math.log(radii[2] / radii[0])}}
     # refinement ladder forcing paths through one cell
+    grids = [_count(f"params.grids[{k}]", n)
+             for k, n in enumerate(_numbers("params.grids", p["grids"]))]
+    r = _positive("params.r", p.get("r", 1.0))
+    R = _positive("params.R", p.get("R", math.e))
     values = []
-    for n in p["grids"]:
-        scene = modfam.annulus_scene(p.get("r", 1.0), p.get("R", math.e), n)
-        m = (p.get("r", 1.0) + p.get("R", math.e)) / 2
+    for n in grids:
+        scene = modfam.annulus_scene(r, R, n)
+        m = (r + R) / 2
         mask = sets.circle_obstacle_mask(scene, (0.0, 0.0), m)
         gap = _cell_at(scene, (m, 0.0))
         mask[gap] = False
@@ -353,11 +393,14 @@ def _run_modulus(cfg: ExperimentConfig, artifacts: dict) -> dict:
 
 def _run_covering(cfg: ExperimentConfig, artifacts: dict) -> dict:
     p = cfg.params
+    n_runs = _count("params.runs", p["runs"])
+    n_pairs = _count("params.n_pairs", p["n_pairs"])
+    M = _positive("params.M", p["M"])
     rng = np.random.default_rng(cfg.seed)
     runs = []
     all_ok = True
-    for k in range(p["runs"]):
-        fam = cover.random_paired_family(p["n_pairs"], p["M"], p["map"],
+    for k in range(n_runs):
+        fam = cover.random_paired_family(n_pairs, M, p["map"],
                                          seed=int(rng.integers(2 ** 31)))
         res = cover.egg_yolk_cover(fam)
         ver = res.report["verified"]
@@ -376,23 +419,28 @@ def _run_covering(cfg: ExperimentConfig, artifacts: dict) -> dict:
 def _run_distortion(cfg: ExperimentConfig, artifacts: dict) -> dict:
     p = cfg.params
     mat, _ = cover.NAMED_MAPS[p["map"]]
-    f = distort.linear_sampled_map(mat, pitch=p.get("pitch", 0.05))
+    f = distort.linear_sampled_map(
+        mat, pitch=_positive("params.pitch", p.get("pitch", 0.05)))
     out: dict = {"map": p["map"]}
     if "rings" in p:
-        rings = [((0.0, 0.0), r0, r1) for r0, r1 in p["rings"]]
-        out["ring_qc"] = distort.ring_qc_test(f, rings, p.get("C1", 6.0),
-                                              grid_n=p.get("grid", 160))
+        rings = [((0.0, 0.0), *_numbers(f"params.rings[{k}]", ring, 2))
+                 for k, ring in enumerate(_points("params.rings", p["rings"]))]
+        C1 = _number("params.C1", p.get("C1", 6.0))
+        grid_n = _count("params.grid", p.get("grid", 160))
+        out["ring_qc"] = distort.ring_qc_test(f, rings, C1, grid_n=grid_n)
         svals = np.linalg.svd(mat, compute_uv=False)
         out["anchor"] = {"name": "K-quasiconformal ring bound md f(G) <= K md G",
                          "K": float(svals[0] / svals[-1])}
         return out
+    probes = _count("params.probes", p.get("probes", 25))
+    ladder = _numbers("params.ladder", p.get("ladder", [0.15, 0.3, 0.6]))
+    radius = _positive("params.radius", p.get("radius", 0.5))
     rng = np.random.default_rng(cfg.seed or 0)
-    pts = rng.uniform(-1.0, 1.0, size=(p.get("probes", 25), 2))
-    ladder = p.get("ladder", [0.15, 0.3, 0.6])
+    pts = rng.uniform(-1.0, 1.0, size=(probes, 2))
     hs, es = [], []
     for x in pts:
         hs.append(distort.metric_distortion(f, x, ladder).h_estimate)
-        es.append(distort.eccentric_distortion(f, x, p.get("radius", 0.5)))
+        es.append(distort.eccentric_distortion(f, x, radius))
     svals = np.linalg.svd(mat, compute_uv=False)
     out.update({
         "metric_distortion": {"mean": float(np.mean(hs)), "max": float(np.max(hs)),
@@ -429,13 +477,9 @@ def _run_qh(cfg: ExperimentConfig, artifacts: dict) -> dict:
                 "upper_violations": len(rep["upper_violations"]),
                 "neighbor_ratio_ok": rep["neighbor_ratio_ok"],
                 "anchor": {"name": "diam(Q) <= dist(Q, boundary) <= 4 diam(Q)"}}
-    levels = []
-    for lev in p.get("levels", [{"max_depth": 6, "qh_pitch": 0.02}]):
-        d = qhyp.shadow_sum_diagnostic(domain, p.get("x0", (0.0, 0.0)),
-                                       max_depth=lev["max_depth"],
-                                       qh_pitch=lev["qh_pitch"])
-        levels.append(d)
-    return {"levels": levels,
+    pairs = [(lev["max_depth"], lev["qh_pitch"])
+             for lev in p.get("levels", [{"max_depth": 6, "qh_pitch": 0.02}])]
+    return {"levels": qhyp.shadow_sum_diagnostic(domain, p.get("x0", (0.0, 0.0)), pairs),
             "anchor": {"name": "shadow sum bounded by quasihyperbolic integral"}}
 
 

@@ -129,12 +129,11 @@ def _rle_decode(runs: list, shape: tuple) -> np.ndarray:
 
 @dataclass
 class DensityField:
-    """Nonnegative per-cell density with its energy exponent."""
+    """Nonnegative per-cell density on a grid."""
 
     values: np.ndarray
     spacing: float
     origin: np.ndarray
-    exponent: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, float)
@@ -624,7 +623,7 @@ def discrete_modulus(scene: GridScene,
         return ModulusResult(0.0, None, [], infeasible=True,
                              diagnostics={"reason": "no admissible path under constraint"})
 
-    h, p = scene.spacing, problem.p
+    h = scene.spacing
     actives = [carry]
     if constraint.mode == "budget":
         # the avoid-mode potential covers the detour regime
@@ -644,7 +643,7 @@ def discrete_modulus(scene: GridScene,
     if best_path:
         centers = scene.origin + (problem.cells[best_path] + 0.5) * h
         witnesses.append(PolyCurve(centers))
-    density = DensityField(best_rho, h, scene.origin, p)
+    density = DensityField(best_rho, h, scene.origin)
     return ModulusResult(best_val, density, witnesses,
                          diagnostics={"candidates": len(candidates),
                                       "constraint": constraint.mode})

@@ -731,27 +731,35 @@ def _cube_containing(cubes, p) -> int | None:
 # Shadow-sum diagnostic
 
 
-def shadow_sum_diagnostic(domain: PolygonDomain, x0, max_depth: int = 6,
-                          qh_pitch: float = 0.02) -> dict:
-    """Compare sum_Q s(Q)^n against the quasihyperbolic integral.
+def shadow_sum_diagnostic(domain: PolygonDomain, x0, levels) -> list[dict]:
+    """Compare sum_Q s(Q)^n against the quasihyperbolic integral, one dict
+    per ``(max_depth, qh_pitch)`` level.
 
-    lhs: shadow diameters from the tree on the Whitney cubes at this depth.
+    lhs: shadow diameters from the tree on the Whitney cubes at max_depth,
+    decomposed once per distinct max_depth.
     rhs: midpoint quadrature of k(x, x0)^n over the cells of the metric grid
-    (full domain coverage; cells the grid cannot reach are skipped and
-    counted -- their k is beyond the resolution of this level).
+    at qh_pitch (full domain coverage; cells the grid cannot reach are
+    skipped and counted -- their k is beyond the resolution of this level).
     """
-    decomp = whitney_decompose(domain, max_depth=max_depth)
-    sh = shadows(domain, x0, decomp)
     n = 2
-    lhs = float(sum(rec.s ** n for rec in sh["records"]))
-    grid = QhGrid(domain, qh_pitch)
-    dist, _ = grid.distance_field(x0)
-    ok = np.isfinite(dist)
-    rhs = float((dist[ok] ** n).sum() * qh_pitch ** n)
-    return {"lhs": lhs, "rhs": rhs,
-            "ratio": lhs / rhs if rhs > 0 else math.inf,
-            "cubes": len(decomp.cubes),
-            "unreachable_nodes": int((~ok).sum()),
-            "truncated": decomp.truncated,
-            "max_depth": max_depth,
-            "qh_pitch": qh_pitch}
+    whitney_side = {}
+    out = []
+    for max_depth, qh_pitch in levels:
+        if max_depth not in whitney_side:
+            decomp = whitney_decompose(domain, max_depth=max_depth)
+            sh = shadows(domain, x0, decomp)
+            whitney_side[max_depth] = (float(sum(rec.s ** n for rec in sh["records"])),
+                                       len(decomp.cubes), decomp.truncated)
+        lhs, cubes, truncated = whitney_side[max_depth]
+        grid = QhGrid(domain, qh_pitch)
+        dist, _ = grid.distance_field(x0)
+        ok = np.isfinite(dist)
+        rhs = float((dist[ok] ** n).sum() * qh_pitch ** n)
+        out.append({"lhs": lhs, "rhs": rhs,
+                    "ratio": lhs / rhs if rhs > 0 else math.inf,
+                    "cubes": cubes,
+                    "unreachable_nodes": int((~ok).sum()),
+                    "truncated": truncated,
+                    "max_depth": max_depth,
+                    "qh_pitch": qh_pitch})
+    return out

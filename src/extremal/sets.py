@@ -2,9 +2,9 @@
 
 Cantor sets, their products, unions of segments, points and circles, and the
 constrained-modulus probe.  Linear sets carry exact rational endpoints, so
-their measures are exact at the represented depth and their float queries
-round the endpoints outward; floating point only enters the Monte Carlo
-surveys.
+their measures are exact at the represented depth; every query compares
+floats with the endpoints rounded outward, which decides it exactly.
+Floating point only enters the Monte Carlo surveys.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import numpy as np
 from .geom import DomainError
 from . import modfam
 from .modfam import CurveConstraint, GridScene
+
+MAX_CANTOR_DEPTH = 16      # make_cantor builds 2**depth exact intervals
 
 
 def _frac(x) -> Fraction:
@@ -39,15 +41,9 @@ def _round_float(x: Fraction, up: bool) -> float:
 
 @dataclass
 class IntervalUnionSet:
-    """Finite union of closed intervals with exact rational endpoints.
-
-    ``limit_measure_zero`` records whether the idealized construction the
-    depth-limited representation stands for has zero length (e.g. the
-    middle-thirds Cantor set) or positive length (a fat Cantor set).
-    """
+    """Finite union of closed intervals with exact rational endpoints."""
 
     intervals: list
-    limit_measure_zero: bool | None = None
     dim = 1
 
     def __post_init__(self):
@@ -64,48 +60,16 @@ class IntervalUnionSet:
                 merged.append((a, b))
         self.intervals = merged
         # a float lies in [a, b] exactly when it lies between the least float
-        # >= a and the greatest float <= b, so the float queries are exact
+        # >= a and the greatest float <= b, so the float queries are exact;
+        # both arrays ascend, so the first _hi >= a decides if [a, b] meets E
         self._lo = np.array([_round_float(a, up=True) for a, _ in merged])
         self._hi = np.array([_round_float(b, up=False) for _, b in merged])
 
     def measure(self) -> Fraction:
         return sum((b - a for a, b in self.intervals), Fraction(0))
 
-    def contains_fraction(self, x: Fraction) -> bool:
-        for a, b in self.intervals:
-            if a <= x <= b:
-                return True
-            if a > x:
-                break
-        return False
-
-    def contains(self, p) -> bool:
-        x = p[0] if np.ndim(p) else p
-        return self.contains_fraction(_frac(x))
-
     def contains_float_batch(self, xs: np.ndarray) -> np.ndarray:
-        if len(self._lo) == 0:
-            return np.zeros(len(xs), bool)
-        idx = np.searchsorted(self._lo, xs, side="right") - 1
-        ok = idx >= 0
-        out = np.zeros(len(xs), bool)
-        out[ok] = xs[ok] <= self._hi[idx[ok]]
-        return out
-
-    def intersect_interval(self, a, b) -> list:
-        """Exact intersection with [a, b] as a list of rational intervals."""
-        a, b = _frac(a), _frac(b)
-        if b < a:
-            a, b = b, a
-        out = []
-        for lo, hi in self.intervals:
-            lo2, hi2 = max(lo, a), min(hi, b)
-            if lo2 <= hi2:
-                out.append((lo2, hi2))
-        return out
-
-    def intersects_interval(self, a, b) -> bool:
-        return bool(self.intersect_interval(a, b))
+        return self.intersects_intervals_batch(xs, xs)
 
     def bbox(self):
         if not self.intervals:
@@ -115,8 +79,6 @@ class IntervalUnionSet:
 
     def intersects_intervals_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Float interval-stabbing: does [a_i, b_i] meet the union?"""
-        if len(self._lo) == 0:
-            return np.zeros(len(a), bool)
         i0 = np.searchsorted(self._hi, a, side="left")
         ok = i0 < len(self._lo)
         out = np.zeros(len(a), bool)
@@ -135,7 +97,7 @@ class IntervalUnionSet:
 
     @staticmethod
     def points(xs) -> "IntervalUnionSet":
-        return IntervalUnionSet([(x, x) for x in xs], limit_measure_zero=True)
+        return IntervalUnionSet([(x, x) for x in xs])
 
 
 @dataclass(frozen=True)
@@ -145,7 +107,10 @@ class CantorSpec:
     base: tuple = (Fraction(0), Fraction(1))
     fractions: tuple = (Fraction(1, 3),)
     depth: int = 6
-    limit_measure_zero: bool | None = None
+
+    def __post_init__(self):
+        if not 0 <= self.depth <= MAX_CANTOR_DEPTH:
+            raise DomainError(f"cantor depth {self.depth} outside [0, {MAX_CANTOR_DEPTH}]")
 
     def fraction_at(self, level: int) -> Fraction:
         f = self.fractions[min(level, len(self.fractions) - 1)]
@@ -157,21 +122,16 @@ class CantorSpec:
             length *= (1 - self.fraction_at(k))
         return length
 
-    def infer_limit_zero(self) -> bool:
-        if self.limit_measure_zero is not None:
-            return self.limit_measure_zero
-        # constant removed fraction: the infinite product (1-f)^k vanishes
-        return len(self.fractions) == 1 and self.fractions[0] > 0
-
     @staticmethod
     def middle_thirds(depth: int) -> "CantorSpec":
-        return CantorSpec(depth=depth, limit_measure_zero=True)
+        return CantorSpec(depth=depth)
 
     @staticmethod
     def fat(depth: int, base: int = 4) -> "CantorSpec":
         """Removed fractions base**-k, k = 1..depth: positive limit measure."""
-        fr = tuple(Fraction(1, base ** k) for k in range(1, depth + 1))
-        return CantorSpec(fractions=fr, depth=depth, limit_measure_zero=False)
+        # at most MAX_CANTOR_DEPTH fractions: the constructor refuses a deeper spec
+        fr = tuple(Fraction(1, base ** k) for k in range(1, min(depth, MAX_CANTOR_DEPTH) + 1))
+        return CantorSpec(fractions=fr, depth=depth)
 
 
 def make_cantor(spec: CantorSpec) -> IntervalUnionSet:
@@ -191,7 +151,7 @@ def make_cantor(spec: CantorSpec) -> IntervalUnionSet:
             nxt.append((lo, lo + keep * length))
             nxt.append((hi - keep * length, hi))
         iv = nxt
-    out = IntervalUnionSet(iv, limit_measure_zero=spec.infer_limit_zero())
+    out = IntervalUnionSet(iv)
     assert out.measure() == spec.expected_measure()
     return out
 
@@ -224,9 +184,8 @@ class ProductSet:
         nx, ny = scene.shape
         xs_lo = ox + np.arange(nx) * h
         ys_lo = oy + np.arange(ny) * h
-        col = np.array([self.gx.intersects_interval(x, x + h) for x in xs_lo])
-        row = np.array([self.fy.intersects_interval(y, y + h) for y in ys_lo])
-        return np.outer(col, row)
+        return np.outer(self.gx.intersects_intervals_batch(xs_lo, xs_lo + h),
+                        self.fy.intersects_intervals_batch(ys_lo, ys_lo + h))
 
     def count_segment_hits_batch(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """Hits of each segment on G x F for a finite point set F (float
@@ -258,7 +217,7 @@ def product_set(g: IntervalUnionSet, f: IntervalUnionSet) -> ProductSet:
 
 
 def interval_set(a, b) -> IntervalUnionSet:
-    return IntervalUnionSet([(a, b)], limit_measure_zero=False)
+    return IntervalUnionSet([(a, b)])
 
 
 # ---------------------------------------------------------------------------

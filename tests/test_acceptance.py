@@ -180,13 +180,11 @@ def test_c10_shadow_sum_diagnostic():
     Cusp: the k^2 integral grows at least twice as fast as the shadow sum
     (the non-integrability trend), per level."""
     disk = qhyp.disk_domain(1.0, 128)
-    d1 = qhyp.shadow_sum_diagnostic(disk, (0.0, 0.0), max_depth=6, qh_pitch=0.02)
-    d2 = qhyp.shadow_sum_diagnostic(disk, (0.0, 0.0), max_depth=6, qh_pitch=0.01)
+    d1, d2 = qhyp.shadow_sum_diagnostic(disk, (0.0, 0.0), [(6, 0.02), (6, 0.01)])
     stab = max(d1["ratio"], d2["ratio"]) / min(d1["ratio"], d2["ratio"])
     cusp = qhyp.cusp_domain()
-    levels = [qhyp.shadow_sum_diagnostic(cusp, (1.75, 0.0), max_depth=6,
-                                         qh_pitch=p)
-              for p in (0.02, 0.01, 0.005)]
+    levels = qhyp.shadow_sum_diagnostic(cusp, (1.75, 0.0),
+                                        [(6, p) for p in (0.02, 0.01, 0.005)])
     trend_ok = True
     growths = []
     for a, b in zip(levels[:-1], levels[1:]):
@@ -217,7 +215,7 @@ def test_c11_cned_signatures():
     iv = [(0.8 + float((lo - cantor.intervals[0][0]) / span) * 0.4,
            0.8 + float((hi - cantor.intervals[0][0]) / span) * 0.4)
           for lo, hi in cantor.intervals]
-    curtain = sets.product_set(sets.IntervalUnionSet(iv, False),
+    curtain = sets.product_set(sets.IntervalUnionSet(iv),
                                sets.interval_set(-1.0, 2.0))
     cmask = sets.raster_mask(curtain, rect)
     probe2 = sets.cned_probe(cmask, rect, budgets=[1, 4, 8])

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from extremal import cli, modfam, qhyp
+from extremal import cli, cover, distort, modfam, qhyp, sets
 from extremal.cli import (ConfigError, ExperimentConfig, builtin_experiments,
                           list_experiments, main, run_experiment)
 
@@ -396,6 +396,68 @@ def _qh_config(tmp_path, **params):
 def test_malformed_quasihyperbolic_field_exits_two(params, msg, tmp_path, capsys):
     # the first four ended in a KeyError or TypeError traceback with exit 1
     assert main(["run", _qh_config(tmp_path, **params)]) == 2
+    assert msg in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
+_RECT16 = {"builder": "rectangle", "grid": 16}
+
+
+@pytest.mark.parametrize("kind, params, msg", [
+    ("modulus", {"scene": {"builder": "annulus", "R": 2}}, "scene.r: missing"),
+    ("modulus", {"scene": {"builder": "file", "path": "no-such-scene.json"}},
+     "scene.path: [Errno 2] No such file or directory: 'no-such-scene.json'"),
+    ("modulus", {"scene": {"builder": "rectangle", "grid": "x"}},
+     "scene.grid: must be an integer, got 'x'"),
+    ("quasihyperbolic", {"domain": {"builder": "disk", "radius": "x"}, "mode": "whitney"},
+     "domain.radius: must be a number, got 'x'"),
+    ("quasihyperbolic", {"domain": {"builder": "polygon"}, "mode": "whitney"},
+     "domain.outer: missing"),
+    ("sets-probe", {"scene": _RECT16, "obstacle": {"kind": "circle"}, "budgets": [1]},
+     "obstacle.radius: missing"),
+    ("covering", {"runs": "x", "n_pairs": 3, "M": 4.0, "map": "identity"},
+     "params.runs: must be an integer, got 'x'"),
+    ("covering", {"runs": 1, "n_pairs": 3, "M": "x", "map": "identity"},
+     "params.M: must be a number, got 'x'"),
+    ("distortion", {"map": "identity", "probes": "x"},
+     "params.probes: must be an integer, got 'x'"),
+    ("modulus", {"mode": "refinement", "grids": [24, "x"]},
+     "params.grids: must be a list of numbers, got [24, 'x']"),
+    ("modulus", {"mode": "reciprocal", "radii": [1.0, 7.0], "grid": 32},
+     "params.radii: must be three increasing radii, got [1.0, 7.0]"),
+    ("modulus", {"mode": "reciprocal", "radii": [49, 7, 1], "grid": 32},
+     "params.radii: must be three increasing radii, got [49, 7, 1]"),
+    ("sets-probe", {"scene": _RECT16, "budgets": [1],
+                    "obstacle": {"kind": "cantor-product", "fat": "false"}},
+     "obstacle.fat: must be true or false, got 'false'"),
+    ("sets-probe", {"scene": _RECT16, "budgets": [1],
+                    "obstacle": {"kind": "cantor-product", "depth": 17}},
+     "cantor depth 17 outside [0, 16]"),
+    ("survey", {"type": "radial", "samples": 10,
+                "E": {"kind": "cantor-rows", "depth": 17}},
+     "cantor depth 17 outside [0, 16]")],
+    ids=["annulus-without-r", "scene-file-missing", "grid-string", "disk-radius-string",
+         "polygon-without-outer", "circle-without-radius", "runs-string",
+         "M-string", "probes-string", "grids-string", "reciprocal-two-radii",
+         "reciprocal-decreasing-radii", "cantor-fat-string", "cantor-obstacle-depth-17",
+         "cantor-survey-depth-17"])
+def test_malformed_config_key_exits_two_before_solving(kind, params, msg, tmp_path,
+                                                        monkeypatch, capsys):
+    # each ended in a KeyError, TypeError, IndexError, FileNotFoundError,
+    # ZeroDivisionError or numpy _UFuncNoLoopError traceback with exit 1;
+    # "fat": "false" built the fat set; depth 17 built 2**17 exact intervals
+    # before the run went on
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the config was checked")
+
+    for owner, attr in ((modfam, "discrete_modulus"), (cover, "egg_yolk_cover"),
+                        (distort, "metric_distortion"), (qhyp, "whitney_decompose"),
+                        (sets, "cned_probe"), (modfam, "radial_survey")):
+        monkeypatch.setattr(owner, attr, solve)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"kind": kind, "seed": 1, "out": str(tmp_path / "out"),
+                                "params": params}))
+    assert main(["run", str(path)]) == 2
     assert msg in capsys.readouterr().err
     assert not (tmp_path / "out" / "results.json").exists()
 

@@ -308,7 +308,7 @@ def test_pointwise_or_scalar_density_is_rejected():
 def test_line_integral_exact_for_piecewise_constant_cells():
     from extremal.modfam import DensityField
     vals = np.array([[2.0, 3.0], [5.0, 7.0]])
-    rho = DensityField(vals, spacing=1.0, origin=np.zeros(2), exponent=2)
+    rho = DensityField(vals, spacing=1.0, origin=np.zeros(2))
     # cross cells (0,0) -> (1,0) horizontally at y = 0.5: half in each
     gamma = PolyCurve.segment((0.0, 0.5), (2.0, 0.5))
     assert abs(line_integral(rho, gamma) - (2.0 + 5.0)) < 1e-12

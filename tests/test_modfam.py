@@ -118,8 +118,8 @@ def test_scene_json_rejects_runs_off_the_mask():
 
 def test_density_field_contract():
     with pytest.raises(DomainError):
-        DensityField(np.array([[1.0, -0.5]]), 0.1, np.zeros(2), 2)
-    rho = DensityField(np.array([[1.0, 2.0]]), 0.5, np.zeros(2), 2)
+        DensityField(np.array([[1.0, -0.5]]), 0.1, np.zeros(2))
+    rho = DensityField(np.array([[1.0, 2.0]]), 0.5, np.zeros(2))
     assert rho.value_at_cell((0, 1)) == 2.0
     assert rho.value_at_cell((5, 5)) == 0.0
 
@@ -155,7 +155,7 @@ def _csv_fields(draw):
 @settings(max_examples=300, deadline=None)
 @given(vals=_csv_fields())
 def test_to_csv_bytes_match_per_cell_writer(tmp_path_factory, vals):
-    density = DensityField(vals, 1 / 3, np.full(vals.ndim, -0.5), 2.0)
+    density = DensityField(vals, 1 / 3, np.full(vals.ndim, -0.5))
     out = tmp_path_factory.mktemp("csv")
     density.to_csv(out / "new.csv")
     _ref_to_csv(density, out / "ref.csv")
@@ -188,7 +188,7 @@ def test_witnesses_are_admissible():
 
 
 def test_admissible_check_zero_density():
-    rho = DensityField(np.zeros((4, 4)), 1.0, np.zeros(2), 2)
+    rho = DensityField(np.zeros((4, 4)), 1.0, np.zeros(2))
     curves = [PolyCurve.segment((0, 0), (3, 3)), PolyCurve.segment((0, 3), (3, 0))]
     rep = admissible_check(rho, curves)
     assert len(rep.violations) == 2
@@ -709,8 +709,7 @@ def test_avg_line_integral_converges_to_direct():
     from extremal.geom import line_integral
     rng = np.random.default_rng(5)
     vals = rng.uniform(0.2, 3.0, size=(6, 6))
-    rho = DensityField(vals, spacing=0.25, origin=np.array([-0.25, -0.6]),
-                       exponent=2)
+    rho = DensityField(vals, spacing=0.25, origin=np.array([-0.25, -0.6]))
     gamma = PolyCurve([(0.0, 0.0), (0.8, 0.1), (1.1, -0.3)])
     direct = line_integral(rho, gamma)
     coarse = avg_line_integral(rho, gamma, r=0.1, samples=800, seed=3)
@@ -742,7 +741,7 @@ def _rho_quadratic(p):
 
 
 _AVG_FIELD = DensityField(np.random.default_rng(5).uniform(0.2, 3.0, size=(6, 6)),
-                          spacing=0.25, origin=np.array([-0.25, -0.6]), exponent=2)
+                          spacing=0.25, origin=np.array([-0.25, -0.6]))
 
 
 @settings(max_examples=80, deadline=None)

@@ -803,8 +803,7 @@ def test_per_generation_shadow_sums_logged(disk_shadows):
 # Shadow-sum diagnostic
 
 def test_disk_ratio_stable_under_quadrature_refinement():
-    d1 = shadow_sum_diagnostic(DISK, (0.0, 0.0), max_depth=6, qh_pitch=0.02)
-    d2 = shadow_sum_diagnostic(DISK, (0.0, 0.0), max_depth=6, qh_pitch=0.01)
+    d1, d2 = shadow_sum_diagnostic(DISK, (0.0, 0.0), [(6, 0.02), (6, 0.01)])
     assert math.isfinite(d1["ratio"]) and math.isfinite(d2["ratio"])
     big, small = max(d1["ratio"], d2["ratio"]), min(d1["ratio"], d2["ratio"])
     assert big / small < 2.0
@@ -812,15 +811,15 @@ def test_disk_ratio_stable_under_quadrature_refinement():
 
 def test_comb_domain_ratio_finite():
     comb = comb_domain()
-    d = shadow_sum_diagnostic(comb, (1.0, 0.12), max_depth=7, qh_pitch=0.01)
+    [d] = shadow_sum_diagnostic(comb, (1.0, 0.12), [(7, 0.01)])
     assert math.isfinite(d["ratio"])
     assert d["rhs"] < math.inf
 
 
 def test_cusp_rhs_outgrows_lhs():
     cusp = cusp_domain()
-    levels = [shadow_sum_diagnostic(cusp, (1.75, 0.0), max_depth=6, qh_pitch=p)
-              for p in (0.02, 0.01, 0.005)]
+    levels = shadow_sum_diagnostic(cusp, (1.75, 0.0),
+                                   [(6, p) for p in (0.02, 0.01, 0.005)])
     for a, b in zip(levels[:-1], levels[1:]):
         growth_rhs = b["rhs"] / a["rhs"]
         growth_lhs = b["lhs"] / a["lhs"]

@@ -41,9 +41,6 @@ KEEP = {
     # `file` scenes
     "modfam.GridScene.from_json": "CLI input",
     "modfam._rle_decode": "CLI input",
-    # the exact queries the float batch queries are tested against
-    "sets.IntervalUnionSet.contains": "test reference",
-    "sets.IntervalUnionSet.contains_fraction": "test reference",
     # inputs of tests of kept code
     "modfam.GridScene.to_json": "test input builder",
     "modfam._rle_encode": "test input builder",
@@ -60,7 +57,6 @@ KEEP = {
     "geom.hausdorff_normalization": "ROADMAP item 1",
     "sets.IntervalUnionSet.components": "ROADMAP item 1",
     "sets.IntervalUnionSet.intersects_boxes_batch": "ROADMAP item 1",
-    "sets.IntervalUnionSet.intersects_intervals_batch": "ROADMAP item 1",
     "sets.ProductSet.intersects_boxes_batch": "ROADMAP item 1",
     # the n = 3 shell
     "modfam.annulus_scene_3d": "ROADMAP item 5",

@@ -59,7 +59,7 @@ def test_colors_match_scalar_ramp():
        h=st.one_of(st.just(1 / 3), st.just(0.25), st.floats(1e-3, 10.0)),
        ox=st.floats(-50.0, 50.0), oy=st.floats(-50.0, 50.0))
 def test_heatmap_bytes_match_per_cell_writer(tmp_path_factory, vals, h, ox, oy):
-    density = modfam.DensityField(vals, h, np.array([ox, oy]), 2.0)
+    density = modfam.DensityField(vals, h, np.array([ox, oy]))
     out = tmp_path_factory.mktemp("heatmap")
     render.svg_density_heatmap(density, str(out / "new.svg"))
     _ref_heatmap(density, str(out / "ref.svg"))
@@ -72,7 +72,7 @@ def test_heatmap_streams_the_document_it_used_to_join(tmp_path):
     row-major order, closing tag, one per line, no trailing newline."""
     vals = np.array([[0.0, 2.0, 1.0],
                      [4.0, 0.0, 3.0]])
-    density = modfam.DensityField(vals, 0.25, np.array([-1.0, 0.5]), 2.0)
+    density = modfam.DensityField(vals, 0.25, np.array([-1.0, 0.5]))
     path = tmp_path / "figure.svg"
     render.svg_density_heatmap(density, str(path))
     rects = [f'<rect x="{-1.0 + i * 0.25:.5f}" y="{0.5 + j * 0.25:.5f}" '
@@ -84,7 +84,7 @@ def test_heatmap_streams_the_document_it_used_to_join(tmp_path):
 
 
 def test_empty_heatmap_is_head_and_closing_tag(tmp_path):
-    density = modfam.DensityField(np.zeros((2, 2)), 1.0, np.zeros(2), 2.0)
+    density = modfam.DensityField(np.zeros((2, 2)), 1.0, np.zeros(2))
     path = tmp_path / "figure.svg"
     render.svg_density_heatmap(density, str(path))
     assert path.read_text().split("\n")[1:] == ["</svg>"]

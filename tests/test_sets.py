@@ -7,10 +7,25 @@ from hypothesis import example, given, settings, strategies as st
 
 from extremal import modfam, sets
 from extremal.geom import DomainError, hausdorff_content
-from extremal.sets import (CantorSpec, IntervalUnionSet, PointPrim,
-                           PrimitiveUnionSet, Segment, cned_probe,
+from extremal.sets import (MAX_CANTOR_DEPTH, CantorSpec, IntervalUnionSet,
+                           PointPrim, PrimitiveUnionSet, Segment, cned_probe,
                            circle_obstacle_mask, interval_set, make_cantor,
                            product_set)
+
+
+# exact scans of the rational endpoints: the reference every float query of
+# an IntervalUnionSet is checked against
+
+def _ref_contains(E: IntervalUnionSet, x) -> bool:
+    x = Fraction(x)
+    return any(a <= x <= b for a, b in E.intervals)
+
+
+def _ref_intersect(E: IntervalUnionSet, a, b) -> list:
+    """Exact intersection with [a, b] as a list of rational intervals."""
+    a, b = Fraction(a), Fraction(b)
+    return [(max(lo, a), min(hi, b)) for lo, hi in E.intervals
+            if max(lo, a) <= min(hi, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -35,12 +50,21 @@ def test_fat_cantor_measure_matches_product():
         expected *= 1 - Fraction(1, 4 ** k)
     assert c.measure() == expected
     assert expected > Fraction(1, 2)
-    assert not c.limit_measure_zero
 
 
 def test_cantor_rejects_bad_fractions():
     with pytest.raises(DomainError):
         make_cantor(CantorSpec(fractions=(Fraction(3, 2),), depth=2))
+
+
+@pytest.mark.parametrize("build", [CantorSpec.fat, CantorSpec.middle_thirds,
+                                   lambda d: CantorSpec(depth=d)])
+@pytest.mark.parametrize("depth", [MAX_CANTOR_DEPTH + 1, -1, 10 ** 9])
+def test_cantor_depth_is_bounded_up_front(build, depth):
+    # depth 17 built 2**17 exact intervals over several seconds; 10**9 would
+    # not finish
+    with pytest.raises(DomainError, match="cantor depth"):
+        make_cantor(build(depth))
 
 
 @settings(max_examples=40, deadline=None)
@@ -49,8 +73,8 @@ def test_cantor_monotone_in_depth(num, k):
     x = Fraction(num, 3 ** 7)
     deep = make_cantor(CantorSpec.middle_thirds(k + 1))
     shallow = make_cantor(CantorSpec.middle_thirds(k))
-    if deep.contains_fraction(x):
-        assert shallow.contains_fraction(x)
+    if _ref_contains(deep, x):
+        assert _ref_contains(shallow, x)
 
 
 # dyadic endpoints are floats; the others lie strictly between two floats
@@ -70,11 +94,19 @@ def test_float_interval_queries_match_exact(ends):
                  for q in (math.nextafter(f, -math.inf), f,
                            math.nextafter(f, math.inf))})
     assert E.contains_float_batch(np.array(xs)).tolist() == [
-        E.contains(x) for x in xs]
+        _ref_contains(E, x) for x in xs]
     a, b = map(np.array, zip(*[(x, y) for i, x in enumerate(xs)
                                for y in xs[i:i + 4]]))
     assert E.intersects_intervals_batch(a, b).tolist() == [
-        E.intersects_interval(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        bool(_ref_intersect(E, x, y)) for x, y in zip(a.tolist(), b.tolist())]
+
+
+def test_empty_set_answers_batch_queries_false():
+    E = IntervalUnionSet([])
+    xs = np.array([-1.0, 0.0, 2.5])
+    assert E.contains_float_batch(xs).tolist() == [False] * 3
+    assert E.intersects_intervals_batch(xs, xs + 1).tolist() == [False] * 3
+    assert E.contains_float_batch(np.array([])).tolist() == []
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +133,61 @@ def test_product_slice_classifications():
     lo = np.array([[-0.5, 0.5], [0.5, -1.0], [1 / 3, -1.0]])
     hi = np.array([[1.5, 0.5], [0.5, 2.0], [1 / 3, 2.0]])
     assert E.intersects_boxes_batch(lo, hi).tolist() == [True, False, True]
-    assert _length(E.gx.intersect_interval(-0.5, 1.5)) == Fraction(2, 3) ** 5
-    assert E.gx.limit_measure_zero
-    assert _length(E.fy.intersect_interval(-1.0, 2.0)) == 1
+    assert _length(_ref_intersect(E.gx, -0.5, 1.5)) == Fraction(2, 3) ** 5
+    assert _length(_ref_intersect(E.fy, -1.0, 2.0)) == 1
 
 
 def test_fat_product_slice_is_positive_length():
     E = product_set(make_cantor(CantorSpec.fat(5)), interval_set(0, 1))
     lo, hi = np.array([[-0.5, 0.5]]), np.array([[1.5, 0.5]])
     assert E.intersects_boxes_batch(lo, hi).tolist() == [True]
-    assert _length(E.gx.intersect_interval(-0.5, 1.5)) == E.gx.measure() > 0
-    assert not E.gx.limit_measure_zero
+    assert _length(_ref_intersect(E.gx, -0.5, 1.5)) == E.gx.measure() > 0
+
+
+_dyadic = st.builds(lambda k, m: k / 2 ** m, st.integers(-48, 48), st.integers(4, 6))
+_linear_sets = st.one_of(
+    st.builds(lambda d: make_cantor(CantorSpec.middle_thirds(d)), st.integers(0, 6)),
+    st.builds(lambda d: make_cantor(CantorSpec.fat(d)), st.integers(0, 6)),
+    st.builds(lambda ends: IntervalUnionSet(list(zip(ends[::2], ends[1::2]))),
+              st.lists(st.one_of(_dyadic, st.floats(-1.5, 1.5)), min_size=2,
+                       max_size=10).map(sorted)),
+    st.builds(IntervalUnionSet.points,
+              st.lists(st.one_of(_dyadic, st.floats(-1.5, 1.5)), max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@example(gx=make_cantor(CantorSpec.middle_thirds(1)), fy=interval_set(-1, 1),
+         origin=(0.0, 0.0), h=0.25, shape=(2, 2), edge=(2, 0, True))
+@given(gx=_linear_sets, fy=_linear_sets,
+       origin=st.tuples(*[st.one_of(_dyadic, st.floats(-1.5, 0.5))] * 2),
+       h=st.one_of(st.builds(lambda k, m: k / 2 ** m, st.integers(1, 8),
+                             st.integers(3, 8)),
+                   st.floats(1e-3, 0.5)),
+       shape=st.tuples(st.integers(2, 48), st.integers(1, 48)),
+       edge=st.none() | st.tuples(st.integers(0, 63), st.sampled_from([-1, 0, 1]),
+                                  st.booleans()))
+def test_raster_mask_matches_exact_reference(gx, fy, origin, h, shape, edge):
+    # dyadic origins and spacings put cell edges exactly on the dyadic
+    # endpoints of the fat Cantor sets and of the float unions; ``edge``
+    # starts or ends the first column on or next to the nearest float of an
+    # endpoint of gx, which checks the outward rounding: the example's first
+    # column ends on float(2/3) < 2/3, so it misses [2/3, 1]
+    ends = [e for iv in gx.intervals for e in iv]
+    if edge is not None and ends:
+        k, step, below = edge
+        f = float(ends[k % len(ends)])
+        f = math.nextafter(f, step * math.inf) if step else f
+        origin = (f - h if below else f, origin[1])
+    u = np.ones(shape, bool)
+    f1, f2 = np.zeros_like(u), np.zeros_like(u)
+    f1[0], f2[-1] = True, True
+    scene = modfam.GridScene(h, np.array(origin), u, f1, f2)
+    (ox, oy), (nx, ny) = scene.origin, scene.shape
+    xs_lo, ys_lo = ox + np.arange(nx) * h, oy + np.arange(ny) * h
+    want = np.outer([bool(_ref_intersect(gx, x, x + h)) for x in xs_lo],
+                    [bool(_ref_intersect(fy, y, y + h)) for y in ys_lo])
+    assert np.array_equal(sets.raster_mask(product_set(gx, fy), scene), want)
+
 
 def test_product_area_is_product_of_measures():
     g = make_cantor(CantorSpec.fat(5))
