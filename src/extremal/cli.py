@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ConfigError("tol: must be positive and finite")
         if self.kind in self.STOCHASTIC and self.seed is None:
             raise ConfigError(f"seed: mandatory for stochastic kind {self.kind!r}")
+        if self.seed is not None:
+            _natural("seed", self.seed)
         _VALIDATORS[self.kind](self.params)
 
     @staticmethod
@@ -93,6 +95,9 @@ def _number(where: str, v):
     # would pass float()
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}: must be a number, got {v!r}")
+    # Python's json reads Infinity and NaN
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(f"{where}: must be finite, got {v!r}")
     return v
 
 
@@ -103,7 +108,7 @@ def _integer(where: str, v) -> int:
 
 
 def _positive(where: str, v):
-    if not (math.isfinite(_number(where, v)) and v > 0):
+    if not _number(where, v) > 0:
         raise ConfigError(f"{where}: must be positive and finite, got {v!r}")
     return v
 
@@ -112,9 +117,10 @@ def _count(where: str, v) -> int:
     return _positive(where, _integer(where, v))
 
 
-def _depth(where: str, v):
+def _natural(where: str, v) -> int:
     if _integer(where, v) < 0:
         raise ConfigError(f"{where}: must be a non-negative integer, got {v!r}")
+    return v
 
 
 def _numbers(where: str, v, dim: int | None = None):
@@ -125,6 +131,8 @@ def _numbers(where: str, v, dim: int | None = None):
         raise ConfigError(f"{where}: must be a list of numbers, got {v!r}")
     if dim is not None and len(v) != dim:
         raise ConfigError(f"{where}: must have {dim} coordinates, got {v!r}")
+    for c in v:
+        _number(where, c)       # refuses Infinity and NaN
     return v
 
 
@@ -169,8 +177,10 @@ def _validate_qh(p: dict):
         _numbers("params.x1", p["x1"], 2)
         _numbers("params.x2", p["x2"], 2)
         _positive("params.pitch", p.get("pitch", 0.01))
+        if "anchor_value" in p:
+            _positive("params.anchor_value", p["anchor_value"])
     elif mode == "whitney":
-        _depth("params.max_depth", p.get("max_depth", 6))
+        _natural("params.max_depth", p.get("max_depth", 6))
     elif mode == "shadow-sum":
         _numbers("params.x0", p.get("x0", (0.0, 0.0)), 2)
         levels = p.get("levels", [])
@@ -179,7 +189,7 @@ def _validate_qh(p: dict):
         for k, lev in enumerate(levels):
             where = f"params.levels[{k}]"
             _need(_object(where, lev), "max_depth", "qh_pitch", where=where)
-            _depth(f"{where}.max_depth", lev["max_depth"])
+            _natural(f"{where}.max_depth", lev["max_depth"])
             _positive(f"{where}.qh_pitch", lev["qh_pitch"])
     else:
         raise ConfigError(f"params.mode: unknown quasihyperbolic mode {mode!r}")
@@ -288,13 +298,9 @@ def build_obstacle(spec: dict, scene: modfam.GridScene) -> np.ndarray:
         fat = spec.get("fat", True)
         if not isinstance(fat, bool):
             raise ConfigError(f"obstacle.fat: must be true or false, got {fat!r}")
-        c = sets.make_cantor(sets.CantorSpec.fat(depth) if fat
-                             else sets.CantorSpec.middle_thirds(depth))
-        span = c.intervals[-1][1] - c.intervals[0][0]
-        scale = (b - a) / float(span)
-        iv = [(a + (lo - c.intervals[0][0]) * scale,
-               a + (hi - c.intervals[0][0]) * scale) for lo, hi in c.intervals]
-        g = sets.IntervalUnionSet(iv)
+        c = sets.make_cantor(depth, fat)
+        g = sets.IntervalUnionSet.of([(a + lo / c.den * (b - a),
+                                       a + hi / c.den * (b - a)) for lo, hi in c.intervals])
         return sets.raster_mask(sets.product_set(g, f), scene)
     if kind == "cell":
         _need(spec, "at", where="obstacle")
@@ -595,7 +601,7 @@ def _survey_set_from_spec(spec: dict):
             [sets.CirclePrim(tuple(center), _number("E.radius", spec["radius"]))])
     if kind == "cantor-rows":
         depth = _integer("E.depth", spec.get("depth", 5))
-        c = sets.make_cantor(sets.CantorSpec.fat(depth))
+        c = sets.make_cantor(depth, True)
         rows = sets.IntervalUnionSet.points(
             _numbers("E.rows", spec.get("rows", [0.25, 0.5, 0.75])))
         return sets.product_set(c, rows)

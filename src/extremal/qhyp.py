@@ -741,6 +741,8 @@ def shadow_sum_diagnostic(domain: PolygonDomain, x0, levels) -> list[dict]:
     at qh_pitch (full domain coverage; cells the grid cannot reach are
     skipped and counted -- their k is beyond the resolution of this level).
     """
+    if not domain.contains(np.asarray(x0, float)[None])[0]:
+        raise DomainError("x0 must be interior to the domain")
     n = 2
     whitney_side = {}
     out = []

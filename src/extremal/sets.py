@@ -1,8 +1,8 @@
 """Canonical set constructions and set-curve interaction.
 
 Cantor sets, their products, unions of segments, points and circles, and the
-constrained-modulus probe.  Linear sets carry exact rational endpoints, so
-their measures are exact at the represented depth; every query compares
+constrained-modulus probe.  A linear set stores its endpoints exactly, as
+Python-int numerators over one common denominator; every query compares
 floats with the endpoints rounded outward, which decides it exactly.
 Floating point only enters the Monte Carlo surveys.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -23,14 +22,12 @@ from .modfam import CurveConstraint, GridScene
 MAX_CANTOR_DEPTH = 16      # make_cantor builds 2**depth exact intervals
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(float(x))
-
-
-def _round_float(x: Fraction, up: bool) -> float:
-    """The least float >= x (up) or the greatest float <= x (down)."""
-    f = float(x)
-    if (f < x) if up else (f > x):
+def _round_float(num: int, den: int, up: bool) -> float:
+    """The least float >= num/den (up) or the greatest float <= num/den
+    (down), for den > 0."""
+    f = num / den       # int true division rounds correctly
+    n, d = f.as_integer_ratio()
+    if (n * den < num * d) if up else (n * den > num * d):
         f = math.nextafter(f, math.inf if up else -math.inf)
     return f
 
@@ -41,32 +38,35 @@ def _round_float(x: Fraction, up: bool) -> float:
 
 @dataclass
 class IntervalUnionSet:
-    """Finite union of closed intervals with exact rational endpoints."""
+    """Finite union of the closed intervals [lo/den, hi/den] for sorted,
+    disjoint int pairs (lo, hi)."""
 
     intervals: list
+    den: int
     dim = 1
 
     def __post_init__(self):
-        iv = sorted(((_frac(a), _frac(b)) for a, b in self.intervals),
-                    key=lambda t: t[0])
-        for (a, b) in iv:
+        # a float lies in [a, b] exactly when it lies between the least float
+        # >= a and the greatest float <= b, so the float queries are exact;
+        # both arrays ascend, so the first _hi >= a decides if [a, b] meets E
+        self._lo = np.array([_round_float(a, self.den, True) for a, _ in self.intervals])
+        self._hi = np.array([_round_float(b, self.den, False) for _, b in self.intervals])
+
+    @staticmethod
+    def of(pairs) -> "IntervalUnionSet":
+        """The union of the closed intervals [a, b] with int or float ends,
+        exactly: each end is scaled to the lcm of their denominators."""
+        ratios = [(a.as_integer_ratio(), b.as_integer_ratio()) for a, b in pairs]
+        den = math.lcm(*(d for ab in ratios for _, d in ab))
+        merged = []
+        for a, b in sorted(tuple(n * (den // d) for n, d in ab) for ab in ratios):
             if b < a:
                 raise DomainError("interval endpoints out of order")
-        merged = []
-        for a, b in iv:
             if merged and a <= merged[-1][1]:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], b))
             else:
                 merged.append((a, b))
-        self.intervals = merged
-        # a float lies in [a, b] exactly when it lies between the least float
-        # >= a and the greatest float <= b, so the float queries are exact;
-        # both arrays ascend, so the first _hi >= a decides if [a, b] meets E
-        self._lo = np.array([_round_float(a, up=True) for a, _ in merged])
-        self._hi = np.array([_round_float(b, up=False) for _, b in merged])
-
-    def measure(self) -> Fraction:
-        return sum((b - a for a, b in self.intervals), Fraction(0))
+        return IntervalUnionSet(merged, den)
 
     def contains_float_batch(self, xs: np.ndarray) -> np.ndarray:
         return self.intersects_intervals_batch(xs, xs)
@@ -74,8 +74,8 @@ class IntervalUnionSet:
     def bbox(self):
         if not self.intervals:
             return np.zeros(1), np.zeros(1)
-        return (np.array([float(self.intervals[0][0])]),
-                np.array([float(self.intervals[-1][1])]))
+        return (np.array([self.intervals[0][0] / self.den]),
+                np.array([self.intervals[-1][1] / self.den]))
 
     def intersects_intervals_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Float interval-stabbing: does [a_i, b_i] meet the union?"""
@@ -90,70 +90,35 @@ class IntervalUnionSet:
                                                np.atleast_2d(hi)[:, 0])
 
     def components(self):
-        return [float(b - a) for a, b in self.intervals]
+        return [(b - a) / self.den for a, b in self.intervals]
 
     def is_finite_point_set(self) -> bool:
         return all(a == b for a, b in self.intervals)
 
     @staticmethod
     def points(xs) -> "IntervalUnionSet":
-        return IntervalUnionSet([(x, x) for x in xs])
+        return IntervalUnionSet.of([(x, x) for x in xs])
 
 
-@dataclass(frozen=True)
-class CantorSpec:
-    """Cantor construction: per-level removed middle fractions, finite depth."""
+def make_cantor(depth: int, fat: bool) -> IntervalUnionSet:
+    """The Cantor construction on [0, 1] at ``depth``, exactly.
 
-    base: tuple = (Fraction(0), Fraction(1))
-    fractions: tuple = (Fraction(1, 3),)
-    depth: int = 6
-
-    def __post_init__(self):
-        if not 0 <= self.depth <= MAX_CANTOR_DEPTH:
-            raise DomainError(f"cantor depth {self.depth} outside [0, {MAX_CANTOR_DEPTH}]")
-
-    def fraction_at(self, level: int) -> Fraction:
-        f = self.fractions[min(level, len(self.fractions) - 1)]
-        return _frac(f)
-
-    def expected_measure(self) -> Fraction:
-        length = _frac(self.base[1]) - _frac(self.base[0])
-        for k in range(self.depth):
-            length *= (1 - self.fraction_at(k))
-        return length
-
-    @staticmethod
-    def middle_thirds(depth: int) -> "CantorSpec":
-        return CantorSpec(depth=depth)
-
-    @staticmethod
-    def fat(depth: int, base: int = 4) -> "CantorSpec":
-        """Removed fractions base**-k, k = 1..depth: positive limit measure."""
-        # at most MAX_CANTOR_DEPTH fractions: the constructor refuses a deeper spec
-        fr = tuple(Fraction(1, base ** k) for k in range(1, min(depth, MAX_CANTOR_DEPTH) + 1))
-        return CantorSpec(fractions=fr, depth=depth)
-
-
-def make_cantor(spec: CantorSpec) -> IntervalUnionSet:
-    """Exact interval-union representation of the construction at its depth."""
-    a, b = _frac(spec.base[0]), _frac(spec.base[1])
-    if b <= a:
-        raise DomainError("cantor base interval must be nondegenerate")
-    iv = [(a, b)]
-    for k in range(spec.depth):
-        f = spec.fraction_at(k)
-        if not 0 < f < 1:
-            raise DomainError("removed fractions must lie in (0, 1)")
-        keep = (1 - f) / 2
-        nxt = []
-        for lo, hi in iv:
-            length = hi - lo
-            nxt.append((lo, lo + keep * length))
-            nxt.append((hi - keep * length, hi))
-        iv = nxt
-    out = IntervalUnionSet(iv)
-    assert out.measure() == spec.expected_measure()
-    return out
+    Level k removes the open middle 1/q of each interval, with q = 3 for the
+    middle-thirds set and q = 4**(k + 1) for the fat set, whose limit has
+    positive measure.
+    """
+    if not 0 <= depth <= MAX_CANTOR_DEPTH:
+        raise DomainError(f"cantor depth {depth} outside [0, {MAX_CANTOR_DEPTH}]")
+    iv, den = [(0, 1)], 1
+    for k in range(depth):
+        q = 4 ** (k + 1) if fat else 3
+        # scaled by 2q, each interval keeps (q - 1)/(2q) of its length at
+        # both ends
+        iv = [piece for lo, hi in iv
+              for piece in ((2 * q * lo, 2 * q * lo + (q - 1) * (hi - lo)),
+                            (2 * q * hi - (q - 1) * (hi - lo), 2 * q * hi))]
+        den *= 2 * q
+    return IntervalUnionSet(iv, den)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +162,7 @@ class ProductSet:
         starts = np.atleast_2d(np.asarray(starts, float))
         ends = np.atleast_2d(np.asarray(ends, float))
         counts = np.zeros(len(starts), float)
-        ys = np.array([float(a) for a, _ in self.fy.intervals])
+        ys = np.array([a / self.fy.den for a, _ in self.fy.intervals])
         dy = ends[:, 1] - starts[:, 1]
         for y0 in ys:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -217,7 +182,7 @@ def product_set(g: IntervalUnionSet, f: IntervalUnionSet) -> ProductSet:
 
 
 def interval_set(a, b) -> IntervalUnionSet:
-    return IntervalUnionSet([(a, b)])
+    return IntervalUnionSet.of([(a, b)])
 
 
 # ---------------------------------------------------------------------------

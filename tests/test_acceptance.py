@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from extremal import cover, distort, modfam, qhyp, sets
+from extremal import cli, cover, distort, modfam, qhyp, sets
 from extremal.geom import PolyCurve
 from extremal.modfam import (CurveConstraint, annulus_scene, discrete_modulus,
                              rectangle_scene, ring_modulus_exact,
@@ -210,14 +210,9 @@ def test_c11_cned_signatures():
                  and probe["mod_budget"][1] >= 0.9 * probe["mod_full"])
 
     rect = rectangle_scene(2.0, 1.0, 256)
-    cantor = sets.make_cantor(sets.CantorSpec.fat(6))
-    span = cantor.intervals[-1][1] - cantor.intervals[0][0]
-    iv = [(0.8 + float((lo - cantor.intervals[0][0]) / span) * 0.4,
-           0.8 + float((hi - cantor.intervals[0][0]) / span) * 0.4)
-          for lo, hi in cantor.intervals]
-    curtain = sets.product_set(sets.IntervalUnionSet(iv),
-                               sets.interval_set(-1.0, 2.0))
-    cmask = sets.raster_mask(curtain, rect)
+    # the depth-6 fat Cantor set on [0.8, 1.2], times the full height
+    cmask = cli.build_obstacle({"kind": "cantor-product", "depth": 6,
+                                "from": 0.8, "to": 1.2}, rect)
     probe2 = sets.cned_probe(cmask, rect, budgets=[1, 4, 8])
     curtain_ok = all(probe2["mod_budget"][K] <= 0.5 * probe2["mod_full"]
                      for K in (1, 4, 8))

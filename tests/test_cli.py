@@ -53,6 +53,22 @@ def test_stochastic_kind_requires_seed(tmp_path):
     ExperimentConfig.from_json(obj)
 
 
+@pytest.mark.parametrize("seed, argv", [
+    ("x", []), (1.5, []), (-1, []), (True, []), (None, ["--seed", "-1"])],
+    ids=["string", "float", "negative", "bool", "negative-flag"])
+def test_bad_seed_exits_two(seed, argv, tmp_path, capsys):
+    # "x", 1.5 and -1 ended in a numpy TypeError or ValueError traceback
+    # with exit 1, and true ran to exit 0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "kind": "covering", "seed": seed if seed is not None else 7,
+        "out": str(tmp_path / "out"),
+        "params": {"runs": 1, "n_pairs": 3, "M": 4.0, "map": "identity"}}))
+    assert main(["run", str(path), *argv]) == 2
+    assert "seed: must be " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 def test_invariant_breach_exits_three(tmp_path, monkeypatch, capsys):
     def boom(cfg, artifacts):
         raise cli.InvariantBreach("synthetic")
@@ -389,12 +405,21 @@ def _qh_config(tmp_path, **params):
      "params.levels: must be a list of objects"),
     ({"mode": "shadow-sum", "levels": [5]}, "params.levels[0]: must be an object, got 5"),
     ({"mode": "shadow-sum", "levels": [{"max_depth": 4, "qh_pitch": -0.02}]},
-     "params.levels[0].qh_pitch: must be positive and finite, got -0.02")],
+     "params.levels[0].qh_pitch: must be positive and finite, got -0.02"),
+    ({"mode": "distance", "x1": [0, 0], "x2": [0, 0.5], "anchor_value": "x"},
+     "params.anchor_value: must be a number, got 'x'"),
+    ({"mode": "distance", "x1": [0, 0], "x2": [0, 0.5], "anchor_value": 0},
+     "params.anchor_value: must be positive and finite, got 0"),
+    ({"mode": "shadow-sum", "x0": [5, 5]}, "x0 must be interior to the domain"),
+    ({"mode": "shadow-sum", "x0": [0, float("nan")]}, "params.x0: must be finite, got nan")],
     ids=["distance-without-x2", "pitch-string", "level-without-qh_pitch",
          "max_depth-string", "x1-3d", "pitch-zero", "max_depth-negative",
-         "x0-string", "levels-not-list", "level-not-object", "qh_pitch-negative"])
+         "x0-string", "levels-not-list", "level-not-object", "qh_pitch-negative",
+         "anchor_value-string", "anchor_value-zero", "x0-outside", "x0-nan"])
 def test_malformed_quasihyperbolic_field_exits_two(params, msg, tmp_path, capsys):
-    # the first four ended in a KeyError or TypeError traceback with exit 1
+    # the first four ended in a KeyError or TypeError traceback with exit 1;
+    # anchor_value "x" raised TypeError and 0 ZeroDivisionError after the
+    # solve; x0 outside the disk reported the sums seen from the nearest cube
     assert main(["run", _qh_config(tmp_path, **params)]) == 2
     assert msg in capsys.readouterr().err
     assert not (tmp_path / "out" / "results.json").exists()
@@ -435,18 +460,32 @@ _RECT16 = {"builder": "rectangle", "grid": 16}
      "cantor depth 17 outside [0, 16]"),
     ("survey", {"type": "radial", "samples": 10,
                 "E": {"kind": "cantor-rows", "depth": 17}},
-     "cantor depth 17 outside [0, 16]")],
+     "cantor depth 17 outside [0, 16]"),
+    ("sets-probe", {"scene": _RECT16, "budgets": [1],
+                    "obstacle": {"kind": "cantor-product", "to": math.inf}},
+     "obstacle.to: must be finite, got inf"),
+    ("sets-probe", {"scene": _RECT16, "budgets": [1],
+                    "obstacle": {"kind": "cantor-product", "y0": math.nan}},
+     "obstacle.y0: must be finite, got nan"),
+    ("survey", {"type": "radial", "samples": 10,
+                "E": {"kind": "cantor-rows", "rows": [math.nan]}},
+     "E.rows: must be finite, got nan"),
+    ("survey", {"type": "radial", "samples": 10,
+                "E": {"kind": "segments", "segments": [[[0, 0], [math.inf, 0]]]}},
+     "E.segments: must be finite, got inf")],
     ids=["annulus-without-r", "scene-file-missing", "grid-string", "disk-radius-string",
          "polygon-without-outer", "circle-without-radius", "runs-string",
          "M-string", "probes-string", "grids-string", "reciprocal-two-radii",
          "reciprocal-decreasing-radii", "cantor-fat-string", "cantor-obstacle-depth-17",
-         "cantor-survey-depth-17"])
+         "cantor-survey-depth-17", "cantor-to-infinite", "cantor-y0-nan",
+         "cantor-rows-nan", "segment-infinite"])
 def test_malformed_config_key_exits_two_before_solving(kind, params, msg, tmp_path,
                                                         monkeypatch, capsys):
     # each ended in a KeyError, TypeError, IndexError, FileNotFoundError,
     # ZeroDivisionError or numpy _UFuncNoLoopError traceback with exit 1;
     # "fat": "false" built the fat set; depth 17 built 2**17 exact intervals
-    # before the run went on
+    # before the run went on; Infinity and NaN, which Python's json reads,
+    # ended in a ValueError or OverflowError traceback with exit 1
     def solve(*args, **kwargs):
         raise AssertionError("solved before the config was checked")
 

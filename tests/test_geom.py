@@ -159,13 +159,13 @@ def test_normalization_constants():
 
 
 def test_content_segment_covers_itself():
-    E = sets.IntervalUnionSet([(0, 1)])
+    E = sets.interval_set(0, 1)
     assert abs(hausdorff_content(E, 1, math.inf) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
 def test_content_cantor_scales_like_two_thirds(k):
-    E = sets.make_cantor(sets.CantorSpec.middle_thirds(k))
+    E = sets.make_cantor(k, fat=False)
     val = hausdorff_content(E, 1, delta=3.0 ** (-k))
     assert val <= (2 / 3) ** k + 1e-12
 
@@ -177,8 +177,8 @@ def test_content_unit_square_matches_area():
 
 
 def test_content_monotone_in_delta_and_set():
-    small = sets.make_cantor(sets.CantorSpec.middle_thirds(3))
-    big = sets.IntervalUnionSet([(0, 1)])
+    small = sets.make_cantor(3, fat=False)
+    big = sets.interval_set(0, 1)
     v_coarse = hausdorff_content(small, 1, delta=1.0)
     v_fine = hausdorff_content(small, 1, delta=1 / 27)
     assert v_fine <= v_coarse + 1e-12
@@ -186,7 +186,7 @@ def test_content_monotone_in_delta_and_set():
 
 
 def test_content_rejects_bad_parameters():
-    E = sets.IntervalUnionSet([(0, 1)])
+    E = sets.interval_set(0, 1)
     with pytest.raises(DomainError):
         hausdorff_content(E, -1.0)
     with pytest.raises(DomainError):

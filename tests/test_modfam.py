@@ -814,7 +814,7 @@ def test_radial_survey_point_and_circle():
 
 
 def test_radial_survey_cantor_rows_decay():
-    c = sets.make_cantor(sets.CantorSpec.fat(5))
+    c = sets.make_cantor(5, fat=True)
     rows = sets.IntervalUnionSet.points([0.2, 0.35, 0.5, 0.65, 0.8])
     E = sets.product_set(c, rows)
     out = radial_survey(E, (0.45, 0.5), 0.05, 1.2, 6, 40000, seed=10)

@@ -28,8 +28,7 @@ REASONS = re.compile(r"CLI input|error path|test reference|test input builder"
 KEEP = {
     # exit 3 of a Whitney run
     "cli._whitney_breach": "error path",
-    # survey set kinds `point` and `cantor-rows`, and the `cantor-product`
-    # obstacle with "fat": false
+    # survey set kinds `point` and `cantor-rows`
     "sets._seg_point_hits_float": "CLI input",
     "sets.IntervalUnionSet.points": "CLI input",
     "sets.IntervalUnionSet.bbox": "CLI input",
@@ -37,7 +36,6 @@ KEEP = {
     "sets.IntervalUnionSet.contains_float_batch": "CLI input",
     "sets.ProductSet.bbox": "CLI input",
     "sets.ProductSet.count_segment_hits_batch": "CLI input",
-    "sets.CantorSpec.middle_thirds": "CLI input",
     # `file` scenes
     "modfam.GridScene.from_json": "CLI input",
     "modfam._rle_decode": "CLI input",

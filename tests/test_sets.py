@@ -5,27 +5,58 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from extremal import modfam, sets
+from extremal import cli, modfam, sets
 from extremal.geom import DomainError, hausdorff_content
-from extremal.sets import (MAX_CANTOR_DEPTH, CantorSpec, IntervalUnionSet,
-                           PointPrim, PrimitiveUnionSet, Segment, cned_probe,
+from extremal.sets import (MAX_CANTOR_DEPTH, IntervalUnionSet, PointPrim,
+                           PrimitiveUnionSet, Segment, _round_float, cned_probe,
                            circle_obstacle_mask, interval_set, make_cantor,
                            product_set)
 
 
-# exact scans of the rational endpoints: the reference every float query of
-# an IntervalUnionSet is checked against
+# exact scans of the int endpoints as rationals: the reference every float
+# query of an IntervalUnionSet is checked against
+
+def _exact(E: IntervalUnionSet) -> list:
+    return [(Fraction(a, E.den), Fraction(b, E.den)) for a, b in E.intervals]
+
 
 def _ref_contains(E: IntervalUnionSet, x) -> bool:
     x = Fraction(x)
-    return any(a <= x <= b for a, b in E.intervals)
+    return any(a <= x <= b for a, b in _exact(E))
 
 
 def _ref_intersect(E: IntervalUnionSet, a, b) -> list:
     """Exact intersection with [a, b] as a list of rational intervals."""
     a, b = Fraction(a), Fraction(b)
-    return [(max(lo, a), min(hi, b)) for lo, hi in E.intervals
+    return [(max(lo, a), min(hi, b)) for lo, hi in _exact(E)
             if max(lo, a) <= min(hi, b)]
+
+
+def _measure(E: IntervalUnionSet) -> Fraction:
+    return Fraction(sum(b - a for a, b in E.intervals), E.den)
+
+
+def _ref_round_float(x: Fraction, up: bool) -> float:
+    f = float(x)
+    if (f < x) if up else (f > x):
+        f = math.nextafter(f, math.inf if up else -math.inf)
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@example(num=1, den=3)
+@example(num=-(2 ** 300) + 1, den=2 ** 300)
+@example(num=3 ** 200, den=2 ** 299)
+@given(num=st.integers(-(2 ** 320), 2 ** 320),
+       den=st.one_of(st.integers(1, 2 ** 300),
+                     st.builds(lambda k: 2 ** k, st.integers(0, 300)),
+                     st.builds(lambda k: 3 ** k, st.integers(0, 189))))
+def test_round_float_matches_fraction_reference(num, den):
+    # dyadic ratios of up to 53 significant bits are floats, the others lie
+    # strictly between two
+    x = Fraction(num, den)
+    for up in (True, False):
+        assert _round_float(num, den, up) == _ref_round_float(x, up)
 
 
 # ---------------------------------------------------------------------------
@@ -33,46 +64,51 @@ def _ref_intersect(E: IntervalUnionSet, a, b) -> list:
 
 @pytest.mark.parametrize("k", [0, 1, 4, 7])
 def test_middle_thirds_measure_exact(k):
-    c = make_cantor(CantorSpec.middle_thirds(k))
-    assert c.measure() == Fraction(2, 3) ** k
+    c = make_cantor(k, fat=False)
+    assert _measure(c) == Fraction(2, 3) ** k
 
 
 def test_depth_zero_is_base_interval():
-    c = make_cantor(CantorSpec(base=(Fraction(1), Fraction(3)), depth=0))
-    assert c.intervals == [(Fraction(1), Fraction(3))]
+    for fat in (True, False):
+        c = make_cantor(0, fat)
+        assert (c.intervals, c.den) == ([(0, 1)], 1)
 
 
 def test_fat_cantor_measure_matches_product():
-    spec = CantorSpec.fat(6)
-    c = make_cantor(spec)
+    c = make_cantor(6, fat=True)
     expected = Fraction(1)
     for k in range(1, 7):
         expected *= 1 - Fraction(1, 4 ** k)
-    assert c.measure() == expected
+    assert _measure(c) == expected
     assert expected > Fraction(1, 2)
 
 
-def test_cantor_rejects_bad_fractions():
-    with pytest.raises(DomainError):
-        make_cantor(CantorSpec(fractions=(Fraction(3, 2),), depth=2))
+def fat(depth):
+    return make_cantor(depth, fat=True)
 
 
-@pytest.mark.parametrize("build", [CantorSpec.fat, CantorSpec.middle_thirds,
-                                   lambda d: CantorSpec(depth=d)])
+def middle_thirds(depth):
+    return make_cantor(depth, fat=False)
+
+
+@pytest.mark.parametrize("build", [
+    fat, middle_thirds,
+    # the survey set kind ``cantor-rows`` builds a fat set from the config
+    lambda d: cli._survey_set_from_spec({"kind": "cantor-rows", "depth": d})])
 @pytest.mark.parametrize("depth", [MAX_CANTOR_DEPTH + 1, -1, 10 ** 9])
 def test_cantor_depth_is_bounded_up_front(build, depth):
     # depth 17 built 2**17 exact intervals over several seconds; 10**9 would
     # not finish
     with pytest.raises(DomainError, match="cantor depth"):
-        make_cantor(build(depth))
+        build(depth)
 
 
 @settings(max_examples=40, deadline=None)
 @given(num=st.integers(0, 3 ** 7), k=st.integers(1, 6))
 def test_cantor_monotone_in_depth(num, k):
     x = Fraction(num, 3 ** 7)
-    deep = make_cantor(CantorSpec.middle_thirds(k + 1))
-    shallow = make_cantor(CantorSpec.middle_thirds(k))
+    deep = make_cantor(k + 1, fat=False)
+    shallow = make_cantor(k, fat=False)
     if _ref_contains(deep, x):
         assert _ref_contains(shallow, x)
 
@@ -88,8 +124,8 @@ _endpoints = st.builds(Fraction, st.integers(-60, 60),
 def test_float_interval_queries_match_exact(ends):
     # consecutive sorted endpoints pair up; an odd one out is a point
     ends = sorted(ends)
-    E = IntervalUnionSet([(ends[i], ends[min(i + 1, len(ends) - 1)])
-                          for i in range(0, len(ends), 2)])
+    E = IntervalUnionSet.of([(ends[i], ends[min(i + 1, len(ends) - 1)])
+                             for i in range(0, len(ends), 2)])
     xs = sorted({q for e in ends for f in (float(e),)
                  for q in (math.nextafter(f, -math.inf), f,
                            math.nextafter(f, math.inf))})
@@ -102,7 +138,7 @@ def test_float_interval_queries_match_exact(ends):
 
 
 def test_empty_set_answers_batch_queries_false():
-    E = IntervalUnionSet([])
+    E = IntervalUnionSet.of([])
     xs = np.array([-1.0, 0.0, 2.5])
     assert E.contains_float_batch(xs).tolist() == [False] * 3
     assert E.intersects_intervals_batch(xs, xs + 1).tolist() == [False] * 3
@@ -118,7 +154,7 @@ def _length(intervals) -> Fraction:
 
 def test_product_point_times_interval():
     # a point of the plane is a degenerate box
-    g = IntervalUnionSet([(0, 0)])
+    g = IntervalUnionSet.of([(0, 0)])
     f = interval_set(0, 1)
     p = product_set(g, f)
     pts = np.array([[0.0, 0.5], [0.1, 0.5]])
@@ -129,7 +165,7 @@ def test_product_slice_classifications():
     # axis-parallel segments as degenerate boxes: the horizontal slice at
     # y = 1/2 is the Cantor factor, the vertical one through the gap at
     # x = 1/2 is empty, the one through the endpoint 1/3 is a unit segment
-    E = product_set(make_cantor(CantorSpec.middle_thirds(5)), interval_set(0, 1))
+    E = product_set(make_cantor(5, fat=False), interval_set(0, 1))
     lo = np.array([[-0.5, 0.5], [0.5, -1.0], [1 / 3, -1.0]])
     hi = np.array([[1.5, 0.5], [0.5, 2.0], [1 / 3, 2.0]])
     assert E.intersects_boxes_batch(lo, hi).tolist() == [True, False, True]
@@ -138,17 +174,16 @@ def test_product_slice_classifications():
 
 
 def test_fat_product_slice_is_positive_length():
-    E = product_set(make_cantor(CantorSpec.fat(5)), interval_set(0, 1))
+    E = product_set(make_cantor(5, fat=True), interval_set(0, 1))
     lo, hi = np.array([[-0.5, 0.5]]), np.array([[1.5, 0.5]])
     assert E.intersects_boxes_batch(lo, hi).tolist() == [True]
-    assert _length(_ref_intersect(E.gx, -0.5, 1.5)) == E.gx.measure() > 0
+    assert _length(_ref_intersect(E.gx, -0.5, 1.5)) == _measure(E.gx) > 0
 
 
 _dyadic = st.builds(lambda k, m: k / 2 ** m, st.integers(-48, 48), st.integers(4, 6))
 _linear_sets = st.one_of(
-    st.builds(lambda d: make_cantor(CantorSpec.middle_thirds(d)), st.integers(0, 6)),
-    st.builds(lambda d: make_cantor(CantorSpec.fat(d)), st.integers(0, 6)),
-    st.builds(lambda ends: IntervalUnionSet(list(zip(ends[::2], ends[1::2]))),
+    st.builds(make_cantor, st.integers(0, 6), st.booleans()),
+    st.builds(lambda ends: IntervalUnionSet.of(list(zip(ends[::2], ends[1::2]))),
               st.lists(st.one_of(_dyadic, st.floats(-1.5, 1.5)), min_size=2,
                        max_size=10).map(sorted)),
     st.builds(IntervalUnionSet.points,
@@ -156,7 +191,7 @@ _linear_sets = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@example(gx=make_cantor(CantorSpec.middle_thirds(1)), fy=interval_set(-1, 1),
+@example(gx=make_cantor(1, fat=False), fy=interval_set(-1, 1),
          origin=(0.0, 0.0), h=0.25, shape=(2, 2), edge=(2, 0, True))
 @given(gx=_linear_sets, fy=_linear_sets,
        origin=st.tuples(*[st.one_of(_dyadic, st.floats(-1.5, 0.5))] * 2),
@@ -172,7 +207,7 @@ def test_raster_mask_matches_exact_reference(gx, fy, origin, h, shape, edge):
     # starts or ends the first column on or next to the nearest float of an
     # endpoint of gx, which checks the outward rounding: the example's first
     # column ends on float(2/3) < 2/3, so it misses [2/3, 1]
-    ends = [e for iv in gx.intervals for e in iv]
+    ends = [e for iv in _exact(gx) for e in iv]
     if edge is not None and ends:
         k, step, below = edge
         f = float(ends[k % len(ends)])
@@ -190,12 +225,16 @@ def test_raster_mask_matches_exact_reference(gx, fy, origin, h, shape, edge):
 
 
 def test_product_area_is_product_of_measures():
-    g = make_cantor(CantorSpec.fat(5))
-    assert float(g.measure()) * 1.0 == pytest.approx(float(g.measure()))
+    # the volume of a dyadic cover of G x [0, 1] bounds its area m(G) * 1
+    # from above, and at this depth overshoots it by under 5%
+    g = make_cantor(5, fat=True)
+    m = float(_measure(g))
+    area = hausdorff_content(product_set(g, interval_set(0, 1)), 2, delta=1 / 16)
+    assert m <= area <= 1.05 * m
 
 
 def test_cantor_square_content_does_not_vanish():
-    c = make_cantor(CantorSpec.middle_thirds(6))
+    c = make_cantor(6, fat=False)
     E = product_set(c, c)
     vals = [hausdorff_content(E, 1.0, delta=d) for d in (1 / 4, 1 / 16, 1 / 64)]
     assert all(v > 0.3 for v in vals)
@@ -338,7 +377,7 @@ def test_empty_classification_consistent_with_avoid_routing():
     # the avoid-mode search routes paths through the gap column of the
     # rastered product
     sc = modfam.rectangle_scene(1.0, 1.0, 81)
-    third = make_cantor(CantorSpec.middle_thirds(1))  # [0,1/3] u [2/3,1]
+    third = make_cantor(1, fat=False)  # [0,1/3] u [2/3,1]
     E = product_set(third, interval_set(-1.0, 2.0))
     mask = sets.raster_mask(E, sc)
     # family joins bottom to top: the gap column is the only way through
