@@ -7,6 +7,9 @@ anchors they were checked against), data.csv for tables, and figure.svg for
 acceptance scenario.  Identical config and seed give byte-identical
 results.json; wall-clock metadata goes to a sidecar file.
 
+Each key of ``params`` is read, defaulted and checked in one place, the runner
+or builder that uses it, before the first solve.
+
 Exit codes: 0 success (solver infeasibility is success, recorded in the
 results), 2 config error, 3 internal invariant breach.
 """
@@ -46,12 +49,11 @@ class ExperimentConfig:
     tol: float = 0.02
     name: str = ""
 
-    KINDS = ("modulus", "covering", "distortion", "quasihyperbolic",
-             "sets-probe", "survey")
     STOCHASTIC = ("covering", "survey")
 
     def validate(self) -> None:
-        if self.kind not in self.KINDS:
+        """Check the top-level fields; each runner checks its own params."""
+        if not isinstance(self.kind, str) or self.kind not in _RUNNERS:
             raise ConfigError(f"kind: unknown experiment kind {self.kind!r}")
         if not isinstance(self.params, dict):
             raise ConfigError("params: must be an object")
@@ -61,7 +63,6 @@ class ExperimentConfig:
             raise ConfigError(f"seed: mandatory for stochastic kind {self.kind!r}")
         if self.seed is not None:
             _natural("seed", self.seed)
-        _VALIDATORS[self.kind](self.params)
 
     @staticmethod
     def from_json(obj: dict, path: str = "<config>") -> "ExperimentConfig":
@@ -72,8 +73,6 @@ class ExperimentConfig:
                 tol=float(obj.get("tol", 0.02)), name=obj.get("name", ""))
             cfg.validate()
             return cfg
-        except ConfigError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
@@ -143,83 +142,6 @@ def _points(where: str, v) -> list:
     if len({len(_numbers(where, q)) for q in v}) > 1:
         raise ConfigError(f"{where}: points of different dimensions, got {v!r}")
     return v
-
-
-def _validate_modulus(p: dict):
-    mode = p.get("mode", "scene")
-    if mode == "scene":
-        _need(p, "scene")
-    elif mode == "reciprocal":
-        _need(p, "radii", "grid")
-    elif mode == "refinement":
-        _need(p, "grids")
-    else:
-        raise ConfigError(f"params.mode: unknown modulus mode {mode!r}")
-
-
-def _validate_covering(p: dict):
-    _need(p, "runs", "n_pairs", "M", "map")
-    if p["map"] not in cover.NAMED_MAPS:
-        raise ConfigError(f"params.map: unknown map {p['map']!r}")
-
-
-def _validate_distortion(p: dict):
-    _need(p, "map")
-    if p["map"] not in cover.NAMED_MAPS:
-        raise ConfigError(f"params.map: unknown map {p['map']!r}")
-
-
-def _validate_qh(p: dict):
-    _need(p, "domain", "mode")
-    mode = p["mode"]
-    if mode == "distance":
-        _need(p, "x1", "x2")
-        _numbers("params.x1", p["x1"], 2)
-        _numbers("params.x2", p["x2"], 2)
-        _positive("params.pitch", p.get("pitch", 0.01))
-        if "anchor_value" in p:
-            _positive("params.anchor_value", p["anchor_value"])
-    elif mode == "whitney":
-        _natural("params.max_depth", p.get("max_depth", 6))
-    elif mode == "shadow-sum":
-        _numbers("params.x0", p.get("x0", (0.0, 0.0)), 2)
-        levels = p.get("levels", [])
-        if not isinstance(levels, list):
-            raise ConfigError(f"params.levels: must be a list of objects, got {levels!r}")
-        for k, lev in enumerate(levels):
-            where = f"params.levels[{k}]"
-            _need(_object(where, lev), "max_depth", "qh_pitch", where=where)
-            _natural(f"{where}.max_depth", lev["max_depth"])
-            _positive(f"{where}.qh_pitch", lev["qh_pitch"])
-    else:
-        raise ConfigError(f"params.mode: unknown quasihyperbolic mode {mode!r}")
-
-
-def _validate_sets_probe(p: dict):
-    _need(p, "obstacle", "scene", "budgets")
-    if not isinstance(p["budgets"], list):
-        raise ConfigError("params.budgets: must be a list of integers")
-
-
-def _validate_survey(p: dict):
-    _need(p, "type", "samples")
-    if p["type"] not in ("translation", "radial", "avg-line-integral"):
-        raise ConfigError(f"params.type: unknown survey type {p['type']!r}")
-    if p["type"] != "avg-line-integral":
-        _need(p, "E")
-    n = p["samples"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError(f"params.samples: must be a positive integer, got {n!r}")
-
-
-_VALIDATORS = {
-    "modulus": _validate_modulus,
-    "covering": _validate_covering,
-    "distortion": _validate_distortion,
-    "quasihyperbolic": _validate_qh,
-    "sets-probe": _validate_sets_probe,
-    "survey": _validate_survey,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +249,13 @@ def _run_modulus(cfg: ExperimentConfig, artifacts: dict) -> dict:
     p = cfg.params
     mode = p.get("mode", "scene")
     if mode == "scene":
+        _need(p, "scene")
         scene = build_scene(p["scene"])
         constraint = modfam.UNCONSTRAINED
         if "obstacle" in p:
             mask = build_obstacle(p["obstacle"], scene)
-            cmode = p.get("constraint", "avoid")
-            constraint = modfam.CurveConstraint(
-                cmode, mask, p.get("budget", 0))
+            constraint = modfam.CurveConstraint(p.get("constraint", "avoid"), mask,
+                                                p.get("budget", 0))
         res = modfam.discrete_modulus(scene, constraint)
         out = {"value": res.value, "infeasible": res.infeasible}
         sc = p["scene"]
@@ -360,6 +282,7 @@ def _run_modulus(cfg: ExperimentConfig, artifacts: dict) -> dict:
             artifacts["density"] = res.density
         return out
     if mode == "reciprocal":
+        _need(p, "radii", "grid")
         radii = [_positive(f"params.radii[{k}]", r)
                  for k, r in enumerate(_numbers("params.radii", p["radii"]))]
         if len(radii) != 3 or not radii[0] < radii[1] < radii[2]:
@@ -379,7 +302,10 @@ def _run_modulus(cfg: ExperimentConfig, artifacts: dict) -> dict:
                 "threshold_3tol": 3 * cfg.tol,
                 "anchor": {"name": "serial law: extremal distances add",
                            "log_ratio": math.log(radii[2] / radii[0])}}
+    if mode != "refinement":
+        raise ConfigError(f"params.mode: unknown modulus mode {mode!r}")
     # refinement ladder forcing paths through one cell
+    _need(p, "grids")
     grids = [_count(f"params.grids[{k}]", n)
              for k, n in enumerate(_numbers("params.grids", p["grids"]))]
     r = _positive("params.r", p.get("r", 1.0))
@@ -399,6 +325,8 @@ def _run_modulus(cfg: ExperimentConfig, artifacts: dict) -> dict:
 
 def _run_covering(cfg: ExperimentConfig, artifacts: dict) -> dict:
     p = cfg.params
+    _need(p, "runs", "n_pairs", "M")
+    _named_map(p)
     n_runs = _count("params.runs", p["runs"])
     n_pairs = _count("params.n_pairs", p["n_pairs"])
     M = _positive("params.M", p["M"])
@@ -422,19 +350,27 @@ def _run_covering(cfg: ExperimentConfig, artifacts: dict) -> dict:
             "anchor": {"name": "egg-yolk covering: disjoint yolks, same union"}}
 
 
+def _named_map(p: dict) -> np.ndarray:
+    """The matrix of the linear map that ``params.map`` names."""
+    _need(p, "map")
+    if not isinstance(p["map"], str) or p["map"] not in cover.NAMED_MAPS:
+        raise ConfigError(f"params.map: unknown map {p['map']!r}")
+    return cover.NAMED_MAPS[p["map"]]
+
+
 def _run_distortion(cfg: ExperimentConfig, artifacts: dict) -> dict:
     p = cfg.params
-    mat, _ = cover.NAMED_MAPS[p["map"]]
+    mat = _named_map(p)
     f = distort.linear_sampled_map(
         mat, pitch=_positive("params.pitch", p.get("pitch", 0.05)))
     out: dict = {"map": p["map"]}
+    svals = np.linalg.svd(mat, compute_uv=False)
     if "rings" in p:
         rings = [((0.0, 0.0), *_numbers(f"params.rings[{k}]", ring, 2))
                  for k, ring in enumerate(_points("params.rings", p["rings"]))]
         C1 = _number("params.C1", p.get("C1", 6.0))
         grid_n = _count("params.grid", p.get("grid", 160))
         out["ring_qc"] = distort.ring_qc_test(f, rings, C1, grid_n=grid_n)
-        svals = np.linalg.svd(mat, compute_uv=False)
         out["anchor"] = {"name": "K-quasiconformal ring bound md f(G) <= K md G",
                          "K": float(svals[0] / svals[-1])}
         return out
@@ -447,7 +383,6 @@ def _run_distortion(cfg: ExperimentConfig, artifacts: dict) -> dict:
     for x in pts:
         hs.append(distort.metric_distortion(f, x, ladder).h_estimate)
         es.append(distort.eccentric_distortion(f, x, radius))
-    svals = np.linalg.svd(mat, compute_uv=False)
     out.update({
         "metric_distortion": {"mean": float(np.mean(hs)), "max": float(np.max(hs)),
                               "min": float(np.min(hs))},
@@ -460,20 +395,26 @@ def _run_distortion(cfg: ExperimentConfig, artifacts: dict) -> dict:
 
 def _run_qh(cfg: ExperimentConfig, artifacts: dict) -> dict:
     p = cfg.params
+    _need(p, "domain", "mode")
     domain = build_domain(p["domain"])
     mode = p["mode"]
     if mode == "distance":
-        res = qhyp.qh_distance(domain, p["x1"], p["x2"],
-                               pitch=p.get("pitch", 0.01))
+        _need(p, "x1", "x2")
+        x1 = _numbers("params.x1", p["x1"], 2)
+        x2 = _numbers("params.x2", p["x2"], 2)
+        pitch = _positive("params.pitch", p.get("pitch", 0.01))
+        anchor = (_positive("params.anchor_value", p["anchor_value"])
+                  if "anchor_value" in p else None)
+        res = qhyp.qh_distance(domain, x1, x2, pitch=pitch)
         out = {"value": res["value"], "infeasible": res["infeasible"]}
-        if "anchor_value" in p:
+        if anchor is not None:
             out["anchor"] = {"name": "radial quasihyperbolic integral",
-                             "value": p["anchor_value"],
-                             "relative_error": (res["value"] - p["anchor_value"])
-                             / p["anchor_value"]}
+                             "value": anchor,
+                             "relative_error": (res["value"] - anchor) / anchor}
         return out
     if mode == "whitney":
-        decomp = qhyp.whitney_decompose(domain, p.get("max_depth", 6))
+        max_depth = _natural("params.max_depth", p.get("max_depth", 6))
+        decomp = qhyp.whitney_decompose(domain, max_depth)
         rep = decomp.verify_exact()
         if rep["lower_violations"] or rep["upper_violations"]:
             raise InvariantBreach(_whitney_breach(decomp, rep))
@@ -483,9 +424,19 @@ def _run_qh(cfg: ExperimentConfig, artifacts: dict) -> dict:
                 "upper_violations": len(rep["upper_violations"]),
                 "neighbor_ratio_ok": rep["neighbor_ratio_ok"],
                 "anchor": {"name": "diam(Q) <= dist(Q, boundary) <= 4 diam(Q)"}}
-    pairs = [(lev["max_depth"], lev["qh_pitch"])
-             for lev in p.get("levels", [{"max_depth": 6, "qh_pitch": 0.02}])]
-    return {"levels": qhyp.shadow_sum_diagnostic(domain, p.get("x0", (0.0, 0.0)), pairs),
+    if mode != "shadow-sum":
+        raise ConfigError(f"params.mode: unknown quasihyperbolic mode {mode!r}")
+    x0 = _numbers("params.x0", p.get("x0", (0.0, 0.0)), 2)
+    levels = p.get("levels", [{"max_depth": 6, "qh_pitch": 0.02}])
+    if not isinstance(levels, list):
+        raise ConfigError(f"params.levels: must be a list of objects, got {levels!r}")
+    pairs = []
+    for k, lev in enumerate(levels):
+        where = f"params.levels[{k}]"
+        _need(_object(where, lev), "max_depth", "qh_pitch", where=where)
+        pairs.append((_natural(f"{where}.max_depth", lev["max_depth"]),
+                      _positive(f"{where}.qh_pitch", lev["qh_pitch"])))
+    return {"levels": qhyp.shadow_sum_diagnostic(domain, x0, pairs),
             "anchor": {"name": "shadow sum bounded by quasihyperbolic integral"}}
 
 
@@ -504,6 +455,9 @@ def _whitney_breach(decomp, rep: dict) -> str:
 
 def _run_sets_probe(cfg: ExperimentConfig, artifacts: dict) -> dict:
     p = cfg.params
+    _need(p, "obstacle", "scene", "budgets")
+    if not isinstance(p["budgets"], list):
+        raise ConfigError("params.budgets: must be a list of integers")
     scene = build_scene(p["scene"])
     mask = build_obstacle(p["obstacle"], scene)
     probe = sets.cned_probe(mask, scene, p["budgets"])
@@ -523,22 +477,29 @@ def _run_sets_probe(cfg: ExperimentConfig, artifacts: dict) -> dict:
 
 def _run_survey(cfg: ExperimentConfig, artifacts: dict) -> dict:
     p = cfg.params
+    _need(p, "type", "samples")
+    samples = p["samples"]
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise ConfigError(f"params.samples: must be a positive integer, got {samples!r}")
     if p["type"] == "avg-line-integral":
         curve = PolyCurve(_points("params.curve",
                                   p.get("curve", [[0.0, 0.0], [1.0, 0.0]])))
         rho = _density_from_spec(p.get("density", {"kind": "linear-x"}))
         out = {}
         for r in _numbers("params.radii", p.get("radii", [0.1, 0.01])):
-            out[f"r={r}"] = modfam.avg_line_integral(rho, curve, r,
-                                                     p["samples"], seed=cfg.seed)
+            out[f"r={r}"] = modfam.avg_line_integral(rho, curve, r, samples,
+                                                     seed=cfg.seed)
         return {"averages": out,
                 "anchor": {"name": "averaged line integrals converge to the integral"}}
+    if p["type"] not in ("translation", "radial"):
+        raise ConfigError(f"params.type: unknown survey type {p['type']!r}")
+    _need(p, "E")
     E = _survey_set_from_spec(p["E"])
     if p["type"] == "translation":
         curve = PolyCurve(_points("params.curve",
                                   p.get("curve", [[0.0, 0.0], [0.0, 1.0]])))
         n_max = _integer("params.n_max", p.get("n_max", 16))
-        table = modfam.translation_survey(E, curve, n_max, p["samples"], seed=cfg.seed)
+        table = modfam.translation_survey(E, curve, n_max, samples, seed=cfg.seed)
         table["anchor"] = {"name": "N * m(F_N) bounded by len(curve) * H^{n-1}(E)"}
         artifacts["survey_table"] = table["table"]
         return table
@@ -546,7 +507,7 @@ def _run_survey(cfg: ExperimentConfig, artifacts: dict) -> dict:
     r = _number("params.r", p.get("r", 0.5))
     R = _number("params.R", p.get("R", 2.0))
     n_max = _integer("params.n_max", p.get("n_max", 8))
-    table = modfam.radial_survey(E, x, r, R, n_max, p["samples"], seed=cfg.seed)
+    table = modfam.radial_survey(E, x, r, R, n_max, samples, seed=cfg.seed)
     table["anchor"] = {"name": "directional measure decays like 1/N"}
     artifacts["survey_table"] = table["table"]
     return table
@@ -598,7 +559,7 @@ def _survey_set_from_spec(spec: dict):
         _need(spec, "radius", where="E")
         center = _numbers("E.center", spec.get("center", (0, 0)), 2)
         return sets.PrimitiveUnionSet(
-            [sets.CirclePrim(tuple(center), _number("E.radius", spec["radius"]))])
+            [sets.CirclePrim(tuple(center), _positive("E.radius", spec["radius"]))])
     if kind == "cantor-rows":
         depth = _integer("E.depth", spec.get("depth", 5))
         c = sets.make_cantor(depth, True)
@@ -654,10 +615,10 @@ def _json_ready(obj):
 def run_experiment(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit code."""
     config.validate()
-    os.makedirs(config.out, exist_ok=True)
     t0 = time.time()
     artifacts: dict = {}
     results = _RUNNERS[config.kind](config, artifacts)
+    os.makedirs(config.out, exist_ok=True)
     payload = {
         "schema": 1,
         "kind": config.kind,
@@ -863,7 +824,6 @@ def main(argv=None) -> int:
         if args.config in cat:
             obj = dict(cat[args.config])
             obj.setdefault("name", args.config)
-            cfg = ExperimentConfig.from_json(obj, args.config)
         else:
             try:
                 with open(args.config) as fh:
@@ -873,14 +833,13 @@ def main(argv=None) -> int:
             except json.JSONDecodeError as exc:
                 raise ConfigError(
                     f"{args.config}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-            cfg = ExperimentConfig.from_json(obj, args.config)
+        cfg = ExperimentConfig.from_json(obj, args.config)
         if args.seed is not None:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out = args.out
         if args.tol is not None:
             cfg.tol = args.tol
-        cfg.validate()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -303,10 +303,10 @@ def affine_map(matrix) -> Callable[[np.ndarray], np.ndarray]:
 
 
 NAMED_MAPS = {
-    "identity": (np.eye(2), "identity"),
-    "diag(2,1)": (np.diag([2.0, 1.0]), "diag(2,1)"),
-    "rot+scale": (1.5 * np.array([[math.cos(0.7), -math.sin(0.7)],
-                                  [math.sin(0.7), math.cos(0.7)]]), "rot+scale"),
+    "identity": np.eye(2),
+    "diag(2,1)": np.diag([2.0, 1.0]),
+    "rot+scale": 1.5 * np.array([[math.cos(0.7), -math.sin(0.7)],
+                                 [math.sin(0.7), math.cos(0.7)]]),
 }
 
 
@@ -320,7 +320,7 @@ def random_paired_family(n_pairs: int, M: float, map_name: str,
     2-egg-yolk pair forces A = 2B, which no non-conformal linear image
     preserves), so M < 4 rejects them.
     """
-    mat, _ = NAMED_MAPS[map_name]
+    mat = NAMED_MAPS[map_name]
     svals = np.linalg.svd(mat, compute_uv=False)
     aniso = svals[0] / svals[-1]
     if 2 * aniso > M and aniso > 1 + 1e-9:

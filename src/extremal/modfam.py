@@ -32,9 +32,9 @@ from __future__ import annotations
 import ctypes
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -62,12 +62,18 @@ class GridScene:
     name: str = ""
 
     def __post_init__(self):
-        self.origin = np.asarray(self.origin, float)
         self.u = np.asarray(self.u, bool)
         self.f1 = np.asarray(self.f1, bool) & self.u
         self.f2 = np.asarray(self.f2, bool) & self.u
         if self.dim not in (2, 3):
             raise DomainError("grid scenes support dimensions 2 and 3")
+        if not (_is_finite_number(self.spacing) and self.spacing > 0):
+            raise DomainError(f"spacing must be positive and finite, got {self.spacing!r}")
+        o = self.origin
+        if not (isinstance(o, (list, tuple, np.ndarray)) and len(o) == self.dim
+                and all(map(_is_finite_number, o))):
+            raise DomainError(f"origin must be {self.dim} finite numbers, got {o!r}")
+        self.origin = np.asarray(o, float)
         if not self.f1.any() or not self.f2.any():
             raise DomainError("marked continua must be nonempty")
         if (self.f1 & self.f2).any():
@@ -99,10 +105,22 @@ class GridScene:
 
     @staticmethod
     def from_json(obj: dict) -> "GridScene":
-        shape = tuple(obj["shape"])
-        masks = {k: _rle_decode(obj["masks"][k], shape) for k in ("u", "f1", "f2")}
-        return GridScene(obj["spacing"], np.asarray(obj["origin"], float),
-                         masks["u"], masks["f1"], masks["f2"], obj.get("name", ""))
+        """The scene of a ``to_json`` record; a malformed one raises DomainError."""
+        try:
+            spacing, origin, shape = obj["spacing"], obj["origin"], obj["shape"]
+            runs = [obj["masks"][k] for k in ("u", "f1", "f2")]
+        except (KeyError, TypeError) as exc:
+            raise DomainError("a scene file is an object with spacing, origin, shape "
+                              f"and masks u, f1, f2; got {exc!r}") from exc
+        if not (isinstance(shape, list) and len(shape) in (2, 3)
+                and all(type(n) is int and n > 0 for n in shape)):
+            raise DomainError(f"scene shape must be 2 or 3 positive integers, got {shape!r}")
+        u, f1, f2 = (_rle_decode(r, tuple(shape)) for r in runs)
+        return GridScene(spacing, origin, u, f1, f2, obj.get("name", ""))
+
+
+def _is_finite_number(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _rle_encode(mask: np.ndarray) -> list:
@@ -112,6 +130,8 @@ def _rle_encode(mask: np.ndarray) -> list:
 
 
 def _rle_decode(runs: list, shape: tuple) -> np.ndarray:
+    if not isinstance(runs, list):
+        raise DomainError(f"mask runs must be a list, got {runs!r}")
     size = int(np.prod(shape))
     flat = np.zeros(size, bool)
     for run in runs:
@@ -221,19 +241,18 @@ def square_ring_lower_bound(r: float, R: float) -> float:
 # Scene builders
 
 
-def annulus_scene(r: float, R: float, n_cells: int, half: float | None = None,
-                  center=(0.0, 0.0)) -> GridScene:
-    """2D annulus with marked bands centered on the boundary circles."""
+def annulus_scene(r: float, R: float, n_cells: int,
+                  half: float | None = None) -> GridScene:
+    """2D annulus about the origin, marked bands centered on its boundary circles."""
     half = half if half is not None else R * 1.04
     h = 2 * half / n_cells
-    cx, cy = center
     xs = (np.arange(n_cells) + 0.5) * h - half
-    X, Y = np.meshgrid(xs + cx, xs + cy, indexing="ij")
-    rad = np.hypot(X - cx, Y - cy)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    rad = np.hypot(X, Y)
     f1 = np.abs(rad - r) <= h / 2
     f2 = np.abs(rad - R) <= h / 2
     u = ((rad < R + h) & (rad > r - h)) | f1 | f2
-    return GridScene(h, np.array([cx - half, cy - half]), u, f1, f2,
+    return GridScene(h, np.array([-half, -half]), u, f1, f2,
                      name=f"annulus[{r},{R}]x{n_cells}")
 
 
@@ -445,7 +464,6 @@ class ModulusResult:
     density: DensityField | None
     witnesses: list[PolyCurve]
     infeasible: bool = False
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _offsets(dim: int) -> list[tuple]:
@@ -611,20 +629,10 @@ def discrete_modulus(scene: GridScene,
 
     Returns a certified upper estimate: the reported density is exactly
     admissible (its constrained shortest-path distance is 1) and the value
-    is its energy.
+    is its energy.  If no candidate certifies, the value is 0.0, infeasible.
     """
-    carry = constraint.carrier(scene.u)
-    if not (scene.f1 & carry).any() or not (scene.f2 & carry).any():
-        return ModulusResult(0.0, None, [], infeasible=True,
-                             diagnostics={"reason": "marked set removed by constraint"})
     problem = ModulusProblem(scene)
-    # reachability probe with unit density
-    if math.isinf(problem.certify(np.ones(scene.shape), constraint)[0]):
-        return ModulusResult(0.0, None, [], infeasible=True,
-                             diagnostics={"reason": "no admissible path under constraint"})
-
-    h = scene.spacing
-    actives = [carry]
+    actives = [constraint.carrier(scene.u)]
     if constraint.mode == "budget":
         # the avoid-mode potential covers the detour regime
         actives.append(scene.u & ~constraint.cells)
@@ -636,17 +644,14 @@ def discrete_modulus(scene: GridScene,
         if val < best_val:
             best_val, best_rho, best_path = val, rho_norm, path
     if best_rho is None:
-        return ModulusResult(0.0, None, [], infeasible=True,
-                             diagnostics={"reason": "all candidates infeasible"})
+        return ModulusResult(0.0, None, [], infeasible=True)
 
     witnesses = []
     if best_path:
-        centers = scene.origin + (problem.cells[best_path] + 0.5) * h
+        centers = scene.origin + (problem.cells[best_path] + 0.5) * scene.spacing
         witnesses.append(PolyCurve(centers))
-    density = DensityField(best_rho, h, scene.origin)
-    return ModulusResult(best_val, density, witnesses,
-                         diagnostics={"candidates": len(candidates),
-                                      "constraint": constraint.mode})
+    density = DensityField(best_rho, scene.spacing, scene.origin)
+    return ModulusResult(best_val, density, witnesses)
 
 
 # ---------------------------------------------------------------------------

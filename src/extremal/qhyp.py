@@ -203,36 +203,32 @@ def square_domain(side: float = 1.0, corner=(0.0, 0.0)) -> PolygonDomain:
     return PolygonDomain([(x0, y0), (x0 + s, y0), (x0 + s, y0 + s), (x0, y0 + s)])
 
 
-def cusp_domain(exponent: float = 8.0, x_min: float = 0.35,
-                mouth: float = 1.5, n_profile: int = 40) -> PolygonDomain:
-    """Square body with a power-law cusp: half-width (x/mouth)^exponent / 2.
+def cusp_domain(exponent: float = 8.0) -> PolygonDomain:
+    """Square body with a power-law cusp: half-width (x/1.5)^exponent / 2.
 
     For exponent > 3 the quasihyperbolic distance fails to be square
     integrable on the ideal cusp, so the k^2 quadrature keeps growing as the
     grid resolves deeper into the corridor; the polygon truncates the tip at
-    x_min, which is beyond any resolution used here.
+    x = 0.35, which is beyond any resolution used here.
     """
-    xs = np.geomspace(x_min, mouth, n_profile)
-    w = 0.5 * (xs / mouth) ** exponent
+    xs = np.geomspace(0.35, 1.5, 40)
+    w = 0.5 * (xs / 1.5) ** exponent
     upper = np.stack([xs, w], axis=1)[::-1]
     lower = np.stack([xs, -w], axis=1)
-    verts = [(mouth + 0.5, 0.5), (mouth, 0.5)]
+    verts = [(2.0, 0.5), (1.5, 0.5)]
     verts += [tuple(p) for p in upper[1:]]
     verts += [tuple(p) for p in lower]
-    verts += [(mouth + 0.5, -0.5)]
+    verts += [(2.0, -0.5)]
     return PolygonDomain(list(reversed(verts)))
 
 
-def comb_domain(teeth: int = 4, slit_width: float = 0.02,
-                slit_depth: float = 0.75) -> PolygonDomain:
-    """Rectangle [0,2] x [0,1] with thin slits descending from the top edge."""
+def comb_domain(teeth: int = 4) -> PolygonDomain:
+    """Rectangle [0,2] x [0,1] with slits 0.02 wide descending 0.75 from the
+    top edge."""
     verts = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0)]
     xs = np.linspace(0.25, 1.75, teeth)
     for x in sorted(xs, reverse=True):
-        verts += [(x + slit_width / 2, 1.0),
-                  (x + slit_width / 2, 1.0 - slit_depth),
-                  (x - slit_width / 2, 1.0 - slit_depth),
-                  (x - slit_width / 2, 1.0)]
+        verts += [(x + 0.01, 1.0), (x + 0.01, 0.25), (x - 0.01, 0.25), (x - 0.01, 1.0)]
     verts += [(0.0, 1.0)]
     return PolygonDomain(verts)
 
@@ -297,7 +293,7 @@ class WhitneyDecomposition:
 _CHILDREN = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], np.int64)   # ij offsets
 
 
-def whitney_decompose(domain: PolygonDomain, max_depth: int = 7) -> WhitneyDecomposition:
+def whitney_decompose(domain: PolygonDomain, max_depth: int) -> WhitneyDecomposition:
     """Dyadic Whitney cubes of the domain: diam(Q) <= dist(Q, bd) <= 4 diam(Q).
 
     A cube is emitted at the first (coarsest) generation where

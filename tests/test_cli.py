@@ -25,7 +25,7 @@ def test_list_catalog_is_complete(capsys):
 def test_every_bundled_config_validates():
     for name, obj in builtin_experiments().items():
         cfg = ExperimentConfig.from_json(dict(obj), name)
-        assert cfg.kind in ExperimentConfig.KINDS
+        assert cfg.kind in cli._RUNNERS
 
 
 def test_config_errors_exit_two(tmp_path, capsys):
@@ -259,18 +259,36 @@ def test_cell_obstacle_marks_the_cell_under_the_point():
     assert np.argwhere(mask).tolist() == [[2, 7]]
 
 
+def _with_run(run):
+    return lambda s: {**s, "masks": {**s["masks"], "u": s["masks"]["u"] + [run]}}
+
+
 def test_scene_file_with_bad_run_exits_two(tmp_path, capsys):
     # a run off the mask, then runs that are not a pair of integers: [1]
     # failed to unpack, [0.5, 2] and "ab" failed to slice, and [true, 3]
-    # marked cells 1 to 3
-    for k, (run, msg) in enumerate([
-            ([-5, 3], "mask run [-5, 3] does not fit"),
-            ([1], "mask run [1] is not a pair of integers"),
-            ([0.5, 2], "mask run [0.5, 2] is not a pair of integers"),
-            ("ab", "mask run 'ab' is not a pair of integers"),
-            ([True, 3], "mask run [True, 3] is not a pair of integers")]):
-        scene = modfam.rectangle_scene(2.0, 1.0, 16).to_json()
-        scene["masks"]["u"].append(run)
+    # marked cells 1 to 3; then malformed scene fields: a negative spacing
+    # aborted with std::bad_alloc (exit 134), a string spacing, a short
+    # origin and a list for the whole file ended in TypeError, a negative
+    # shape in ValueError and a missing key in KeyError, each with exit 1
+    for k, (edit, msg) in enumerate([
+            (_with_run([-5, 3]), "mask run [-5, 3] does not fit"),
+            (_with_run([1]), "mask run [1] is not a pair of integers"),
+            (_with_run([0.5, 2]), "mask run [0.5, 2] is not a pair of integers"),
+            (_with_run("ab"), "mask run 'ab' is not a pair of integers"),
+            (_with_run([True, 3]), "mask run [True, 3] is not a pair of integers"),
+            (lambda s: {**s, "spacing": -0.125},
+             "spacing must be positive and finite, got -0.125"),
+            (lambda s: {**s, "spacing": "x"},
+             "spacing must be positive and finite, got 'x'"),
+            (lambda s: {**s, "origin": [0]}, "origin must be 2 finite numbers, got [0]"),
+            (lambda s: [s], "a scene file is an object"),
+            (lambda s: {**s, "shape": [-16, 8]},
+             "scene shape must be 2 or 3 positive integers, got [-16, 8]"),
+            (lambda s: {k: v for k, v in s.items() if k != "spacing"},
+             "KeyError('spacing')"),
+            (lambda s: {**s, "masks": {"f1": s["masks"]["f1"], "f2": s["masks"]["f2"]}},
+             "KeyError('u')")]):
+        scene = edit(modfam.rectangle_scene(2.0, 1.0, 16).to_json())
         scene_path = tmp_path / f"scene{k}.json"
         scene_path.write_text(json.dumps(scene))
         cfg_path = tmp_path / f"c{k}.json"
@@ -278,7 +296,7 @@ def test_scene_file_with_bad_run_exits_two(tmp_path, capsys):
             "kind": "modulus", "out": str(tmp_path / str(k)),
             "params": {"mode": "scene",
                        "scene": {"builder": "file", "path": str(scene_path)}}}))
-        assert main(["run", str(cfg_path)]) == 2, run
+        assert main(["run", str(cfg_path)]) == 2, msg
         assert msg in capsys.readouterr().err
 
 
@@ -351,6 +369,8 @@ _SEGMENT = {"kind": "segments", "segments": [[[0, 0], [1, 0]]]}
      "params.n_max: must be an integer, got 2.5"),
     ({"type": "radial", "E": {"kind": "circle", "radius": "z"}},
      "E.radius: must be a number, got 'z'"),
+    ({"type": "radial", "E": {"kind": "circle", "radius": -1}},
+     "E.radius: must be positive and finite, got -1"),
     ({"type": "radial", "E": {"kind": "segments", "segments": [[0, 0]]}},
      "E.segments: must be a list of numbers, got 0"),
     ({"type": "radial", "E": {"kind": "segments", "segments": []}},
@@ -365,7 +385,8 @@ _SEGMENT = {"kind": "segments", "segments": [[[0, 0], [1, 0]]]}
     ({"curve": "x"}, "params.curve: must be a list of points, got 'x'"),
     ({"radii": ["a"]}, "params.radii: must be a list of numbers, got ['a']"),
     ({"density": "x"}, "density: must be an object")],
-    ids=["x-string", "r-string", "n_max-float", "radius-string", "segment-not-pairs",
+    ids=["x-string", "r-string", "n_max-float", "radius-string", "radius-negative",
+         "segment-not-pairs",
          "segments-empty", "depth-string", "point-without-at", "E-not-object",
          "E-missing", "curve-string-coordinate", "curve-string", "radii-string",
          "density-not-object"])
@@ -472,13 +493,29 @@ _RECT16 = {"builder": "rectangle", "grid": 16}
      "E.rows: must be finite, got nan"),
     ("survey", {"type": "radial", "samples": 10,
                 "E": {"kind": "segments", "segments": [[[0, 0], [math.inf, 0]]]}},
-     "E.segments: must be finite, got inf")],
+     "E.segments: must be finite, got inf"),
+    # each runner refuses its own unknown mode, map or type and a missing
+    # map or E
+    ("modulus", {"mode": "ladder", "grids": [24]},
+     "params.mode: unknown modulus mode 'ladder'"),
+    ("quasihyperbolic", {"domain": {"builder": "disk"}, "mode": "shadow"},
+     "params.mode: unknown quasihyperbolic mode 'shadow'"),
+    ("covering", {"runs": 1, "n_pairs": 3, "M": 4.0, "map": "shear"},
+     "params.map: unknown map 'shear'"),
+    ("distortion", {"map": "shear"}, "params.map: unknown map 'shear'"),
+    ("distortion", {"probes": 4}, "params.map: missing"),
+    ("survey", {"type": "angular", "samples": 10, "E": _CIRCLE},
+     "params.type: unknown survey type 'angular'"),
+    ("survey", {"type": "radial", "samples": 10}, "params.E: missing")],
     ids=["annulus-without-r", "scene-file-missing", "grid-string", "disk-radius-string",
          "polygon-without-outer", "circle-without-radius", "runs-string",
          "M-string", "probes-string", "grids-string", "reciprocal-two-radii",
          "reciprocal-decreasing-radii", "cantor-fat-string", "cantor-obstacle-depth-17",
          "cantor-survey-depth-17", "cantor-to-infinite", "cantor-y0-nan",
-         "cantor-rows-nan", "segment-infinite"])
+         "cantor-rows-nan", "segment-infinite", "modulus-mode-unknown",
+         "quasihyperbolic-mode-unknown", "covering-map-unknown",
+         "distortion-map-unknown", "distortion-without-map", "survey-type-unknown",
+         "radial-survey-without-E"])
 def test_malformed_config_key_exits_two_before_solving(kind, params, msg, tmp_path,
                                                         monkeypatch, capsys):
     # each ended in a KeyError, TypeError, IndexError, FileNotFoundError,

@@ -242,7 +242,7 @@ def test_subadditivity_on_marked_family_union():
     assert v_ab <= (v_a + v_b) * 1.02
 
 
-def test_solve_runs_one_pass_per_candidate_plus_probe(monkeypatch):
+def test_solve_runs_one_pass_per_candidate(monkeypatch):
     calls = []
     dijkstra = modfam.dijkstra
 
@@ -253,7 +253,8 @@ def test_solve_runs_one_pass_per_candidate_plus_probe(monkeypatch):
     monkeypatch.setattr(modfam, "dijkstra", counted)
     sc = rectangle_scene(2.0, 1.0, 64)
     res = discrete_modulus(sc)
-    assert len(calls) == 1 + res.diagnostics["candidates"]
+    # one candidate: the unconstrained scene has one active mask
+    assert len(calls) == 1
     # the reported value is what the one certify path gives for its density
     value = modfam.ModulusProblem(sc).certify(res.density.values)[0]
     assert value == pytest.approx(res.value, rel=1e-12)
