@@ -160,8 +160,7 @@ def build_scene(spec: dict) -> modfam.GridScene:
         return modfam.annulus_scene(r, R, _count("scene.grid", spec.get("grid", 256)),
                                     half=half)
     if kind == "rectangle":
-        return modfam.rectangle_scene(_positive("scene.width", spec.get("width", 2.0)),
-                                      _positive("scene.height", spec.get("height", 1.0)),
+        return modfam.rectangle_scene(*_rectangle_sides(spec),
                                       _count("scene.grid", spec.get("grid", 256)))
     if kind == "square-ring":
         return modfam.square_ring_scene(r, R, _count("scene.grid", spec.get("grid", 192)))
@@ -174,6 +173,12 @@ def build_scene(spec: dict) -> modfam.GridScene:
             raise ConfigError(f"scene.path: {exc}") from exc
         return modfam.GridScene.from_json(obj)
     raise ConfigError(f"scene.builder: unknown builder {kind!r}")
+
+
+def _rectangle_sides(spec: dict) -> tuple:
+    """The checked (width, height) of a rectangle scene record."""
+    return (_positive("scene.width", spec.get("width", 2.0)),
+            _positive("scene.height", spec.get("height", 1.0)))
 
 
 def build_domain(spec: dict) -> qhyp.PolygonDomain:
@@ -265,7 +270,8 @@ def _run_modulus(cfg: ExperimentConfig, artifacts: dict) -> dict:
                              "value": exact,
                              "relative_error": (res.value - exact) / exact}
         if sc.get("builder") == "rectangle":
-            exact = sc.get("height", 1.0) / sc.get("width", 2.0)
+            width, height = _rectangle_sides(sc)
+            exact = height / width
             out["anchor"] = {"name": "extremal length height/width",
                              "value": exact,
                              "relative_error": (res.value - exact) / exact}
@@ -366,9 +372,13 @@ def _run_distortion(cfg: ExperimentConfig, artifacts: dict) -> dict:
     out: dict = {"map": p["map"]}
     svals = np.linalg.svd(mat, compute_uv=False)
     if "rings" in p:
-        rings = [((0.0, 0.0), *_numbers(f"params.rings[{k}]", ring, 2))
-                 for k, ring in enumerate(_points("params.rings", p["rings"]))]
-        C1 = _number("params.C1", p.get("C1", 6.0))
+        rings = []
+        for k, ring in enumerate(_points("params.rings", p["rings"])):
+            r, R = _numbers(f"params.rings[{k}]", ring, 2)
+            if not 0 < r < R:
+                raise ConfigError(f"params.rings[{k}]: need 0 < r < R, got {ring!r}")
+            rings.append(((0.0, 0.0), r, R))
+        C1 = _positive("params.C1", p.get("C1", 6.0))
         grid_n = _count("params.grid", p.get("grid", 160))
         out["ring_qc"] = distort.ring_qc_test(f, rings, C1, grid_n=grid_n)
         out["anchor"] = {"name": "K-quasiconformal ring bound md f(G) <= K md G",
@@ -498,7 +508,7 @@ def _run_survey(cfg: ExperimentConfig, artifacts: dict) -> dict:
     if p["type"] == "translation":
         curve = PolyCurve(_points("params.curve",
                                   p.get("curve", [[0.0, 0.0], [0.0, 1.0]])))
-        n_max = _integer("params.n_max", p.get("n_max", 16))
+        n_max = _count("params.n_max", p.get("n_max", 16))
         table = modfam.translation_survey(E, curve, n_max, samples, seed=cfg.seed)
         table["anchor"] = {"name": "N * m(F_N) bounded by len(curve) * H^{n-1}(E)"}
         artifacts["survey_table"] = table["table"]
@@ -506,7 +516,7 @@ def _run_survey(cfg: ExperimentConfig, artifacts: dict) -> dict:
     x = _numbers("params.x", p.get("x", (0.0, 0.0)))
     r = _number("params.r", p.get("r", 0.5))
     R = _number("params.R", p.get("R", 2.0))
-    n_max = _integer("params.n_max", p.get("n_max", 8))
+    n_max = _count("params.n_max", p.get("n_max", 8))
     table = modfam.radial_survey(E, x, r, R, n_max, samples, seed=cfg.seed)
     table["anchor"] = {"name": "directional measure decays like 1/N"}
     artifacts["survey_table"] = table["table"]

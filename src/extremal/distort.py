@@ -30,8 +30,9 @@ class SampledMap:
     """Forward point correspondences on a regular grid, bilinear in between.
 
     Stores node values f(x) on an (nx+1) x (ny+1) lattice over a box; the
-    inverse is evaluated by nearest-image lookup refined with Newton steps on
-    the bilinear patch.
+    Jacobian is the exact derivative of the bilinear patch of each cell, and
+    the inverse is evaluated by nearest-image lookup refined with Newton steps
+    on that patch.
     """
 
     def __init__(self, origin, pitch: float, values: np.ndarray):
@@ -79,8 +80,9 @@ class SampledMap:
         pts = np.atleast_2d(pts)
         return np.all((pts >= self.domain_lo) & (pts <= self.domain_hi), axis=1)
 
-    def forward(self, pts) -> np.ndarray:
-        """Bilinear interpolation of the node values."""
+    def _corners(self, pts) -> tuple:
+        """Cell coordinates (s, t) of each point and the node values at the
+        four corners of its cell, clamped to the sampled box."""
         pts = np.atleast_2d(np.asarray(pts, float))
         rel = (pts - self.origin) / self.pitch
         nx, ny = self.shape
@@ -88,32 +90,39 @@ class SampledMap:
         j = np.clip(np.floor(rel[:, 1]).astype(int), 0, ny - 2)
         s = np.clip(rel[:, 0] - i, 0.0, 1.0)[:, None]
         t = np.clip(rel[:, 1] - j, 0.0, 1.0)[:, None]
-        v00 = self.values[i, j]
-        v10 = self.values[i + 1, j]
-        v01 = self.values[i, j + 1]
-        v11 = self.values[i + 1, j + 1]
+        return (s, t, self.values[i, j], self.values[i + 1, j],
+                self.values[i, j + 1], self.values[i + 1, j + 1])
+
+    @staticmethod
+    def _value(s, t, v00, v10, v01, v11) -> np.ndarray:
         return ((1 - s) * (1 - t) * v00 + s * (1 - t) * v10
                 + (1 - s) * t * v01 + s * t * v11)
 
+    def _derivative(self, s, t, v00, v10, v01, v11) -> np.ndarray:
+        """Exact (N, 2, 2) Jacobian of the bilinear patch, J[:, :, axis]."""
+        return np.stack([(1 - t) * (v10 - v00) + t * (v11 - v01),
+                         (1 - s) * (v01 - v00) + s * (v11 - v10)],
+                        axis=2) / self.pitch
+
+    def forward(self, pts) -> np.ndarray:
+        """Bilinear interpolation of the node values."""
+        return self._value(*self._corners(pts))
+
     def jacobian(self, pts) -> np.ndarray:
-        """Central finite-difference Jacobians of the interpolant, (N,2,2)."""
-        pts = np.atleast_2d(np.asarray(pts, float))
-        eps = 0.5 * self.pitch
-        J = np.empty((len(pts), 2, 2))
-        for ax in range(2):
-            off = np.zeros(2)
-            off[ax] = eps
-            J[:, :, ax] = (self.forward(pts + off) - self.forward(pts - off)) / (2 * eps)
-        return J
+        """Jacobians (N, 2, 2) of the interpolant: the exact derivative of the
+        bilinear patch of the cell that ``forward`` evaluates at each point."""
+        return self._derivative(*self._corners(pts))
 
     def inverse(self, pts) -> np.ndarray:
-        """Preimages under the interpolated map (nearest node + 8 Newton steps)."""
+        """Preimages under the interpolated map: nearest node, then 8 Newton
+        steps, each taking value and exact Jacobian from one corner gather."""
         pts = np.atleast_2d(np.asarray(pts, float))
         _, nearest = self._img_tree.query(pts, k=1)
         x = self._node_pts[nearest].copy()
         for _ in range(8):
-            r = self.forward(x) - pts
-            J = self.jacobian(x)
+            corners = self._corners(x)
+            r = self._value(*corners) - pts
+            J = self._derivative(*corners)
             det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
             det = np.where(np.abs(det) < 1e-300, 1e-300, det)
             dx = np.empty_like(x)

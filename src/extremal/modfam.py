@@ -115,8 +115,17 @@ class GridScene:
         if not (isinstance(shape, list) and len(shape) in (2, 3)
                 and all(type(n) is int and n > 0 for n in shape)):
             raise DomainError(f"scene shape must be 2 or 3 positive integers, got {shape!r}")
+        if math.prod(shape) > MAX_SCENE_CELLS:
+            raise DomainError(f"scene shape {shape!r} has more than "
+                              f"{MAX_SCENE_CELLS} cells")
         u, f1, f2 = (_rle_decode(r, tuple(shape)) for r in runs)
         return GridScene(spacing, origin, u, f1, f2, obj.get("name", ""))
+
+
+# cells of a scene read from a file, checked before its masks are allocated:
+# 16 times the catalog's largest grid (512^2), so about 1.7 GB of solver
+# memory at the 400 bytes per grid cell that the 512^2 annulus solve peaks at
+MAX_SCENE_CELLS = 1 << 22
 
 
 def _is_finite_number(v) -> bool:
@@ -175,8 +184,12 @@ class DensityField:
             fh.write(",".join(f"i{k}" for k in range(dim)) + ",value\n")
             for i, slab in enumerate(self.values):
                 mask = slab > 0
-                fh.writelines(row % (i, *c, v) for c, v in
-                              zip(np.argwhere(mask).tolist(), slab[mask].tolist()))
+                # one % per slab over its (m, dim + 1) cells of Python numbers
+                cols = np.empty((int(mask.sum()), dim + 1), object)
+                cols[:, 0] = i
+                cols[:, 1:dim] = np.argwhere(mask)
+                cols[:, dim] = slab[mask]
+                fh.write(row * len(cols) % tuple(cols.ravel()))
 
 
 @dataclass(frozen=True)
@@ -492,12 +505,14 @@ class ModulusProblem:
         self.cells = np.argwhere(u)
         srcs, dsts, elens = [], [], []
         for off in _offsets(u.ndim):
-            dst = self.cells + off
-            ok = np.all((dst >= 0) & (dst < u.shape), axis=1)
-            ok[ok] = u[tuple(dst[ok].T)]
-            # node ids are the row numbers of self.cells
-            srcs.append(np.flatnonzero(ok))
-            dsts.append(idx[tuple(dst[ok].T)])
+            # the cells with a neighbour at +off, and those neighbours: two
+            # shifted slices, each read in the row order of the node ids
+            at = tuple(slice(max(0, -d), u.shape[k] - max(0, d))
+                       for k, d in enumerate(off))
+            to = tuple(slice(a.start + d, a.stop + d) for a, d in zip(at, off))
+            both = u[at] & u[to]
+            srcs.append(idx[at][both])
+            dsts.append(idx[to][both])
             elens.append(np.full(len(srcs[-1]), math.hypot(*off) * h))
         self.steps = tuple(map(np.concatenate, (srcs, dsts, elens)))
         self.f1_ids = idx[scene.f1]

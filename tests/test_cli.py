@@ -446,6 +446,33 @@ def test_malformed_quasihyperbolic_field_exits_two(params, msg, tmp_path, capsys
     assert not (tmp_path / "out" / "results.json").exists()
 
 
+def test_scene_file_shape_is_bounded_before_allocation(tmp_path, capsys, monkeypatch):
+    # [10**9, 10**9] ended in numpy's _ArrayMemoryError traceback with exit
+    # 1: the masks were allocated before anything bounded the shape
+    bound = modfam.MAX_SCENE_CELLS
+    scene = modfam.rectangle_scene(2.0, 1.0, 16).to_json()
+    at_bound = modfam.GridScene.from_json({**scene, "shape": [2048, bound // 2048]})
+    assert at_bound.u.size == bound
+
+    def decode(*args):
+        raise AssertionError("masks allocated before the shape was checked")
+
+    monkeypatch.setattr(modfam, "_rle_decode", decode)
+    for k, shape in enumerate(([10 ** 9, 10 ** 9], [2048, bound // 2048 + 1],
+                               [161, 161, 162])):
+        scene_path = tmp_path / f"scene{k}.json"
+        scene_path.write_text(json.dumps({**scene, "shape": shape}))
+        cfg_path = tmp_path / f"c{k}.json"
+        cfg_path.write_text(json.dumps({
+            "kind": "modulus", "out": str(tmp_path / str(k)),
+            "params": {"mode": "scene",
+                       "scene": {"builder": "file", "path": str(scene_path)}}}))
+        assert main(["run", str(cfg_path)]) == 2
+        assert f"scene shape {shape!r} has more than {bound} cells" \
+            in capsys.readouterr().err
+        assert not (tmp_path / str(k) / "results.json").exists()
+
+
 _RECT16 = {"builder": "rectangle", "grid": 16}
 
 
@@ -506,7 +533,19 @@ _RECT16 = {"builder": "rectangle", "grid": 16}
     ("distortion", {"probes": 4}, "params.map: missing"),
     ("survey", {"type": "angular", "samples": 10, "E": _CIRCLE},
      "params.type: unknown survey type 'angular'"),
-    ("survey", {"type": "radial", "samples": 10}, "params.E: missing")],
+    ("survey", {"type": "radial", "samples": 10}, "params.E: missing"),
+    # these ran on: n_max 0 or below gave an empty table, and a ring with
+    # r >= R or r <= 0 or a C1 that is not positive came back as table errors
+    ("survey", {"type": "radial", "samples": 10, "E": _CIRCLE, "n_max": 0},
+     "params.n_max: must be positive and finite, got 0"),
+    ("survey", {"type": "translation", "samples": 10, "E": _CIRCLE, "n_max": -3},
+     "params.n_max: must be positive and finite, got -3"),
+    ("distortion", {"map": "identity", "rings": [[1.0, 1.5], [1.6, 0.5]]},
+     "params.rings[1]: need 0 < r < R, got [1.6, 0.5]"),
+    ("distortion", {"map": "identity", "rings": [[0.0, 1.5]]},
+     "params.rings[0]: need 0 < r < R, got [0.0, 1.5]"),
+    ("distortion", {"map": "identity", "rings": [[1.0, 1.5]], "C1": -1},
+     "params.C1: must be positive and finite, got -1")],
     ids=["annulus-without-r", "scene-file-missing", "grid-string", "disk-radius-string",
          "polygon-without-outer", "circle-without-radius", "runs-string",
          "M-string", "probes-string", "grids-string", "reciprocal-two-radii",
@@ -515,7 +554,8 @@ _RECT16 = {"builder": "rectangle", "grid": 16}
          "cantor-rows-nan", "segment-infinite", "modulus-mode-unknown",
          "quasihyperbolic-mode-unknown", "covering-map-unknown",
          "distortion-map-unknown", "distortion-without-map", "survey-type-unknown",
-         "radial-survey-without-E"])
+         "radial-survey-without-E", "radial-n-max-zero", "translation-n-max-negative",
+         "ring-r-above-R", "ring-r-zero", "ring-C1-negative"])
 def test_malformed_config_key_exits_two_before_solving(kind, params, msg, tmp_path,
                                                         monkeypatch, capsys):
     # each ended in a KeyError, TypeError, IndexError, FileNotFoundError,
@@ -528,7 +568,8 @@ def test_malformed_config_key_exits_two_before_solving(kind, params, msg, tmp_pa
 
     for owner, attr in ((modfam, "discrete_modulus"), (cover, "egg_yolk_cover"),
                         (distort, "metric_distortion"), (qhyp, "whitney_decompose"),
-                        (sets, "cned_probe"), (modfam, "radial_survey")):
+                        (sets, "cned_probe"), (modfam, "radial_survey"),
+                        (modfam, "translation_survey"), (distort, "ring_qc_test")):
         monkeypatch.setattr(owner, attr, solve)
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"kind": kind, "seed": 1, "out": str(tmp_path / "out"),

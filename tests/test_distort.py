@@ -46,6 +46,38 @@ def test_forward_is_bilinear_interpolant():
     assert np.allclose(m.forward(pts), f(pts), atol=1e-12)
 
 
+# a non-affine map: the first component is bilinear, so the interpolant
+# reproduces it; the second interpolates x^2 linearly across each cell
+BEND = SampledMap.from_function(
+    lambda p: np.stack([p[:, 0] + 0.3 * p[:, 0] * p[:, 1],
+                        p[:, 1] + 0.1 * p[:, 0] ** 2], axis=1),
+    (-1.0, -1.0), (1.0, 1.0), 0.1)
+
+
+def _cell_interior_points(m, n, seed=0):
+    rng = np.random.default_rng(seed)
+    nx, ny = m.shape
+    cell = np.stack([rng.integers(0, nx - 1, n), rng.integers(0, ny - 1, n)], axis=1)
+    return m.origin + (cell + rng.uniform(0.05, 0.95, size=(n, 2))) * m.pitch, cell
+
+
+def test_jacobian_is_exact_derivative_of_bilinear_patch():
+    pts, cell = _cell_interior_points(BEND, 200)
+    x, y = pts.T
+    # d/dx of the linear interpolant of x^2 on [x_i, x_i + h] is x_i + (x_i + h)
+    xi = BEND.origin[0] + cell[:, 0] * BEND.pitch
+    expected = np.empty((len(pts), 2, 2))
+    expected[:, 0, 0], expected[:, 0, 1] = 1 + 0.3 * y, 0.3 * x
+    expected[:, 1, 0], expected[:, 1, 1] = 0.1 * (2 * xi + BEND.pitch), 1.0
+    assert np.abs(BEND.jacobian(pts) - expected).max() <= 1e-12
+
+
+def test_inverse_of_forward_on_non_affine_map():
+    pts, _ = _cell_interior_points(BEND, 200, seed=1)
+    back = BEND.inverse(BEND.forward(pts))
+    assert np.abs(back - pts).max() <= 1e-10
+
+
 def test_map_requires_injective_edges():
     vals = np.zeros((3, 3, 2))
     m = SampledMap((0, 0), 1.0, vals)

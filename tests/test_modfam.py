@@ -162,6 +162,17 @@ def test_to_csv_bytes_match_per_cell_writer(tmp_path_factory, vals):
     assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
 
+@pytest.mark.parametrize("shape, zero", [((4, 5), 2), ((3, 4, 5), 1), ((3, 4, 5), 0)])
+def test_to_csv_zero_slab_and_3d_match_per_cell_writer(tmp_path, shape, zero):
+    vals = np.random.default_rng(7).uniform(0.0, 2.0, size=shape)
+    vals[vals < 0.4] = 0.0
+    vals[zero] = 0.0                              # a slab with no positive cell
+    density = DensityField(vals, 0.25, np.zeros(len(shape)))
+    density.to_csv(tmp_path / "new.csv")
+    _ref_to_csv(density, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_rectangle_modulus_half():
     res = discrete_modulus(rectangle_scene(2.0, 1.0, 128))
     assert abs(res.value - 0.5) / 0.5 < 0.03
@@ -313,6 +324,59 @@ def test_budget_with_empty_obstacle_is_unconstrained():
     free = discrete_modulus(sc).value
     empty = CurveConstraint("budget", np.zeros(sc.shape, bool), 3)
     assert discrete_modulus(sc, empty).value == pytest.approx(free, rel=1e-12)
+
+
+def _ref_steps(scene) -> tuple:
+    """The per-cell offset loop that ``ModulusProblem`` built its steps with
+    before it took them from grid slices."""
+    u, h = scene.u, scene.spacing
+    idx = -np.ones(u.shape, np.int64)
+    idx[u] = np.arange(int(u.sum()))
+    cells = np.argwhere(u)
+    srcs, dsts, elens = [], [], []
+    for off in modfam._offsets(u.ndim):
+        dst = cells + off
+        ok = np.all((dst >= 0) & (dst < u.shape), axis=1)
+        ok[ok] = u[tuple(dst[ok].T)]
+        srcs.append(np.flatnonzero(ok))
+        dsts.append(idx[tuple(dst[ok].T)])
+        elens.append(np.full(len(srcs[-1]), math.hypot(*off) * h))
+    return tuple(map(np.concatenate, (srcs, dsts, elens)))
+
+
+@st.composite
+def _step_scenes(draw):
+    """A scene on a random mask of 1 to 7 cells a side (2 cells at least),
+    its marked cells single cells, often on the grid edge."""
+    dim = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=dim, max_size=dim)))
+    n = math.prod(shape)
+    if n < 2:
+        shape, n = (2,) + shape[1:], 2 * n
+    u = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))).reshape(shape)
+    a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    f1, f2 = np.zeros((2, n), bool)
+    f1[a], f2[b] = True, True
+    u.ravel()[[a, b]] = True
+    h = draw(st.sampled_from([1.0, 1 / 3, 0.0625]))
+    return GridScene(h, np.zeros(dim), u, f1.reshape(shape), f2.reshape(shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_step_scenes())
+def test_steps_match_per_cell_offset_loop(scene):
+    # order matters: the sweep's crossing ties keep the last step written
+    got = modfam.ModulusProblem(scene).steps
+    for a, b in zip(got, _ref_steps(scene), strict=True):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def test_steps_match_per_cell_offset_loop_on_catalog_scenes():
+    for scene in (annulus_scene(1.0, 2.0, 64), rectangle_scene(2.0, 1.0, 32),
+                  modfam.annulus_scene_3d(1.0, math.e, 16)):
+        for a, b in zip(modfam.ModulusProblem(scene).steps, _ref_steps(scene), strict=True):
+            assert np.array_equal(a, b)
 
 
 def _reference_distance(active, h, rho_flat, f1_ids, f2_ids, ecost=None,
