@@ -59,6 +59,10 @@ class ExperimentConfig:
             raise ConfigError("params: must be an object")
         if not math.isfinite(self.tol) or self.tol <= 0:
             raise ConfigError("tol: must be positive and finite")
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out: must be a string, got {self.out!r}")
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name: must be a string, got {self.name!r}")
         if self.kind in self.STOCHASTIC and self.seed is None:
             raise ConfigError(f"seed: mandatory for stochastic kind {self.kind!r}")
         if self.seed is not None:
@@ -70,7 +74,8 @@ class ExperimentConfig:
             cfg = ExperimentConfig(
                 kind=obj["kind"], params=obj.get("params", {}),
                 seed=obj.get("seed"), out=obj.get("out", "."),
-                tol=float(obj.get("tol", 0.02)), name=obj.get("name", ""))
+                tol=float(_positive("tol", obj.get("tol", 0.02))),
+                name=obj.get("name", ""))
             cfg.validate()
             return cfg
         except (KeyError, TypeError, ValueError) as exc:
@@ -320,9 +325,8 @@ def _run_modulus(cfg: ExperimentConfig, artifacts: dict) -> dict:
     for n in grids:
         scene = modfam.annulus_scene(r, R, n)
         m = (r + R) / 2
-        mask = sets.circle_obstacle_mask(scene, (0.0, 0.0), m)
-        gap = _cell_at(scene, (m, 0.0))
-        mask[gap] = False
+        mask = build_obstacle({"kind": "circle-minus-cell", "radius": m,
+                               "gap_at": [m, 0.0]}, scene)
         res = modfam.discrete_modulus(scene, modfam.CurveConstraint("avoid", mask))
         values.append({"grid": n, "value": res.value})
     return {"ladder": values,

@@ -43,14 +43,11 @@ class PairedFamily:
     domain_pairs: list[EggYolkPair]
     range_pairs: list[EggYolkPair]
     forward: Callable[[np.ndarray], np.ndarray]
-    constant: float = 0.0
+    constant: float
 
     def __post_init__(self):
         if len(self.domain_pairs) != len(self.range_pairs):
             raise DomainError("domain and range index sets must coincide")
-        if not self.constant:
-            self.constant = max([p.constant for p in
-                                 self.domain_pairs + self.range_pairs] or [2.0])
 
     def __len__(self) -> int:
         return len(self.domain_pairs)
@@ -84,8 +81,6 @@ class CoverPair:
     domain_yolk: Ball
     range_yolk: Ball
     member_indices: list[int]
-    pitch_domain: float
-    pitch_range: float
 
 
 def _region_subset(a: Region, b: Region) -> bool:
@@ -226,13 +221,11 @@ def egg_yolk_cover(family: PairedFamily) -> CoverResult:
             members.extend(clusters1[c])
         dom_pts = np.vstack([dom[i].region.samples for i in members])
         rng_pts = np.vstack([rng[i].region.samples for i in members])
-        pitch_d = max(dom[i].region.pitch for i in members)
-        pitch_r = max(rng[i].region.pitch for i in members)
         out_pairs.append(CoverPair(
             dom_pts, rng_pts,
             domain_yolk=dom[anchors1[anchors2[k]]].yolk,
             range_yolk=rng[anchors1[anchors2[k]]].yolk,
-            member_indices=members, pitch_domain=pitch_d, pitch_range=pitch_r))
+            member_indices=members))
 
     achieved = 2.0
     for cp in out_pairs:
@@ -242,7 +235,6 @@ def egg_yolk_cover(family: PairedFamily) -> CoverResult:
             achieved = max(achieved, float(d / yolk.radius))
 
     report = dict(aux_report)
-    report["clusters"] = [cp.member_indices for cp in out_pairs]
     report["verified"] = verify_cover(family, out_pairs)
     return CoverResult(out_pairs, achieved, report)
 
@@ -351,7 +343,4 @@ def _disk_cloud(center, radius, pitch) -> Region:
     X, Y = np.meshgrid(ax, ay, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
     keep = np.linalg.norm(pts - np.asarray(center), axis=1) < radius
-    if not keep.any():
-        pts = np.asarray(center, float)[None]
-        return Region(pts, pitch)
     return Region(pts[keep], pitch)

@@ -12,7 +12,7 @@ at the singular value ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -148,12 +148,9 @@ class SampledMap:
 
 @dataclass
 class DistortionProbe:
-    point: np.ndarray
-    radii: list
     big_l: list          # L_f(x, r)
     small_l: list        # l_f(x, r)
     h_estimate: float
-    detail: dict = field(default_factory=dict)
 
 
 # points sampled on each circle |y - x| = r of the radius ladder
@@ -180,16 +177,20 @@ def metric_distortion(f: SampledMap, x, ladder) -> DistortionProbe:
         small.append(float(disp.min()))
     ratios = [L / max(s, 1e-300) for L, s in zip(big, small)]
     h_est = max(ratios[:2]) if len(ratios) >= 2 else ratios[0]
-    return DistortionProbe(x, ladder, big, small, h_est,
-                           {"ratios": ratios})
+    return DistortionProbe(big, small, h_est)
 
 
 # ---------------------------------------------------------------------------
 # Eccentric distortion
 
 
-def eccentric_distortion(f: SampledMap, x, r: float, ladder_steps: int = 3,
-                         n_boundary: int = 96, detail: bool = False):
+# nested scales r, r/2, r/4 of each candidate family, and the points sampled
+# on each candidate's boundary circle
+ECCENTRIC_LADDER = 3
+BOUNDARY_SAMPLES = 96
+
+
+def eccentric_distortion(f: SampledMap, x, r: float) -> float:
     """Upper estimate of the eccentric distortion at x and scale r.
 
     Minimizes max(E(A), E(f(A))) over two candidate families of open sets A
@@ -203,42 +204,29 @@ def eccentric_distortion(f: SampledMap, x, r: float, ladder_steps: int = 3,
     if not (0 < r < lo_margin / 3):
         raise DomainError("scale must satisfy 0 < r < dist(x, boundary)/3")
     fx = f.forward(x[None])[0]
-    theta = np.linspace(0, 2 * math.pi, n_boundary, endpoint=False)
+    theta = np.linspace(0, 2 * math.pi, BOUNDARY_SAMPLES, endpoint=False)
     circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     best = math.inf
-    records = []
 
     # (a) balls around x; image eccentricity via mapped boundary
-    for k in range(ladder_steps):
+    for k in range(ECCENTRIC_LADDER):
         s = r * 2.0 ** (-k)
-        bnd = x + s * circle
-        img_bnd = f.forward(bnd)
+        img_bnd = f.forward(x + s * circle)
         centers = f.forward(x[None] + s * 0.25 * np.vstack([[0, 0], circle[::8]]))
-        e_img, _ = eccentricity_of_boundary(img_bnd, centers)
-        val = max(1.0, e_img)
-        records.append({"family": "ball", "scale": s, "value": val})
-        best = min(best, val)
+        best = min(best, eccentricity_of_boundary(img_bnd, centers))
 
     # (b) pullbacks of range balls around f(x); the boundary circle and the
     # centre probes of every level go through one inverse call (Newton steps
     # are pointwise, so each row is what a call of its own would give)
     s_img = r / max(f.inverse_lipschitz(), 1e-300)
-    scales = [s_img * 2.0 ** (-k) for k in range(ladder_steps)]
+    scales = [s_img * 2.0 ** (-k) for k in range(ECCENTRIC_LADDER)]
     levels = [np.vstack([fx + s * circle,
                          fx[None] + s * 0.25 * np.vstack([[0, 0], circle[::8]])])
               for s in scales]
-    pulled = np.split(f.inverse(np.vstack(levels)), len(levels)) if levels else []
-    for s, level in zip(scales, pulled):
-        dom_bnd, centers = level[:n_boundary], level[n_boundary:]
-        if _cloud_diameter(dom_bnd) > 2 * r:
-            continue
-        e_dom, _ = eccentricity_of_boundary(dom_bnd, centers)
-        val = max(1.0, e_dom)
-        records.append({"family": "pullback", "scale": s, "value": val})
-        best = min(best, val)
-
-    if detail:
-        return best, records
+    for level in np.split(f.inverse(np.vstack(levels)), len(levels)):
+        dom_bnd, centers = level[:BOUNDARY_SAMPLES], level[BOUNDARY_SAMPLES:]
+        if _cloud_diameter(dom_bnd) <= 2 * r:
+            best = min(best, eccentricity_of_boundary(dom_bnd, centers))
     return best
 
 
@@ -312,8 +300,7 @@ def image_ring_scene(f: SampledMap, center, r: float, R: float,
         f2 = np.abs(rad - R) <= w_local
         u = ((rad > r - w_local) & (rad < R + w_local)) | f1 | f2
         try:
-            return GridScene(h, lo, u, f1, f2,
-                             name=f"image-ring[{r},{R}]@{grid_n}")
+            return GridScene(h, lo, u, f1, f2)
         except DomainError:
             w_local = w_local * 1.6
     raise DomainError("could not rasterize connected image plates")

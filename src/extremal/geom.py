@@ -59,8 +59,7 @@ class Region:
     """Bounded open set represented by a point cloud on a regular lattice.
 
     ``samples`` are lattice points lying in the set, ``pitch`` is the lattice
-    spacing.  Containment checks use a half-pitch tolerance: the region is
-    identified with the union of pitch-sized cells around its samples.
+    spacing.  A containment check takes its tolerance from the caller.
     """
 
     samples: np.ndarray
@@ -95,10 +94,8 @@ class Region:
         """Exact diameter of the sample cloud, its hull taken once."""
         return self._diameter
 
-    def contains_points(self, pts: np.ndarray, tol: float | None = None) -> np.ndarray:
+    def contains_points(self, pts: np.ndarray, tol: float) -> np.ndarray:
         """True where each query point lies within tol of some sample."""
-        if tol is None:
-            tol = 0.5 * self.pitch * math.sqrt(self.dim)
         d, _ = self._tree.query(np.atleast_2d(np.asarray(pts, float)), k=1)
         return d <= tol + 1e-12
 
@@ -197,27 +194,23 @@ class PolyCurve:
 # Eccentricity
 
 
-def eccentricity_of_boundary(boundary: np.ndarray,
-                             centers: np.ndarray) -> tuple[float, np.ndarray]:
+def eccentricity_of_boundary(boundary: np.ndarray, centers: np.ndarray) -> float:
     """Least max/min distance ratio to a sampled boundary over candidate centers.
 
     For an open set A with boundary cloud ``boundary`` and a center c inside A,
     the largest inscribed ball has radius dist(c, bd A) and the smallest
     circumscribed one max dist; their ratio bounds the eccentricity from above.
-    Returns (ratio, best_center).
+    The farthest boundary point is a vertex of the boundary's convex hull.
     """
     centers = np.atleast_2d(np.asarray(centers, float))
-    tree = cKDTree(boundary)
-    r_in, _ = tree.query(centers, k=1)
-    r_out = np.zeros(len(centers))
-    for p in _hull_points(boundary):
-        r_out = np.maximum(r_out, np.linalg.norm(centers - p, axis=1))
+    r_in, _ = cKDTree(boundary).query(centers, k=1)
+    hull = _hull_points(boundary)
+    r_out = np.linalg.norm(centers[:, None] - hull[None], axis=2).max(axis=1)
     ok = r_in > 1e-12
     if not ok.any():
-        return math.inf, centers[0]
+        return math.inf
     ratio = np.where(ok, r_out / np.maximum(r_in, 1e-300), np.inf)
-    best = int(np.argmin(ratio))
-    return float(max(1.0, ratio[best])), centers[best]
+    return float(max(1.0, ratio.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +340,12 @@ def translate_line_integrals(rho, curve: PolyCurve, offsets) -> np.ndarray:
 
 
 def line_integral(rho, curve: PolyCurve) -> float:
-    """Integral of a nonnegative density along a polygonal curve.
-
-    ``rho`` is either a callable from an (N, dim) point array to N values
-    (composite Simpson quadrature per segment, ``translate_line_integrals``
-    at offset 0) or an object with ``value_at_cell(cell) / origin / spacing``
-    (exact for densities piecewise constant on grid cells: the curve is split
-    at every cell boundary it crosses).
+    """Exact integral along a polygonal curve of a density that is constant on
+    each grid cell, such as a ``DensityField``: the curve is split at every
+    cell boundary it crosses.  ``rho`` gives ``value_at_cell(cell)``,
+    ``origin`` and ``spacing``.  A callable density is integrated by
+    ``translate_line_integrals``.
     """
-    if curve.length() == 0:
-        return 0.0
-    if not hasattr(rho, "value_at_cell"):
-        return float(translate_line_integrals(rho, curve, np.zeros((1, curve.dim)))[0])
     origin = np.asarray(rho.origin, float)
     h = float(rho.spacing)
     total = 0.0

@@ -59,7 +59,6 @@ class GridScene:
     u: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         self.u = np.asarray(self.u, bool)
@@ -100,7 +99,6 @@ class GridScene:
             "origin": self.origin.tolist(),
             "shape": list(self.shape),
             "masks": {k: _rle_encode(getattr(self, k)) for k in ("u", "f1", "f2")},
-            "name": self.name,
         }
 
     @staticmethod
@@ -119,7 +117,7 @@ class GridScene:
             raise DomainError(f"scene shape {shape!r} has more than "
                               f"{MAX_SCENE_CELLS} cells")
         u, f1, f2 = (_rle_decode(r, tuple(shape)) for r in runs)
-        return GridScene(spacing, origin, u, f1, f2, obj.get("name", ""))
+        return GridScene(spacing, origin, u, f1, f2)
 
 
 # cells of a scene read from a file, checked before its masks are allocated:
@@ -265,8 +263,7 @@ def annulus_scene(r: float, R: float, n_cells: int,
     f1 = np.abs(rad - r) <= h / 2
     f2 = np.abs(rad - R) <= h / 2
     u = ((rad < R + h) & (rad > r - h)) | f1 | f2
-    return GridScene(h, np.array([-half, -half]), u, f1, f2,
-                     name=f"annulus[{r},{R}]x{n_cells}")
+    return GridScene(h, np.array([-half, -half]), u, f1, f2)
 
 
 def rectangle_scene(width: float, height: float, n_cells: int) -> GridScene:
@@ -278,8 +275,7 @@ def rectangle_scene(width: float, height: float, n_cells: int) -> GridScene:
     f2 = np.zeros_like(u)
     f1[0, :] = True
     f2[-1, :] = True
-    return GridScene(h, np.zeros(2), u, f1, f2,
-                     name=f"rect[{width}x{height}]x{n_cells}")
+    return GridScene(h, np.zeros(2), u, f1, f2)
 
 
 def square_ring_scene(r: float, R: float, n_cells: int) -> GridScene:
@@ -292,8 +288,7 @@ def square_ring_scene(r: float, R: float, n_cells: int) -> GridScene:
     f1 = np.abs(sup - r) <= h / 2
     f2 = np.abs(sup - R) <= h / 2
     u = ((sup < R + h) & (sup > r - h)) | f1 | f2
-    return GridScene(h, np.array([-half, -half]), u, f1, f2,
-                     name=f"sqring[{r},{R}]x{n_cells}")
+    return GridScene(h, np.array([-half, -half]), u, f1, f2)
 
 
 def annulus_scene_3d(r: float, R: float, n_cells: int) -> GridScene:
@@ -305,8 +300,7 @@ def annulus_scene_3d(r: float, R: float, n_cells: int) -> GridScene:
     f1 = np.abs(rad - r) <= h * 0.87
     f2 = np.abs(rad - R) <= h * 0.87
     u = ((rad < R + h) & (rad > r - h)) | f1 | f2
-    return GridScene(h, np.full(3, -half), u, f1, f2,
-                     name=f"ball-shell[{r},{R}]x{n_cells}")
+    return GridScene(h, np.full(3, -half), u, f1, f2)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +311,11 @@ _CG_MAXITER = 2000
 _COARSEST = 1000            # unknowns factored directly at the bottom level
 _JACOBI_W = 2.0 / 3.0       # damped-Jacobi smoothing weight
 _PROLONG_W = 4.0 / 3.0      # prolongation smoothing weight over rho(D^-1 A) <= 2
+_IRLS_ITERS = 8             # reweighted solves after the first when p != 2
 
 
 def _dirichlet_rho(active: np.ndarray, f1: np.ndarray, f2: np.ndarray,
-                   h: float, p: float, irls_iters: int = 8) -> np.ndarray:
+                   h: float, p: float) -> np.ndarray:
     """Gradient magnitude of the (p-)capacity potential: u=0 on F1, u=1 on F2.
 
     The system is the graph Laplacian of the face-neighbour conductances
@@ -345,7 +340,7 @@ def _dirichlet_rho(active: np.ndarray, f1: np.ndarray, f2: np.ndarray,
     u = f2[active].astype(float)
     uval = np.full(active.shape, np.nan)
     cond = np.ones(len(a))
-    rounds = 1 + (irls_iters if abs(p - 2) > 1e-12 else 0)
+    rounds = 1 + (_IRLS_ITERS if abs(p - 2) > 1e-12 else 0)
     for k in range(rounds if free.any() else 0):
         if k:
             uval[active] = u
@@ -358,15 +353,19 @@ def _dirichlet_rho(active: np.ndarray, f1: np.ndarray, f2: np.ndarray,
 
 def _face_pairs(active: np.ndarray, idx: np.ndarray) -> tuple:
     """Ids (a, b) of the face-neighbour pairs of active cells, axis by axis."""
-    dim = active.ndim
-    heads, tails = [], []
-    for ax in range(dim):
-        lo, hi = [slice(None)] * dim, [slice(None)] * dim
-        lo[ax], hi[ax] = slice(0, -1), slice(1, None)
-        both = active[tuple(lo)] & active[tuple(hi)]
-        heads.append(idx[tuple(lo)][both])
-        tails.append(idx[tuple(hi)][both])
+    units = np.eye(active.ndim, dtype=int).tolist()
+    heads, tails = zip(*(_neighbour_pairs(active, idx, off) for off in units))
     return np.concatenate(heads), np.concatenate(tails)
+
+
+def _neighbour_pairs(mask: np.ndarray, idx: np.ndarray, off) -> tuple:
+    """Ids (a, b) of the cells of ``mask`` whose neighbour at +off is in it
+    too, and of those neighbours: two shifted slices, each read in the row
+    order of the ids."""
+    at = tuple(slice(max(0, -d), n - max(0, d)) for n, d in zip(mask.shape, off))
+    to = tuple(slice(a.start + d, a.stop + d) for a, d in zip(at, off))
+    both = mask[at] & mask[to]
+    return idx[at][both], idx[to][both]
 
 
 def _free_system(a, b, cond, free: np.ndarray, u: np.ndarray) -> tuple:
@@ -505,15 +504,10 @@ class ModulusProblem:
         self.cells = np.argwhere(u)
         srcs, dsts, elens = [], [], []
         for off in _offsets(u.ndim):
-            # the cells with a neighbour at +off, and those neighbours: two
-            # shifted slices, each read in the row order of the node ids
-            at = tuple(slice(max(0, -d), u.shape[k] - max(0, d))
-                       for k, d in enumerate(off))
-            to = tuple(slice(a.start + d, a.stop + d) for a, d in zip(at, off))
-            both = u[at] & u[to]
-            srcs.append(idx[at][both])
-            dsts.append(idx[to][both])
-            elens.append(np.full(len(srcs[-1]), math.hypot(*off) * h))
+            src, dst = _neighbour_pairs(u, idx, off)
+            srcs.append(src)
+            dsts.append(dst)
+            elens.append(np.full(len(src), math.hypot(*off) * h))
         self.steps = tuple(map(np.concatenate, (srcs, dsts, elens)))
         self.f1_ids = idx[scene.f1]
         self.f2_ids = idx[scene.f2]
@@ -676,7 +670,6 @@ def discrete_modulus(scene: GridScene,
 @dataclass
 class AdmissibilityReport:
     violations: list
-    checked: int
 
     @property
     def ok(self) -> bool:
@@ -692,7 +685,7 @@ def admissible_check(rho, curves: Sequence[PolyCurve],
         if length < 1 - tol:
             violations.append({"index": i, "rho_length": length,
                                "shortfall": 1 - length})
-    return AdmissibilityReport(violations, len(curves))
+    return AdmissibilityReport(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +697,9 @@ def avg_line_integral(rho, curve: PolyCurve, r: float, samples: int,
     """Monte Carlo average of the line integral over ball translates.
 
     Estimates the mean of  integral_{curve+x} rho ds  for x uniform in
-    B(0, r), reporting the standard error of the estimate.
+    B(0, r), reporting the standard error of the estimate.  ``rho`` maps an
+    (N, dim) point array to N values; ``translate_line_integrals`` integrates
+    it over all the translates at once.
     """
     if r <= 0:
         raise DomainError("averaging radius must be positive")
@@ -716,11 +711,7 @@ def avg_line_integral(rho, curve: PolyCurve, r: float, samples: int,
     while len(accepted) < samples:
         accepted += [x for x in rng.uniform(-r, r, size=(samples, curve.dim))
                      if not np.dot(x, x) > r * r]
-    offsets = np.array(accepted[:samples])
-    if hasattr(rho, "value_at_cell"):
-        vals = np.array([line_integral(rho, curve.translate(x)) for x in offsets])
-    else:
-        vals = translate_line_integrals(rho, curve, offsets)
+    vals = translate_line_integrals(rho, curve, np.array(accepted[:samples]))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return {"mean": mean, "stderr": stderr, "radius": r, "samples": samples}

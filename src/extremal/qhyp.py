@@ -190,11 +190,9 @@ def _seg_dist2(px, py, ax, ay, dx, dy, L2):
 # --- builders ---------------------------------------------------------------
 
 
-def disk_domain(radius: float = 1.0, n_vertices: int = 128,
-                center=(0.0, 0.0)) -> PolygonDomain:
+def disk_domain(radius: float = 1.0, n_vertices: int = 128) -> PolygonDomain:
     th = np.linspace(0, 2 * math.pi, n_vertices, endpoint=False)
-    c = np.asarray(center, float)
-    return PolygonDomain(c + radius * np.stack([np.cos(th), np.sin(th)], axis=1))
+    return PolygonDomain(radius * np.stack([np.cos(th), np.sin(th)], axis=1))
 
 
 def square_domain(side: float = 1.0, corner=(0.0, 0.0)) -> PolygonDomain:
@@ -543,13 +541,12 @@ class QhGrid:
         ok = inside[far]
         self.nodes = pts[ok]
         self.delta = delta[far]
-        self.index = -np.ones(nx * ny, np.int64)
-        self.index[ok] = np.arange(len(self.nodes))
-        self._shape = (nx, ny)
+        index = -np.ones(nx * ny, np.int64)
+        index[ok] = np.arange(len(self.nodes))
         self._tree = cKDTree(self.nodes)
         rows, cols, data = [], [], []
         for (dx, dy), si, di, dmid in _grid_steps(
-                domain, pts.reshape(nx, ny, 2), self.index.reshape(nx, ny)):
+                domain, pts.reshape(nx, ny, 2), index.reshape(nx, ny)):
             w = math.hypot(dx, dy) * pitch / dmid
             rows += [si, di]
             cols += [di, si]

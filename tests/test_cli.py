@@ -211,6 +211,40 @@ def test_non_finite_tol_exits_two(tol, tmp_path, capsys):
     assert not (tmp_path / "results.json").exists()
 
 
+def _rectangle_modulus(tmp_path, **top) -> str:
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "kind": "modulus", "out": str(tmp_path / "out"),
+        "params": {"mode": "scene", "scene": {"builder": "rectangle", "grid": 16}},
+        **top}))
+    return str(path)
+
+
+@pytest.mark.parametrize("field, value, msg", [
+    ("tol", "0.5", "tol: must be a number, got '0.5'"),
+    ("tol", True, "tol: must be a number, got True"),
+    ("out", 5, "out: must be a string, got 5"),
+    ("name", 5, "name: must be a string, got 5")],
+    ids=["tol-string", "tol-bool", "out-int", "name-int"])
+def test_malformed_top_level_field_exits_two_before_solving(field, value, msg, tmp_path,
+                                                            monkeypatch, capsys):
+    # "tol": "0.5" and true ran with tol 0.5 and 1.0, "name": 5 ran, and
+    # "out": 5 solved and then ended in a TypeError traceback with exit 1
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the config was checked")
+    monkeypatch.setattr(modfam, "discrete_modulus", solve)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", _rectangle_modulus(tmp_path, **{field: value})]) == 2
+    assert msg in capsys.readouterr().err
+    assert list(tmp_path.rglob("results.json")) == []
+
+
+def test_integer_tol_records_as_a_float(tmp_path):
+    assert main(["run", _rectangle_modulus(tmp_path, tol=1)]) == 0
+    tol = json.loads((tmp_path / "out" / "results.json").read_text())["tol"]
+    assert type(tol) is float and tol == 1.0
+
+
 def _rectangle_with_obstacle(tmp_path, obstacle):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({

@@ -75,7 +75,7 @@ def test_normalize_collapses_nested_chain():
     pairs = [EggYolkPair(_disk_cloud(np.zeros(2), s, 0.05), Ball((0, 0), s / 3.99), 4.0)
              for s in (1.0, 2.0, 3.9)]
     fam = PairedFamily(pairs, [EggYolkPair(p.region, p.yolk, 4.0) for p in pairs],
-                       ident)
+                       ident, 4.0)
     red, rep = normalize_comparable(fam)
     assert len(red) == 1
     assert rep["kept_indices"] == [2]
@@ -87,7 +87,7 @@ def test_normalize_keeps_disjoint_family():
     pairs = [EggYolkPair(_disk_cloud(np.array([4.0 * k, 0.0]), 1.5, 0.08),
                          Ball((4.0 * k, 0.0), 0.5), 4.0) for k in range(4)]
     fam = PairedFamily(pairs, [EggYolkPair(p.region, p.yolk, 4.0) for p in pairs],
-                       ident)
+                       ident, 4.0)
     red, _ = normalize_comparable(fam)
     assert len(red) == 4
 
@@ -109,7 +109,7 @@ def test_normalize_output_comparability_under_map():
 def test_correspondence_violation_raises():
     fam = random_paired_family(5, 4.0, "identity", seed=2)
     broken = PairedFamily(fam.domain_pairs, fam.range_pairs,
-                          affine_map(np.diag([3.0, 3.0])))
+                          affine_map(np.diag([3.0, 3.0])), 4.0)
     with pytest.raises(DomainError):
         normalize_comparable(broken)
 
@@ -133,7 +133,7 @@ def test_cover_concentric_grid_exhaustive():
             c = np.array([i * 1.2, j * 1.2])
             pairs.append(EggYolkPair(_disk_cloud(c, 1.0, 0.1), Ball(c, 0.5), 2.0))
     fam = PairedFamily(pairs, [EggYolkPair(p.region, p.yolk, 2.0) for p in pairs],
-                       ident)
+                       ident, 2.0)
     res = egg_yolk_cover(fam)
     ver = res.report["verified"]
     assert ver == {"union_equality": True, "image_correspondence": True,
@@ -195,7 +195,7 @@ def test_cover_result_json_records():
 def test_non_injective_correspondence_rejected():
     fam = random_paired_family(4, 4.0, "identity", seed=8)
     collapse = affine_map(np.array([[0.0, 0.0], [0.0, 1.0]]))
-    broken = PairedFamily(fam.domain_pairs, fam.range_pairs, collapse)
+    broken = PairedFamily(fam.domain_pairs, fam.range_pairs, collapse, 4.0)
     with pytest.raises(DomainError):
         normalize_comparable(broken)
 

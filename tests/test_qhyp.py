@@ -241,7 +241,9 @@ def test_kernels_with_one_far_outlier():
 def test_kernels_on_a_domain_far_from_the_origin():
     # coordinates near 1e6 round p - a to 2**-33: the prune margin scales
     # with the coordinates, not with the distances
-    far = disk_domain(0.5, 128, center=(1.0e6, -3.0e5))
+    th = np.linspace(0, 2 * math.pi, 128, endpoint=False)
+    far = PolygonDomain(np.array([1.0e6, -3.0e5])
+                        + 0.5 * np.stack([np.cos(th), np.sin(th)], axis=1))
     lo, hi = far.bbox()
     pts = np.concatenate([_lattice(lo - 0.01, hi + 0.01, 120), _edge_points(far.outer),
                           np.random.default_rng(13).uniform(lo, hi, size=(3000, 2))])

@@ -1,13 +1,18 @@
-"""Every function in ``src/extremal`` is reached by the bundled catalog or has
-a named reason to exist.
+"""Every function in ``src/extremal`` is reached by the bundled catalog, and
+every dataclass field is read in the package, or has a named reason to exist.
 
-The test runs each bundled config once, at the smoke sizes of
+The function test runs each bundled config once, at the smoke sizes of
 ``test_cli.SMOKE_OVERRIDES``, and ``extremal list`` under a ``sys.setprofile``
 call trace.  It then compares the functions entered, by (file, qualified
 name), with every function ``ast`` finds in the package.  A function the
 catalog does not enter must be in ``KEEP`` with one of the reasons in
 ``REASONS``, and ``KEEP`` may list nothing the catalog enters, so dead code
 cannot grow back and stale entries do not pile up.
+
+The field test does the same for the fields of every ``@dataclass`` in the
+package, with ``KEEP_FIELDS``: a field counts as read when its name is read
+as an attribute (``obj.name``) anywhere in the package.  It compares names,
+not owners, so it is coarse by design, as the function test is.
 """
 
 import ast
@@ -58,6 +63,14 @@ KEEP = {
     "sets.ProductSet.intersects_boxes_batch": "ROADMAP item 1",
     # the n = 3 shell
     "modfam.annulus_scene_3d": "ROADMAP item 5",
+}
+
+KEEP_FIELDS = {
+    # the invariants the distortion and shadow-routing tests check
+    "distort.DistortionProbe.big_l": "test reference",
+    "distort.DistortionProbe.small_l": "test reference",
+    "qhyp.ShadowRecord.cube_index": "test reference",
+    "qhyp.ShadowRecord.shadow_indices": "test reference",
 }
 
 _PACKAGE = Path(extremal.__file__).parent
@@ -112,3 +125,38 @@ def test_every_function_is_reached_or_kept_for_a_reason(tmp_path):
     assert sorted(k for k, why in KEEP.items() if not REASONS.fullmatch(why)) == []
     assert sorted(defined - entered - set(KEEP)) == []    # unreached, no reason
     assert sorted(set(KEEP) & entered) == []              # reached after all
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _fields_and_reads() -> tuple[dict, set]:
+    """module.Class.field of every dataclass field in the package, mapped to
+    the field name, and the name of every attribute the package reads."""
+    fields, read = {}, set()
+    for path in _PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for stmt in node.body:
+                    if (isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.target, ast.Name)):
+                        name = stmt.target.id
+                        fields[f"{path.stem}.{node.name}.{name}"] = name
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return fields, read
+
+
+def test_every_dataclass_field_is_read_or_kept_for_a_reason():
+    fields, read = _fields_and_reads()
+    unread = {key for key, name in fields.items() if name not in read}
+    assert sorted(set(KEEP_FIELDS) - set(fields)) == []   # no stale name
+    assert sorted(k for k, why in KEEP_FIELDS.items() if not REASONS.fullmatch(why)) == []
+    assert sorted(unread - set(KEEP_FIELDS)) == []        # unread, no reason
+    assert sorted(set(KEEP_FIELDS) - unread) == []        # read after all
