@@ -6,8 +6,11 @@ path (8-neighbor paths in 2D, 26-neighbor in 3D).  Admissibility over all
 paths collapses to the single condition that the rho-shortest-path distance
 between the marked sets is at least 1, which the scene's one
 ``ModulusProblem`` certifies under any constraint: one Dijkstra pass, or under
-a crossing budget K a sweep of at most K + 1 passes whose memory does not grow
-with K.  Avoiding E is the budget-0 sweep with the energy off E.
+a crossing budget K a sweep of at most K + 1 passes that drops each seed an
+earlier pass reached no farther, so its memory does not grow with K.  The
+sweep records the best distance after each pass, so one sweep to the largest
+K answers every smaller budget too.  Avoiding E is its pass 0, which never
+enters E, with the energy off E.
 
 ``dirichlet_candidates`` gives one near-extremal density per active mask in
 which a path joins the marked sets (the gradient magnitude of its capacity
@@ -15,9 +18,10 @@ potential): the solver uses the cells that carry energy, in budget mode also
 the scene with the obstacle removed, certifies each through
 ``ModulusProblem.certify`` (scale it so its shortest constrained path has
 length 1, then take its energy) and keeps the best; ``sets.cned_probe``
-certifies the same pool under every constraint.  Every reported value is the
-energy of an exactly admissible density, hence a certified upper estimate of
-the discrete optimum.
+certifies the same pool under every constraint, with one unconstrained pass
+and one sweep per candidate.  Every reported value is the energy of an
+exactly admissible density, hence a certified upper estimate of the discrete
+optimum.
 
 The capacity potential solves the graph Laplacian of the face-neighbour
 conductances on the free cells, in 2D and 3D and at every size, with one
@@ -520,32 +524,46 @@ class ModulusProblem:
         Returns (energy, normalized rho, binding path); the energy is inf (and
         the rest None) when no path exists or its rho-length is 0.
         """
-        u, carry = self.scene.u, constraint.carrier(self.scene.u)
-        rho = np.where(carry, rho_grid, 0.0)
-        d, path = self._distance(rho[u], constraint, want_path)
+        ladder, path = self._distance(rho_grid[self.scene.u], constraint, want_path)
+        energy, rho_norm = self.normalize(rho_grid, constraint.carrier(self.scene.u),
+                                          ladder[-1] if ladder else math.inf)
+        return energy, rho_norm, path if rho_norm is not None else None
+
+    def normalize(self, rho_grid: np.ndarray, carry: np.ndarray, d: float):
+        """rho / d zeroed off the cells ``carry`` that carry energy, and its
+        energy there: the certified value of a density whose shortest
+        constrained path has rho-length d.  (inf, None) unless 0 < d < inf.
+        """
         if not np.isfinite(d) or d <= 0:
-            return math.inf, None, None
-        rho_norm = rho / d
-        energy = float(np.sum(rho_norm[carry] ** self.p)
-                       * self.scene.spacing ** self.p)
-        return energy, rho_norm, path
+            return math.inf, None
+        rho_norm = np.where(carry, rho_grid, 0.0) / d
+        return (float(np.sum(rho_norm[carry] ** self.p) * self.scene.spacing ** self.p),
+                rho_norm)
 
     def _distance(self, rho_flat: np.ndarray, constraint=UNCONSTRAINED,
                   want_path: bool = False):
-        """rho-length of the shortest F1-F2 path within the budget, and the
-        path's node ids when asked.
+        """The least rho-length of an F1-F2 path after each pass of the
+        sweep, and the node ids of a shortest path within the budget when
+        asked.
 
         A step into an obstacle cell crosses, spending one unit.  Pass k is
         one Dijkstra over the free steps from a super source that seeds each
         cell first reached after k crossings at its distance; the crossing
-        steps out of pass k seed pass k + 1.  The sweep stops after pass K (0
-        outside budget mode), or once no seed is shorter than the best F2
-        distance so far.  Ties go to the lowest pass, then to the first F2 cell.
+        steps out of pass k seed pass k + 1.  A seed no shorter than the
+        distance at which an earlier pass reached its cell is dropped: that
+        label has more crossings and no shorter distance, and rounded
+        addition is monotone, so no path within the budget gets shorter
+        through it.  The sweep stops after pass K (0 outside budget mode), or
+        once no seed is left below the best F2 distance.  Entry k of the
+        ladder is the least F2 distance within k crossings, one entry per
+        pass run; the last holds for every larger budget.  Pass 0 never enters
+        an obstacle cell, so rho there does not change entry 0.  Ties go to
+        the lowest pass, then to the first F2 cell.
         """
         n = S = self.n
         budget = constraint.budget if constraint.mode == "budget" else 0
         src, dst, elen = self.steps
-        seed, nxt = np.full((2, n), np.inf)
+        seed, nxt, low = np.full((3, n), np.inf)
         seed[self.f1_ids] = 0.0
         if constraint.mode != "unconstrained":
             spends = constraint.cells[self.scene.u]
@@ -563,11 +581,11 @@ class ModulusProblem:
         nnz, indptr = base.nnz, base.indptr
         data = np.concatenate([base.data, np.empty(n)])
         indices = np.concatenate([base.indices, np.empty(n, base.indices.dtype)])
-        best, best_node, best_k = math.inf, -1, -1
+        best, best_node, best_k, ladder = math.inf, -1, -1, []
         # per pass: Dijkstra predecessors and the crossing step into each seed
         trail, via = [], None
         for k in range(budget + 1):
-            ids = np.flatnonzero(seed < best)
+            ids = np.flatnonzero(seed < np.minimum(low, best))
             if not ids.size and (k == budget or not (nxt < best).any()):
                 break
             end = nnz + len(ids)
@@ -580,9 +598,11 @@ class ModulusProblem:
             if tvals.size and tvals.min() < best:
                 j = int(np.argmin(tvals))
                 best, best_node, best_k = float(tvals[j]), int(self.f2_ids[j]), k
+            ladder.append(best)
             if want_path:
                 trail.append((pred, via))
             if k < budget:
+                np.minimum(low, dist[:n], out=low)
                 reach = dist[csrc] + wc
                 np.minimum.at(nxt, cdst, reach)
                 if want_path:
@@ -592,7 +612,7 @@ class ModulusProblem:
             seed, nxt = nxt, seed
             nxt.fill(np.inf)
         if best_node < 0 or not want_path:
-            return best, None
+            return ladder, None
         path, node = [], best_node
         for pred, via in reversed(trail[:best_k + 1]):
             while node != S:
@@ -602,7 +622,7 @@ class ModulusProblem:
                 break
             node = via[seeded]
         path.reverse()
-        return best, path
+        return ladder, path
 
 
 def release_free_memory() -> None:

@@ -340,7 +340,10 @@ def cned_probe(mask: np.ndarray, scene: GridScene, budgets: Sequence[int]) -> di
     Certifies the Dirichlet candidates of the scene (with the obstacle, and
     without it when a path still joins the marked sets) on one
     ``ModulusProblem``: unconstrained, under avoidance of E, and under
-    crossing budgets K, keeping the least energy in each mode.  Every mode
+    crossing budgets K, keeping the least energy in each mode.  Each
+    candidate gets one unconstrained pass and one crossing sweep to the
+    largest K: budget(K) reads the sweep's entry after pass K, and avoid its
+    pass 0, which never enters E, with the energy taken off E.  Every mode
     sees the same pool, so the relaxation ordering
     mod_avoid <= mod_budget(K) <= mod_budget(K+1) <= mod_full
     holds structurally.  The ratios to mod_full quantify NED/CNED behavior
@@ -349,19 +352,24 @@ def cned_probe(mask: np.ndarray, scene: GridScene, budgets: Sequence[int]) -> di
     flags = []
     if (mask & (scene.f1 | scene.f2)).any():
         flags.append("obstacle raster touches a marked continuum")
-
-    constraints = {"full": modfam.UNCONSTRAINED,
-                   "avoid": CurveConstraint("avoid", mask)}
-    for K in budgets:
-        constraints[f"budget({K})"] = CurveConstraint("budget", mask, K)
+    # every K is checked as a budget before the first solve
+    sweep = CurveConstraint("budget", mask, max(
+        [CurveConstraint("budget", mask, K).budget for K in budgets], default=0))
 
     pool = modfam.dirichlet_candidates(scene, [scene.u, scene.u & ~mask])
     problem = modfam.ModulusProblem(scene)
-    values, infeasible = {}, {}
-    for name, cons in constraints.items():
-        feasible = [v for v, ok in (certify_value(problem, rho, cons)
-                                    for rho in pool) if ok]
-        values[name], infeasible[name] = min(feasible, default=0.0), not feasible
+    energies = {"full": [], "avoid": [], **{f"budget({K})": [] for K in budgets}}
+    for rho in pool:
+        value, ok = certify_value(problem, rho)
+        energies["full"].append(value if ok else math.inf)
+        ladder = problem._distance(rho[scene.u], sweep)[0] or [math.inf]
+        energies["avoid"].append(problem.normalize(rho, scene.u & ~mask, ladder[0])[0])
+        for K in budgets:
+            d = ladder[min(K, len(ladder) - 1)]
+            energies[f"budget({K})"].append(problem.normalize(rho, scene.u, d)[0])
+    least = {name: min(es, default=math.inf) for name, es in energies.items()}
+    infeasible = {name: not math.isfinite(v) for name, v in least.items()}
+    values = {name: 0.0 if infeasible[name] else v for name, v in least.items()}
     full = values["full"]
     out = {
         "mod_full": full,
@@ -376,8 +384,8 @@ def cned_probe(mask: np.ndarray, scene: GridScene, budgets: Sequence[int]) -> di
     return out
 
 
-def certify_value(problem: modfam.ModulusProblem, rho_grid: np.ndarray,
-                  constraint=modfam.UNCONSTRAINED) -> tuple[float, bool]:
-    """Energy of rho normalized to admissibility under the constraint."""
-    value = problem.certify(rho_grid, constraint)[0]
+def certify_value(problem: modfam.ModulusProblem,
+                  rho_grid: np.ndarray) -> tuple[float, bool]:
+    """Energy of rho normalized to admissibility for every path."""
+    value = problem.certify(rho_grid)[0]
     return (value, True) if math.isfinite(value) else (0.0, False)

@@ -283,7 +283,7 @@ def test_zero_density_certifies_to_inf():
     for cons in (modfam.UNCONSTRAINED, CurveConstraint("avoid", mask),
                  CurveConstraint("budget", mask, 2)):
         assert problem.certify(zero, cons) == (math.inf, None, None)
-        assert sets.certify_value(problem, zero, cons) == (0.0, False)
+    assert sets.certify_value(problem, zero) == (0.0, False)
 
 
 @pytest.mark.parametrize("budget", [1.5, 2.0, True, "1", None])
@@ -436,6 +436,62 @@ def _reference_distance(active, h, rho_flat, f1_ids, f2_ids, ecost=None,
     return float(tvals.min()) if np.isfinite(tvals).any() else math.inf
 
 
+def _unpruned_sweep(problem, rho_flat, constraint):
+    """The crossing sweep as it ran before it dropped dominated seeds: every
+    cell first reached after k crossings seeds pass k when it is below the
+    best F2 distance.  Returns (distance, path node ids or None)."""
+    n = S = problem.n
+    budget = constraint.budget if constraint.mode == "budget" else 0
+    src, dst, elen = problem.steps
+    seed, nxt = np.full((2, n), np.inf)
+    seed[problem.f1_ids] = 0.0
+    if constraint.mode != "unconstrained":
+        spends = constraint.cells[problem.scene.u]
+        walled = problem.f1_ids[spends[problem.f1_ids]]
+        seed[walled], nxt[walled] = np.inf, 0.0
+        cross = spends[dst]
+        csrc, cdst = src[cross], dst[cross]
+        wc = 0.5 * (rho_flat[csrc] + rho_flat[cdst]) * elen[cross]
+        src, dst, elen = src[~cross], dst[~cross], elen[~cross]
+    w = 0.5 * (rho_flat[src] + rho_flat[dst]) * elen
+    best, best_node, best_k = math.inf, -1, -1
+    trail, via = [], None
+    for k in range(budget + 1):
+        ids = np.flatnonzero(seed < best)
+        if not ids.size and (k == budget or not (nxt < best).any()):
+            break
+        mat = sp.csr_matrix((np.concatenate([w, seed[ids]]),
+                             (np.concatenate([src, np.full(len(ids), S)]),
+                              np.concatenate([dst, ids]))), shape=(n + 1, n + 1))
+        dist, pred = dijkstra(mat, directed=True, indices=S,
+                              return_predecessors=True)
+        tvals = dist[problem.f2_ids]
+        if tvals.size and tvals.min() < best:
+            j = int(np.argmin(tvals))
+            best, best_node, best_k = float(tvals[j]), int(problem.f2_ids[j]), k
+        trail.append((pred, via))
+        if k < budget:
+            reach = dist[csrc] + wc
+            np.minimum.at(nxt, cdst, reach)
+            hit = reach == nxt[cdst]
+            via = np.full(n, -1)
+            via[cdst[hit]] = csrc[hit]
+        seed, nxt = nxt, seed
+        nxt.fill(np.inf)
+    if best_node < 0:
+        return best, None
+    path, node = [], best_node
+    for pred, via in reversed(trail[:best_k + 1]):
+        while node != S:
+            path.append(node)
+            seeded, node = node, pred[node]
+        if via is None or via[seeded] < 0:
+            break
+        node = via[seeded]
+    path.reverse()
+    return best, path
+
+
 def _path_length(problem, rho_flat, path):
     cells = problem.cells[path]
     steps = np.linalg.norm(np.diff(cells, axis=0), axis=1) * problem.scene.spacing
@@ -470,12 +526,23 @@ def test_sweep_matches_product_graph(nx, ny, mode, budget, ties, walled_f1, seed
     idx = -np.ones(u.shape, np.int64)
     idx[active] = np.arange(int(active.sum()))
     ecost = mask[active].astype(np.int64) if mode == "budget" else None
-    ref = _reference_distance(active, sc.spacing, rho[active],
-                              idx[f1 & active], idx[f2 & active], ecost, budget)
+    def reference(k):
+        return _reference_distance(active, sc.spacing, rho[active],
+                                   idx[f1 & active], idx[f2 & active], ecost, k)
 
+    ref = reference(budget)
     rho_flat = rho[u]
-    d, path = problem._distance(rho_flat, cons, want_path=True)
+    ladder, path = problem._distance(rho_flat, cons, want_path=True)
+    d = ladder[-1] if ladder else math.inf
     assert d == ref
+    # one ladder entry per pass run, none past the budget; entry k is the
+    # distance within k crossings, the last one for every larger k
+    assert len(ladder) <= (budget if mode == "budget" else 0) + 1
+    if mode == "budget":
+        for k in range(budget + 1):
+            assert (ladder or [math.inf])[min(k, len(ladder) - 1)] == reference(k)
+    # dropping dominated seeds moves neither the distance nor the witness
+    assert (d, path) == _unpruned_sweep(problem, rho_flat, cons)
     energy, rho_norm, cpath = problem.certify(rho, cons, want_path=True)
     carry = cons.carrier(u)
     if not math.isfinite(ref) or ref <= 0:
@@ -517,6 +584,10 @@ def test_budget_search_memory_does_not_grow_with_budget():
     value_5000, peak_5000 = peak(5000)
     assert value_5000 == value_50 < math.inf
     assert peak_5000 <= 2 * peak_50
+    # the ladder has one entry per pass run, never one per budget unit
+    value_huge, peak_huge = peak(10 ** 9)
+    assert value_huge == value_50
+    assert peak_huge <= 2 * peak_50
 
 
 def test_dirichlet_solve_memory_grows_linearly():

@@ -313,11 +313,49 @@ def test_probe_solves_two_dirichlet_candidates(monkeypatch):
     cned_probe(mask, sc, budgets=[1, 2])
     assert len(calls) == 1
     # a one-cell gap on the positive x-axis lets paths through
-    gap = mask.copy()
-    gap[sc.shape[0] // 2:, sc.shape[1] // 2] = False
     calls.clear()
-    cned_probe(gap, sc, budgets=[1, 2])
+    cned_probe(_gap_circle_scene()[1], sc, budgets=[1, 2])
     assert len(calls) == 2
+
+
+def _gap_circle_scene():
+    """The circle of ``_small_circle_scene`` with a one-cell gap on the
+    positive x-axis, so that avoid mode is feasible."""
+    sc, mask = _small_circle_scene()
+    mask[sc.shape[0] // 2:, sc.shape[1] // 2] = False
+    return sc, mask
+
+
+def test_probe_matches_one_certify_per_mode_with_feasible_avoid():
+    # avoid reads pass 0 of the budget sweep; here it has a nonzero value
+    sc, gap = _gap_circle_scene()
+    budgets = [0, 1, 2, 5]
+    probe = cned_probe(gap, sc, budgets=budgets)
+    pool = modfam.dirichlet_candidates(sc, [sc.u, sc.u & ~gap])
+    problem = modfam.ModulusProblem(sc)
+
+    def least(cons):
+        return min(problem.certify(rho, cons)[0] for rho in pool)
+
+    assert len(pool) == 2 and not any(probe["infeasible"].values())
+    assert probe["mod_full"] == least(modfam.UNCONSTRAINED)
+    assert 0 < probe["mod_avoid"] == least(modfam.CurveConstraint("avoid", gap))
+    for K in budgets:
+        assert probe["mod_budget"][K] == least(modfam.CurveConstraint("budget", gap, K))
+
+
+@pytest.mark.parametrize("gap", [False, True], ids=["closed", "gap"])
+def test_probe_runs_one_sweep_per_candidate(gap, monkeypatch):
+    sc, mask = _gap_circle_scene() if gap else _small_circle_scene()
+    pool = len(modfam.dirichlet_candidates(sc, [sc.u, sc.u & ~mask]))
+    calls = []
+    dijkstra = modfam.dijkstra
+    monkeypatch.setattr(modfam, "dijkstra",
+                        lambda *a, **k: calls.append(1) or dijkstra(*a, **k))
+    cned_probe(mask, sc, budgets=[1, 2])
+    # per candidate one unconstrained pass and one sweep of at most 3
+    # passes, where a sweep per mode took 1 + 1 + 2 + 3 = 7
+    assert pool <= len(calls) <= pool * (1 + 3)
 
 
 def test_probe_certifies_every_mode_on_one_problem(monkeypatch):
