@@ -5,7 +5,9 @@ One experiment per invocation: ``extremal run config.json [--seed N]
 anchors they were checked against), data.csv for tables, and figure.svg for
 2D scenes.  ``extremal list`` prints the bundled configs, which cover every
 acceptance scenario.  Identical config and seed give byte-identical
-results.json; wall-clock metadata goes to a sidecar file.
+results.json at a fixed BLAS thread count (scipy's CG sums its inner
+products per thread, so the last bits of a solve depend on the count).
+Wall-clock metadata goes to a sidecar file, run.meta.json, written last.
 
 Each key of ``params`` is read, defaulted and checked in one place, the runner
 or builder that uses it, before the first solve.
@@ -628,10 +630,12 @@ def _json_ready(obj):
 
 def run_experiment(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit code."""
+    t0 = time.perf_counter()
     config.validate()
-    t0 = time.time()
     artifacts: dict = {}
+    t_solve = time.perf_counter()
     results = _RUNNERS[config.kind](config, artifacts)
+    t_artifacts = time.perf_counter()
     os.makedirs(config.out, exist_ok=True)
     payload = {
         "schema": 1,
@@ -644,11 +648,15 @@ def run_experiment(config: ExperimentConfig) -> int:
     }
     _write_text(os.path.join(config.out, "results.json"),
                 json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    _write_text(os.path.join(config.out, "run.meta.json"),
-                json.dumps({"elapsed_s": time.time() - t0,
-                            "finished_unix": time.time()}, indent=2) + "\n")
     _write_tables(config, results, artifacts)
     _write_figures(config, artifacts)
+    t_end = time.perf_counter()
+    # written last, so it times the whole run; a failed write leaves none
+    _write_text(os.path.join(config.out, "run.meta.json"),
+                json.dumps({"elapsed_s": t_end - t0,
+                            "solve_s": t_artifacts - t_solve,
+                            "artifacts_s": t_end - t_artifacts,
+                            "finished_unix": time.time()}, indent=2) + "\n")
     modfam.release_free_memory()    # the next experiment starts from the live set
     return 0
 

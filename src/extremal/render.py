@@ -2,19 +2,28 @@
 
 from __future__ import annotations
 
+import base64
+import struct
+import zlib
 from typing import Iterable
 
 import numpy as np
 
 
-def _colors(t) -> list[str]:
-    """Blue-to-red ramp on [0, 1], one ``#rrggbb`` string per entry of ``t``.
+def _ramp(t) -> tuple:
+    """Blue-to-red ramp on [0, 1]: the integer r, g, b channel arrays of ``t``.
 
     Each channel is truncated toward zero, as ``int`` would truncate it."""
     t = np.clip(np.asarray(t, float), 0.0, 1.0)
     r = (255 * t).astype(np.int64)
-    b = (255 * (1 - t)).astype(np.int64)
     g = (64 * (1 - np.abs(2 * t - 1))).astype(np.int64)
+    b = (255 * (1 - t)).astype(np.int64)
+    return r, g, b
+
+
+def _colors(t) -> list[str]:
+    """The ramp as one ``#rrggbb`` string per entry of ``t``."""
+    r, g, b = _ramp(t)
     return [f"#{c:06x}" for c in ((r << 16) | (g << 8) | b).tolist()]
 
 
@@ -23,8 +32,8 @@ def _color(t: float) -> str:
 
 
 def _write_doc(path: str, elements: Iterable[str], view: tuple) -> None:
-    """Write the SVG document, one element per line, as ``elements`` yields
-    them: a 512^2 heatmap is 166k elements, which are never all held."""
+    """Write the SVG document: the head, one element per line as
+    ``elements`` yields them, and the closing tag, with no trailing newline."""
     x0, y0, w, h = view
     with open(path, "w") as fh:
         fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -35,12 +44,20 @@ def _write_doc(path: str, elements: Iterable[str], view: tuple) -> None:
         fh.write("\n</svg>")
 
 
-def svg_density_heatmap(density, path: str) -> None:
-    """One rect per positive cell, colored by relative density.
+def _png_chunk(tag: bytes, data: bytes) -> bytes:
+    return (struct.pack(">I", len(data)) + tag + data
+            + struct.pack(">I", zlib.crc32(tag + data)))
 
-    The document is built one row of cells at a time: each rect joins its
-    row's x-prefix and its column's y-suffix, both formatted once, with its
-    colour from one ramp call per row."""
+
+def svg_density_heatmap(density, path: str) -> None:
+    """One ``<image>`` over the grid: an 8-bit RGBA PNG (RFC 2083) with one
+    pixel per cell, colored by relative density, inlined as a base64 data URI.
+
+    Pixel (row j, column i) is cell ``values[i, j]``, so row 0 sits at the
+    origin's y.  A positive cell is opaque in the ramp colour of
+    ``v / vmax``; a zero cell is transparent.  Every row has filter byte 0
+    and the data is compressed at one fixed zlib level, so the bytes depend
+    only on the density.  With no positive cell there is no ``<image>``."""
     vals = density.values
     if vals.ndim != 2:
         raise ValueError("heatmaps are 2D only")
@@ -48,17 +65,24 @@ def svg_density_heatmap(density, path: str) -> None:
     ox, oy = density.origin
     vmax = float(vals.max()) or 1.0
     nx, ny = vals.shape
-    suffix = [f'{oy + j * h:.5f}" width="{h:.5f}" height="{h:.5f}" fill="'
-              for j in range(ny)]
-
-    def rects():
-        for i, row in enumerate(vals):
-            cells = np.flatnonzero(row > 0)
-            prefix = f'<rect x="{ox + i * h:.5f}" y="'
-            for j, col in zip(cells.tolist(), _colors(row[cells] / vmax)):
-                yield f'{prefix}{suffix[j]}{col}"/>'
-
-    _write_doc(path, rects(), (ox, oy, nx * h, ny * h))
+    image = []
+    cols = vals.T
+    positive = cols > 0
+    if positive.any():
+        rows = np.zeros((ny, 1 + 4 * nx), np.uint8)    # column 0: filter byte
+        rgba = rows[:, 1:].reshape(ny, nx, 4, copy=False)
+        for k, chan in enumerate(_ramp(cols[positive] / vmax)):
+            rgba[..., k][positive] = chan
+        rgba[..., 3][positive] = 255
+        png = (b"\x89PNG\r\n\x1a\n"
+               + _png_chunk(b"IHDR", struct.pack(">IIBBBBB", nx, ny, 8, 6, 0, 0, 0))
+               + _png_chunk(b"IDAT", zlib.compress(rows, 6))
+               + _png_chunk(b"IEND", b""))
+        image.append(f'<image x="{ox:.5f}" y="{oy:.5f}" width="{nx * h:.5f}" '
+                     f'height="{ny * h:.5f}" preserveAspectRatio="none" '
+                     f'style="image-rendering:pixelated" href="data:image/png;base64,'
+                     f'{base64.b64encode(png).decode("ascii")}"/>')
+    _write_doc(path, image, (ox, oy, nx * h, ny * h))
 
 
 def svg_covering(cover_pairs, path: str) -> None:

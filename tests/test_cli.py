@@ -1,7 +1,9 @@
+import base64
 import copy
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -128,9 +130,21 @@ def test_failed_figure_write_leaves_no_partial_file(tmp_path, monkeypatch):
                    "scene": {"builder": "rectangle", "grid": 24}}})
     with pytest.raises(OSError, match="disk full"):
         run_experiment(cfg)
-    # no figure.svg and no figure.svg.tmp
+    # no figure.svg and no figure.svg.tmp; run.meta.json is written last
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "density.csv", "results.json", "run.meta.json"]
+        "density.csv", "results.json"]
+
+
+def test_run_meta_times_the_whole_run(tmp_path):
+    cfg = ExperimentConfig.from_json({
+        "kind": "modulus", "out": str(tmp_path),
+        "params": {"mode": "scene",
+                   "scene": {"builder": "rectangle", "grid": 24}}})
+    assert run_experiment(cfg) == 0
+    meta = json.loads((tmp_path / "run.meta.json").read_text())
+    assert sorted(meta) == ["artifacts_s", "elapsed_s", "finished_unix", "solve_s"]
+    assert meta["solve_s"] > 0 and meta["artifacts_s"] > 0
+    assert meta["solve_s"] + meta["artifacts_s"] <= meta["elapsed_s"]
 
 
 def test_infeasible_family_is_success_with_flag(tmp_path):
@@ -153,8 +167,14 @@ def test_cli_run_by_bundled_name(tmp_path):
     assert rc == 0
     results = json.loads((tmp_path / "results.json").read_text())
     assert abs(results["results"]["value"] - 0.5) < 0.05
-    assert (tmp_path / "figure.svg").exists()
     assert (tmp_path / "density.csv").exists()
+    # one <image> whose PNG is one pixel per cell of the density grid
+    svg = (tmp_path / "figure.svg").read_text()
+    assert svg.count("<image") == 1
+    png = base64.b64decode(svg.split("data:image/png;base64,")[1].split('"')[0])
+    assert png[12:16] == b"IHDR"
+    scene = cli.build_scene(builtin_experiments()["rectangle-modulus"]["params"]["scene"])
+    assert struct.unpack(">II", png[16:24]) == scene.shape
 
 
 SMOKE_OVERRIDES = {
