@@ -7,6 +7,10 @@ union is unchanged, whose correspondence is preserved, and whose yolks are
 pairwise disjoint on both sides.  Families here are finite: the containment
 partial order is resolved by explicit maximal-element selection instead of
 the maximal-chain argument needed for infinite index sets.
+
+Yolk disjointness is decided exactly, for a whole family at once
+(``geom.balls_disjoint_matrix``): in floats where a stated rounding bound
+settles the comparison, in integers otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from typing import Callable
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import Ball, DomainError, Region, balls_disjoint
+from .geom import (Ball, DomainError, Region, _cloud_diameter,
+                   balls_disjoint_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -83,17 +88,23 @@ class CoverPair:
     member_indices: list[int]
 
 
-def _region_subset(a: Region, b: Region) -> bool:
-    tol = 0.75 * max(a.pitch, b.pitch) * math.sqrt(a.dim)
-    # a sample of a that lies beyond b's bbox along one axis by more than the
-    # query tolerance is that far from every sample of b, so the kd-tree
-    # query would fail it; the relative margin covers the rounding of the
-    # coordinate differences (each is within one ulp of its exact value)
-    (alo, ahi), (blo, bhi) = a.bbox, b.bbox
-    reach = (tol + 1e-12) * (1 + 1e-9)
-    if (blo - alo > reach).any() or (ahi - bhi > reach).any():
-        return False
-    return bool(b.contains_points(a.samples, tol=tol).all())
+def _subset_screen(regions: list[Region]) -> tuple[np.ndarray, np.ndarray]:
+    """Query tolerance of every ordered pair (i, j) and whether region i can
+    be a subset of region j at that tolerance.
+
+    A sample of i that lies beyond j's bbox along one axis by more than the
+    tolerance is that far from every sample of j, so the kd-tree query would
+    fail it; the relative margin covers the rounding of the coordinate
+    differences (each is within one ulp of its exact value).
+    """
+    lo = np.array([r.bbox[0] for r in regions])
+    hi = np.array([r.bbox[1] for r in regions])
+    pitch = np.array([r.pitch for r in regions])
+    tol = 0.75 * np.maximum(pitch[:, None], pitch[None, :]) * math.sqrt(lo.shape[1])
+    reach = ((tol + 1e-12) * (1 + 1e-9))[:, :, None]
+    beyond = (((lo[None, :] - lo[:, None]) > reach).any(-1)
+              | ((hi[:, None] - hi[None, :]) > reach).any(-1))
+    return tol, ~beyond
 
 
 def normalize_comparable(family: PairedFamily) -> tuple[PairedFamily, dict]:
@@ -109,12 +120,13 @@ def normalize_comparable(family: PairedFamily) -> tuple[PairedFamily, dict]:
     # scan by decreasing diameter (ties by index); drop a pair only when it
     # sits inside an already-kept one, so every dropped region is within one
     # sampling tolerance of the kept union (no transitive drift)
-    order = sorted(range(n),
-                   key=lambda i: (-family.domain_pairs[i].region.diameter(), i))
+    regions = [p.region for p in family.domain_pairs]
+    order = sorted(range(n), key=lambda i: (-regions[i].diameter(), i))
+    tol, may = _subset_screen(regions)
     keep = []
     for i in order:
-        ri = family.domain_pairs[i].region
-        if not any(_region_subset(ri, family.domain_pairs[j].region)
+        samples = regions[i].samples
+        if not any(may[i, j] and regions[j].contains_points(samples, tol[i, j]).all()
                    for j in keep):
             keep.append(i)
     keep.sort()
@@ -155,43 +167,47 @@ class CoverResult:
                 "verified": self.report.get("verified", {})}
 
 
-def _cluster_pass(dom_pairs: list[EggYolkPair], rng_pairs: list[EggYolkPair]):
-    """One covering pass: selection yolks become disjoint on the range side.
+def _cluster_pass(gen_diam: list[float], scan_diam: list[float],
+                  yolks: list[Ball]):
+    """One covering pass: the yolks become disjoint on the scanned side.
 
     Implements the generation scan of the covering proof: pairs are grouped
-    into dyadic diameter generations (ties go with the finer generation) and,
-    within a generation, scanned by decreasing range diameter.  A selected
-    pair absorbs every not-yet-covered pair whose range yolk meets its own.
+    into dyadic generations of ``gen_diam`` (ties go with the finer
+    generation) and, within a generation, scanned by decreasing
+    ``scan_diam``.  A selected pair absorbs every not-yet-covered pair whose
+    yolk meets its own.
     """
-    n = len(dom_pairs)
-    dom_diam = [p.region.diameter() for p in dom_pairs]
-    rng_diam = [p.region.diameter() for p in rng_pairs]
-    L = max(dom_diam) if dom_diam else 0.0
-    covered = [False] * n
+    gen_diam, scan_diam = np.asarray(gen_diam), np.asarray(scan_diam)
+    apart = balls_disjoint_matrix(yolks)
+    L = gen_diam.max()
+    covered = np.zeros(len(yolks), bool)
     clusters: list[list[int]] = []
     anchors: list[int] = []
     m = 0
-    while not all(covered):
+    while not covered.all():
         lo, hi = 2.0 ** (-m - 1) * L, 2.0 ** (-m) * L
-        gen = [i for i in range(n) if not covered[i] and lo < dom_diam[i] <= hi]
-        gen.sort(key=lambda i: (-rng_diam[i], i))
-        for i1 in gen:
+        gen = np.flatnonzero(~covered & (lo < gen_diam) & (gen_diam <= hi))
+        for i1 in gen[np.argsort(-scan_diam[gen], kind="stable")].tolist():
             if covered[i1]:
                 continue
-            members = [i1]
             covered[i1] = True
-            for j in range(n):
-                if covered[j]:
-                    continue
-                if not balls_disjoint(rng_pairs[i1].yolk, rng_pairs[j].yolk):
-                    members.append(j)
-                    covered[j] = True
+            members = [i1, *np.flatnonzero(~covered & ~apart[i1]).tolist()]
+            covered[members] = True
             clusters.append(members)
             anchors.append(i1)
         m += 1
         if m > 64:
             raise RuntimeError("generation scan failed to terminate")
     return clusters, anchors
+
+
+def _cluster_diameters(regions: list[Region],
+                       clusters: list[list[int]]) -> list[float]:
+    """Diameter of each cluster's union of regions.  The hull of a union is
+    the hull of its members' hull vertices, so only those are stacked."""
+    return [regions[c[0]].diameter() if len(c) == 1
+            else _cloud_diameter(np.vstack([regions[i].hull for i in c]))
+            for c in clusters]
 
 
 def egg_yolk_cover(family: PairedFamily) -> CoverResult:
@@ -207,12 +223,21 @@ def egg_yolk_cover(family: PairedFamily) -> CoverResult:
     """
     reduced, aux_report = normalize_comparable(family)
     dom, rng = reduced.domain_pairs, reduced.range_pairs
+    dom_regions = [p.region for p in dom]
+    rng_regions = [p.region for p in rng]
+    dom_diam = [r.diameter() for r in dom_regions]
+    rng_diam = [r.diameter() for r in rng_regions]
+    for k, (d_dom, d_rng) in enumerate(zip(dom_diam, rng_diam)):
+        if d_dom == 0 or d_rng == 0:
+            raise DomainError(f"pair {aux_report['kept_indices'][k]} has a "
+                              "region of zero diameter")
 
-    clusters1, anchors1 = _cluster_pass(dom, rng)
-    # phase 2 on swapped sides: treat phase-1 clusters as single pairs
-    merged_dom = [_merge_pairs(dom, c, anchors1[k]) for k, c in enumerate(clusters1)]
-    merged_rng = [_merge_pairs(rng, c, anchors1[k]) for k, c in enumerate(clusters1)]
-    clusters2, anchors2 = _cluster_pass(merged_rng, merged_dom)
+    clusters1, anchors1 = _cluster_pass(dom_diam, rng_diam, [p.yolk for p in rng])
+    # phase 2 on swapped sides: each phase-1 cluster acts as one pair with
+    # its anchor's yolks
+    clusters2, anchors2 = _cluster_pass(_cluster_diameters(rng_regions, clusters1),
+                                        _cluster_diameters(dom_regions, clusters1),
+                                        [dom[a].yolk for a in anchors1])
 
     out_pairs: list[CoverPair] = []
     for k, cl in enumerate(clusters2):
@@ -239,16 +264,16 @@ def egg_yolk_cover(family: PairedFamily) -> CoverResult:
     return CoverResult(out_pairs, achieved, report)
 
 
-def _merge_pairs(pairs: list[EggYolkPair], members: list[int],
-                 anchor: int) -> EggYolkPair:
-    pts = np.vstack([pairs[i].region.samples for i in members])
-    pitch = max(pairs[i].region.pitch for i in members)
-    return EggYolkPair(Region(pts, pitch), pairs[anchor].yolk,
-                       max(pairs[i].constant for i in members))
-
-
 def verify_cover(family: PairedFamily, out_pairs: list[CoverPair]) -> dict:
-    """Exhaustively check the three covering postconditions on samples."""
+    """Exhaustively check the three covering postconditions on samples.
+
+    (i) the output clouds cover the input union and lie in it, each sample
+    within 0.75 pitch sqrt(dim) of the other side; (ii) each output range
+    cloud is the forward image of its domain cloud, within an absolute
+    tolerance of 1e-9 (1 + max |image coordinate|) and no relative one;
+    (iii) the output yolks are pairwise disjoint on each side, decided
+    exactly on matrices built from the output yolks themselves.
+    """
     # (i) union equality
     dom_in = np.vstack([p.region.samples for p in family.domain_pairs])
     pitch = max(p.region.pitch for p in family.domain_pairs)
@@ -260,16 +285,16 @@ def verify_cover(family: PairedFamily, out_pairs: list[CoverPair]) -> dict:
     for cp in out_pairs:
         img = family.forward(cp.domain_points)
         if img.shape != cp.range_points.shape or not np.allclose(
-                img, cp.range_points, atol=1e-9 * (1 + np.abs(img).max())):
+                img, cp.range_points, rtol=0.0,
+                atol=1e-9 * (1 + np.abs(img).max())):
             image_ok = False
             break
-    # (iii) pairwise disjoint yolks, exactly
-    dom_disjoint = all(balls_disjoint(a.domain_yolk, b.domain_yolk)
-                       for i, a in enumerate(out_pairs)
-                       for b in out_pairs[i + 1:])
-    rng_disjoint = all(balls_disjoint(a.range_yolk, b.range_yolk)
-                       for i, a in enumerate(out_pairs)
-                       for b in out_pairs[i + 1:])
+    # (iii) pairwise disjoint yolks, exactly, on the output yolks themselves
+    upper = np.triu_indices(len(out_pairs), 1)
+    dom_disjoint = balls_disjoint_matrix(
+        [cp.domain_yolk for cp in out_pairs])[upper].all()
+    rng_disjoint = balls_disjoint_matrix(
+        [cp.range_yolk for cp in out_pairs])[upper].all()
     return {"union_equality": bool(union_ok),
             "image_correspondence": bool(image_ok),
             "domain_yolks_disjoint": bool(dom_disjoint),
@@ -277,7 +302,7 @@ def verify_cover(family: PairedFamily, out_pairs: list[CoverPair]) -> dict:
 
 
 def _cloud_subset(a: np.ndarray, b: np.ndarray, pitch: float) -> bool:
-    d, _ = cKDTree(b).query(a, k=1)
+    d, _ = cKDTree(b, balanced_tree=False).query(a, k=1)
     return bool((d <= 0.75 * pitch * math.sqrt(a.shape[1])).all())
 
 

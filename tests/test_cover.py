@@ -7,15 +7,17 @@ from hypothesis import given, settings, strategies as st
 from extremal import cover, geom
 from extremal.cover import (EggYolkPair, PairedFamily, affine_map, _disk_cloud,
                             egg_yolk_cover, normalize_comparable,
-                            random_paired_family)
-from extremal.geom import Ball, DomainError, Region, balls_disjoint
+                            random_paired_family, verify_cover)
+from extremal.geom import Ball, DomainError, Region, balls_disjoint_matrix
 
 
 def test_covering_builds_fewer_trees_than_regions(monkeypatch):
-    # merged clusters are never queried, so they build no kd-tree
+    # domain regions the subset screen rules out are never queried, so they
+    # build no kd-tree
     trees, regions = [], []
     tree, post_init = geom.cKDTree, geom.Region.__post_init__
-    monkeypatch.setattr(geom, "cKDTree", lambda pts: trees.append(1) or tree(pts))
+    monkeypatch.setattr(geom, "cKDTree",
+                        lambda pts, **kw: trees.append(1) or tree(pts, **kw))
     monkeypatch.setattr(geom.Region, "__post_init__",
                         lambda self: regions.append(1) or post_init(self))
     res = egg_yolk_cover(random_paired_family(30, 4.0, "diag(2,1)", seed=77))
@@ -58,7 +60,7 @@ def test_intersecting_yolks_comparable_diameters():
         c2 = np.array([0.9 * (r1 + r2), 0.0])
         A1 = _disk_cloud(np.zeros(2), s1, s1 / 8)
         A2 = _disk_cloud(c2, s2, s2 / 8)
-        nested = (cover._region_subset(A1, A2) or cover._region_subset(A2, A1))
+        nested = _brute_subset(A1, A2) or _brute_subset(A2, A1)
         if nested:
             continue
         d1, d2 = A1.diameter(), A2.diameter()
@@ -96,11 +98,12 @@ def test_normalize_output_comparability_under_map():
     fam = random_paired_family(20, 4.0, "diag(2,1)", seed=21)
     red, rep = normalize_comparable(fam)
     c = rep["comparability_constant"]
+    apart = [balls_disjoint_matrix([p.yolk for p in side])
+             for side in (red.domain_pairs, red.range_pairs)]
     for i in range(len(red)):
         for j in range(i + 1, len(red)):
-            for side in (red.domain_pairs, red.range_pairs):
-                bi, bj = side[i].yolk, side[j].yolk
-                if not balls_disjoint(bi, bj):
+            for side, side_apart in zip((red.domain_pairs, red.range_pairs), apart):
+                if not side_apart[i, j]:
                     di = side[i].region.diameter()
                     dj = side[j].region.diameter()
                     assert di <= c * dj * 1.1 and dj <= c * di * 1.1
@@ -150,22 +153,58 @@ def test_cover_anisotropic_reports_constant():
 
 def test_cover_takes_each_region_hull_once(monkeypatch):
     # normalize_comparable sorts by diameter and the first cluster pass takes
-    # the diameters of the kept regions again; the second asks hit the cache
+    # the diameters of the kept regions again; the second asks hit the cache,
+    # and a merged cluster hulls only the hull vertices of its members
     hulls = []                    # the clouds themselves, so no id is reused
 
     def counted(pts):
         hulls.append(pts)
-        return diameter(pts)
-    diameter = geom._cloud_diameter
-    monkeypatch.setattr(geom, "_cloud_diameter", counted)
-    fam = random_paired_family(30, 4.0, "diag(2,1)", seed=77)
-    region = fam.domain_pairs[0].region
-    assert region.diameter() == region.diameter() == diameter(region.samples)
+        return hull_points(pts)
+    hull_points = geom._hull_points
+    monkeypatch.setattr(geom, "_hull_points", counted)
+    region = random_paired_family(30, 4.0, "diag(2,1)", seed=77).domain_pairs[0].region
+    assert region.diameter() == region.diameter()
     assert len(hulls) == 1
+    assert region.diameter() == geom._cloud_diameter(region.samples)
+
+    hulls.clear()
+    fam = random_paired_family(30, 4.0, "diag(2,1)", seed=77)
     res = egg_yolk_cover(fam)
     assert all(res.report["verified"].values())
     assert len(hulls) > 30
     assert len({id(pts) for pts in hulls}) == len(hulls)
+    regions = [p.region for p in fam.domain_pairs + fam.range_pairs]
+    for p in fam.domain_pairs:
+        assert sum(pts is p.region.samples for pts in hulls) == 1
+    merged = [pts for pts in hulls if not any(pts is r.samples for r in regions)]
+    assert merged
+    vertices = {tuple(v) for r in regions for v in r.hull}
+    for pts in merged:
+        assert {tuple(v) for v in pts} <= vertices
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 30),
+       st.sampled_from([(4.0, "diag(2,1)"), (8.0, "rot+scale"), (2.0, "identity")]))
+def test_phase_two_diameters_are_those_of_the_merged_clouds(seed, n_pairs, M_map):
+    # each cluster's diameter, taken from its members' hull vertices, is the
+    # diameter of all the samples of its members, to the bit
+    calls = []
+
+    def recorded(*args):
+        calls.append((args, cluster_pass(*args)))
+        return calls[-1][1]
+    cluster_pass = cover._cluster_pass
+    fam = random_paired_family(n_pairs, *M_map, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cover, "_cluster_pass", recorded)
+        res = egg_yolk_cover(fam)
+    assert all(res.report["verified"].values())
+    kept = res.report["kept_indices"]
+    (_, (clusters1, _)), ((rng_diam, dom_diam, _), _) = calls
+    for pairs, diams in ((fam.range_pairs, rng_diam), (fam.domain_pairs, dom_diam)):
+        assert diams == [geom._cloud_diameter(
+            np.vstack([pairs[kept[i]].region.samples for i in c])) for c in clusters1]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -200,12 +239,49 @@ def test_non_injective_correspondence_rejected():
         normalize_comparable(broken)
 
 
+def test_image_check_has_no_relative_tolerance():
+    # one range point moved by 1e-6 of itself, about 1e-5, is a thousand
+    # times the absolute tolerance of about 1e-8 that the check states
+    fam = random_paired_family(8, 4.0, "identity", seed=5)
+    res = egg_yolk_cover(fam)
+    assert all(res.report["verified"].values())
+    pts = res.pairs[0].range_points
+    pts[np.argmax(np.abs(pts).sum(axis=1))] *= 1 + 1e-6
+    ver = verify_cover(fam, res.pairs)
+    assert ver["image_correspondence"] is False
+    assert ver["union_equality"] and ver["domain_yolks_disjoint"]
+
+
+@pytest.mark.parametrize("domain_samples", [[[50.0, 50.0]],
+                                            [[50.0, 50.0], [50.0, 50.05]]])
+def test_one_sample_region_is_a_domain_error(domain_samples):
+    # an isolated pair with one sample on either side has zero diameter,
+    # which no dyadic generation holds
+    fam = random_paired_family(8, 4.0, "identity", seed=5)
+    lone_dom = EggYolkPair(Region(np.array(domain_samples), 0.1),
+                           Ball((50.0, 50.0), 0.05), 4.0)
+    lone_rng = EggYolkPair(Region(np.array([[50.0, 50.0]]), 0.1),
+                           Ball((50.0, 50.0), 0.05), 4.0)
+    fam = PairedFamily(fam.domain_pairs + [lone_dom], fam.range_pairs + [lone_rng],
+                       fam.forward, 4.0)
+    with pytest.raises(DomainError, match="pair 8 has a region of zero diameter"):
+        egg_yolk_cover(fam)
+
+
 # ---------------------------------------------------------------------------
-# Subset test with the bounding-box reject
+# Subset screen: the bounding-box reject of every ordered pair at once
 
 def _brute_subset(a, b):
     tol = 0.75 * max(a.pitch, b.pitch) * math.sqrt(a.dim)
     return bool(b.contains_points(a.samples, tol=tol).all())
+
+
+def _screened_subset(regions):
+    """Subset matrix as normalize_comparable decides it: the screen, then
+    the kd-tree query at the screen's tolerance."""
+    tol, may = cover._subset_screen(regions)
+    return [[bool(may[i, j]) and bool(b.contains_points(a.samples, tol[i, j]).all())
+             for j, b in enumerate(regions)] for i, a in enumerate(regions)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -228,14 +304,13 @@ def test_region_subset_bbox_reject_agrees_with_brute_force(seed, dim, pitch, axi
     ext[axis] += (tol + delta) if upper else -(tol + delta)
     inner = b.samples[:int(rng.integers(0, len(b.samples) + 1))]
     a = Region(np.vstack([inner, ext[None]]), pitch)
-    assert cover._region_subset(a, b) == _brute_subset(a, b)
-    assert cover._region_subset(b, a) == _brute_subset(b, a)
+    assert _screened_subset([a, b]) == [[_brute_subset(x, y) for y in (a, b)]
+                                        for x in (a, b)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_region_subset_agrees_on_random_families(seed):
     fam = random_paired_family(12, 4.0, "diag(2,1)", seed=seed)
     regions = [p.region for p in fam.domain_pairs + fam.range_pairs]
-    for a in regions:
-        for b in regions:
-            assert cover._region_subset(a, b) == _brute_subset(a, b)
+    assert _screened_subset(regions) == [[_brute_subset(a, b) for b in regions]
+                                         for a in regions]

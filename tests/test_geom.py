@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extremal import geom, sets
-from extremal.geom import (Ball, DomainError, PolyCurve, Region, balls_disjoint,
+from extremal.geom import (Ball, DomainError, PolyCurve, Region, balls_disjoint_matrix,
                            hausdorff_content, hausdorff_normalization,
                            line_integral, translate_line_integrals)
 
@@ -21,8 +21,17 @@ def test_ball_requires_positive_radius():
 
 def test_balls_disjoint_is_exact_at_touching():
     # |c1-c2| == r1+r2 exactly: tangent balls are disjoint as open sets
-    assert balls_disjoint(Ball((0.0, 0.0), 1.0), Ball((2.0, 0.0), 1.0))
-    assert not balls_disjoint(Ball((0.0, 0.0), 1.0), Ball((1.9, 0.0), 1.0))
+    got = balls_disjoint_matrix([Ball((0.0, 0.0), 1.0), Ball((2.0, 0.0), 1.0),
+                                 Ball((1.9, 0.0), 1.0)])
+    assert got.tolist() == [[False, True, False],
+                            [True, False, False],
+                            [False, False, False]]
+    # squares that underflow: each of the two center terms rounds up to the
+    # least subnormal and the radius term rounds down to it, so the floats
+    # say d2 = 2 s2 while in fact d2 = 1.2 U < s2 = 1.3 U (U = 2^-1074)
+    x = math.sqrt(0.6) * 2.0 ** -537
+    r = math.sqrt(1.3) * 2.0 ** -537 / 2
+    assert not balls_disjoint_matrix([Ball((0.0, 0.0), r), Ball((x, x), r)])[0, 1]
 
 
 def _balls_disjoint_fraction(b1, b2):
@@ -33,28 +42,55 @@ def _balls_disjoint_fraction(b1, b2):
     return d2 >= rsum * rsum
 
 
-_coords = st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
+# the band near 1e-162 is where squares become subnormal
+_coords = st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.floats(-1e-161, 1e-161),
                     st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3]))
-_radii = st.one_of(st.floats(5e-324, 1e6, exclude_min=False),
+_radii = st.one_of(st.floats(5e-324, 1e6, exclude_min=False), st.floats(1e-163, 1e-161),
                    st.sampled_from([5e-324, 2.2e-308, 1e-300, 0.1, 1.0]))
+# directions along which a touching center lands (nearly) on the other
+# ball's sphere: axes, and unit vectors with rational coordinates
+_directions = st.sampled_from([(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.6, 0.8, 0.0),
+                               (-0.8, 0.0, 0.6), (2 / 3, 2 / 3, 1 / 3),
+                               (-2 / 7, 3 / 7, 6 / 7)])
+
+
+def _ulps(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def _ball_family(draw, dim):
+    """Balls drawn freely, tangent to an earlier ball (exactly, along an
+    axis, when r1 + r2 rounds exactly), or a few ulps from tangency."""
+    balls = [Ball(draw(st.lists(_coords, min_size=dim, max_size=dim)), draw(_radii))]
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["free", "touch", "near"]))
+        if kind == "free":
+            c = draw(st.lists(_coords, min_size=dim, max_size=dim))
+        else:
+            other = balls[draw(st.integers(0, len(balls) - 1))]
+            r = draw(_radii)
+            u = draw(_directions)[:dim] if kind == "near" else (1.0, 0.0, 0.0)[:dim]
+            c = [float(x) + (other.radius + r) * v for x, v in zip(other.center, u)]
+            if kind == "near":
+                k = draw(st.integers(0, dim - 1))
+                c[k] = _ulps(c[k], draw(st.integers(-4, 4)))
+                r = max(_ulps(r, draw(st.integers(-2, 2))), 5e-324)
+        balls.append(Ball(c, r if kind != "free" else draw(_radii)))
+    order = draw(st.permutations(range(len(balls))))
+    return [balls[i] for i in order]
 
 
 @settings(max_examples=400, deadline=None)
 @given(dim=st.sampled_from([2, 3]), data=st.data())
 def test_balls_disjoint_matches_fraction_reference(dim, data):
-    c1 = data.draw(st.lists(_coords, min_size=dim, max_size=dim))
-    r1 = data.draw(_radii)
-    if data.draw(st.booleans()):
-        # tangent along an axis when r1 + r2 rounds exactly
-        r2 = data.draw(_radii)
-        c2 = list(c1)
-        c2[0] = c1[0] + (r1 + r2)
-    else:
-        c2 = data.draw(st.lists(_coords, min_size=dim, max_size=dim))
-        r2 = data.draw(_radii)
-    b1, b2 = Ball(c1, r1), Ball(c2, r2)
-    assert balls_disjoint(b1, b2) == _balls_disjoint_fraction(b1, b2)
-    assert balls_disjoint(b2, b1) == _balls_disjoint_fraction(b1, b2)
+    balls = data.draw(_ball_family(dim))
+    got = balls_disjoint_matrix(balls)
+    assert got.shape == (len(balls), len(balls))
+    assert got.tolist() == [[_balls_disjoint_fraction(a, b) for b in balls]
+                            for a in balls]
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +114,8 @@ def test_region_requires_samples():
 def test_region_builds_its_tree_once_on_first_query(monkeypatch):
     built = []
     tree = geom.cKDTree
-    monkeypatch.setattr(geom, "cKDTree", lambda pts: built.append(len(pts)) or tree(pts))
+    monkeypatch.setattr(geom, "cKDTree",
+                        lambda pts, **kw: built.append(len(pts)) or tree(pts, **kw))
     reg = Region(_disk_samples((0.2, -0.1), 0.5, 0.05), 0.05)
     assert built == []
     probes = np.random.default_rng(4).uniform(-0.5, 0.8, size=(300, 2))
