@@ -5,12 +5,13 @@ minimum of the cell energy  sum rho^p h^n  over densities admissible for every
 path (8-neighbor paths in 2D, 26-neighbor in 3D).  Admissibility over all
 paths collapses to the single condition that the rho-shortest-path distance
 between the marked sets is at least 1, which the scene's one
-``ModulusProblem`` certifies under any constraint: one Dijkstra pass, or under
-a crossing budget K a sweep of at most K + 1 passes that drops each seed an
-earlier pass reached no farther, so its memory does not grow with K.  The
-sweep records the best distance after each pass, so one sweep to the largest
-K answers every smaller budget too.  Avoiding E is its pass 0, which never
-enters E, with the energy off E.
+``ModulusProblem`` certifies under any constraint.  It lays its steps out once
+in CSR order, and its search takes step weights and only gathers them into
+that layout: one Dijkstra pass, or under a crossing budget K a sweep of at
+most K + 1 passes that drops each seed an earlier pass reached no farther, so
+its memory does not grow with K.  The sweep records the best distance after
+each pass, so one sweep to the largest K answers every smaller budget too.
+Avoiding E is its pass 0, which never enters E, with the energy off E.
 
 ``dirichlet_candidates`` gives one near-extremal density per active mask in
 which a path joins the marked sets (the gradient magnitude of its capacity
@@ -494,13 +495,13 @@ class ModulusProblem:
     """The grid path family of one scene, ready to certify under any constraint.
 
     Numbers the scene's cells and holds the 8-/26-neighbor steps between them
-    with their lengths, the marked node ids and the energy exponent
-    p = scene dimension.
+    with their lengths and the marked node ids, and their CSR layout (by
+    source, then target, with an empty last row for the sweep's super source):
+    the step ids ``order`` in it, their targets ``indices`` and ``indptr``.
     """
 
     def __init__(self, scene: GridScene):
         self.scene = scene
-        self.p = scene.dim
         u, h = scene.u, scene.spacing
         idx = -np.ones(u.shape, np.int64)
         self.n = int(u.sum())
@@ -512,9 +513,19 @@ class ModulusProblem:
             srcs.append(src)
             dsts.append(dst)
             elens.append(np.full(len(src), math.hypot(*off) * h))
-        self.steps = tuple(map(np.concatenate, (srcs, dsts, elens)))
+        src, dst, _ = self.steps = tuple(map(np.concatenate, (srcs, dsts, elens)))
         self.f1_ids = idx[scene.f1]
         self.f2_ids = idx[scene.f2]
+        # scipy lays the steps out once, with their int32 ids as its data
+        ids = np.arange(len(src), dtype=np.int32)
+        csr = sp.csr_matrix((ids, (src, dst)), shape=(self.n + 1, self.n + 1))
+        self.order, self.indices, self.indptr = csr.data, csr.indices, csr.indptr
+
+    def weights(self, rho_grid: np.ndarray) -> np.ndarray:
+        """The rho-length 0.5 (rho_a + rho_b) len of every step, in step order."""
+        rho = rho_grid[self.scene.u]
+        src, dst, elen = self.steps
+        return 0.5 * (rho[src] + rho[dst]) * elen
 
     def certify(self, rho_grid: np.ndarray, constraint=UNCONSTRAINED,
                 want_path: bool = False):
@@ -524,7 +535,7 @@ class ModulusProblem:
         Returns (energy, normalized rho, binding path); the energy is inf (and
         the rest None) when no path exists or its rho-length is 0.
         """
-        ladder, path = self._distance(rho_grid[self.scene.u], constraint, want_path)
+        ladder, path = self._distance(self.weights(rho_grid), constraint, want_path)
         energy, rho_norm = self.normalize(rho_grid, constraint.carrier(self.scene.u),
                                           ladder[-1] if ladder else math.inf)
         return energy, rho_norm, path if rho_norm is not None else None
@@ -537,14 +548,14 @@ class ModulusProblem:
         if not np.isfinite(d) or d <= 0:
             return math.inf, None
         rho_norm = np.where(carry, rho_grid, 0.0) / d
-        return (float(np.sum(rho_norm[carry] ** self.p) * self.scene.spacing ** self.p),
-                rho_norm)
+        p = self.scene.dim
+        return float(np.sum(rho_norm[carry] ** p) * self.scene.spacing ** p), rho_norm
 
-    def _distance(self, rho_flat: np.ndarray, constraint=UNCONSTRAINED,
+    def _distance(self, w: np.ndarray, constraint=UNCONSTRAINED,
                   want_path: bool = False):
-        """The least rho-length of an F1-F2 path after each pass of the
-        sweep, and the node ids of a shortest path within the budget when
-        asked.
+        """The least length of an F1-F2 path under the step weights ``w`` (in
+        step order, as ``weights`` gives them) after each pass of the sweep,
+        and the node ids of a shortest path within the budget when asked.
 
         A step into an obstacle cell crosses, spending one unit.  Pass k is
         one Dijkstra over the free steps from a super source that seeds each
@@ -557,12 +568,13 @@ class ModulusProblem:
         once no seed is left below the best F2 distance.  Entry k of the
         ladder is the least F2 distance within k crossings, one entry per
         pass run; the last holds for every larger budget.  Pass 0 never enters
-        an obstacle cell, so rho there does not change entry 0.  Ties go to
-        the lowest pass, then to the first F2 cell.
+        an obstacle cell, so no step into or out of one changes entry 0.  Ties
+        go to the lowest pass, then to the first F2 cell.
         """
         n = S = self.n
         budget = constraint.budget if constraint.mode == "budget" else 0
-        src, dst, elen = self.steps
+        src, dst, _ = self.steps
+        order, indices, indptr = self.order, self.indices, self.indptr
         seed, nxt, low = np.full((3, n), np.inf)
         seed[self.f1_ids] = 0.0
         if constraint.mode != "unconstrained":
@@ -571,16 +583,16 @@ class ModulusProblem:
             walled = self.f1_ids[spends[self.f1_ids]]
             seed[walled], nxt[walled] = np.inf, 0.0
             cross = spends[dst]
-            csrc, cdst = src[cross], dst[cross]
-            wc = 0.5 * (rho_flat[csrc] + rho_flat[cdst]) * elen[cross]
-            src, dst, elen = src[~cross], dst[~cross], elen[~cross]
-        w = 0.5 * (rho_flat[src] + rho_flat[dst]) * elen
-        # the free steps in CSR once, the super source's row empty; each pass
-        # writes its seeds into the spare tail and ends that last row there
-        base = sp.csr_matrix((w, (src, dst)), shape=(n + 1, n + 1))
-        nnz, indptr = base.nnz, base.indptr
-        data = np.concatenate([base.data, np.empty(n)])
-        indices = np.concatenate([base.indices, np.empty(n, base.indices.dtype)])
+            csrc, cdst, wc = src[cross], dst[cross], w[cross]
+            # the free steps keep their places in the layout
+            free = ~cross[order]
+            order, indices = order[free], indices[free]
+            indptr = np.cumsum(np.concatenate([[False], free]), dtype=indptr.dtype)[indptr]
+        # the free steps' weights gathered into the layout; each pass writes
+        # its seeds into the spare tail and ends the super source's row there
+        nnz, indptr = len(order), indptr.copy()
+        data = np.concatenate([w[order], np.empty(n)])
+        indices = np.concatenate([indices, np.empty(n, indices.dtype)])
         best, best_node, best_k, ladder = math.inf, -1, -1, []
         # per pass: Dijkstra predecessors and the crossing step into each seed
         trail, via = [], None
@@ -660,12 +672,13 @@ def discrete_modulus(scene: GridScene,
     admissible (its constrained shortest-path distance is 1) and the value
     is its energy.  If no candidate certifies, the value is 0.0, infeasible.
     """
-    problem = ModulusProblem(scene)
     actives = [constraint.carrier(scene.u)]
     if constraint.mode == "budget":
         # the avoid-mode potential covers the detour regime
         actives.append(scene.u & ~constraint.cells)
     candidates = dirichlet_candidates(scene, actives)
+    # built after the solves, so its step arrays are not alive at their peak
+    problem = ModulusProblem(scene)
 
     best_val, best_rho, best_path = math.inf, None, None
     for cand in candidates:

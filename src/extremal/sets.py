@@ -323,7 +323,9 @@ def raster_mask(E, scene: GridScene) -> np.ndarray:
 
 
 def circle_obstacle_mask(scene: GridScene, center, radius: float) -> np.ndarray:
-    """Cells whose closed box meets the circle |x - center| = radius."""
+    """Cells of a 2D scene whose closed box meets |x - center| = radius."""
+    if scene.dim != 2:
+        raise DomainError("circle obstacles live in the plane")
     h = scene.spacing
     idx = np.indices(scene.shape).astype(float)
     lo = scene.origin[:, None, None] + idx * h
@@ -362,7 +364,7 @@ def cned_probe(mask: np.ndarray, scene: GridScene, budgets: Sequence[int]) -> di
     for rho in pool:
         value, ok = certify_value(problem, rho)
         energies["full"].append(value if ok else math.inf)
-        ladder = problem._distance(rho[scene.u], sweep)[0] or [math.inf]
+        ladder = problem._distance(problem.weights(rho), sweep)[0] or [math.inf]
         energies["avoid"].append(problem.normalize(rho, scene.u & ~mask, ladder[0])[0])
         for K in budgets:
             d = ladder[min(K, len(ladder) - 1)]

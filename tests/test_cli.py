@@ -354,6 +354,30 @@ def test_scene_file_with_bad_run_exits_two(tmp_path, capsys):
         assert msg in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["modulus", "sets-probe"])
+@pytest.mark.parametrize("obstacle", [
+    {"kind": "circle", "radius": 1.5},
+    {"kind": "circle-minus-cell", "radius": 1.5, "gap_at": [1.5, 0.0, 0.0]}],
+    ids=["circle", "circle-minus-cell"])
+def test_circle_obstacle_on_a_3d_scene_exits_two(kind, obstacle, tmp_path, capsys):
+    # the 2-D circle raster broadcast a 2-vector against the 3-D grid and
+    # ended in a ValueError traceback with exit 1
+    scene_path = tmp_path / "shell.json"
+    scene_path.write_text(json.dumps(modfam.annulus_scene_3d(1.0, 2.0, 12).to_json()))
+    params = {"scene": {"builder": "file", "path": str(scene_path)},
+              "obstacle": obstacle}
+    if kind == "modulus":
+        params.update(mode="scene", constraint="avoid")
+    else:
+        params.update(budgets=[1])
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"kind": kind, "out": str(tmp_path / "out"),
+                                    "params": params}))
+    assert main(["run", str(cfg_path)]) == 2
+    assert "circle obstacles live in the plane" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 def _survey_config(tmp_path, **params):
     path = tmp_path / "survey.json"
     path.write_text(json.dumps({

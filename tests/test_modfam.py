@@ -499,20 +499,22 @@ def _path_length(problem, rho_flat, path):
 
 
 @settings(max_examples=150, deadline=None)
-@given(nx=st.integers(6, 14), ny=st.integers(6, 14),
+@given(dim=st.sampled_from([2, 3]), nx=st.integers(6, 14), ny=st.integers(6, 14),
+       nz=st.integers(3, 6),
        mode=st.sampled_from(["unconstrained", "avoid", "budget"]),
        budget=st.integers(0, 5), ties=st.booleans(), walled_f1=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_sweep_matches_product_graph(nx, ny, mode, budget, ties, walled_f1, seed):
+def test_sweep_matches_product_graph(dim, nx, ny, nz, mode, budget, ties, walled_f1,
+                                     seed):
     rng = np.random.default_rng(seed)
-    u = rng.random((nx, ny)) < 0.9
-    u[0, :] = u[-1, :] = True
-    f1 = np.zeros_like(u); f1[0, :] = True
-    f2 = np.zeros_like(u); f2[-1, :] = True
-    sc = GridScene(1.0 / nx, np.zeros(2), u, f1, f2)
+    u = rng.random((nx, ny, nz)[:dim]) < 0.9
+    u[0] = u[-1] = True
+    f1 = np.zeros_like(u); f1[0] = True
+    f2 = np.zeros_like(u); f2[-1] = True
+    sc = GridScene(1.0 / nx, np.zeros(dim), u, f1, f2)
     mask = rng.random(u.shape) < rng.uniform(0.0, 0.5)
     # every F1 cell in the obstacle: the sweep starts at pass 1
-    mask[0, :] |= walled_f1
+    mask[0] |= walled_f1
     rho = rng.uniform(0.0, 2.0, u.shape)
     if ties:
         rho = np.round(4 * rho) / 4
@@ -532,7 +534,7 @@ def test_sweep_matches_product_graph(nx, ny, mode, budget, ties, walled_f1, seed
 
     ref = reference(budget)
     rho_flat = rho[u]
-    ladder, path = problem._distance(rho_flat, cons, want_path=True)
+    ladder, path = problem._distance(problem.weights(rho), cons, want_path=True)
     d = ladder[-1] if ladder else math.inf
     assert d == ref
     # one ladder entry per pass run, none past the budget; entry k is the
@@ -549,7 +551,7 @@ def test_sweep_matches_product_graph(nx, ny, mode, budget, ties, walled_f1, seed
         assert energy == math.inf
     else:
         scaled = np.where(carry, rho, 0.0) / ref
-        assert energy == float(np.sum(scaled[carry] ** 2) * sc.spacing ** 2)
+        assert energy == float(np.sum(scaled[carry] ** dim) * sc.spacing ** dim)
         assert abs(_path_length(problem, rho_norm[u], cpath) - 1) <= 1e-12
     if not math.isfinite(ref):
         assert path is None
@@ -561,6 +563,40 @@ def test_sweep_matches_product_graph(nx, ny, mode, budget, ties, walled_f1, seed
     if mode != "unconstrained":
         assert mask[tuple(cells.T)].sum() <= (budget if mode == "budget" else 0)
     assert _path_length(problem, rho_flat, path) == pytest.approx(d, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scene=_step_scenes(), mode=st.sampled_from(["unconstrained", "avoid", "budget"]),
+       budget=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_each_pass_sees_the_free_steps_in_scipy_csr_order(scene, mode, budget, seed):
+    # the order of a COO conversion of the free steps, which fixes how
+    # Dijkstra breaks ties and so the witness paths; F1 stays free, so pass
+    # 0 runs
+    rng = np.random.default_rng(seed)
+    mask = (rng.random(scene.shape) < rng.uniform(0.0, 0.6)) & ~scene.f1
+    cons = (modfam.UNCONSTRAINED if mode == "unconstrained"
+            else CurveConstraint(mode, mask, budget))
+    problem = modfam.ModulusProblem(scene)
+    w = problem.weights(rng.uniform(0.0, 2.0, scene.shape))
+    seen = []
+
+    def spy(mat, **kw):
+        seen.append((mat.indptr.copy(), mat.indices.copy(), mat.data.copy()))
+        return dijkstra(mat, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modfam, "dijkstra", spy)
+        problem._distance(w, cons, want_path=True)
+    n = problem.n
+    src, dst, _ = problem.steps
+    free = (~mask[scene.u][dst] if mode != "unconstrained"
+            else np.ones(len(src), bool))
+    ref = sp.csr_matrix((w[free], (src[free], dst[free])), shape=(n + 1, n + 1))
+    assert seen
+    for indptr, indices, data in seen:
+        assert np.array_equal(indptr[:n + 1], ref.indptr[:n + 1])
+        assert np.array_equal(indices[:ref.nnz], ref.indices)
+        assert np.array_equal(data[:ref.nnz], ref.data)
 
 
 def test_budget_search_memory_does_not_grow_with_budget():
