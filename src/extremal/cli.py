@@ -429,7 +429,7 @@ def _run_qh(cfg: ExperimentConfig, artifacts: dict) -> dict:
                              "relative_error": (res["value"] - anchor) / anchor}
         return out
     if mode == "whitney":
-        max_depth = _natural("params.max_depth", p.get("max_depth", 6))
+        max_depth = _whitney_depth("params.max_depth", p.get("max_depth", 6))
         decomp = qhyp.whitney_decompose(domain, max_depth)
         rep = decomp.verify_exact()
         if rep["lower_violations"] or rep["upper_violations"]:
@@ -450,10 +450,17 @@ def _run_qh(cfg: ExperimentConfig, artifacts: dict) -> dict:
     for k, lev in enumerate(levels):
         where = f"params.levels[{k}]"
         _need(_object(where, lev), "max_depth", "qh_pitch", where=where)
-        pairs.append((_natural(f"{where}.max_depth", lev["max_depth"]),
+        pairs.append((_whitney_depth(f"{where}.max_depth", lev["max_depth"]),
                       _positive(f"{where}.qh_pitch", lev["qh_pitch"])))
     return {"levels": qhyp.shadow_sum_diagnostic(domain, x0, pairs),
             "anchor": {"name": "shadow sum bounded by quasihyperbolic integral"}}
+
+
+def _whitney_depth(where: str, v) -> int:
+    """A Whitney depth in [0, MAX_WHITNEY_DEPTH]."""
+    if _natural(where, v) > qhyp.MAX_WHITNEY_DEPTH:
+        raise ConfigError(f"{where}: must be at most {qhyp.MAX_WHITNEY_DEPTH}, got {v!r}")
+    return v
 
 
 def _whitney_breach(decomp, rep: dict) -> str:
@@ -463,8 +470,8 @@ def _whitney_breach(decomp, rep: dict) -> str:
                        ("upper_violations", "upper dist(Q, boundary) <= 4 diam(Q)")):
         bad = rep[key]
         if bad:
-            first = ", ".join(f"#{k} (depth {decomp.cubes[k].depth}, "
-                              f"ij {decomp.cubes[k].ij})" for k in bad[:3])
+            first = ", ".join(f"#{k} (depth {depth}, ij {(i, j)})" for k, (depth, i, j)
+                              in zip(bad, decomp.cubes[bad[:3]].tolist()))
             parts.append(f"{check} fails on {len(bad)} cube(s), first {first}")
     return "Whitney inequalities violated: " + "; ".join(parts)
 
@@ -693,9 +700,7 @@ def _write_figures(config: ExperimentConfig, artifacts: dict) -> None:
         _atomic_write(path, lambda tmp: render.svg_covering(
             artifacts["covering"], tmp))
     elif "whitney" in artifacts:
-        decomp = artifacts["whitney"]
-        _atomic_write(path, lambda tmp: render.svg_whitney(
-            decomp, [q.side for q in decomp.cubes], tmp))
+        _atomic_write(path, lambda tmp: render.svg_whitney(artifacts["whitney"], tmp))
 
 
 # ---------------------------------------------------------------------------

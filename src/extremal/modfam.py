@@ -5,9 +5,9 @@ minimum of the cell energy  sum rho^p h^n  over densities admissible for every
 path (8-neighbor paths in 2D, 26-neighbor in 3D).  Admissibility over all
 paths collapses to the single condition that the rho-shortest-path distance
 between the marked sets is at least 1, which the scene's one
-``ModulusProblem`` certifies under any constraint.  It lays its steps out once
-in CSR order, and its search takes step weights and only gathers them into
-that layout: one Dijkstra pass, or under a crossing budget K a sweep of at
+``ModulusProblem`` certifies under any constraint.  It stores its steps once
+in CSR order, so its search takes the step weights as they are, in that
+order: one Dijkstra pass, or under a crossing budget K a sweep of at
 most K + 1 passes that drops each seed an earlier pass reached no farther, so
 its memory does not grow with K.  The sweep records the best distance after
 each pass, so one sweep to the largest K answers every smaller budget too.
@@ -495,9 +495,9 @@ class ModulusProblem:
     """The grid path family of one scene, ready to certify under any constraint.
 
     Numbers the scene's cells and holds the 8-/26-neighbor steps between them
-    with their lengths and the marked node ids, and their CSR layout (by
-    source, then target, with an empty last row for the sweep's super source):
-    the step ids ``order`` in it, their targets ``indices`` and ``indptr``.
+    with their lengths and the marked node ids.  The steps are stored in CSR
+    order (by source, then target), with their targets ``indices`` and
+    ``indptr`` (an empty last row for the sweep's super source).
     """
 
     def __init__(self, scene: GridScene):
@@ -507,19 +507,23 @@ class ModulusProblem:
         self.n = int(u.sum())
         idx[u] = np.arange(self.n)
         self.cells = np.argwhere(u)
-        srcs, dsts, elens = [], [], []
-        for off in _offsets(u.ndim):
+        # each cell's neighbour at each offset (-1 where it has none); read
+        # row by row, the steps come by source, then by ascending target, as
+        # the offsets are lexicographic and the ids row-major
+        offsets = _offsets(u.ndim)
+        nbr = np.full((self.n, len(offsets)), -1, np.int64)
+        for k, off in enumerate(offsets):
             src, dst = _neighbour_pairs(u, idx, off)
-            srcs.append(src)
-            dsts.append(dst)
-            elens.append(np.full(len(src), math.hypot(*off) * h))
-        src, dst, _ = self.steps = tuple(map(np.concatenate, (srcs, dsts, elens)))
+            nbr[src, k] = dst
+        has = nbr >= 0
+        counts = has.sum(axis=1)
+        lens = np.array([math.hypot(*off) * h for off in offsets])
+        _, dst, _ = self.steps = (np.repeat(np.arange(self.n), counts), nbr[has],
+                                  np.broadcast_to(lens, nbr.shape)[has])
         self.f1_ids = idx[scene.f1]
         self.f2_ids = idx[scene.f2]
-        # scipy lays the steps out once, with their int32 ids as its data
-        ids = np.arange(len(src), dtype=np.int32)
-        csr = sp.csr_matrix((ids, (src, dst)), shape=(self.n + 1, self.n + 1))
-        self.order, self.indices, self.indptr = csr.data, csr.indices, csr.indptr
+        self.indices = dst.astype(np.int32)
+        self.indptr = np.concatenate([[0], np.cumsum(counts), [len(dst)]]).astype(np.int32)
 
     def weights(self, rho_grid: np.ndarray) -> np.ndarray:
         """The rho-length 0.5 (rho_a + rho_b) len of every step, in step order."""
@@ -574,7 +578,7 @@ class ModulusProblem:
         n = S = self.n
         budget = constraint.budget if constraint.mode == "budget" else 0
         src, dst, _ = self.steps
-        order, indices, indptr = self.order, self.indices, self.indptr
+        indices, indptr = self.indices, self.indptr
         seed, nxt, low = np.full((3, n), np.inf)
         seed[self.f1_ids] = 0.0
         if constraint.mode != "unconstrained":
@@ -585,13 +589,13 @@ class ModulusProblem:
             cross = spends[dst]
             csrc, cdst, wc = src[cross], dst[cross], w[cross]
             # the free steps keep their places in the layout
-            free = ~cross[order]
-            order, indices = order[free], indices[free]
+            free = ~cross
+            w, indices = w[free], indices[free]
             indptr = np.cumsum(np.concatenate([[False], free]), dtype=indptr.dtype)[indptr]
-        # the free steps' weights gathered into the layout; each pass writes
-        # its seeds into the spare tail and ends the super source's row there
-        nnz, indptr = len(order), indptr.copy()
-        data = np.concatenate([w[order], np.empty(n)])
+        # each pass writes its seeds into the spare tail of the free steps and
+        # ends the super source's row there
+        nnz, indptr = len(indices), indptr.copy()
+        data = np.concatenate([w, np.empty(n)])
         indices = np.concatenate([indices, np.empty(n, indices.dtype)])
         best, best_node, best_k, ladder = math.inf, -1, -1, []
         # per pass: Dijkstra predecessors and the crossing step into each seed

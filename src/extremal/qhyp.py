@@ -1,9 +1,10 @@
 """Quasihyperbolic-metric engine on polygonal domains.
 
 Whitney cube decomposition with exactly verified two-sided distance bounds,
-quasihyperbolic distances and geodesics on a fine grid graph, shadows of
-Whitney cubes under the shortest-path tree, and the shadow-sum diagnostic
-comparing sum s(Q)^n with the integral of the quasihyperbolic distance.
+held as one table of dyadic addresses (depth, i, j); quasihyperbolic
+distances on a fine grid graph; shadows of Whitney cubes under the
+shortest-path tree; and the shadow-sum diagnostic comparing sum s(Q)^n with
+the integral of the quasihyperbolic distance.
 
 Domain boundaries are polygons whose vertices are snapped to a dyadic grid,
 so all Whitney invariants are decided in exact integer arithmetic at the
@@ -20,7 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from .geom import DomainError, PolyCurve, _cloud_diameter
+from .geom import DomainError, _cloud_diameter
 
 _SNAP = 2 ** 24   # vertex coordinates are multiples of 1/_SNAP
 # pairs per chunk of the Whitney frontier's kernels, cube x segment end in
@@ -32,6 +33,11 @@ _SNAP = 2 ** 24   # vertex coordinates are multiples of 1/_SNAP
 # pitch 0.02, then 0.01: 0.99-1.05 s and 220k minor faults for the second,
 # against 0.55-0.71 s and 5.6k at 2**14)
 _CHUNK_PAIRS = 2 ** 14
+# deepest Whitney generation a config may ask for: the decomposition's time
+# more than doubles per level (the disk took 2.4 s at depth 12 and 6.2 s at
+# 13, the cusp 8.4 s and 27.5 s, plus 0.9-3.4 s of verify_exact; one run
+# each, 2 cores, raw)
+MAX_WHITNEY_DEPTH = 12
 
 
 # ---------------------------------------------------------------------------
@@ -236,56 +242,57 @@ def comb_domain(teeth: int = 4) -> PolygonDomain:
 
 
 @dataclass
-class WhitneyCube:
-    depth: int
-    ij: tuple
-    corner: np.ndarray
-    side: float
-    dist: float
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.corner + self.side / 2
-
-
-@dataclass
 class WhitneyDecomposition:
+    """The Whitney cubes as a table: row k of ``cubes`` is the dyadic address
+    (depth, i, j) of cube k, the rows in (depth, i, j) order, and ``dist[k]``
+    its float distance to the boundary.  Cube k is
+    ``root_corner + (i, j) * side`` with ``side = root_side / 2**depth``."""
     domain: PolygonDomain
-    cubes: list
+    cubes: np.ndarray
+    dist: np.ndarray
     adjacency: list
     truncated: int
     root_corner: np.ndarray
     root_side: float
     max_depth: int
 
+    @property
+    def side(self) -> np.ndarray:
+        return self.root_side / 2.0 ** self.cubes[:, 0]
+
+    @property
+    def corner(self) -> np.ndarray:
+        return self.root_corner + self.cubes[:, 1:] * self.side[:, None]
+
     def to_csv(self, path) -> None:
         """One row per cube: corner, side, boundary distance."""
         with open(path, "w") as fh:
             fh.write("corner_x,corner_y,side,dist\n")
-            for q in self.cubes:
-                fh.write(f"{q.corner[0]:.12g},{q.corner[1]:.12g},"
-                         f"{q.side:.12g},{q.dist:.12g}\n")
+            for (x, y), side, dist in zip(self.corner.tolist(), self.side.tolist(),
+                                          self.dist.tolist()):
+                fh.write(f"{x:.12g},{y:.12g},{side:.12g},{dist:.12g}\n")
 
     def verify_exact(self) -> dict:
         """Exact integer check of both Whitney inequalities for every cube,
-        plus the neighbor side-ratio bound over the adjacency edges."""
+        plus the neighbor side-ratio bound (within a factor 4) over the
+        adjacency edges."""
         bd = _DyadicBoundary(self.domain, self.root_corner, self.root_side,
                              self.max_depth)
         bad_low, bad_high = [], []
-        for k, q in enumerate(self.cubes):
-            num, den = bd.cube_dist2(q.depth, q.ij)
-            side = bd.side(q.depth)
+        for k, (depth, i, j) in enumerate(self.cubes.tolist()):
+            num, den = bd.cube_dist2(depth, (i, j))
+            side = bd.side(depth)
             diam2 = 2 * side * side
             if not diam2 * den <= num:
                 bad_low.append(k)
             if not num <= 16 * diam2 * den:
                 bad_high.append(k)
-        ratio_ok = all(0.25 <= 2.0 ** (self.cubes[i].depth - self.cubes[j].depth) <= 4
-                       for i, j in self.adjacency)
+        a, b = np.array(self.adjacency, np.int64).reshape(-1, 2).T
+        steps = np.abs(self.cubes[a, 0] - self.cubes[b, 0])
         return {"cubes": len(self.cubes),
                 "lower_violations": bad_low,
                 "upper_violations": bad_high,
-                "neighbor_ratio_ok": bool(ratio_ok)}
+                "neighbor_ratio_ok": bool((steps <= 2).all())}
 
 
 _CHILDREN = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], np.int64)   # ij offsets
@@ -304,14 +311,16 @@ def whitney_decompose(domain: PolygonDomain, max_depth: int) -> WhitneyDecomposi
     chunked kernel all its float cube-to-boundary distances.  Only the
     decisions within the float precision margin fall back to exact integer
     arithmetic at the dyadic scale, cube by cube.  Cubes that are neither
-    accepted nor entirely outside split into the next depth's frontier.
+    accepted nor entirely outside split into the next depth's frontier.  Each
+    level's accepted addresses (depth, i, j) are appended as rows, and the
+    table is sorted once.
     """
     lo, hi = domain.bbox()
     span = float((hi - lo).max()) * 1.001
     root_side = 2.0 ** math.ceil(math.log2(span))
     root_corner = _snap(np.asarray(lo, float) - (root_side - span) / 2)
     bd = _DyadicBoundary(domain, root_corner, root_side, max_depth)
-    cubes: list[WhitneyCube] = []
+    rows, dists = [], []
     truncated = 0
     margin = 1e-9 * max(1.0, root_side)
     ij = np.zeros((1, 2), np.int64)
@@ -329,20 +338,20 @@ def whitney_decompose(domain: PolygonDomain, max_depth: int) -> WhitneyDecomposi
         for k in np.flatnonzero(inside & (np.abs(gap) <= margin)):
             num, den = bd.cube_dist2(depth, ij[k].tolist())
             accept[k] = 2 * s_int * s_int * den <= num and num > 0
-        acc = np.flatnonzero(accept)
-        cubes += [WhitneyCube(depth, tuple(q), c, side, d)
-                  for q, c, d in zip(ij[acc].tolist(), corner[acc],
-                                     d_cube[acc].tolist())]
+        rows.append(np.insert(ij[accept], 0, depth, axis=1))
+        dists.append(d_cube[accept])
         # a cube with d > 0 whose centre is outside lies entirely outside
         split = ij[~accept & (inside | ~(d_cube > 0))]
         if depth == max_depth:
             truncated = len(split)
         ij = (2 * split[:, None, :] + _CHILDREN).reshape(-1, 2)
-    if not cubes:
+    cubes = np.concatenate(rows)
+    if not len(cubes):
         raise DomainError("domain has no interior at this depth")
-    cubes.sort(key=lambda q: (q.depth, q.ij))
-    adjacency = _build_adjacency(cubes, max_depth)
-    return WhitneyDecomposition(domain, cubes, adjacency, truncated,
+    order = np.lexsort(cubes.T[::-1])
+    cubes = cubes[order]
+    return WhitneyDecomposition(domain, cubes, np.concatenate(dists)[order],
+                                _build_adjacency(cubes, max_depth), truncated,
                                 root_corner, root_side, max_depth)
 
 
@@ -489,17 +498,17 @@ def _point_seg_dist2(px, py, ax, ay, bx, by) -> tuple[int, int]:
     return cross * cross, L2
 
 
-def _build_adjacency(cubes: list, max_depth: int) -> list:
-    """Face-sharing cube pairs via integer interval matching at unit scale."""
-    unit = 2 ** max_depth
-    spans = []
-    for q in cubes:
-        w = 2 ** (max_depth - q.depth)
-        spans.append((q.ij[0] * w, (q.ij[0] + 1) * w, q.ij[1] * w, (q.ij[1] + 1) * w))
+def _build_adjacency(cubes: np.ndarray, max_depth: int) -> list:
+    """Face-sharing cube pairs via integer interval matching at unit scale
+    2**max_depth, where cube (depth, i, j) spans [i w, (i + 1) w] x
+    [j w, (j + 1) w] with w = 2**(max_depth - depth)."""
+    w = np.left_shift(1, max_depth - cubes[:, :1])
+    lo = cubes[:, 1:] * w
+    hi = lo + w
     edges = []
     by_xface: dict = {}
     by_yface: dict = {}
-    for k, (x0, x1, y0, y1) in enumerate(spans):
+    for k, (x0, y0, x1, y1) in enumerate(np.hstack([lo, hi]).tolist()):
         by_xface.setdefault(x0, []).append((k, y0, y1, "lo"))
         by_xface.setdefault(x1, []).append((k, y0, y1, "hi"))
         by_yface.setdefault(y0, []).append((k, x0, x1, "lo"))
@@ -540,7 +549,6 @@ class QhGrid:
         far = delta > pitch
         ok = inside[far]
         self.nodes = pts[ok]
-        self.delta = delta[far]
         index = -np.ones(nx * ny, np.int64)
         index[ok] = np.arange(len(self.nodes))
         self._tree = cKDTree(self.nodes)
@@ -559,11 +567,8 @@ class QhGrid:
     def nearest_node(self, p) -> int:
         return int(self._tree.query(np.asarray(p, float))[1])
 
-    def distance_field(self, x0) -> tuple[np.ndarray, np.ndarray]:
-        src = self.nearest_node(x0)
-        dist, pred = dijkstra(self.mat, directed=False, indices=src,
-                              return_predecessors=True)
-        return dist, pred
+    def distance_field(self, x0) -> np.ndarray:
+        return dijkstra(self.mat, directed=False, indices=self.nearest_node(x0))
 
 
 def _grid_steps(domain: PolygonDomain, P: np.ndarray, g: np.ndarray):
@@ -595,7 +600,7 @@ def _grid_steps(domain: PolygonDomain, P: np.ndarray, g: np.ndarray):
 
 def qh_distance(domain: PolygonDomain, x1, x2, pitch: float = 0.01,
                 grid: QhGrid | None = None) -> dict:
-    """Quasihyperbolic distance and polygonal geodesic between two points.
+    """Quasihyperbolic distance between two points.
 
     Upper estimate on the grid graph, converging under refinement; the metric
     is defined on unordered pairs, so the query is canonicalized and the
@@ -613,29 +618,13 @@ def qh_distance(domain: PolygonDomain, x1, x2, pitch: float = 0.01,
     for p in (a, b):
         snap = float(g._tree.query(p)[0])
         if snap > 1.6 * g.pitch:
-            return {"value": math.inf, "geodesic": None, "infeasible": True}
-    dist, pred = g.distance_field(a)
-    tgt = g.nearest_node(b)
-    if not np.isfinite(dist[tgt]):
-        return {"value": math.inf, "geodesic": None, "infeasible": True}
-    path = [tgt]
-    while pred[path[-1]] >= 0:
-        path.append(int(pred[path[-1]]))
-    path.reverse()
-    return {"value": float(dist[tgt]),
-            "geodesic": PolyCurve(g.nodes[path]),
-            "infeasible": False}
+            return {"value": math.inf, "infeasible": True}
+    value = float(g.distance_field(a)[g.nearest_node(b)])
+    return {"value": value, "infeasible": not math.isfinite(value)}
 
 
 # ---------------------------------------------------------------------------
 # Shadows
-
-
-@dataclass
-class ShadowRecord:
-    cube_index: int
-    shadow_indices: np.ndarray
-    s: float
 
 
 def shadows(domain: PolygonDomain, x0, decomp: WhitneyDecomposition) -> dict:
@@ -643,21 +632,22 @@ def shadows(domain: PolygonDomain, x0, decomp: WhitneyDecomposition) -> dict:
 
     The tree lives on the cube adjacency graph with quasihyperbolic edge
     weights; the parent of a cube is its least-index shortest-path
-    predecessor within 1e-15 (-1 at the root and where unreachable).  Each
-    boundary sample (spaced by the smallest cube side) is routed from its
-    nearest cube to the root; SH(Q) collects the samples whose route passes
-    through Q, and s(Q) = diam SH(Q).
+    predecessor within 1e-15 (-1 at the root and where unreachable).  The
+    root is the first cube whose closed square holds x0, else the cube with
+    the nearest centre.  Each boundary sample (spaced by the smallest cube
+    side) is routed from its nearest cube to the root; SH(Q) collects the
+    samples whose route passes through Q, and s(Q) = diam SH(Q).  Returns
+    ``s`` and ``routes`` (the sorted sample indices of SH(Q)) as lists in
+    cube order.
     """
-    cubes = decomp.cubes
-    n = len(cubes)
-    if n == 0:
-        raise DomainError("empty decomposition")
-    centers = np.array([q.center for q in cubes])
-    dists = np.array([max(q.dist, 1e-12) for q in cubes])
+    n = len(decomp.cubes)
+    corner, side = decomp.corner, decomp.side
+    centers = corner + (side / 2)[:, None]
+    dists = np.maximum(decomp.dist, 1e-12)
     x0 = np.asarray(x0, float)
-    root = _cube_containing(cubes, x0)
-    if root is None:
-        root = int(np.linalg.norm(centers - x0, axis=1).argmin())
+    holds = ((corner <= x0) & (x0 <= corner + side[:, None])).all(axis=1)
+    root = int(holds.argmax() if holds.any()
+               else np.linalg.norm(centers - x0, axis=1).argmin())
     i, j = np.array(decomp.adjacency, np.int64).reshape(-1, 2).T
     w = np.linalg.norm(centers[i] - centers[j], axis=1) \
         * 0.5 * (1 / dists[i] + 1 / dists[j])
@@ -669,17 +659,16 @@ def shadows(domain: PolygonDomain, x0, decomp: WhitneyDecomposition) -> dict:
     np.minimum.at(parent, v[tight], u[tight])
     parent[parent == n] = -1
     parent[root] = -1
-    samples = domain.boundary_samples(min(q.side for q in cubes))
-    records = []
-    for k, idx in enumerate(_route_samples(samples, cubes, centers, parent)):
-        s = _cloud_diameter(samples[idx]) if len(idx) >= 2 else 0.0
-        records.append(ShadowRecord(k, idx, float(s)))
-    return {"records": records, "parent": parent.tolist(), "root": root,
+    samples = domain.boundary_samples(float(side.min()))
+    routes = _route_samples(samples, centers, corner, side, parent)
+    s = [float(_cloud_diameter(samples[idx])) if len(idx) >= 2 else 0.0
+         for idx in routes]
+    return {"s": s, "routes": routes, "parent": parent.tolist(), "root": root,
             "boundary_samples": samples, "tree_distances": dist.tolist()}
 
 
-def _route_samples(samples: np.ndarray, cubes: list, centers: np.ndarray,
-                   parent: np.ndarray) -> list:
+def _route_samples(samples: np.ndarray, centers: np.ndarray, corner: np.ndarray,
+                   side: np.ndarray, parent: np.ndarray) -> list:
     """For each cube, the sorted indices of the boundary samples whose route
     to the root passes through it.
 
@@ -689,10 +678,9 @@ def _route_samples(samples: np.ndarray, cubes: list, centers: np.ndarray,
     time.  A route visits each cube at most once, so n steps end every
     route; a sample is recorded once per cube even on a route that loops.
     """
-    n = len(cubes)
+    n = len(centers)
     near = cKDTree(centers).query(samples, k=min(8, n))[1].reshape(len(samples), -1)
-    lo = np.array([q.corner for q in cubes])[near]
-    side = np.array([q.side for q in cubes])[near]
+    lo, side = corner[near], side[near]
     sx, sy = samples[:, 0:1], samples[:, 1:2]
     gx = np.maximum(np.maximum(lo[..., 0] - sx, 0), sx - lo[..., 0] - side)
     gy = np.maximum(np.maximum(lo[..., 1] - sy, 0), sy - lo[..., 1] - side)
@@ -710,14 +698,6 @@ def _route_samples(samples: np.ndarray, cubes: list, centers: np.ndarray,
     hops = np.unique(np.concatenate(hops))
     cube, idx = np.divmod(hops, len(samples))
     return np.split(idx, np.searchsorted(cube, np.arange(1, n)))
-
-
-def _cube_containing(cubes, p) -> int | None:
-    for k, q in enumerate(cubes):
-        if (q.corner[0] <= p[0] <= q.corner[0] + q.side
-                and q.corner[1] <= p[1] <= q.corner[1] + q.side):
-            return k
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -743,11 +723,11 @@ def shadow_sum_diagnostic(domain: PolygonDomain, x0, levels) -> list[dict]:
         if max_depth not in whitney_side:
             decomp = whitney_decompose(domain, max_depth=max_depth)
             sh = shadows(domain, x0, decomp)
-            whitney_side[max_depth] = (float(sum(rec.s ** n for rec in sh["records"])),
+            whitney_side[max_depth] = (float(sum(s ** n for s in sh["s"])),
                                        len(decomp.cubes), decomp.truncated)
         lhs, cubes, truncated = whitney_side[max_depth]
         grid = QhGrid(domain, qh_pitch)
-        dist, _ = grid.distance_field(x0)
+        dist = grid.distance_field(x0)
         ok = np.isfinite(dist)
         rhs = float((dist[ok] ** n).sum() * qh_pitch ** n)
         out.append({"lhs": lhs, "rhs": rhs,

@@ -105,16 +105,15 @@ def svg_covering(cover_pairs, path: str) -> None:
     _write_doc(path, elems, (lo[0], lo[1], hi[0] - lo[0], hi[1] - lo[1]))
 
 
-def svg_whitney(decomp, values, path: str) -> None:
-    """Whitney cubes colored by ``values`` (one per cube) relative to their
-    maximum; the CLI passes each cube's side."""
-    vmax = max(values) or 1.0
-    colors = _colors(np.asarray(values, float) / vmax)
-    elems = (f'<rect x="{q.corner[0]:.5f}" y="{q.corner[1]:.5f}" '
-             f'width="{q.side:.5f}" height="{q.side:.5f}" '
+def svg_whitney(decomp, path: str) -> None:
+    """Whitney cubes colored by their side relative to the largest side."""
+    side = decomp.side
+    colors = _colors(side / side.max())
+    elems = (f'<rect x="{x:.5f}" y="{y:.5f}" '
+             f'width="{s:.5f}" height="{s:.5f}" '
              f'fill="{col}" stroke="#333" '
-             f'stroke-width="{q.side * 0.03:.5f}"/>'
-             for q, col in zip(decomp.cubes, colors))
+             f'stroke-width="{s * 0.03:.5f}"/>'
+             for (x, y), s, col in zip(decomp.corner.tolist(), side.tolist(), colors))
     lo, hi = decomp.domain.bbox()
     pad = 0.05 * float((hi - lo).max())
     _write_doc(path, elems, (lo[0] - pad, lo[1] - pad,

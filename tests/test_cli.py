@@ -97,9 +97,9 @@ def test_whitney_breach_names_check_and_cubes(tmp_path, monkeypatch, capsys):
     assert main(["run", str(cfg_path)]) == 3
     err = capsys.readouterr().err
     dec = qhyp.whitney_decompose(qhyp.disk_domain(), 4)
-    q = dec.cubes[2]
+    depth, i, j = dec.cubes[2].tolist()
     assert "upper dist(Q, boundary) <= 4 diam(Q) fails on 2 cube(s)" in err
-    assert f"#2 (depth {q.depth}, ij {q.ij})" in err
+    assert f"#2 (depth {depth}, ij ({i}, {j}))" in err
     assert "#5 (depth" in err
     assert "lower" not in err
 
@@ -605,6 +605,14 @@ _RECT16 = {"builder": "rectangle", "grid": 16}
      "params.mode: unknown modulus mode 'ladder'"),
     ("quasihyperbolic", {"domain": {"builder": "disk"}, "mode": "shadow"},
      "params.mode: unknown quasihyperbolic mode 'shadow'"),
+    # a Whitney depth of 30 never ended: each level more than doubles the time
+    ("quasihyperbolic", {"domain": {"builder": "disk"}, "mode": "whitney",
+                         "max_depth": 13},
+     "params.max_depth: must be at most 12, got 13"),
+    ("quasihyperbolic", {"domain": {"builder": "disk"}, "mode": "shadow-sum",
+                         "levels": [{"max_depth": 6, "qh_pitch": 0.02},
+                                    {"max_depth": 13, "qh_pitch": 0.02}]},
+     "params.levels[1].max_depth: must be at most 12, got 13"),
     ("covering", {"runs": 1, "n_pairs": 3, "M": 4.0, "map": "shear"},
      "params.map: unknown map 'shear'"),
     ("distortion", {"map": "shear"}, "params.map: unknown map 'shear'"),
@@ -630,7 +638,8 @@ _RECT16 = {"builder": "rectangle", "grid": 16}
          "reciprocal-decreasing-radii", "cantor-fat-string", "cantor-obstacle-depth-17",
          "cantor-survey-depth-17", "cantor-to-infinite", "cantor-y0-nan",
          "cantor-rows-nan", "segment-infinite", "modulus-mode-unknown",
-         "quasihyperbolic-mode-unknown", "covering-map-unknown",
+         "quasihyperbolic-mode-unknown", "whitney-depth-13", "shadow-sum-depth-13",
+         "covering-map-unknown",
          "distortion-map-unknown", "distortion-without-map", "survey-type-unknown",
          "radial-survey-without-E", "radial-n-max-zero", "translation-n-max-negative",
          "ring-r-above-R", "ring-r-zero", "ring-C1-negative"])

@@ -1,5 +1,6 @@
 import heapq
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -275,10 +276,10 @@ def test_whitney_interiors_disjoint():
     dec = whitney_decompose(DISK, max_depth=6)
     unit = 2 ** dec.max_depth
     seen = set()
-    for q in dec.cubes:
-        w = 2 ** (dec.max_depth - q.depth)
-        for i in range(q.ij[0] * w, (q.ij[0] + 1) * w):
-            for j in range(q.ij[1] * w, (q.ij[1] + 1) * w):
+    for depth, qi, qj in dec.cubes.tolist():
+        w = 2 ** (dec.max_depth - depth)
+        for i in range(qi * w, (qi + 1) * w):
+            for j in range(qj * w, (qj + 1) * w):
                 assert (i, j) not in seen
                 seen.add((i, j))
 
@@ -292,6 +293,8 @@ def test_whitney_cube_count_grows_near_boundary():
 # The per-cube decomposition that the level-by-level frontier replaced: one
 # cube popped off a stack at a time, with its own float distance and
 # membership calls.  Every field of every cube must come out ==.
+
+_RefCube = namedtuple("_RefCube", "depth ij corner side dist")
 
 def _ref_any_segment_hits_box(a, b, lo, hi) -> bool:
     t0 = np.zeros(len(a))
@@ -360,7 +363,7 @@ def _ref_whitney_decompose(domain, max_depth):
             s_int = bd.side(depth)
             accept = 2 * s_int * s_int * den <= num and num > 0
         if accept:
-            cubes.append(qhyp.WhitneyCube(depth, ij, corner, side, d_cube))
+            cubes.append(_RefCube(depth, ij, corner, side, d_cube))
             continue
         if depth >= max_depth:
             truncated += 1
@@ -371,7 +374,27 @@ def _ref_whitney_decompose(domain, max_depth):
     if not cubes:
         raise DomainError("domain has no interior at this depth")
     cubes.sort(key=lambda q: (q.depth, q.ij))
-    return cubes, truncated, qhyp._build_adjacency(cubes, max_depth)
+    return cubes, truncated, _ref_adjacency(cubes, max_depth)
+
+
+def _ref_adjacency(cubes, max_depth):
+    """Every pair of cubes whose integer spans at scale 2**max_depth share a
+    face of positive length, each pair checked against every other cube."""
+    spans = []
+    for q in cubes:
+        w = 2 ** (max_depth - q.depth)
+        spans.append((q.ij[0] * w, q.ij[1] * w, (q.ij[0] + 1) * w, (q.ij[1] + 1) * w))
+    x0, y0, x1, y1 = np.array(spans, np.int64).T
+    edges = []
+    for k in range(len(cubes)):
+        o = slice(k + 1, None)
+        x_overlap = np.minimum(x1[k], x1[o]) - np.maximum(x0[k], x0[o])
+        y_overlap = np.minimum(y1[k], y1[o]) - np.maximum(y0[k], y0[o])
+        x_face = (x1[k] == x0[o]) | (x0[k] == x1[o])
+        y_face = (y1[k] == y0[o]) | (y0[k] == y1[o])
+        hit = (x_face & (y_overlap > 0)) | (y_face & (x_overlap > 0))
+        edges += [(k, k + 1 + int(m)) for m in np.flatnonzero(hit)]
+    return edges
 
 
 def _cut_square():
@@ -402,11 +425,13 @@ def test_whitney_frontier_matches_per_cube_reference(name):
     for depth in (6, 7) if name == "comb" else (5, 6, 7):
         dec = whitney_decompose(domain, max_depth=depth)
         cubes, truncated, adjacency = _ref_whitney_decompose(domain, depth)
-        assert len(dec.cubes) == len(cubes)
-        for q, r in zip(dec.cubes, cubes):
-            assert (q.depth, q.ij, q.side, q.dist) == (r.depth, r.ij, r.side, r.dist)
-            assert type(q.dist) is float and all(type(v) is int for v in q.ij)
-            assert q.corner.dtype == r.corner.dtype and np.array_equal(q.corner, r.corner)
+        assert dec.cubes.dtype == np.int64 and dec.cubes.shape == (len(cubes), 3)
+        assert dec.dist.dtype == np.float64 and dec.dist.shape == (len(cubes),)
+        assert dec.cubes.tolist() == [[r.depth, *r.ij] for r in cubes]
+        assert dec.side.tolist() == [r.side for r in cubes]
+        assert dec.dist.tolist() == [r.dist for r in cubes]
+        corners = np.array([r.corner for r in cubes])
+        assert dec.corner.dtype == corners.dtype and np.array_equal(dec.corner, corners)
         assert dec.truncated == truncated
         assert dec.adjacency == adjacency
         # the truncated cubes are all in the last frontier
@@ -467,10 +492,10 @@ def _ref_point_seg_dist2(p, a, b):
     return ex * ex + ey * ey, L2 * L2
 
 
-def _ref_cube_dist2(dec, segs, q):
-    side = _ref_int(dec.root_side) >> q.depth
-    x0 = _ref_int(dec.root_corner[0]) + q.ij[0] * side
-    y0 = _ref_int(dec.root_corner[1]) + q.ij[1] * side
+def _ref_cube_dist2(dec, segs, depth, i, j):
+    side = _ref_int(dec.root_side) >> depth
+    x0 = _ref_int(dec.root_corner[0]) + i * side
+    y0 = _ref_int(dec.root_corner[1]) + j * side
     corners = [(x0, y0), (x0 + side, y0), (x0 + side, y0 + side), (x0, y0 + side)]
     edges = list(zip(corners, corners[1:] + corners[:1]))
     best = None
@@ -500,9 +525,9 @@ def test_exact_cube_dist2_matches_all_segment_brute_force(depth6_decompositions)
         segs = [tuple((_ref_int(p[0]), _ref_int(p[1])) for p in seg)
                 for seg in dec.domain.segments]
         wrong = []
-        for k, q in enumerate(dec.cubes):
-            num, den = bd.cube_dist2(q.depth, q.ij)
-            if Fraction(num, den * 4 ** bd.shift) != _ref_cube_dist2(dec, segs, q):
+        for k, (depth, i, j) in enumerate(dec.cubes.tolist()):
+            num, den = bd.cube_dist2(depth, (i, j))
+            if Fraction(num, den * 4 ** bd.shift) != _ref_cube_dist2(dec, segs, depth, i, j):
                 wrong.append(k)
         assert wrong == [], f"{name}: {len(wrong)} cubes"
 
@@ -534,7 +559,6 @@ def test_qh_distance_disk_matches_radial_integral():
     res = qh_distance(DISK, (0.0, 0.0), (0.0, 0.9), pitch=0.01)
     exact = math.log(10)      # int_0^0.9 dt/(1-t)
     assert abs(res["value"] - exact) / exact < 0.05
-    assert res["geodesic"].length() >= 0.9
 
 
 def test_qh_distance_symmetric_exactly():
@@ -570,7 +594,7 @@ def test_qh_distance_rejects_exterior_points():
 # The QhGrid assembly that took boundary distances on the whole bounding-box
 # lattice and evaluated each step direction's midpoints on its own (the two
 # diagonals of a cell twice), dropping midpoints outside the domain or at
-# distance 0; the node, delta and CSR arrays must be ==.
+# distance 0; the node and CSR arrays must be ==.
 
 def _ref_qhgrid_mat(domain, pitch):
     lo, hi = domain.bbox()
@@ -608,7 +632,7 @@ def _ref_qhgrid_mat(domain, pitch):
     mat = sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
-    return nodes, mat, delta[ok]
+    return nodes, mat
 
 
 _HOLED = PolygonDomain([(0, 0), (2, 0), (2, 2), (0, 2)],
@@ -632,9 +656,8 @@ def test_qhgrid_matches_per_direction_assembly(name, pitch, x1, x2):
     domain = {"disk": DISK, "cusp": cusp_domain(), "comb": comb_domain(),
               "holed": _HOLED}[name]
     grid = QhGrid(domain, pitch)
-    nodes, mat, delta = _ref_qhgrid_mat(domain, pitch)
+    nodes, mat = _ref_qhgrid_mat(domain, pitch)
     assert np.array_equal(grid.nodes, nodes)
-    assert np.array_equal(grid.delta, delta)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(grid.mat, attr), getattr(mat, attr)), attr
     res = qh_distance(domain, x1, x2, grid=grid)
@@ -642,7 +665,6 @@ def test_qhgrid_matches_per_direction_assembly(name, pitch, x1, x2):
     ref = qh_distance(domain, x1, x2, grid=grid)
     assert not res["infeasible"]
     assert res["value"] == ref["value"]
-    assert np.array_equal(res["geodesic"].vertices, ref["geodesic"].vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -656,20 +678,19 @@ def disk_shadows():
 
 def test_shadow_of_root_is_whole_boundary(disk_shadows):
     dec, sh = disk_shadows
-    root_rec = sh["records"][sh["root"]]
-    assert len(root_rec.shadow_indices) == len(sh["boundary_samples"])
-    assert abs(root_rec.s - 2.0) < 0.05        # diam of the disk boundary
+    assert len(sh["routes"][sh["root"]]) == len(sh["boundary_samples"])
+    assert abs(sh["s"][sh["root"]] - 2.0) < 0.05        # diam of the disk boundary
 
 
 def test_leaf_with_single_sample_has_zero_s(disk_shadows):
     dec, sh = disk_shadows
-    assert any(len(r.shadow_indices) == 1 and r.s == 0.0 for r in sh["records"])
+    assert any(len(r) == 1 and s == 0.0 for r, s in zip(sh["routes"], sh["s"]))
 
 
 def test_shadow_diameters_bounded_by_boundary_diameter(disk_shadows):
     dec, sh = disk_shadows
     bd = 2.0 + 4 / 128
-    assert all(r.s <= bd + 1e-9 for r in sh["records"])
+    assert all(s <= bd + 1e-9 for s in sh["s"])
 
 
 def test_tree_paths_follow_adjacency(disk_shadows):
@@ -684,13 +705,17 @@ def test_tree_paths_follow_adjacency(disk_shadows):
             a = b
 
 
+def _centres(dec):
+    """Each cube's corner plus half its side, cube by cube."""
+    return np.array([c + s / 2 for c, s in zip(dec.corner, dec.side.tolist())])
+
+
 def _heapq_tree(decomp, root):
     """Shortest-path tree over the cubes, one heap pop at a time (the
     reference form): ties within 1e-15 go to the smaller parent index."""
-    cubes = decomp.cubes
-    n = len(cubes)
-    centers = np.array([q.center for q in cubes])
-    dists = np.array([max(q.dist, 1e-12) for q in cubes])
+    n = len(decomp.cubes)
+    centers = _centres(decomp)
+    dists = np.array([max(d, 1e-12) for d in decomp.dist.tolist()])
     adj = [[] for _ in range(n)]
     for i, j in decomp.adjacency:
         adj[i].append(j)
@@ -723,7 +748,7 @@ def test_shadow_tree_matches_heap_dijkstra(name):
     for depth in (6, 7) if name == "comb" else (5, 6, 7):
         dec = whitney_decompose(domain, max_depth=depth)
         roots = set()
-        for x0 in (0.5 * (lo + hi), dec.cubes[len(dec.cubes) // 3].center):
+        for x0 in (0.5 * (lo + hi), _centres(dec)[len(dec.cubes) // 3]):
             sh = shadows(domain, x0, dec)
             roots.add(sh["root"])
             parent, dist = _heapq_tree(dec, sh["root"])
@@ -734,23 +759,25 @@ def test_shadow_tree_matches_heap_dijkstra(name):
         assert len(roots) == 2
 
 
-def _ref_shadow_routes(samples, cubes, parent):
+def _ref_shadow_routes(samples, dec, parent):
     """The per-sample routing loop (the reference form): the nearest cube by
     (math.hypot distance to the closed cube, side, index) among the 8
     nearest centres, then the parent pointers to the root, each cube once."""
-    centers = np.array([q.center for q in cubes])
-    _, near = cKDTree(centers).query(samples, k=min(8, len(cubes)))
+    n = len(dec.cubes)
+    centers = _centres(dec)
+    corners, sides = dec.corner, dec.side.tolist()
+    _, near = cKDTree(centers).query(samples, k=min(8, n))
     near = np.asarray(near).reshape(len(samples), -1)
-    routes = [set() for _ in cubes]
+    routes = [set() for _ in range(n)]
     for si in range(len(samples)):
         best_key = None
         for c in near[si]:
-            q = cubes[int(c)]
-            dx = max(q.corner[0] - samples[si, 0], 0,
-                     samples[si, 0] - q.corner[0] - q.side)
-            dy = max(q.corner[1] - samples[si, 1], 0,
-                     samples[si, 1] - q.corner[1] - q.side)
-            key = (math.hypot(dx, dy), q.side, int(c))
+            corner, side = corners[int(c)], sides[int(c)]
+            dx = max(corner[0] - samples[si, 0], 0,
+                     samples[si, 0] - corner[0] - side)
+            dy = max(corner[1] - samples[si, 1], 0,
+                     samples[si, 1] - corner[1] - side)
+            key = (math.hypot(dx, dy), side, int(c))
             if best_key is None or key < best_key:
                 node, best_key = int(c), key
         seen = set()
@@ -764,29 +791,29 @@ def _ref_shadow_routes(samples, cubes, parent):
 @pytest.mark.parametrize("name", ["disk", "cusp", "comb", "square", "spikes", "cut"])
 def test_shadow_routes_match_per_sample_loop(name):
     # np.hypot may differ from math.hypot in the last bit; the array routing
-    # must still pick the same cube for every sample, so the records match
+    # must still pick the same cube for every sample, so the routes match
     domain = {"disk": DISK, "cusp": cusp_domain(), "comb": comb_domain(),
               "square": square_domain(), "spikes": SPIKES, "cut": _cut_square()}[name]
     lo, hi = map(np.asarray, domain.bbox())
     for depth in (6, 7) if name == "comb" else (5, 6, 7):
         dec = whitney_decompose(domain, max_depth=depth)
-        for x0 in (0.5 * (lo + hi), dec.cubes[len(dec.cubes) // 3].center):
+        for x0 in (0.5 * (lo + hi), _centres(dec)[len(dec.cubes) // 3]):
             sh = shadows(domain, x0, dec)
-            want = _ref_shadow_routes(sh["boundary_samples"], dec.cubes, sh["parent"])
-            for rec, idx in zip(sh["records"], want):
-                assert rec.shadow_indices.dtype == idx.dtype
-                assert np.array_equal(rec.shadow_indices, idx)
+            want = _ref_shadow_routes(sh["boundary_samples"], dec, sh["parent"])
+            for route, s, idx in zip(sh["routes"], sh["s"], want, strict=True):
+                assert route.dtype == idx.dtype
+                assert np.array_equal(route, idx)
                 pts = sh["boundary_samples"][idx]
-                assert rec.s == (geom._cloud_diameter(pts) if len(idx) >= 2 else 0.0)
+                assert s == (geom._cloud_diameter(pts) if len(idx) >= 2 else 0.0)
 
 
 def test_boundary_adjacent_shadows_comparable_to_side(disk_shadows):
     # s(Q) / side stays within a logged band for fine boundary cubes
     dec, sh = disk_shadows
-    finest = max(q.depth for q in dec.cubes)
-    ratios = [r.s / dec.cubes[r.cube_index].side
-              for r in sh["records"]
-              if dec.cubes[r.cube_index].depth == finest and len(r.shadow_indices) > 1]
+    depth, side = dec.cubes[:, 0].tolist(), dec.side.tolist()
+    finest = max(depth)
+    ratios = [s / side[k] for k, (s, r) in enumerate(zip(sh["s"], sh["routes"]))
+              if depth[k] == finest and len(r) > 1]
     assert ratios
     med = float(np.median(ratios))
     assert 0.2 <= med <= 30.0
@@ -795,9 +822,8 @@ def test_boundary_adjacent_shadows_comparable_to_side(disk_shadows):
 def test_per_generation_shadow_sums_logged(disk_shadows):
     dec, sh = disk_shadows
     sums = {}
-    for rec in sh["records"]:
-        d = dec.cubes[rec.cube_index].depth
-        sums[d] = sums.get(d, 0.0) + rec.s ** 2
+    for d, s in zip(dec.cubes[:, 0].tolist(), sh["s"], strict=True):
+        sums[d] = sums.get(d, 0.0) + s ** 2
     assert sums  # recorded per generation; trend is informational
 
 
@@ -836,4 +862,4 @@ def test_whitney_csv_and_shadow_table(tmp_path, disk_shadows):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "corner_x,corner_y,side,dist"
     assert len(lines) == len(dec.cubes) + 1
-    assert len(sh["records"]) == len(dec.cubes)
+    assert len(sh["s"]) == len(sh["routes"]) == len(dec.cubes)

@@ -66,11 +66,9 @@ KEEP = {
 }
 
 KEEP_FIELDS = {
-    # the invariants the distortion and shadow-routing tests check
+    # the invariants the distortion tests check
     "distort.DistortionProbe.big_l": "test reference",
     "distort.DistortionProbe.small_l": "test reference",
-    "qhyp.ShadowRecord.cube_index": "test reference",
-    "qhyp.ShadowRecord.shadow_indices": "test reference",
 }
 
 _PACKAGE = Path(extremal.__file__).parent
