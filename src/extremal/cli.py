@@ -221,7 +221,7 @@ def build_obstacle(spec: dict, scene: modfam.GridScene) -> np.ndarray:
             _positive("obstacle.radius", spec["radius"]))
         if kind == "circle-minus-cell":
             _need(spec, "gap_at", where="obstacle")
-            mask[_cell_at(scene, spec["gap_at"])] = False
+            mask[_cell_at(scene, "obstacle.gap_at", spec["gap_at"])] = False
         return mask
     if kind == "cantor-product":
         depth = _integer("obstacle.depth", spec.get("depth", 6))
@@ -239,18 +239,18 @@ def build_obstacle(spec: dict, scene: modfam.GridScene) -> np.ndarray:
     if kind == "cell":
         _need(spec, "at", where="obstacle")
         mask = np.zeros(scene.shape, bool)
-        mask[_cell_at(scene, spec["at"])] = True
+        mask[_cell_at(scene, "obstacle.at", spec["at"])] = True
         return mask
     raise ConfigError(f"obstacle.kind: unknown kind {kind!r}")
 
 
-def _cell_at(scene: modfam.GridScene, point) -> tuple:
-    p = np.asarray(point, float)
-    if p.shape == (scene.dim,) and np.isfinite(p).all():
-        cell = tuple(int((x - o) // scene.spacing) for x, o in zip(p, scene.origin))
-        if all(0 <= c < n for c, n in zip(cell, scene.shape)):
-            return cell
-    raise ConfigError(f"obstacle point {p.tolist()} lies outside the grid")
+def _cell_at(scene: modfam.GridScene, where: str, point) -> tuple:
+    p = [float(x) for x in _numbers(where, point, scene.dim)]
+    # compared before int(): a far point's quotient may overflow to inf
+    cell = [(x - o) // scene.spacing for x, o in zip(p, scene.origin.tolist())]
+    if all(0 <= c < n for c, n in zip(cell, scene.shape)):
+        return tuple(int(c) for c in cell)
+    raise ConfigError(f"{where}: point {p} lies outside the grid")
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,9 @@ def _run_covering(cfg: ExperimentConfig, artifacts: dict) -> dict:
     _named_map(p)
     n_runs = _count("params.runs", p["runs"])
     n_pairs = _count("params.n_pairs", p["n_pairs"])
-    M = _positive("params.M", p["M"])
+    M = _number("params.M", p["M"])
+    if M < 2:       # the least egg-yolk constant
+        raise ConfigError(f"params.M: must be at least 2, got {M!r}")
     rng = np.random.default_rng(cfg.seed)
     runs = []
     all_ok = True

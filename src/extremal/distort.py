@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geom import DomainError, _cloud_diameter, eccentricity_of_boundary
-from .modfam import GridScene, discrete_modulus, ring_modulus_exact
+from .modfam import GridScene, check_scene_cells, discrete_modulus, ring_modulus_exact
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +281,7 @@ def image_ring_scene(f: SampledMap, center, r: float, R: float,
     h = float((hi - lo).max() / grid_n)
     nx = grid_n
     ny = max(8, int(math.ceil((hi[1] - lo[1]) / h)))
+    check_scene_cells([nx, ny])
     xs = lo[0] + (np.arange(nx) + 0.5) * h
     ys = lo[1] + (np.arange(ny) + 0.5) * h
     X, Y = np.meshgrid(xs, ys, indexing="ij")

@@ -118,17 +118,23 @@ class GridScene:
         if not (isinstance(shape, list) and len(shape) in (2, 3)
                 and all(type(n) is int and n > 0 for n in shape)):
             raise DomainError(f"scene shape must be 2 or 3 positive integers, got {shape!r}")
-        if math.prod(shape) > MAX_SCENE_CELLS:
-            raise DomainError(f"scene shape {shape!r} has more than "
-                              f"{MAX_SCENE_CELLS} cells")
+        check_scene_cells(shape)
         u, f1, f2 = (_rle_decode(r, tuple(shape)) for r in runs)
         return GridScene(spacing, origin, u, f1, f2)
 
 
-# cells of a scene read from a file, checked before its masks are allocated:
-# 16 times the catalog's largest grid (512^2), so about 1.7 GB of solver
-# memory at the 400 bytes per grid cell that the 512^2 annulus solve peaks at
+# cells of a scene, read from a file or built, checked before its masks are
+# allocated: 16 times the catalog's largest grid (512^2), so about 1.7 GB of
+# solver memory at the 400 bytes per grid cell that the 512^2 annulus solve
+# peaks at
 MAX_SCENE_CELLS = 1 << 22
+
+
+def check_scene_cells(shape: list) -> None:
+    """Refuse a scene shape of more than MAX_SCENE_CELLS cells."""
+    if math.prod(shape) > MAX_SCENE_CELLS:
+        raise DomainError(f"scene shape {shape!r} has more than "
+                          f"{MAX_SCENE_CELLS} cells")
 
 
 def _is_finite_number(v) -> bool:
@@ -261,6 +267,7 @@ def annulus_scene(r: float, R: float, n_cells: int,
                   half: float | None = None) -> GridScene:
     """2D annulus about the origin, marked bands centered on its boundary circles."""
     half = half if half is not None else R * 1.04
+    check_scene_cells([n_cells, n_cells])
     h = 2 * half / n_cells
     xs = (np.arange(n_cells) + 0.5) * h - half
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -274,7 +281,9 @@ def annulus_scene(r: float, R: float, n_cells: int,
 def rectangle_scene(width: float, height: float, n_cells: int) -> GridScene:
     """Rectangle with the family joining the two sides of length ``height``."""
     h = width / n_cells
-    ny = max(2, int(round(height / h)))
+    rows = height / h if h > 0 else math.inf     # h may underflow to 0
+    ny = max(2, round(rows)) if rows < math.inf else rows   # inf is refused
+    check_scene_cells([n_cells, ny])
     u = np.ones((n_cells, ny), bool)
     f1 = np.zeros_like(u)
     f2 = np.zeros_like(u)
@@ -286,6 +295,7 @@ def rectangle_scene(width: float, height: float, n_cells: int) -> GridScene:
 def square_ring_scene(r: float, R: float, n_cells: int) -> GridScene:
     """Region between concentric axis-aligned squares of half-sides r < R."""
     half = R * 1.04
+    check_scene_cells([n_cells, n_cells])
     h = 2 * half / n_cells
     xs = (np.arange(n_cells) + 0.5) * h - half
     X, Y = np.meshgrid(xs, xs, indexing="ij")

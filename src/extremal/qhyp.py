@@ -34,9 +34,9 @@ _SNAP = 2 ** 24   # vertex coordinates are multiples of 1/_SNAP
 # against 0.55-0.71 s and 5.6k at 2**14)
 _CHUNK_PAIRS = 2 ** 14
 # deepest Whitney generation a config may ask for: the decomposition's time
-# more than doubles per level (the disk took 2.4 s at depth 12 and 6.2 s at
-# 13, the cusp 8.4 s and 27.5 s, plus 0.9-3.4 s of verify_exact; one run
-# each, 2 cores, raw)
+# about doubles per level (the disk took 1.8 s at depth 12 and 3.6 s at 13,
+# the cusp 1.7 s and 3.3 s, plus 0.7-3.0 s of verify_exact; one run each,
+# 2 cores, raw)
 MAX_WHITNEY_DEPTH = 12
 
 
@@ -48,11 +48,15 @@ class PolygonDomain:
     """Open region bounded by a simple polygon (optionally with holes)."""
 
     def __init__(self, outer, holes=()):
-        self.outer = _snap(np.asarray(outer, float))
-        self.holes = [_snap(np.asarray(h, float)) for h in holes]
-        segs = [_ring_segments(self.outer)]
-        segs += [_ring_segments(h) for h in self.holes]
-        self.segments = np.concatenate(segs, axis=0)
+        with np.errstate(over="ignore"):          # refused below
+            self.outer = _snap(np.asarray(outer, float))
+            self.holes = [_snap(np.asarray(h, float)) for h in holes]
+        rings = [self.outer, *self.holes]
+        self.segments = np.concatenate([_ring_segments(r) for r in rings])
+        if not np.isfinite(self.segments).all():
+            raise DomainError("polygon vertices must be finite on the dyadic grid")
+        if not np.ptp(self.outer, axis=0).max() > 0:
+            raise DomainError("polygon outer ring snaps to a single point")
         self._seg_a = self.segments[:, 0, :]
         self._seg_b = self.segments[:, 1, :]
 
@@ -250,7 +254,7 @@ class WhitneyDecomposition:
     domain: PolygonDomain
     cubes: np.ndarray
     dist: np.ndarray
-    adjacency: list
+    adjacency: np.ndarray
     truncated: int
     root_corner: np.ndarray
     root_side: float
@@ -287,8 +291,7 @@ class WhitneyDecomposition:
                 bad_low.append(k)
             if not num <= 16 * diam2 * den:
                 bad_high.append(k)
-        a, b = np.array(self.adjacency, np.int64).reshape(-1, 2).T
-        steps = np.abs(self.cubes[a, 0] - self.cubes[b, 0])
+        steps = np.abs(np.diff(self.cubes[self.adjacency, 0], axis=1))
         return {"cubes": len(self.cubes),
                 "lower_violations": bad_low,
                 "upper_violations": bad_high,
@@ -498,30 +501,24 @@ def _point_seg_dist2(px, py, ax, ay, bx, by) -> tuple[int, int]:
     return cross * cross, L2
 
 
-def _build_adjacency(cubes: np.ndarray, max_depth: int) -> list:
-    """Face-sharing cube pairs via integer interval matching at unit scale
-    2**max_depth, where cube (depth, i, j) spans [i w, (i + 1) w] x
-    [j w, (j + 1) w] with w = 2**(max_depth - depth)."""
-    w = np.left_shift(1, max_depth - cubes[:, :1])
-    lo = cubes[:, 1:] * w
-    hi = lo + w
+def _build_adjacency(cubes: np.ndarray, max_depth: int) -> np.ndarray:
+    """Face-sharing cube pairs (k, l), k < l, as one (E, 2) int64 array in
+    lexicographic order.  The cell of cube k's size across a face lies in one
+    cube of the same or a coarser depth, found among the cell's ancestors by
+    the keys depth << 2b | i << b | j (b = max_depth + 1) of the sorted table;
+    or finer cubes tile it and find cube k so.  Cells off the root square (an
+    index of -1 or 2**depth) and levels above the root get keys no cube has."""
+    b = max_depth + 1
+    keys = cubes[:, 0] << 2 * b | cubes[:, 1] << b | cubes[:, 2]
+    across = [[0, -1, 0], [0, 1, 0], [0, 0, -1], [0, 0, 1]]    # the four faces
+    depth, i, j = (cubes[:, None] + across).reshape(-1, 3).T
     edges = []
-    by_xface: dict = {}
-    by_yface: dict = {}
-    for k, (x0, y0, x1, y1) in enumerate(np.hstack([lo, hi]).tolist()):
-        by_xface.setdefault(x0, []).append((k, y0, y1, "lo"))
-        by_xface.setdefault(x1, []).append((k, y0, y1, "hi"))
-        by_yface.setdefault(y0, []).append((k, x0, x1, "lo"))
-        by_yface.setdefault(y1, []).append((k, x0, x1, "hi"))
-    for table in (by_xface, by_yface):
-        for coord, items in table.items():
-            los = [(k, a, b) for k, a, b, s in items if s == "lo"]
-            his = [(k, a, b) for k, a, b, s in items if s == "hi"]
-            for k1, a1, b1 in his:
-                for k2, a2, b2 in los:
-                    if k1 != k2 and min(b1, b2) - max(a1, a2) > 0:
-                        edges.append((min(k1, k2), max(k1, k2)))
-    return sorted(set(edges))
+    for up in range(max_depth + 1):
+        key = (depth - up) << 2 * b | i >> up << b | j >> up
+        at = np.searchsorted(keys, key).clip(max=len(keys) - 1)
+        hit = np.flatnonzero(keys[at] == key)
+        edges.append(np.stack([hit // 4, at[hit]], axis=1))
+    return np.unique(np.sort(np.concatenate(edges), axis=1), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +545,9 @@ class QhGrid:
         # quadrature at this resolution; refinement admits them later
         far = delta > pitch
         ok = inside[far]
+        if not len(ok):
+            raise DomainError(f"qh pitch {pitch!r} leaves no grid node farther than "
+                              "the pitch from the boundary")
         self.nodes = pts[ok]
         index = -np.ones(nx * ny, np.int64)
         index[ok] = np.arange(len(self.nodes))
@@ -615,10 +615,8 @@ def qh_distance(domain: PolygonDomain, x1, x2, pitch: float = 0.01,
         raise DomainError("query points must be interior to the domain")
     # endpoints whose neighborhood is unresolved at this pitch are flagged,
     # not silently snapped to a distant node
-    for p in (a, b):
-        snap = float(g._tree.query(p)[0])
-        if snap > 1.6 * g.pitch:
-            return {"value": math.inf, "infeasible": True}
+    if (g._tree.query(np.stack([a, b]))[0] > 1.6 * g.pitch).any():
+        return {"value": math.inf, "infeasible": True}
     value = float(g.distance_field(a)[g.nearest_node(b)])
     return {"value": value, "infeasible": not math.isfinite(value)}
 
@@ -648,7 +646,7 @@ def shadows(domain: PolygonDomain, x0, decomp: WhitneyDecomposition) -> dict:
     holds = ((corner <= x0) & (x0 <= corner + side[:, None])).all(axis=1)
     root = int(holds.argmax() if holds.any()
                else np.linalg.norm(centers - x0, axis=1).argmin())
-    i, j = np.array(decomp.adjacency, np.int64).reshape(-1, 2).T
+    i, j = decomp.adjacency.T
     w = np.linalg.norm(centers[i] - centers[j], axis=1) \
         * 0.5 * (1 / dists[i] + 1 / dists[j])
     u, v, w = np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([w, w])

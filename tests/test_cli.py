@@ -275,16 +275,23 @@ def _rectangle_with_obstacle(tmp_path, obstacle):
     return str(path)
 
 
-@pytest.mark.parametrize("obstacle", [
-    {"kind": "cell", "at": [-0.3, 0.5]},          # -3 would wrap to cell (13, 4)
-    {"kind": "cell", "at": [1.0, 1.0]},           # one past the last row
-    {"kind": "cell", "at": [0.5]},
-    {"kind": "cell", "at": [float("nan"), 0.5]},
-    {"kind": "circle-minus-cell", "center": [1.0, 0.5], "radius": 0.3,
-     "gap_at": [2.5, 0.5]}])
-def test_obstacle_point_off_the_grid_exits_two(obstacle, tmp_path, capsys):
+@pytest.mark.parametrize("obstacle, msg", [
+    ({"kind": "cell", "at": [-0.3, 0.5]},         # -3 would wrap to cell (13, 4)
+     "obstacle.at: point [-0.3, 0.5] lies outside the grid"),
+    ({"kind": "cell", "at": [1.0, 1.0]},          # one past the last row
+     "obstacle.at: point [1.0, 1.0] lies outside the grid"),
+    ({"kind": "cell", "at": [0.5]}, "obstacle.at: must have 2 coordinates, got [0.5]"),
+    ({"kind": "cell", "at": [float("nan"), 0.5]}, "obstacle.at: must be finite, got nan"),
+    ({"kind": "circle-minus-cell", "center": [1.0, 0.5], "radius": 0.3,
+      "gap_at": [2.5, 0.5]}, "obstacle.gap_at: point [2.5, 0.5] lies outside the grid"),
+    # the cell index overflowed to inf and int() raised OverflowError
+    ({"kind": "cell", "at": [1e308, 0.5]},
+     "obstacle.at: point [1e+308, 0.5] lies outside the grid")],
+    ids=[f"obstacle{k}" for k in range(6)])
+def test_obstacle_point_off_the_grid_exits_two(obstacle, msg, tmp_path, capsys):
     assert main(["run", _rectangle_with_obstacle(tmp_path, obstacle)]) == 2
-    assert "lies outside the grid" in capsys.readouterr().err
+    assert msg in capsys.readouterr().err
+    assert not (tmp_path / "results.json").exists()
 
 
 @pytest.mark.parametrize("kind, key, budget, msg", [
@@ -551,6 +558,18 @@ def test_scene_file_shape_is_bounded_before_allocation(tmp_path, capsys, monkeyp
         assert not (tmp_path / str(k) / "results.json").exists()
 
 
+def test_qh_pitch_without_a_grid_node_exits_two(tmp_path, capsys):
+    # this ended in dijkstra's "indices out of range" ValueError with exit 1
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "kind": "quasihyperbolic", "out": str(tmp_path / "out"),
+        "params": {"domain": {"builder": "disk"}, "mode": "shadow-sum",
+                   "levels": [{"max_depth": 4, "qh_pitch": 50}]}}))
+    assert main(["run", str(path)]) == 2
+    assert "qh pitch 50 leaves no grid node" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 _RECT16 = {"builder": "rectangle", "grid": 16}
 
 
@@ -605,7 +624,7 @@ _RECT16 = {"builder": "rectangle", "grid": 16}
      "params.mode: unknown modulus mode 'ladder'"),
     ("quasihyperbolic", {"domain": {"builder": "disk"}, "mode": "shadow"},
      "params.mode: unknown quasihyperbolic mode 'shadow'"),
-    # a Whitney depth of 30 never ended: each level more than doubles the time
+    # a Whitney depth of 30 never ended: each level about doubles the time
     ("quasihyperbolic", {"domain": {"builder": "disk"}, "mode": "whitney",
                          "max_depth": 13},
      "params.max_depth: must be at most 12, got 13"),
@@ -631,7 +650,40 @@ _RECT16 = {"builder": "rectangle", "grid": 16}
     ("distortion", {"map": "identity", "rings": [[0.0, 1.5]]},
      "params.rings[0]: need 0 < r < R, got [0.0, 1.5]"),
     ("distortion", {"map": "identity", "rings": [[1.0, 1.5]], "C1": -1},
-     "params.C1: must be positive and finite, got -1")],
+     "params.C1: must be positive and finite, got -1"),
+    # these ended in a ValueError (math domain error at log2 of a zero span,
+    # or a non-numeric point) or an OverflowError traceback with exit 1, or,
+    # for M below 2, numpy's "high - low < 0"
+    ("quasihyperbolic", {"domain": {"builder": "polygon",
+                                    "outer": [[0, 0], [1e-300, 0], [0, 1e-300]]},
+                         "mode": "whitney"},
+     "polygon outer ring snaps to a single point"),
+    ("quasihyperbolic", {"domain": {"builder": "disk", "vertices": 1}, "mode": "whitney"},
+     "polygon outer ring snaps to a single point"),
+    ("quasihyperbolic", {"domain": {"builder": "polygon",
+                                    "outer": [[0, 0], [1e305, 0], [0, 1e305]]},
+                         "mode": "whitney"},
+     "polygon vertices must be finite on the dyadic grid"),
+    ("modulus", {"scene": _RECT16, "obstacle": {"kind": "cell", "at": "ab"}},
+     "obstacle.at: must be a list of numbers, got 'ab'"),
+    ("covering", {"runs": 1, "n_pairs": 3, "M": 1, "map": "identity"},
+     "params.M: must be at least 2, got 1"),
+    # distance mode reported "infeasible" with exit 0
+    ("quasihyperbolic", {"domain": {"builder": "disk"}, "mode": "distance",
+                         "x1": [0.0, 0.0], "x2": [0.5, 0.0], "pitch": 50},
+     "qh pitch 50 leaves no grid node"),
+    # the 2049^2 scenes were built (about 150 MB) before the run went on;
+    # the thin rectangle asked numpy for 8 x 8e9 cells
+    ("modulus", {"scene": {"builder": "annulus", "r": 1.0, "R": 2.0, "grid": 2049}},
+     "scene shape [2049, 2049] has more than 4194304 cells"),
+    ("modulus", {"scene": {"builder": "square-ring", "r": 1.0, "R": 2.0, "grid": 2049}},
+     "scene shape [2049, 2049] has more than 4194304 cells"),
+    ("modulus", {"scene": {"builder": "rectangle", "width": 1.0, "height": 1.0,
+                           "grid": 2049}},
+     "scene shape [2049, 2049] has more than 4194304 cells"),
+    ("modulus", {"scene": {"builder": "rectangle", "width": 1e-6, "height": 1e3,
+                           "grid": 8}},
+     "scene shape [8, 8000000000] has more than 4194304 cells")],
     ids=["annulus-without-r", "scene-file-missing", "grid-string", "disk-radius-string",
          "polygon-without-outer", "circle-without-radius", "runs-string",
          "M-string", "probes-string", "grids-string", "reciprocal-two-radii",
@@ -642,7 +694,10 @@ _RECT16 = {"builder": "rectangle", "grid": 16}
          "covering-map-unknown",
          "distortion-map-unknown", "distortion-without-map", "survey-type-unknown",
          "radial-survey-without-E", "radial-n-max-zero", "translation-n-max-negative",
-         "ring-r-above-R", "ring-r-zero", "ring-C1-negative"])
+         "ring-r-above-R", "ring-r-zero", "ring-C1-negative", "polygon-tiny",
+         "disk-one-vertex", "polygon-huge", "obstacle-at-string", "covering-M-one",
+         "qh-pitch-no-node", "annulus-2049", "square-ring-2049", "rectangle-2049",
+         "rectangle-thin"])
 def test_malformed_config_key_exits_two_before_solving(kind, params, msg, tmp_path,
                                                         monkeypatch, capsys):
     # each ended in a KeyError, TypeError, IndexError, FileNotFoundError,

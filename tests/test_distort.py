@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from extremal import distort
+from extremal import distort, modfam
 from extremal.distort import (SampledMap, eccentric_distortion, linear_sampled_map,
                               metric_distortion, ring_qc_test)
 from extremal.geom import DomainError, _cloud_diameter, eccentricity_of_boundary
@@ -279,6 +279,13 @@ def test_ring_qc_rejects_thin_ring_and_out_of_domain():
     assert "error" in out["table"][0]
     out2 = ring_qc_test(IDENT, [((3.9, 0.0), 0.5, 1.5)], c1=8.0)
     assert "error" in out2["table"][0]
+
+
+def test_image_ring_scene_is_bounded_before_allocation(monkeypatch):
+    monkeypatch.setattr(modfam, "MAX_SCENE_CELLS", 64 * 64)
+    assert distort.image_ring_scene(IDENT, (0.0, 0.0), 0.5, 1.6, 32).u.size <= 64 * 64
+    with pytest.raises(DomainError, match="has more than 4096 cells"):
+        distort.image_ring_scene(IDENT, (0.0, 0.0), 0.5, 1.6, 65)
 
 
 def test_ring_qc_flags_fold_singularity():

@@ -393,7 +393,7 @@ def _ref_adjacency(cubes, max_depth):
         x_face = (x1[k] == x0[o]) | (x0[k] == x1[o])
         y_face = (y1[k] == y0[o]) | (y0[k] == y1[o])
         hit = (x_face & (y_overlap > 0)) | (y_face & (x_overlap > 0))
-        edges += [(k, k + 1 + int(m)) for m in np.flatnonzero(hit)]
+        edges += [[k, k + 1 + int(m)] for m in np.flatnonzero(hit)]
     return edges
 
 
@@ -433,7 +433,9 @@ def test_whitney_frontier_matches_per_cube_reference(name):
         corners = np.array([r.corner for r in cubes])
         assert dec.corner.dtype == corners.dtype and np.array_equal(dec.corner, corners)
         assert dec.truncated == truncated
-        assert dec.adjacency == adjacency
+        assert dec.adjacency.dtype == np.int64
+        assert dec.adjacency.shape == (len(adjacency), 2)
+        assert dec.adjacency.tolist() == adjacency
         # the truncated cubes are all in the last frontier
         chunked |= truncated > rows
     assert chunked or name in ("square", "cut")   # 2,048 and 1,638 cubes a chunk
@@ -442,6 +444,55 @@ def test_whitney_frontier_matches_per_cube_reference(name):
         for decompose in (whitney_decompose, _ref_whitney_decompose):
             with pytest.raises(DomainError):
                 decompose(domain, 5)
+
+
+@st.composite
+def _quadtree(draw, max_depth=7, splits=48):
+    """The leaves of a random quadtree of the root square, as (depth, i, j)
+    rows in table order, some dropped to leave gaps as the domain's
+    exterior does; leaves sharing a face may differ in depth by up to
+    max_depth - 1."""
+    leaves, stack = [], [(0, 0, 0)]
+    while stack:
+        depth, i, j = stack.pop()
+        if depth < max_depth and splits and draw(st.booleans()):
+            splits -= 1
+            stack += [(depth + 1, 2 * i + a, 2 * j + c) for a in (0, 1) for c in (0, 1)]
+        else:
+            leaves.append((depth, i, j))
+    kept = [q for q in leaves if draw(st.integers(0, 3))]
+    return sorted(kept or leaves[:1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_quadtree())
+def test_adjacency_by_address_lookup_matches_all_pairs_reference(leaves):
+    cubes = np.array(leaves, np.int64)
+    got = qhyp._build_adjacency(cubes, 7)
+    ref = _ref_adjacency([_RefCube(d, (i, j), None, None, None) for d, i, j in leaves], 7)
+    assert got.dtype == np.int64 and got.shape == (len(ref), 2)
+    assert got.tolist() == ref
+
+
+def _corner_split(depth):
+    """The root square split into quadrants, and the quadrant (1, 1, 0) split
+    again and again at its lower left corner down to ``depth``: the quadrant
+    (1, 0, 0) meets the cube (depth, 2**(depth - 1), 0) across x = 1/2."""
+    leaves = [(1, 0, 0), (1, 0, 1), (1, 1, 1)]
+    for d in range(2, depth + 1):
+        i = 2 ** (d - 1)
+        leaves += [(d, i + 1, 0), (d, i, 1), (d, i + 1, 1)]
+    return np.array(sorted(leaves + [(depth, 2 ** (depth - 1), 0)]), np.int64)
+
+
+@pytest.mark.parametrize("depth, ok", [(3, True), (4, False)])
+def test_neighbor_ratio_check_sees_every_depth_jump(depth, ok):
+    cubes = _corner_split(depth)
+    adjacency = qhyp._build_adjacency(cubes, depth)
+    assert [0, cubes.tolist().index([depth, 2 ** (depth - 1), 0])] in adjacency.tolist()
+    dec = qhyp.WhitneyDecomposition(square_domain(), cubes, np.ones(len(cubes)),
+                                    adjacency, 0, np.zeros(2), 1.0, depth)
+    assert dec.verify_exact()["neighbor_ratio_ok"] is ok
 
 
 # Reference for the exact cube distance: every boundary segment, no prune,
@@ -695,7 +746,7 @@ def test_shadow_diameters_bounded_by_boundary_diameter(disk_shadows):
 
 def test_tree_paths_follow_adjacency(disk_shadows):
     dec, sh = disk_shadows
-    adj = set(map(tuple, dec.adjacency))
+    adj = set(map(tuple, dec.adjacency.tolist()))
     parent = sh["parent"]
     for start in range(0, len(dec.cubes), 7):
         a = start
@@ -717,7 +768,7 @@ def _heapq_tree(decomp, root):
     centers = _centres(decomp)
     dists = np.array([max(d, 1e-12) for d in decomp.dist.tolist()])
     adj = [[] for _ in range(n)]
-    for i, j in decomp.adjacency:
+    for i, j in decomp.adjacency.tolist():
         adj[i].append(j)
         adj[j].append(i)
     dist, parent, done = [math.inf] * n, [-1] * n, [False] * n
