@@ -10,7 +10,8 @@ products per thread, so the last bits of a solve depend on the count).
 Wall-clock metadata goes to a sidecar file, run.meta.json, written last.
 
 Each key of ``params`` is read, defaulted and checked in one place, the runner
-or builder that uses it, before the first solve.
+or builder that uses it, before the first solve; the package functions it
+calls do not repeat those defaults.
 
 Exit codes: 0 success (solver infeasibility is success, recorded in the
 results), 2 config error, 3 internal invariant breach.
@@ -388,6 +389,11 @@ def _run_distortion(cfg: ExperimentConfig, artifacts: dict) -> dict:
             rings.append(((0.0, 0.0), r, R))
         C1 = _positive("params.C1", p.get("C1", 6.0))
         grid_n = _count("params.grid", p.get("grid", 160))
+        try:
+            # an image scene has grid_n x at most max(8, grid_n + 1) cells
+            modfam.check_scene_cells([grid_n, max(8, grid_n + 1)])
+        except DomainError as exc:
+            raise ConfigError(f"params.grid: {exc}") from exc
         out["ring_qc"] = distort.ring_qc_test(f, rings, C1, grid_n=grid_n)
         out["anchor"] = {"name": "K-quasiconformal ring bound md f(G) <= K md G",
                          "K": float(svals[0] / svals[-1])}
@@ -420,7 +426,7 @@ def _run_qh(cfg: ExperimentConfig, artifacts: dict) -> dict:
         _need(p, "x1", "x2")
         x1 = _numbers("params.x1", p["x1"], 2)
         x2 = _numbers("params.x2", p["x2"], 2)
-        pitch = _positive("params.pitch", p.get("pitch", 0.01))
+        pitch = _qh_pitch("params.pitch", domain, p.get("pitch", 0.01))
         anchor = (_positive("params.anchor_value", p["anchor_value"])
                   if "anchor_value" in p else None)
         res = qhyp.qh_distance(domain, x1, x2, pitch=pitch)
@@ -453,7 +459,7 @@ def _run_qh(cfg: ExperimentConfig, artifacts: dict) -> dict:
         where = f"params.levels[{k}]"
         _need(_object(where, lev), "max_depth", "qh_pitch", where=where)
         pairs.append((_whitney_depth(f"{where}.max_depth", lev["max_depth"]),
-                      _positive(f"{where}.qh_pitch", lev["qh_pitch"])))
+                      _qh_pitch(f"{where}.qh_pitch", domain, lev["qh_pitch"])))
     return {"levels": qhyp.shadow_sum_diagnostic(domain, x0, pairs),
             "anchor": {"name": "shadow sum bounded by quasihyperbolic integral"}}
 
@@ -462,6 +468,15 @@ def _whitney_depth(where: str, v) -> int:
     """A Whitney depth in [0, MAX_WHITNEY_DEPTH]."""
     if _natural(where, v) > qhyp.MAX_WHITNEY_DEPTH:
         raise ConfigError(f"{where}: must be at most {qhyp.MAX_WHITNEY_DEPTH}, got {v!r}")
+    return v
+
+
+def _qh_pitch(where: str, domain: qhyp.PolygonDomain, v) -> float:
+    """A QhGrid pitch whose lattice over the domain fits the point budget."""
+    try:
+        qhyp.check_lattice(domain, _positive(where, v))
+    except DomainError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     return v
 
 

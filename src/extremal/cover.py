@@ -113,7 +113,7 @@ def normalize_comparable(family: PairedFamily) -> tuple[PairedFamily, dict]:
     On the surviving (maximal) pairs, whenever two yolks intersect, neither
     region contains the other, so the intersecting-yolk comparison property
     gives diam ratios within M(M+1) of each other on both sides.  Returns the
-    reduced family and a report with the comparability constant.
+    reduced family and a report with the kept indices.
     """
     family.check_correspondence()
     n = len(family)
@@ -133,13 +133,7 @@ def normalize_comparable(family: PairedFamily) -> tuple[PairedFamily, dict]:
     reduced = PairedFamily([family.domain_pairs[i] for i in keep],
                            [family.range_pairs[i] for i in keep],
                            family.forward, family.constant)
-    M = family.constant
-    report = {
-        "kept_indices": keep,
-        "pair_constant": M,
-        "comparability_constant": M * (M + 1),
-    }
-    return reduced, report
+    return reduced, {"kept_indices": keep}
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +322,7 @@ NAMED_MAPS = {
 
 
 def random_paired_family(n_pairs: int, M: float, map_name: str,
-                         seed: int = 0) -> PairedFamily:
+                         seed: int) -> PairedFamily:
     """Random disk-based M-egg-yolk pairs pushed through a named linear map.
 
     Domain regions are disks centred in [0, 10]^2; range yolks are

@@ -234,7 +234,7 @@ def eccentric_distortion(f: SampledMap, x, r: float) -> float:
 # Ring-modulus quasiconformality test
 
 
-def ring_qc_test(f: SampledMap, rings, c1: float, grid_n: int = 160) -> dict:
+def ring_qc_test(f: SampledMap, rings, c1: float, grid_n: int) -> dict:
     """Discrete modulus of the image of each ring family, against C1.
 
     Each ring (center, r, R) must have analytic modulus at most C1 and a
@@ -307,7 +307,7 @@ def image_ring_scene(f: SampledMap, center, r: float, R: float,
     raise DomainError("could not rasterize connected image plates")
 
 
-def linear_sampled_map(matrix, lo=(-4.0, -4.0), hi=(4.0, 4.0),
-                       pitch: float = 0.05) -> SampledMap:
+def linear_sampled_map(matrix, pitch: float) -> SampledMap:
+    """The linear map sampled on the box [-4, 4]^2."""
     mat = np.asarray(matrix, float)
-    return SampledMap.from_function(lambda p: p @ mat.T, lo, hi, pitch)
+    return SampledMap.from_function(lambda p: p @ mat.T, (-4.0, -4.0), (4.0, 4.0), pitch)

@@ -158,70 +158,26 @@ def _hull_diameter(hull: np.ndarray) -> float:
 
 
 class PolyCurve:
-    """Finite polygonal path with cached arclength parametrization."""
+    """Finite polygonal path; its length is summed once, in vertex order."""
 
     def __init__(self, vertices):
         v = np.asarray(vertices, float)
         if v.ndim != 2 or len(v) < 1:
             raise DomainError("polycurve needs an (N, dim) vertex array")
         self.vertices = v
-        seg = np.linalg.norm(np.diff(v, axis=0), axis=1) if len(v) > 1 else np.zeros(0)
-        self._seg_lengths = seg
-        self._cum = np.concatenate([[0.0], np.cumsum(seg)])
+        seg = np.linalg.norm(np.diff(v, axis=0), axis=1)
+        self._length = float(np.cumsum(seg)[-1]) if len(seg) else 0.0
 
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
 
     def length(self) -> float:
-        return float(self._cum[-1])
-
-    def point_at(self, s: float) -> np.ndarray:
-        """Point at arclength s in [0, length]."""
-        s = min(max(s, 0.0), self.length())
-        i = int(np.searchsorted(self._cum, s, side="right") - 1)
-        i = min(i, len(self.vertices) - 2) if len(self.vertices) > 1 else 0
-        if len(self.vertices) == 1 or self._seg_lengths[i] == 0:
-            return self.vertices[i].copy()
-        t = (s - self._cum[i]) / self._seg_lengths[i]
-        return (1 - t) * self.vertices[i] + t * self.vertices[i + 1]
-
-    def sample_arclength(self, n: int) -> np.ndarray:
-        """n points uniformly spaced in arclength (endpoints included)."""
-        if self.length() == 0:
-            return np.repeat(self.vertices[:1], n, axis=0)
-        return np.array([self.point_at(s) for s in np.linspace(0, self.length(), n)])
-
-    def translate(self, x) -> "PolyCurve":
-        return PolyCurve(self.vertices + np.asarray(x, float))
-
-    def subcurve(self, s0: float, s1: float) -> "PolyCurve":
-        """Strong subpath between arclengths s0 <= s1."""
-        s0 = min(max(s0, 0.0), self.length())
-        s1 = min(max(s1, s0), self.length())
-        keep = (self._cum > s0) & (self._cum < s1)
-        pts = [self.point_at(s0)] + list(self.vertices[keep]) + [self.point_at(s1)]
-        return PolyCurve(np.array(pts))
-
-    def concatenate(self, other: "PolyCurve") -> "PolyCurve":
-        if not np.allclose(self.vertices[-1], other.vertices[0]):
-            raise DomainError("concatenation requires matching endpoints")
-        return PolyCurve(np.vstack([self.vertices, other.vertices[1:]]))
+        return self._length
 
     def segments(self) -> Iterable[tuple[np.ndarray, np.ndarray]]:
         for a, b in zip(self.vertices[:-1], self.vertices[1:]):
             yield a, b
-
-    @staticmethod
-    def segment(a, b) -> "PolyCurve":
-        return PolyCurve(np.array([a, b], float))
-
-    @staticmethod
-    def circle(center, radius: float, n: int = 256) -> "PolyCurve":
-        th = np.linspace(0, 2 * math.pi, n + 1)
-        c = np.asarray(center, float)
-        pts = c + radius * np.stack([np.cos(th), np.sin(th)], axis=1)
-        return PolyCurve(pts)
 
 
 # ---------------------------------------------------------------------------

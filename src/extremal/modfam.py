@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy import ndimage
-from scipy.sparse.csgraph import connected_components, dijkstra, laplacian
+from scipy.sparse.csgraph import dijkstra, laplacian
 from scipy.sparse.linalg import LinearOperator, spsolve, splu
 
 from .geom import DomainError, PolyCurve, line_integral, translate_line_integrals
@@ -347,9 +347,9 @@ def _dirichlet_rho(active: np.ndarray, f1: np.ndarray, f2: np.ndarray,
     a, b = _face_pairs(active, idx)
     marked = (f1 | f2)[active]
     # a face-connected piece with no marked cell has no potential to solve
-    # for (its block of the system is singular): it stays at 0
-    _, piece = connected_components(
-        sp.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n)), directed=False)
+    # for (its block of the system is singular): it stays at 0.  label's
+    # default structure joins face neighbours only, in 2-D and 3-D
+    piece = ndimage.label(active)[0][active]
     free = ~marked & np.isin(piece, piece[marked])
     cells = np.argwhere(active)[free]
     u = f2[active].astype(float)
@@ -724,7 +724,7 @@ class AdmissibilityReport:
 
 
 def admissible_check(rho, curves: Sequence[PolyCurve],
-                     tol: float = 1e-9) -> AdmissibilityReport:
+                     tol: float) -> AdmissibilityReport:
     """List curves whose rho-length falls short of 1."""
     violations = []
     for i, gamma in enumerate(curves):
@@ -740,7 +740,7 @@ def admissible_check(rho, curves: Sequence[PolyCurve],
 
 
 def avg_line_integral(rho, curve: PolyCurve, r: float, samples: int,
-                      seed: int = 0) -> dict:
+                      seed: int) -> dict:
     """Monte Carlo average of the line integral over ball translates.
 
     Estimates the mean of  integral_{curve+x} rho ds  for x uniform in
@@ -769,7 +769,7 @@ def avg_line_integral(rho, curve: PolyCurve, r: float, samples: int,
 
 
 def translation_survey(E, curve: PolyCurve, n_max: int, samples: int,
-                       seed: int = 0) -> dict:
+                       seed: int) -> dict:
     """Monte Carlo estimates of m*(F_N): translates meeting E at >= N points.
 
     F_N is the set of translates x with #((curve+x) cap E) >= N.  The sampling
@@ -811,7 +811,7 @@ def translation_survey(E, curve: PolyCurve, n_max: int, samples: int,
 
 
 def radial_survey(E, x, r: float, R: float, n_max: int, samples: int,
-                  seed: int = 0) -> dict:
+                  seed: int) -> dict:
     """Directional measure of w with #(segment [x+rw, x+Rw] cap E) >= N."""
     if not 0 < r < R:
         raise DomainError("need 0 < r < R")

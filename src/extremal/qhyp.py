@@ -22,6 +22,7 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from .geom import DomainError, _cloud_diameter
+from .modfam import MAX_SCENE_CELLS
 
 _SNAP = 2 ** 24   # vertex coordinates are multiples of 1/_SNAP
 # pairs per chunk of the Whitney frontier's kernels, cube x segment end in
@@ -200,18 +201,12 @@ def _seg_dist2(px, py, ax, ay, dx, dy, L2):
 # --- builders ---------------------------------------------------------------
 
 
-def disk_domain(radius: float = 1.0, n_vertices: int = 128) -> PolygonDomain:
+def disk_domain(radius: float, n_vertices: int) -> PolygonDomain:
     th = np.linspace(0, 2 * math.pi, n_vertices, endpoint=False)
     return PolygonDomain(radius * np.stack([np.cos(th), np.sin(th)], axis=1))
 
 
-def square_domain(side: float = 1.0, corner=(0.0, 0.0)) -> PolygonDomain:
-    x0, y0 = corner
-    s = side
-    return PolygonDomain([(x0, y0), (x0 + s, y0), (x0 + s, y0 + s), (x0, y0 + s)])
-
-
-def cusp_domain(exponent: float = 8.0) -> PolygonDomain:
+def cusp_domain(exponent: float) -> PolygonDomain:
     """Square body with a power-law cusp: half-width (x/1.5)^exponent / 2.
 
     For exponent > 3 the quasihyperbolic distance fails to be square
@@ -230,7 +225,7 @@ def cusp_domain(exponent: float = 8.0) -> PolygonDomain:
     return PolygonDomain(list(reversed(verts)))
 
 
-def comb_domain(teeth: int = 4) -> PolygonDomain:
+def comb_domain(teeth: int) -> PolygonDomain:
     """Rectangle [0,2] x [0,1] with slits 0.02 wide descending 0.75 from the
     top edge."""
     verts = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0)]
@@ -530,8 +525,7 @@ class QhGrid:
     midpoint; Dijkstra fields reusable across queries."""
 
     def __init__(self, domain: PolygonDomain, pitch: float):
-        self.domain = domain
-        self.pitch = pitch
+        check_lattice(domain, pitch)
         lo, hi = domain.bbox()
         nx = int(math.ceil((hi[0] - lo[0]) / pitch)) + 1
         ny = int(math.ceil((hi[1] - lo[1]) / pitch)) + 1
@@ -571,6 +565,18 @@ class QhGrid:
         return dijkstra(self.mat, directed=False, indices=self.nearest_node(x0))
 
 
+def check_lattice(domain: PolygonDomain, pitch: float) -> None:
+    """Refuse a QhGrid pitch whose lattice over the domain's bounding box has
+    more than MAX_SCENE_CELLS points, before anything is allocated.  The
+    quotients are compared as floats: at a tiny pitch they overflow to inf."""
+    lo, hi = domain.bbox()
+    with np.errstate(over="ignore"):
+        points = float(np.prod(np.ceil((hi - lo) / pitch) + 1))
+    if points > MAX_SCENE_CELLS:
+        raise DomainError(f"qh pitch {pitch!r} gives a lattice of {points:.4g} points, "
+                          f"more than {MAX_SCENE_CELLS}")
+
+
 def _grid_steps(domain: PolygonDomain, P: np.ndarray, g: np.ndarray):
     """Yield each step (dx, dy) of the grid graph with the node ids at its
     two ends and the boundary distance at its midpoint, in the row-major
@@ -598,8 +604,7 @@ def _grid_steps(domain: PolygonDomain, P: np.ndarray, g: np.ndarray):
         yield step, src[b], dst[b], d[b]
 
 
-def qh_distance(domain: PolygonDomain, x1, x2, pitch: float = 0.01,
-                grid: QhGrid | None = None) -> dict:
+def qh_distance(domain: PolygonDomain, x1, x2, pitch: float) -> dict:
     """Quasihyperbolic distance between two points.
 
     Upper estimate on the grid graph, converging under refinement; the metric
@@ -610,12 +615,12 @@ def qh_distance(domain: PolygonDomain, x1, x2, pitch: float = 0.01,
     b = np.asarray(x2, float)
     if tuple(b.tolist()) < tuple(a.tolist()):
         a, b = b, a
-    g = grid if grid is not None else QhGrid(domain, pitch)
-    if not (g.domain.contains(a[None])[0] and g.domain.contains(b[None])[0]):
+    g = QhGrid(domain, pitch)
+    if not (domain.contains(a[None])[0] and domain.contains(b[None])[0]):
         raise DomainError("query points must be interior to the domain")
     # endpoints whose neighborhood is unresolved at this pitch are flagged,
     # not silently snapped to a distant node
-    if (g._tree.query(np.stack([a, b]))[0] > 1.6 * g.pitch).any():
+    if (g._tree.query(np.stack([a, b]))[0] > 1.6 * pitch).any():
         return {"value": math.inf, "infeasible": True}
     value = float(g.distance_field(a)[g.nearest_node(b)])
     return {"value": value, "infeasible": not math.isfinite(value)}

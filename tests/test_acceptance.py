@@ -182,7 +182,7 @@ def test_c10_shadow_sum_diagnostic():
     disk = qhyp.disk_domain(1.0, 128)
     d1, d2 = qhyp.shadow_sum_diagnostic(disk, (0.0, 0.0), [(6, 0.02), (6, 0.01)])
     stab = max(d1["ratio"], d2["ratio"]) / min(d1["ratio"], d2["ratio"])
-    cusp = qhyp.cusp_domain()
+    cusp = qhyp.cusp_domain(8.0)
     levels = qhyp.shadow_sum_diagnostic(cusp, (1.75, 0.0),
                                         [(6, p) for p in (0.02, 0.01, 0.005)])
     trend_ok = True
@@ -230,7 +230,7 @@ def test_c12_translation_survey_bound():
     length-measure envelope, from 1e5 Monte Carlo translates."""
     segs = [sets.Segment((0.0, 0.3 * k), (1.0, 0.3 * k)) for k in range(10)]
     E = sets.PrimitiveUnionSet(segs)
-    gamma = PolyCurve.segment((0.0, 0.0), (0.0, 1.0))
+    gamma = PolyCurve([(0.0, 0.0), (0.0, 1.0)])
     out = translation_survey(E, gamma, 16, 100_000, seed=17)
     envelope = gamma.length() * E.h_n1_measure()
     worst = max(r["N"] * r["measure"] for r in out["table"])

@@ -3,7 +3,11 @@ import copy
 import json
 import math
 import os
+import resource
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,7 +100,7 @@ def test_whitney_breach_names_check_and_cubes(tmp_path, monkeypatch, capsys):
                    "max_depth": 4}}))
     assert main(["run", str(cfg_path)]) == 3
     err = capsys.readouterr().err
-    dec = qhyp.whitney_decompose(qhyp.disk_domain(), 4)
+    dec = qhyp.whitney_decompose(qhyp.disk_domain(1.0, 128), 4)
     depth, i, j = dec.cubes[2].tolist()
     assert "upper dist(Q, boundary) <= 4 diam(Q) fails on 2 cube(s)" in err
     assert f"#2 (depth {depth}, ij ({i}, {j}))" in err
@@ -570,6 +574,44 @@ def test_qh_pitch_without_a_grid_node_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out" / "results.json").exists()
 
 
+def test_qh_lattice_is_bounded_before_allocation(tmp_path):
+    # pitch 1e-9 asked numpy for a 2e9-point axis (14.9 GiB) and ended in its
+    # _ArrayMemoryError traceback with exit 1.  The child's address space is
+    # capped at 3 GiB, so a run that allocates fails there, not on the host.
+    cfg = {**builtin_experiments()["disk-qh"], "out": str(tmp_path / "out")}
+    cfg["params"] = {**cfg["params"], "pitch": 1e-9}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    src = str(Path(cli.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-m", "extremal.cli", "run", str(path)],
+                         preexec_fn=cap, capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"))
+    assert run.returncode == 2, run.stderr
+    assert "params.pitch: qh pitch 1e-09 gives a lattice of 4e+18 points" in run.stderr
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
+def test_ring_grid_bound_admits_2047(tmp_path, monkeypatch):
+    # 2047 x 2048 cells fit the budget, 2048 x 2049 do not
+    seen = []
+
+    def ring_qc_test(f, rings, c1, grid_n):
+        seen.append(grid_n)
+        return {"C2_observed": 0.0, "C1": c1, "table": []}
+
+    monkeypatch.setattr(distort, "ring_qc_test", ring_qc_test)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"kind": "distortion", "out": str(tmp_path / "out"),
+                                "params": {"map": "identity", "rings": [[0.5, 1.6]],
+                                           "grid": 2047}}))
+    assert main(["run", str(path)]) == 0
+    assert seen == [2047]
+
+
 _RECT16 = {"builder": "rectangle", "grid": 16}
 
 
@@ -683,7 +725,22 @@ _RECT16 = {"builder": "rectangle", "grid": 16}
      "scene shape [2049, 2049] has more than 4194304 cells"),
     ("modulus", {"scene": {"builder": "rectangle", "width": 1e-6, "height": 1e3,
                            "grid": 8}},
-     "scene shape [8, 8000000000] has more than 4194304 cells")],
+     "scene shape [8, 8000000000] has more than 4194304 cells"),
+    # 2049 gave the ring an "error" entry, C2_observed 0.0 and exit 0, after
+    # the inverse lookup of its 2049^2 cell centres; 2048 ran its solve
+    ("distortion", {"map": "identity", "rings": [[0.5, 1.6]], "grid": 2049},
+     "params.grid: scene shape [2049, 2050] has more than 4194304 cells"),
+    ("distortion", {"map": "identity", "rings": [[0.5, 1.6]], "grid": 2048},
+     "params.grid: scene shape [2048, 2049] has more than 4194304 cells"),
+    # numpy's OverflowError on int(inf) with exit 1; a level's pitch was
+    # read only after the Whitney decompositions of the levels before it
+    ("quasihyperbolic", {"domain": {"builder": "disk"}, "mode": "distance",
+                         "x1": [0.0, 0.0], "x2": [0.5, 0.0], "pitch": 1e-320},
+     "params.pitch: qh pitch 1e-320 gives a lattice of inf points, more than 4194304"),
+    ("quasihyperbolic", {"domain": {"builder": "disk"}, "mode": "shadow-sum",
+                         "levels": [{"max_depth": 4, "qh_pitch": 0.02},
+                                    {"max_depth": 4, "qh_pitch": 1e-9}]},
+     "params.levels[1].qh_pitch: qh pitch 1e-09 gives a lattice of 4e+18 points")],
     ids=["annulus-without-r", "scene-file-missing", "grid-string", "disk-radius-string",
          "polygon-without-outer", "circle-without-radius", "runs-string",
          "M-string", "probes-string", "grids-string", "reciprocal-two-radii",
@@ -697,7 +754,8 @@ _RECT16 = {"builder": "rectangle", "grid": 16}
          "ring-r-above-R", "ring-r-zero", "ring-C1-negative", "polygon-tiny",
          "disk-one-vertex", "polygon-huge", "obstacle-at-string", "covering-M-one",
          "qh-pitch-no-node", "annulus-2049", "square-ring-2049", "rectangle-2049",
-         "rectangle-thin"])
+         "rectangle-thin", "ring-grid-2049", "ring-grid-2048", "qh-pitch-denormal",
+         "qh-level-pitch-tiny"])
 def test_malformed_config_key_exits_two_before_solving(kind, params, msg, tmp_path,
                                                         monkeypatch, capsys):
     # each ended in a KeyError, TypeError, IndexError, FileNotFoundError,

@@ -236,8 +236,8 @@ def test_eccentric_symmetry_between_map_and_inverse():
     # ball-family estimate for f at x equals the pullback-family estimate
     # for f^{-1} at f(x): the candidate sets coincide for matched ladders
     f = DIAG
-    finv = linear_sampled_map(np.diag([0.5, 1.0]), lo=(-8, -4), hi=(8, 4),
-                              pitch=0.05)
+    inv = np.diag([0.5, 1.0])
+    finv = SampledMap.from_function(lambda p: p @ inv.T, (-8, -4), (8, 4), 0.05)
     x = np.array([0.3, -0.2])
     r = 0.4
     # the reference returns what eccentric_distortion does (the test above)
@@ -275,9 +275,9 @@ def test_ring_qc_diag_within_k_bound():
 
 
 def test_ring_qc_rejects_thin_ring_and_out_of_domain():
-    out = ring_qc_test(IDENT, [((0.0, 0.0), 1.0, 1.1)], c1=2.0)
+    out = ring_qc_test(IDENT, [((0.0, 0.0), 1.0, 1.1)], c1=2.0, grid_n=160)
     assert "error" in out["table"][0]
-    out2 = ring_qc_test(IDENT, [((3.9, 0.0), 0.5, 1.5)], c1=8.0)
+    out2 = ring_qc_test(IDENT, [((3.9, 0.0), 0.5, 1.5)], c1=8.0, grid_n=160)
     assert "error" in out2["table"][0]
 
 

@@ -13,20 +13,22 @@ from extremal import geom, qhyp
 from extremal.geom import DomainError
 from extremal.qhyp import (PolygonDomain, QhGrid, comb_domain, cusp_domain,
                            disk_domain, qh_distance, shadow_sum_diagnostic,
-                           shadows, square_domain, whitney_decompose)
+                           shadows, whitney_decompose)
 
 
 DISK = disk_domain(1.0, 128)
+# the unit square and the square [-1, 1]^2
+SQUARE = PolygonDomain([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+SQUARE_2 = PolygonDomain([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
 
 
 # ---------------------------------------------------------------------------
 # Polygon domains
 
 def test_polygon_contains_and_distance():
-    sq = square_domain(2.0, (-1.0, -1.0))
     pts = np.array([[0.0, 0.0], [0.9, 0.9], [1.5, 0.0]])
-    assert list(sq.contains(pts)) == [True, True, False]
-    assert abs(sq.boundary_distance(pts[:1])[0] - 1.0) < 1e-9
+    assert list(SQUARE_2.contains(pts)) == [True, True, False]
+    assert abs(SQUARE_2.boundary_distance(pts[:1])[0] - 1.0) < 1e-9
 
 
 # The vectorized kernels against the per-edge formulas they replace, compared
@@ -57,8 +59,8 @@ def _ref_points_segments_dist(pts, a, b):
 
 
 # the square and the comb have horizontal edges
-_RINGS = [DISK.outer, square_domain(2.0, (-1.0, -1.0)).outer,
-          comb_domain().outer, cusp_domain().outer]
+_RINGS = [DISK.outer, SQUARE_2.outer,
+          comb_domain(4).outer, cusp_domain(8.0).outer]
 
 
 @st.composite
@@ -174,7 +176,7 @@ def test_kernels_at_crossing_abscissae_and_vertices(ring):
 
 
 def test_kernels_on_rows_through_horizontal_edges():
-    comb = comb_domain()
+    comb = comb_domain(4)
     # rows at the comb's floor, slit bottoms and top, the three heights of
     # its horizontal edges, each with points across the whole width
     flat = np.unique(comb.outer[:, 1])
@@ -185,7 +187,7 @@ def test_kernels_on_rows_through_horizontal_edges():
 
 
 def test_kernels_on_a_domain_with_a_hole():
-    ring = square_domain(2.0, (-1.0, -1.0)).outer
+    ring = SQUARE_2.outer
     hole = disk_domain(0.5, 32).outer
     dom = PolygonDomain(ring, [hole])
     pts = np.concatenate([_lattice((-1.1, -1.1), (1.1, 1.1), 90), hole, _edge_points(hole)])
@@ -255,7 +257,7 @@ def test_kernels_on_a_domain_far_from_the_origin():
 # Whitney decomposition
 
 def test_whitney_square_invariants_exact():
-    dec = whitney_decompose(square_domain(), max_depth=6)
+    dec = whitney_decompose(SQUARE, max_depth=6)
     rep = dec.verify_exact()
     assert rep["cubes"] > 0
     assert rep["lower_violations"] == []
@@ -417,8 +419,8 @@ SPIKES = PolygonDomain([(0, 0), (0.47, 0), (0.5, 0.3), (0.53, 0), (1, 0),
 
 @pytest.mark.parametrize("name", ["disk", "cusp", "square", "comb", "cut", "spikes"])
 def test_whitney_frontier_matches_per_cube_reference(name):
-    domain = {"disk": DISK, "cusp": cusp_domain(), "comb": comb_domain(),
-              "square": square_domain(), "cut": _cut_square(), "spikes": SPIKES}[name]
+    domain = {"disk": DISK, "cusp": cusp_domain(8.0), "comb": comb_domain(4),
+              "square": SQUARE, "cut": _cut_square(), "spikes": SPIKES}[name]
     # cubes per chunk of the frontier kernels
     rows = qhyp._CHUNK_PAIRS // (2 * len(domain.segments))
     chunked = False
@@ -490,7 +492,7 @@ def test_neighbor_ratio_check_sees_every_depth_jump(depth, ok):
     cubes = _corner_split(depth)
     adjacency = qhyp._build_adjacency(cubes, depth)
     assert [0, cubes.tolist().index([depth, 2 ** (depth - 1), 0])] in adjacency.tolist()
-    dec = qhyp.WhitneyDecomposition(square_domain(), cubes, np.ones(len(cubes)),
+    dec = qhyp.WhitneyDecomposition(SQUARE, cubes, np.ones(len(cubes)),
                                     adjacency, 0, np.zeros(2), 1.0, depth)
     assert dec.verify_exact()["neighbor_ratio_ok"] is ok
 
@@ -565,8 +567,8 @@ def _ref_cube_dist2(dec, segs, depth, i, j):
 @pytest.fixture(scope="module")
 def depth6_decompositions():
     return {name: whitney_decompose(dom, max_depth=6)
-            for name, dom in (("disk", DISK), ("cusp", cusp_domain()),
-                              ("comb", comb_domain()))}
+            for name, dom in (("disk", DISK), ("cusp", cusp_domain(8.0)),
+                              ("comb", comb_domain(4)))}
 
 
 def test_exact_cube_dist2_matches_all_segment_brute_force(depth6_decompositions):
@@ -620,21 +622,31 @@ def test_qh_distance_symmetric_exactly():
 
 
 def test_qh_distance_triangle_inequality():
-    grid = QhGrid(DISK, 0.02)
     rng = np.random.default_rng(11)
     pts = rng.uniform(-0.6, 0.6, size=(3, 2))
-    d01 = qh_distance(DISK, pts[0], pts[1], grid=grid)["value"]
-    d12 = qh_distance(DISK, pts[1], pts[2], grid=grid)["value"]
-    d02 = qh_distance(DISK, pts[0], pts[2], grid=grid)["value"]
+    d01 = qh_distance(DISK, pts[0], pts[1], pitch=0.02)["value"]
+    d12 = qh_distance(DISK, pts[1], pts[2], pitch=0.02)["value"]
+    d02 = qh_distance(DISK, pts[0], pts[2], pitch=0.02)["value"]
     assert d02 <= d01 + d12 + 1e-9
 
 
 def test_qh_distance_unreachable_is_infeasible():
     # deep cusp point beyond the grid resolution: flagged, not crashed
-    cusp = cusp_domain()
+    cusp = cusp_domain(8.0)
     res = qh_distance(cusp, (1.75, 0.0), (0.45, 0.0), pitch=0.05)
     assert res["infeasible"]
     assert res["value"] == math.inf
+
+
+def test_qhgrid_lattice_is_bounded_before_allocation():
+    # (2047 + 1)^2 = 2^22 lattice points fit the budget, (2048 + 1)^2 do not
+    qhyp.check_lattice(PolygonDomain([(0, 0), (2047, 0), (2047, 2047), (0, 2047)]), 1.0)
+    with pytest.raises(DomainError, match="gives a lattice of 4.198e[+]06 points"):
+        qhyp.check_lattice(
+            PolygonDomain([(0, 0), (2048, 0), (2048, 2048), (0, 2048)]), 1.0)
+    # the quotient overflows to inf: this ended in an OverflowError from int()
+    with pytest.raises(DomainError, match="gives a lattice of inf points"):
+        QhGrid(DISK, 1e-320)
 
 
 def test_qh_distance_rejects_exterior_points():
@@ -704,18 +716,18 @@ def test_qhgrid_matches_per_direction_assembly(name, pitch, x1, x2):
     # every step midpoint lies within pitch * sqrt(2) / 2 of a node whose
     # boundary distance exceeds the pitch, so it is inside at positive
     # distance, holes included; exterior lattice points need no distance
-    domain = {"disk": DISK, "cusp": cusp_domain(), "comb": comb_domain(),
+    domain = {"disk": DISK, "cusp": cusp_domain(8.0), "comb": comb_domain(4),
               "holed": _HOLED}[name]
     grid = QhGrid(domain, pitch)
     nodes, mat = _ref_qhgrid_mat(domain, pitch)
     assert np.array_equal(grid.nodes, nodes)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(grid.mat, attr), getattr(mat, attr)), attr
-    res = qh_distance(domain, x1, x2, grid=grid)
+    res = qh_distance(domain, x1, x2, pitch=pitch)
     grid.mat = mat
-    ref = qh_distance(domain, x1, x2, grid=grid)
+    a, b = sorted([x1, x2])                 # the order qh_distance queries in
     assert not res["infeasible"]
-    assert res["value"] == ref["value"]
+    assert res["value"] == grid.distance_field(a)[grid.nearest_node(b)]
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +804,8 @@ def _heapq_tree(decomp, root):
 
 @pytest.mark.parametrize("name", ["disk", "cusp", "comb", "square"])
 def test_shadow_tree_matches_heap_dijkstra(name):
-    domain = {"disk": DISK, "cusp": cusp_domain(), "comb": comb_domain(),
-              "square": square_domain()}[name]
+    domain = {"disk": DISK, "cusp": cusp_domain(8.0), "comb": comb_domain(4),
+              "square": SQUARE}[name]
     lo, hi = map(np.asarray, domain.bbox())
     # the comb has no interior at depth 5
     for depth in (6, 7) if name == "comb" else (5, 6, 7):
@@ -843,8 +855,8 @@ def _ref_shadow_routes(samples, dec, parent):
 def test_shadow_routes_match_per_sample_loop(name):
     # np.hypot may differ from math.hypot in the last bit; the array routing
     # must still pick the same cube for every sample, so the routes match
-    domain = {"disk": DISK, "cusp": cusp_domain(), "comb": comb_domain(),
-              "square": square_domain(), "spikes": SPIKES, "cut": _cut_square()}[name]
+    domain = {"disk": DISK, "cusp": cusp_domain(8.0), "comb": comb_domain(4),
+              "square": SQUARE, "spikes": SPIKES, "cut": _cut_square()}[name]
     lo, hi = map(np.asarray, domain.bbox())
     for depth in (6, 7) if name == "comb" else (5, 6, 7):
         dec = whitney_decompose(domain, max_depth=depth)
@@ -889,14 +901,14 @@ def test_disk_ratio_stable_under_quadrature_refinement():
 
 
 def test_comb_domain_ratio_finite():
-    comb = comb_domain()
+    comb = comb_domain(4)
     [d] = shadow_sum_diagnostic(comb, (1.0, 0.12), [(7, 0.01)])
     assert math.isfinite(d["ratio"])
     assert d["rhs"] < math.inf
 
 
 def test_cusp_rhs_outgrows_lhs():
-    cusp = cusp_domain()
+    cusp = cusp_domain(8.0)
     levels = shadow_sum_diagnostic(cusp, (1.75, 0.0),
                                    [(6, p) for p in (0.02, 0.01, 0.005)])
     for a, b in zip(levels[:-1], levels[1:]):

@@ -9,6 +9,12 @@ catalog does not enter must be in ``KEEP`` with one of the reasons in
 ``REASONS``, and ``KEEP`` may list nothing the catalog enters, so dead code
 cannot grow back and stale entries do not pile up.
 
+The parameter test does the same for the defaulted parameters of package
+functions, with ``KEEP_PARAMS``: a parameter counts as passed when some call
+in the package to a function of that name (a class name for ``__init__``)
+gives it by keyword or by position.  A default that no call overrides is a
+constant, and one that only tests override is a test-only option.
+
 The field test does the same for the fields of every ``@dataclass`` in the
 package, with ``KEEP_FIELDS``: a field counts as read when its name is read
 as an attribute (``obj.name``) anywhere in the package.  It compares names,
@@ -19,6 +25,7 @@ import ast
 import contextlib
 import copy
 import io
+import math
 import re
 import sys
 from pathlib import Path
@@ -44,17 +51,9 @@ KEEP = {
     # `file` scenes
     "modfam.GridScene.from_json": "CLI input",
     "modfam._rle_decode": "CLI input",
-    # inputs of tests of kept code
+    # the writer of `file` scenes that README documents
     "modfam.GridScene.to_json": "test input builder",
     "modfam._rle_encode": "test input builder",
-    "qhyp.square_domain": "test input builder",
-    "geom.PolyCurve.segment": "test input builder",
-    "geom.PolyCurve.circle": "test input builder",
-    "geom.PolyCurve.translate": "test input builder",
-    "geom.PolyCurve.concatenate": "test input builder",
-    "geom.PolyCurve.subcurve": "test input builder",
-    "geom.PolyCurve.sample_arclength": "test input builder",
-    "geom.PolyCurve.point_at": "test input builder",
     # H^1_delta of E next to the certified CNED verdict
     "geom.hausdorff_content": "ROADMAP item 1",
     "geom.hausdorff_normalization": "ROADMAP item 1",
@@ -63,6 +62,13 @@ KEEP = {
     "sets.ProductSet.intersects_boxes_batch": "ROADMAP item 1",
     # the n = 3 shell
     "modfam.annulus_scene_3d": "ROADMAP item 5",
+}
+
+KEEP_PARAMS = {
+    # `extremal` reads sys.argv when no list is given
+    "cli.main.argv": "CLI input",
+    # the gauge of the H^1_delta ladder
+    "geom.hausdorff_content.delta": "ROADMAP item 1",
 }
 
 KEEP_FIELDS = {
@@ -158,3 +164,58 @@ def test_every_dataclass_field_is_read_or_kept_for_a_reason():
     assert sorted(k for k, why in KEEP_FIELDS.items() if not REASONS.fullmatch(why)) == []
     assert sorted(unread - set(KEEP_FIELDS)) == []        # unread, no reason
     assert sorted(set(KEEP_FIELDS) - unread) == []        # read after all
+
+
+def _defaulted_and_calls() -> tuple[dict, list]:
+    """module.qualname.param of every defaulted parameter of a package
+    function, mapped to (the name its calls use, its position among the
+    arguments a call gives, or None if keyword-only, the parameter name);
+    and (name, positional count, keywords) of every call in the package.
+    A call with ``*args`` counts as giving every position, one with
+    ``**kwargs`` every keyword."""
+    defaulted, calls = {}, []
+
+    def walk(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                pos = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if cls is not None and not static else 0
+                name = cls if child.name == "__init__" else child.name
+                with_default = [(k - skip, a) for k, a in
+                                enumerate(pos) if k >= len(pos) - len(args.defaults)]
+                with_default += [(None, a) for a, d in
+                                 zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                for index, arg in with_default:
+                    defaulted[f"{prefix}{child.name}.{arg.arg}"] = (name, index, arg.arg)
+                walk(child, prefix + child.name + ".<locals>.", None)
+            elif isinstance(child, ast.ClassDef):
+                walk(child, prefix + child.name + ".", child.name)
+
+    for path in _PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        walk(tree, path.stem + ".", None)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                npos = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                        else len(node.args))
+                keywords = {k.arg for k in node.keywords}
+                calls.append((name, npos, keywords))
+    return defaulted, calls
+
+
+def test_every_defaulted_parameter_is_passed_or_kept_for_a_reason():
+    defaulted, calls = _defaulted_and_calls()
+    passed = {key for key, (name, index, arg) in defaulted.items()
+              if any(c == name and ((index is not None and index < npos)
+                                    or arg in kws or None in kws)
+                     for c, npos, kws in calls)}
+    unpassed = set(defaulted) - passed
+    assert sorted(set(KEEP_PARAMS) - set(defaulted)) == []   # no stale name
+    assert sorted(k for k, why in KEEP_PARAMS.items() if not REASONS.fullmatch(why)) == []
+    assert sorted(unpassed - set(KEEP_PARAMS)) == []         # never passed, no reason
+    assert sorted(set(KEEP_PARAMS) - unpassed) == []         # passed after all
