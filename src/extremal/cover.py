@@ -59,18 +59,48 @@ class PairedFamily:
 
     def check_correspondence(self) -> None:
         """f must map each domain region's samples injectively into its
-        range region, within 1.5 range pitches of a range sample."""
-        for i, (dp, rp) in enumerate(zip(self.domain_pairs, self.range_pairs)):
-            img = self.forward(dp.region.samples)
-            tol = 1.5 * rp.region.pitch * math.sqrt(rp.region.dim)
-            if not rp.region.contains_points(img, tol=tol).all():
+        range region, within 1.5 range pitches of a range sample.
+
+        The whole family is checked on one forward call.  When each range
+        region has as many samples as its domain region, an image row equal
+        (==) to the same row of the range samples is at distance 0 from one;
+        only the other rows are queried, against their own range region's
+        kd-tree.  Non-finite samples settle nothing, so the tree refuses
+        them.  The lowest failing pair is reported, containment before
+        injectivity.
+        """
+        if not len(self):
+            return
+        dom = [p.region.samples for p in self.domain_pairs]
+        n_dom = np.array([len(s) for s in dom])
+        start = np.cumsum(n_dom) - n_dom
+        pair = np.repeat(np.arange(len(self)), n_dom)
+        img = self.forward(np.vstack(dom))
+        rng = [p.region.samples for p in self.range_pairs]
+        pitch = np.array([p.region.pitch for p in self.range_pairs])
+        tol = 1.5 * pitch * math.sqrt(img.shape[1])
+        same = np.zeros(len(pair), bool)
+        if all(len(r) == n for r, n in zip(rng, n_dom)):
+            rng = np.vstack(rng)
+            if (img.shape == rng.shape and np.isfinite(img).all()
+                    and np.isfinite(rng).all()):
+                same = (img == rng).all(axis=1) & (0 <= tol + 1e-12)[pair]
+        # neighbours in (pair, coordinates) order, as each pair sorts alone
+        order = np.lexsort((*img.T, pair))
+        gaps = np.append(np.linalg.norm(np.diff(img[order], axis=0), axis=1), np.inf)
+        gaps[start[1:] - 1] = np.inf                      # across two pairs
+        peak = np.maximum.reduceat(np.abs(img).max(axis=1), start)
+        crowded = np.minimum.reduceat(gaps, start) < 1e-12 * (1 + peak)
+        first = int(np.argmax(crowded)) if crowded.any() else len(self)
+        left = np.flatnonzero(~same)
+        for rows in np.split(left, np.flatnonzero(np.diff(pair[left])) + 1):
+            if not len(rows) or pair[rows[0]] > first:
+                break
+            i = pair[rows[0]]
+            if not self.range_pairs[i].region.contains_points(img[rows], tol[i]).all():
                 raise DomainError(f"correspondence violated on pair {i}")
-            if len(img) > 1:
-                order = np.lexsort(img.T)
-                gaps = np.linalg.norm(np.diff(img[order], axis=0), axis=1)
-                if gaps.min() < 1e-12 * (1 + np.abs(img).max()):
-                    raise DomainError(
-                        f"sampled correspondence not injective on pair {i}")
+        if first < len(self):
+            raise DomainError(f"sampled correspondence not injective on pair {first}")
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +326,28 @@ def verify_cover(family: PairedFamily, out_pairs: list[CoverPair]) -> dict:
 
 
 def _cloud_subset(a: np.ndarray, b: np.ndarray, pitch: float) -> bool:
+    """Every row of a within 0.75 pitch sqrt(dim) of some row of b.
+
+    A row of a equal (==) to a row of b is at distance 0, so it is settled
+    without a kd-tree: one lexsort of the stacked clouds puts equal rows next
+    to each other, b's first.  Only the other rows are queried, against a
+    tree over b.  Non-finite samples settle nothing, so the tree refuses them.
+    """
+    tol = 0.75 * pitch * math.sqrt(a.shape[1])
+    c = np.vstack([b, a])
+    if 0 <= tol and np.isfinite(c).all():
+        from_a = np.arange(len(c)) >= len(b)
+        order = np.lexsort((from_a, *c.T))
+        s = c[order]
+        new = np.ones(len(c), bool)
+        new[1:] = (s[1:] != s[:-1]).any(axis=1)
+        settled = np.empty(len(c), bool)
+        settled[order] = ~from_a[order][new][np.cumsum(new) - 1]
+        a = a[~settled[len(b):]]
+        if not len(a):
+            return True
     d, _ = cKDTree(b, balanced_tree=False).query(a, k=1)
-    return bool((d <= 0.75 * pitch * math.sqrt(a.shape[1])).all())
+    return bool((d <= tol).all())
 
 
 # ---------------------------------------------------------------------------

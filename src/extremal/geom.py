@@ -101,10 +101,6 @@ class Region:
         # queries faster on lattice clouds
         return cKDTree(self.samples, balanced_tree=False)
 
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
-
     @cached_property
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.samples.min(axis=0), self.samples.max(axis=0)

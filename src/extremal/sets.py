@@ -362,9 +362,10 @@ def cned_probe(mask: np.ndarray, scene: GridScene, budgets: Sequence[int]) -> di
     problem = modfam.ModulusProblem(scene)
     energies = {"full": [], "avoid": [], **{f"budget({K})": [] for K in budgets}}
     for rho in pool:
-        value, ok = certify_value(problem, rho)
+        w = problem.weights(rho)
+        value, ok = certify_value(problem, rho, w)
         energies["full"].append(value if ok else math.inf)
-        ladder = problem._distance(problem.weights(rho), sweep)[0] or [math.inf]
+        ladder = problem._distance(w, sweep)[0] or [math.inf]
         energies["avoid"].append(problem.normalize(rho, scene.u & ~mask, ladder[0])[0])
         for K in budgets:
             d = ladder[min(K, len(ladder) - 1)]
@@ -386,8 +387,11 @@ def cned_probe(mask: np.ndarray, scene: GridScene, budgets: Sequence[int]) -> di
     return out
 
 
-def certify_value(problem: modfam.ModulusProblem,
-                  rho_grid: np.ndarray) -> tuple[float, bool]:
-    """Energy of rho normalized to admissibility for every path."""
-    value = problem.certify(rho_grid)[0]
+def certify_value(problem: modfam.ModulusProblem, rho_grid: np.ndarray,
+                  w: np.ndarray) -> tuple[float, bool]:
+    """Energy of rho normalized to admissibility for every path, given the
+    step weights ``w`` of rho (``problem.weights(rho_grid)``)."""
+    ladder = problem._distance(w)[0]
+    value = problem.normalize(rho_grid, problem.scene.u,
+                              ladder[-1] if ladder else math.inf)[0]
     return (value, True) if math.isfinite(value) else (0.0, False)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from extremal import cover, geom
 from extremal.cover import (EggYolkPair, PairedFamily, affine_map, _disk_cloud,
@@ -13,16 +14,31 @@ from extremal.geom import Ball, DomainError, Region, balls_disjoint_matrix
 
 def test_covering_builds_fewer_trees_than_regions(monkeypatch):
     # domain regions the subset screen rules out are never queried, so they
-    # build no kd-tree
+    # build no kd-tree; nor do image rows equal to their range samples, or
+    # output rows copied from input rows
     trees, regions = [], []
     tree, post_init = geom.cKDTree, geom.Region.__post_init__
-    monkeypatch.setattr(geom, "cKDTree",
-                        lambda pts, **kw: trees.append(1) or tree(pts, **kw))
+    for mod in (geom, cover):
+        monkeypatch.setattr(mod, "cKDTree",
+                            lambda pts, **kw: trees.append(1) or tree(pts, **kw))
     monkeypatch.setattr(geom.Region, "__post_init__",
                         lambda self: regions.append(1) or post_init(self))
-    res = egg_yolk_cover(random_paired_family(30, 4.0, "diag(2,1)", seed=77))
+    fam = random_paired_family(30, 4.0, "diag(2,1)", seed=77)
+    fam.check_correspondence()
+    assert trees == []
+    res = egg_yolk_cover(fam)
     assert all(res.report["verified"].values())
     assert 0 < len(trees) < len(regions)
+    trees.clear()
+    assert all(verify_cover(fam, res.pairs).values())
+    assert len(trees) <= 1
+
+    fam = random_paired_family(30, 4.0, "diag(2,1)", seed=77)
+    pts = fam.range_pairs[11].region.samples
+    pts[5, 0] = np.nextafter(pts[5, 0], np.inf)
+    trees.clear()
+    fam.check_correspondence()
+    assert len(trees) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +288,7 @@ def test_one_sample_region_is_a_domain_error(domain_samples):
 # Subset screen: the bounding-box reject of every ordered pair at once
 
 def _brute_subset(a, b):
-    tol = 0.75 * max(a.pitch, b.pitch) * math.sqrt(a.dim)
+    tol = 0.75 * max(a.pitch, b.pitch) * math.sqrt(a.samples.shape[1])
     return bool(b.contains_points(a.samples, tol=tol).all())
 
 
@@ -314,3 +330,178 @@ def test_region_subset_agrees_on_random_families(seed):
     regions = [p.region for p in fam.domain_pairs + fam.range_pairs]
     assert _screened_subset(regions) == [[_brute_subset(a, b) for b in regions]
                                          for a in regions]
+
+
+# ---------------------------------------------------------------------------
+# Family-wide correspondence check and cloud subset: exact rows first
+
+def _correspondence_reference(fam):
+    """Test reference: the per-pair check, each pair's image taken alone and
+    queried against a kd-tree over its range region."""
+    for i, (dp, rp) in enumerate(zip(fam.domain_pairs, fam.range_pairs)):
+        img = fam.forward(dp.region.samples)
+        tol = 1.5 * rp.region.pitch * math.sqrt(img.shape[1])
+        if not (cKDTree(rp.region.samples).query(img, k=1)[0] <= tol + 1e-12).all():
+            raise DomainError(f"correspondence violated on pair {i}")
+        if len(img) > 1:
+            gaps = np.linalg.norm(np.diff(img[np.lexsort(img.T)], axis=0), axis=1)
+            if gaps.min() < 1e-12 * (1 + np.abs(img).max()):
+                raise DomainError(f"sampled correspondence not injective on pair {i}")
+
+
+def _cloud_subset_reference(a, b, pitch):
+    """Test reference: every row of a queried against a kd-tree over b."""
+    d, _ = cKDTree(b).query(a, k=1)
+    return bool((d <= 0.75 * pitch * math.sqrt(a.shape[1])).all())
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:                 # DomainError is one
+        return type(exc), str(exc)
+
+
+def _edited_family(seed, n, map_name, edits):
+    """n sparse random pairs under a named map.  "repeat" gives the next
+    pair the same domain samples; "collapse" and "near" send one domain
+    sample of the pair onto (or next to) the image of another; the other
+    edits change the pair's range samples ("far" moves them all 100 away,
+    "negative" negates the range pitch)."""
+    rng = np.random.default_rng(seed)
+    mat = cover.NAMED_MAPS[map_name]
+    dom = [Region(rng.uniform(-4, 4, (int(rng.integers(1, 9)), 2)) + 10.0 * k,
+                  float(rng.uniform(0.05, 0.3))) for k in range(n)]
+    for i, kind in edits:
+        if kind == "repeat":
+            dom[(i + 1) % n] = dom[i % n]
+    moved = []
+
+    def forward(pts):
+        img = np.atleast_2d(pts) @ mat.T
+        for q, target in moved:
+            img[(pts == q).all(axis=1)] = target
+        return img
+
+    for i, kind in edits:
+        d = dom[i % n].samples
+        if kind in ("collapse", "near") and len(d) > 1:
+            shift = 0.0 if kind == "collapse" else float(rng.choice([0.5, 1.0, 2.0])) * 1e-10
+            moved.append((d[0], d[1] @ mat.T + shift))
+    ranges = [forward(d.samples) for d in dom]
+    for i, kind in edits:
+        r, pitch = ranges[i % n], dom[i % n].pitch
+        j, ax = int(rng.integers(len(r))), int(rng.integers(2))
+        tol = 1.5 * pitch * math.sqrt(2)
+        if kind == "ulp":
+            r[j, ax] = np.nextafter(r[j, ax], rng.choice([-np.inf, np.inf]))
+        elif kind in ("inside", "outside"):
+            r[j, ax] += tol + 1e-12 + (-1e-13 if kind == "inside" else 1e-13)
+        elif kind == "far":
+            ranges[i % n] = r + 100.0
+        elif kind == "permute":
+            ranges[i % n] = r[rng.permutation(len(r))]
+        elif kind == "drop" and len(r) > 1:
+            ranges[i % n] = np.delete(r, j, axis=0)
+        elif kind == "extra":
+            ranges[i % n] = np.vstack([r, r[j] + rng.choice([3.0, np.inf, np.nan])])
+    sign = {i % n: -1.0 if kind == "negative" else 1.0 for i, kind in edits}
+    return PairedFamily(
+        [EggYolkPair(d, Ball(d.samples[0], 1.0), 4.0) for d in dom],
+        [EggYolkPair(Region(r, sign.get(k, 1.0) * d.pitch), Ball(r[0], 1.0), 4.0)
+         for k, (d, r) in enumerate(zip(dom, ranges))], forward, 4.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6),
+       st.sampled_from(sorted(cover.NAMED_MAPS)),
+       st.lists(st.tuples(st.integers(0, 5),
+                          st.sampled_from(["none", "ulp", "inside", "outside", "far",
+                                           "permute", "drop", "extra", "negative",
+                                           "repeat", "collapse", "near"])),
+                max_size=4))
+def test_family_correspondence_check_agrees_with_per_pair_reference(seed, n, map_name,
+                                                                    edits):
+    fam = _edited_family(seed, n, map_name, edits)
+    assert (_outcome(PairedFamily.check_correspondence, fam)
+            == _outcome(_correspondence_reference, fam))
+
+
+@pytest.mark.parametrize("far, collapse", [(1, 3), (3, 1), (2, 2)])
+def test_lowest_failing_pair_is_reported_containment_first(far, collapse):
+    fam = _edited_family(7, 5, "rot+scale", [(far, "far"), (collapse, "collapse")])
+    assert min(len(p.region.samples) for p in fam.domain_pairs) > 1
+    want = (f"correspondence violated on pair {far}" if far <= collapse
+            else f"sampled correspondence not injective on pair {collapse}")
+    with pytest.raises(DomainError, match=want):
+        fam.check_correspondence()
+    assert _outcome(_correspondence_reference, fam) == (DomainError, want)
+
+
+def test_range_rows_of_the_next_pair_settle_nothing():
+    # pair 0's range lacks the image of q, which pair 1's range holds at the
+    # row just after pair 0's: the row of q in pair 0 has no range row of its
+    # own to equal
+    p, q = [0.0, 0.0], [5.0, 0.0]
+    dom = Region(np.array([p, q]), 0.1)
+    fam = PairedFamily([EggYolkPair(dom, Ball(p, 1.0), 4.0)] * 2,
+                       [EggYolkPair(Region(np.array(r), 0.1), Ball(p, 1.0), 4.0)
+                        for r in ([p], [q, p])], affine_map(np.eye(2)), 4.0)
+    with pytest.raises(DomainError, match="correspondence violated on pair 0"):
+        fam.check_correspondence()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([2, 3]),
+       st.sampled_from([0.0, 0.05, 0.3, -0.1]),
+       st.lists(st.sampled_from(["copy", "dup", "negzero", "ulp", "inside",
+                                 "outside", "far"]), min_size=1, max_size=6),
+       st.booleans())
+def test_cloud_subset_agrees_with_kd_tree_reference(seed, dim, pitch, kinds, with_all):
+    # b holds exact zeros and duplicate rows; a takes rows of b exactly, with
+    # -0.0 for 0.0, 1 ulp off, or at the tolerance -+ 1e-13
+    rng = np.random.default_rng(seed)
+    b = rng.integers(-3, 4, (int(rng.integers(1, 30)), dim)) * 0.5
+    tol = 0.75 * pitch * math.sqrt(dim)
+    rows = [b[rng.permutation(len(b))]] if with_all else []
+    for kind in kinds:
+        j, ax = int(rng.integers(len(b))), int(rng.integers(dim))
+        r = b[j].copy()
+        if kind == "dup":
+            r = np.vstack([r, r])
+        elif kind == "negzero":
+            b[j, ax] = 0.0
+            r[ax] = -0.0
+        elif kind == "ulp":
+            r[ax] = np.nextafter(r[ax], rng.choice([-np.inf, np.inf]))
+        elif kind in ("inside", "outside"):
+            r[ax] += tol + (-1e-13 if kind == "inside" else 1e-13)
+        elif kind == "far":
+            r[ax] += 10.0
+        rows.append(np.atleast_2d(r))
+    a = np.vstack(rows)
+    for x, y in ((a, b), (b, a)):
+        assert _outcome(cover._cloud_subset, x, y, pitch) == _outcome(
+            _cloud_subset_reference, x, y, pitch)
+
+
+def test_cloud_subset_settles_negative_zero_without_a_tree(monkeypatch):
+    monkeypatch.setattr(cover, "cKDTree", None)
+    b = np.array([[0.0, 1.0], [-0.0, -0.0], [2.0, 0.0]])
+    a = np.array([[-0.0, 1.0], [0.0, 0.0], [2.0, -0.0], [0.0, 1.0]])
+    assert cover._cloud_subset(a, b, 0.0) and cover._cloud_subset(b, a, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["a", "b"])
+def test_cloud_subset_non_finite_sample_gives_the_tree_outcome(bad, where):
+    # every finite row of a is a row of b, so only the tree sees the bad one
+    b = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    a = b[:2].copy()
+    if where == "a":
+        a[1, 0] = bad
+    else:
+        b[2, 1] = bad
+    got = _outcome(cover._cloud_subset, a, b, 0.1)
+    assert got == _outcome(_cloud_subset_reference, a, b, 0.1)
+    assert got[0] is ValueError

@@ -283,7 +283,7 @@ def test_zero_density_certifies_to_inf():
     for cons in (modfam.UNCONSTRAINED, CurveConstraint("avoid", mask),
                  CurveConstraint("budget", mask, 2)):
         assert problem.certify(zero, cons) == (math.inf, None, None)
-    assert sets.certify_value(problem, zero) == (0.0, False)
+    assert sets.certify_value(problem, zero, problem.weights(zero)) == (0.0, False)
 
 
 @pytest.mark.parametrize("budget", [1.5, 2.0, True, "1", None])
