@@ -2,8 +2,10 @@
 
 One experiment per invocation: ``extremal run config.json [--seed N]
 [--out DIR] [--tol T]`` writes results.json (scalars plus the analytic
-anchors they were checked against), data.csv for tables, and figure.svg for
-2D scenes.  ``extremal list`` prints the bundled configs, which cover every
+anchors they were checked against) and the files its runner names: each
+runner fills a ``files`` map from file name to a writer that takes the
+file's path, such as data.csv for tables and figure.svg for 2D scenes.
+``extremal list`` prints the bundled configs, which cover every
 acceptance scenario.  Identical config and seed give byte-identical
 results.json at a fixed BLAS thread count (scipy's CG sums its inner
 products per thread, so the last bits of a solve depend on the count).
@@ -26,6 +28,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -258,7 +261,7 @@ def _cell_at(scene: modfam.GridScene, where: str, point) -> tuple:
 # Experiment implementations
 
 
-def _run_modulus(cfg: ExperimentConfig, artifacts: dict) -> dict:
+def _run_modulus(cfg: ExperimentConfig, files: dict) -> dict:
     p = cfg.params
     mode = p.get("mode", "scene")
     if mode == "scene":
@@ -293,7 +296,9 @@ def _run_modulus(cfg: ExperimentConfig, artifacts: dict) -> dict:
                                           tol=10 * cfg.tol)
             if not rep.ok:
                 raise InvariantBreach("witness paths violate admissibility")
-            artifacts["density"] = res.density
+            files["density.csv"] = res.density.to_csv
+            if res.density.values.ndim == 2:
+                files["figure.svg"] = partial(render.svg_density_heatmap, res.density)
         return out
     if mode == "reciprocal":
         _need(p, "radii", "grid")
@@ -332,11 +337,13 @@ def _run_modulus(cfg: ExperimentConfig, artifacts: dict) -> dict:
                                "gap_at": [m, 0.0]}, scene)
         res = modfam.discrete_modulus(scene, modfam.CurveConstraint("avoid", mask))
         values.append({"grid": n, "value": res.value})
+    files["data.csv"] = partial(_csv, [("grid", "value"),
+                                       *((row["grid"], row["value"]) for row in values)])
     return {"ladder": values,
             "anchor": {"name": "point families carry zero modulus"}}
 
 
-def _run_covering(cfg: ExperimentConfig, artifacts: dict) -> dict:
+def _run_covering(cfg: ExperimentConfig, files: dict) -> dict:
     p = cfg.params
     _need(p, "runs", "n_pairs", "M")
     _named_map(p)
@@ -357,10 +364,14 @@ def _run_covering(cfg: ExperimentConfig, artifacts: dict) -> dict:
         runs.append({"verified": ver, "achieved_constant": res.achieved_constant,
                      "output_pairs": len(res.pairs)})
         if k == 0:
-            artifacts["covering"] = res.pairs
-            first_cover = res.to_json()
+            first_pairs, first_cover = res.pairs, res.to_json()
     if not all_ok:
         raise InvariantBreach("covering postconditions failed on some run")
+    files["data.csv"] = partial(_csv, [
+        ("run", "achieved_constant", "output_pairs"),
+        *((i, run["achieved_constant"], run["output_pairs"])
+          for i, run in enumerate(runs))])
+    files["figure.svg"] = partial(render.svg_covering, first_pairs)
     return {"runs": runs, "all_verified": all_ok, "first_run": first_cover,
             "anchor": {"name": "egg-yolk covering: disjoint yolks, same union"}}
 
@@ -373,7 +384,7 @@ def _named_map(p: dict) -> np.ndarray:
     return cover.NAMED_MAPS[p["map"]]
 
 
-def _run_distortion(cfg: ExperimentConfig, artifacts: dict) -> dict:
+def _run_distortion(cfg: ExperimentConfig, files: dict) -> dict:
     p = cfg.params
     mat = _named_map(p)
     f = distort.linear_sampled_map(
@@ -417,7 +428,7 @@ def _run_distortion(cfg: ExperimentConfig, artifacts: dict) -> dict:
     return out
 
 
-def _run_qh(cfg: ExperimentConfig, artifacts: dict) -> dict:
+def _run_qh(cfg: ExperimentConfig, files: dict) -> dict:
     p = cfg.params
     _need(p, "domain", "mode")
     domain = build_domain(p["domain"])
@@ -442,7 +453,8 @@ def _run_qh(cfg: ExperimentConfig, artifacts: dict) -> dict:
         rep = decomp.verify_exact()
         if rep["lower_violations"] or rep["upper_violations"]:
             raise InvariantBreach(_whitney_breach(decomp, rep))
-        artifacts["whitney"] = decomp
+        files["cubes.csv"] = decomp.to_csv
+        files["figure.svg"] = partial(render.svg_whitney, decomp)
         return {"cubes": rep["cubes"], "truncated": decomp.truncated,
                 "lower_violations": len(rep["lower_violations"]),
                 "upper_violations": len(rep["upper_violations"]),
@@ -493,7 +505,7 @@ def _whitney_breach(decomp, rep: dict) -> str:
     return "Whitney inequalities violated: " + "; ".join(parts)
 
 
-def _run_sets_probe(cfg: ExperimentConfig, artifacts: dict) -> dict:
+def _run_sets_probe(cfg: ExperimentConfig, files: dict) -> dict:
     p = cfg.params
     _need(p, "obstacle", "scene", "budgets")
     if not isinstance(p["budgets"], list):
@@ -515,7 +527,7 @@ def _run_sets_probe(cfg: ExperimentConfig, artifacts: dict) -> dict:
     return probe
 
 
-def _run_survey(cfg: ExperimentConfig, artifacts: dict) -> dict:
+def _run_survey(cfg: ExperimentConfig, files: dict) -> dict:
     p = cfg.params
     _need(p, "type", "samples")
     samples = p["samples"]
@@ -541,15 +553,16 @@ def _run_survey(cfg: ExperimentConfig, artifacts: dict) -> dict:
         n_max = _count("params.n_max", p.get("n_max", 16))
         table = modfam.translation_survey(E, curve, n_max, samples, seed=cfg.seed)
         table["anchor"] = {"name": "N * m(F_N) bounded by len(curve) * H^{n-1}(E)"}
-        artifacts["survey_table"] = table["table"]
-        return table
-    x = _numbers("params.x", p.get("x", (0.0, 0.0)))
-    r = _number("params.r", p.get("r", 0.5))
-    R = _number("params.R", p.get("R", 2.0))
-    n_max = _count("params.n_max", p.get("n_max", 8))
-    table = modfam.radial_survey(E, x, r, R, n_max, samples, seed=cfg.seed)
-    table["anchor"] = {"name": "directional measure decays like 1/N"}
-    artifacts["survey_table"] = table["table"]
+    else:
+        x = _numbers("params.x", p.get("x", (0.0, 0.0)))
+        r = _number("params.r", p.get("r", 0.5))
+        R = _number("params.R", p.get("R", 2.0))
+        n_max = _count("params.n_max", p.get("n_max", 8))
+        table = modfam.radial_survey(E, x, r, R, n_max, samples, seed=cfg.seed)
+        table["anchor"] = {"name": "directional measure decays like 1/N"}
+    files["data.csv"] = partial(_csv, [("N", "measure", "ci95"),
+                                       *((row["N"], row["measure"], row["ci95"])
+                                         for row in table["table"])])
     return table
 
 
@@ -640,6 +653,12 @@ def _write_text(path: str, text: str) -> None:
     _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
+def _csv(rows: list, path: str) -> None:
+    """Write ``rows`` (a header tuple, then one tuple per row) as CSV."""
+    Path(path).write_text("\n".join(",".join(str(v) for v in row) for row in rows)
+                          + "\n")
+
+
 def _json_ready(obj):
     if isinstance(obj, dict):
         return {str(k): _json_ready(v) for k, v in obj.items()}
@@ -656,9 +675,9 @@ def run_experiment(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit code."""
     t0 = time.perf_counter()
     config.validate()
-    artifacts: dict = {}
+    files: dict[str, Callable[[str], None]] = {}
     t_solve = time.perf_counter()
-    results = _RUNNERS[config.kind](config, artifacts)
+    results = _RUNNERS[config.kind](config, files)
     t_artifacts = time.perf_counter()
     os.makedirs(config.out, exist_ok=True)
     payload = {
@@ -672,8 +691,8 @@ def run_experiment(config: ExperimentConfig) -> int:
     }
     _write_text(os.path.join(config.out, "results.json"),
                 json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    _write_tables(config, results, artifacts)
-    _write_figures(config, artifacts)
+    for name, write in files.items():
+        _atomic_write(os.path.join(config.out, name), write)
     t_end = time.perf_counter()
     # written last, so it times the whole run; a failed write leaves none
     _write_text(os.path.join(config.out, "run.meta.json"),
@@ -683,41 +702,6 @@ def run_experiment(config: ExperimentConfig) -> int:
                             "finished_unix": time.time()}, indent=2) + "\n")
     modfam.release_free_memory()    # the next experiment starts from the live set
     return 0
-
-
-def _write_tables(config: ExperimentConfig, results: dict, artifacts: dict) -> None:
-    rows = []
-    if "survey_table" in artifacts:
-        rows = [("N", "measure", "ci95")]
-        rows += [(r["N"], r["measure"], r["ci95"]) for r in artifacts["survey_table"]]
-    elif config.kind == "modulus" and "ladder" in results:
-        rows = [("grid", "value")]
-        rows += [(r["grid"], r["value"]) for r in results["ladder"]]
-    elif config.kind == "covering":
-        rows = [("run", "achieved_constant", "output_pairs")]
-        rows += [(i, r["achieved_constant"], r["output_pairs"])
-                 for i, r in enumerate(results["runs"])]
-    if rows:
-        text = "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
-        _write_text(os.path.join(config.out, "data.csv"), text)
-    if "density" in artifacts:
-        _atomic_write(os.path.join(config.out, "density.csv"),
-                      artifacts["density"].to_csv)
-    if "whitney" in artifacts:
-        _atomic_write(os.path.join(config.out, "cubes.csv"),
-                      artifacts["whitney"].to_csv)
-
-
-def _write_figures(config: ExperimentConfig, artifacts: dict) -> None:
-    path = os.path.join(config.out, "figure.svg")
-    if "density" in artifacts and artifacts["density"].values.ndim == 2:
-        _atomic_write(path, lambda tmp: render.svg_density_heatmap(
-            artifacts["density"], tmp))
-    elif "covering" in artifacts:
-        _atomic_write(path, lambda tmp: render.svg_covering(
-            artifacts["covering"], tmp))
-    elif "whitney" in artifacts:
-        _atomic_write(path, lambda tmp: render.svg_whitney(artifacts["whitney"], tmp))
 
 
 # ---------------------------------------------------------------------------

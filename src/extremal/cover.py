@@ -34,11 +34,6 @@ from .geom import (Ball, DomainError, Region, _cloud_diameter,
 class EggYolkPair:
     region: Region
     yolk: Ball
-    constant: float
-
-    def __post_init__(self):
-        if self.constant < 2:
-            raise DomainError("egg-yolk constant must be at least 2")
 
 
 @dataclass
@@ -48,7 +43,6 @@ class PairedFamily:
     domain_pairs: list[EggYolkPair]
     range_pairs: list[EggYolkPair]
     forward: Callable[[np.ndarray], np.ndarray]
-    constant: float
 
     def __post_init__(self):
         if len(self.domain_pairs) != len(self.range_pairs):
@@ -162,7 +156,7 @@ def normalize_comparable(family: PairedFamily) -> tuple[PairedFamily, dict]:
     keep.sort()
     reduced = PairedFamily([family.domain_pairs[i] for i in keep],
                            [family.range_pairs[i] for i in keep],
-                           family.forward, family.constant)
+                           family.forward)
     return reduced, {"kept_indices": keep}
 
 
@@ -302,8 +296,7 @@ def verify_cover(family: PairedFamily, out_pairs: list[CoverPair]) -> dict:
     dom_in = np.vstack([p.region.samples for p in family.domain_pairs])
     pitch = max(p.region.pitch for p in family.domain_pairs)
     dom_out = np.vstack([cp.domain_points for cp in out_pairs])
-    union_ok = (_cloud_subset(dom_in, dom_out, pitch)
-                and _cloud_subset(dom_out, dom_in, pitch))
+    union_ok = _same_union(dom_in, dom_out, pitch)
     # (ii) image correspondence: range clouds are the forward images
     image_ok = True
     for cp in out_pairs:
@@ -325,28 +318,39 @@ def verify_cover(family: PairedFamily, out_pairs: list[CoverPair]) -> dict:
             "range_yolks_disjoint": bool(rng_disjoint)}
 
 
-def _cloud_subset(a: np.ndarray, b: np.ndarray, pitch: float) -> bool:
-    """Every row of a within 0.75 pitch sqrt(dim) of some row of b.
+def _same_union(a: np.ndarray, b: np.ndarray, pitch: float) -> bool:
+    """Every row of a within 0.75 pitch sqrt(dim) of some row of b, and
+    every row of b within that of some row of a.
 
-    A row of a equal (==) to a row of b is at distance 0, so it is settled
-    without a kd-tree: one lexsort of the stacked clouds puts equal rows next
-    to each other, b's first.  Only the other rows are queried, against a
-    tree over b.  Non-finite samples settle nothing, so the tree refuses them.
+    A row equal (==) to a row of the other cloud is at distance 0, so it is
+    settled without a kd-tree: one lexsort of the stacked clouds by
+    (coordinates, from a) makes each set of equal rows one run, b's rows
+    first.  A run that starts with a row of b settles its rows of a; one that
+    ends with a row of a settles its rows of b.  Only the other rows are
+    queried, against a tree over the other cloud, a's rows first.
+    Non-finite samples settle nothing, so the tree refuses them.
     """
     tol = 0.75 * pitch * math.sqrt(a.shape[1])
     c = np.vstack([b, a])
-    if 0 <= tol and np.isfinite(c).all():
-        from_a = np.arange(len(c)) >= len(b)
-        order = np.lexsort((from_a, *c.T))
-        s = c[order]
-        new = np.ones(len(c), bool)
-        new[1:] = (s[1:] != s[:-1]).any(axis=1)
-        settled = np.empty(len(c), bool)
-        settled[order] = ~from_a[order][new][np.cumsum(new) - 1]
-        a = a[~settled[len(b):]]
-        if not len(a):
-            return True
-    d, _ = cKDTree(b, balanced_tree=False).query(a, k=1)
+    if not (0 <= tol and np.isfinite(c).all()):
+        return _near(a, b, tol) and _near(b, a, tol)
+    from_a = np.arange(len(c)) >= len(b)
+    order = np.lexsort((from_a, *c.T))
+    s, s_from_a = c[order], from_a[order]
+    new = np.ones(len(c), bool)
+    new[1:] = (s[1:] != s[:-1]).any(axis=1)
+    run = np.cumsum(new) - 1
+    first = s_from_a[new]
+    last = s_from_a[np.append(np.flatnonzero(new)[1:], len(c)) - 1]
+    left = np.empty(len(c), bool)
+    left[order] = np.where(s_from_a, first[run], ~last[run])
+    qa, qb = a[left[len(b):]], b[left[:len(b)]]
+    return (not len(qa) or _near(qa, b, tol)) and (not len(qb) or _near(qb, a, tol))
+
+
+def _near(q: np.ndarray, cloud: np.ndarray, tol: float) -> bool:
+    """Every row of q within tol of some row of cloud."""
+    d, _ = cKDTree(cloud, balanced_tree=False).query(q, k=1)
     return bool((d <= tol).all())
 
 
@@ -395,14 +399,14 @@ def random_paired_family(n_pairs: int, M: float, map_name: str,
         center = rng.uniform(0, 10.0, size=2)
         pitch = s / 7
         region = _disk_cloud(center, s, pitch)
-        dom_pairs.append(EggYolkPair(region, Ball(center, r), M))
+        dom_pairs.append(EggYolkPair(region, Ball(center, r)))
         img_center = f(center[None])[0]
         img_pts = f(region.samples)
         # inscribed radius of the image ellipse is s * smin
         r_img = s * svals[-1] / 2
         rng_pairs.append(EggYolkPair(Region(img_pts, pitch * svals[-1]),
-                                     Ball(img_center, r_img), M))
-    return PairedFamily(dom_pairs, rng_pairs, f, M)
+                                     Ball(img_center, r_img)))
+    return PairedFamily(dom_pairs, rng_pairs, f)
 
 
 def _disk_cloud(center, radius, pitch) -> Region:

@@ -344,7 +344,10 @@ def _dirichlet_rho(active: np.ndarray, f1: np.ndarray, f2: np.ndarray,
     n = int(active.sum())
     idx = np.full(active.shape, -1, np.int64)
     idx[active] = np.arange(n)
-    a, b = _face_pairs(active, idx)
+    # the per-axis pairs feed the gradient, the concatenation the Laplacian
+    axes = [_neighbour_pairs(active, idx, off)
+            for off in np.eye(active.ndim, dtype=int).tolist()]
+    a, b = (np.concatenate(ends) for ends in zip(*axes))
     marked = (f1 | f2)[active]
     # a face-connected piece with no marked cell has no potential to solve
     # for (its block of the system is singular): it stays at 0.  label's
@@ -353,24 +356,32 @@ def _dirichlet_rho(active: np.ndarray, f1: np.ndarray, f2: np.ndarray,
     free = ~marked & np.isin(piece, piece[marked])
     cells = np.argwhere(active)[free]
     u = f2[active].astype(float)
-    uval = np.full(active.shape, np.nan)
     cond = np.ones(len(a))
     rounds = 1 + (_IRLS_ITERS if abs(p - 2) > 1e-12 else 0)
     for k in range(rounds if free.any() else 0):
         if k:
-            uval[active] = u
-            g = _grad_magnitude(uval, active, h)[active]
+            g = _gradient(u, axes, h)
             cond = np.maximum(0.5 * (g[a] + g[b]), 1e-8) ** (p - 2)
         u[free] = _solve_spd(*_free_system(a, b, cond, free, u), cells)
-    uval[active] = u
-    return _grad_magnitude(uval, active, h)
+    rho = np.zeros(active.shape)
+    rho[active] = _gradient(u, axes, h)
+    return rho
 
 
-def _face_pairs(active: np.ndarray, idx: np.ndarray) -> tuple:
-    """Ids (a, b) of the face-neighbour pairs of active cells, axis by axis."""
-    units = np.eye(active.ndim, dtype=int).tolist()
-    heads, tails = zip(*(_neighbour_pairs(active, idx, off) for off in units))
-    return np.concatenate(heads), np.concatenate(tails)
+def _gradient(u: np.ndarray, axes: list, h: float) -> np.ndarray:
+    """Gradient magnitude of the cell potential ``u``, one value per cell.
+
+    Along each axis, a cell's squared partial derivative is the mean of
+    (u[b] - u[a])^2 over the face pairs (a, b) of that axis it belongs to,
+    0 when it has none; the magnitude is the root of their sum over h."""
+    n = len(u)
+    total = np.zeros(n)
+    for a, b in axes:
+        dd = (u[b] - u[a]) ** 2
+        d2 = np.bincount(a, dd, n) + np.bincount(b, dd, n)
+        cnt = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+        total += np.where(cnt > 0, d2 / np.maximum(cnt, 1), 0.0)
+    return np.sqrt(total) / h
 
 
 def _neighbour_pairs(mask: np.ndarray, idx: np.ndarray, off) -> tuple:
@@ -453,32 +464,6 @@ def _vcycle(levels: list, coarse, b: np.ndarray, k: int = 0) -> np.ndarray:
     for _ in range(2):
         x += wdinv * (b - A @ x)
     return x
-
-
-def _grad_magnitude(uval: np.ndarray, active: np.ndarray, h: float) -> np.ndarray:
-    shape = uval.shape
-    dim = uval.ndim
-    total = np.zeros(shape)
-    for ax in range(dim):
-        d2 = np.zeros(shape)
-        cnt = np.zeros(shape)
-        dfwd = np.full(shape, np.nan)
-        sl_a = [slice(None)] * dim
-        sl_b = [slice(None)] * dim
-        sl_a[ax] = slice(0, -1)
-        sl_b[ax] = slice(1, None)
-        dfwd[tuple(sl_a)] = uval[tuple(sl_b)] - uval[tuple(sl_a)]
-        ok = np.isfinite(dfwd)
-        dd = np.where(ok, dfwd, 0.0) ** 2
-        d2 += dd
-        cnt += ok
-        d2[tuple(sl_b)] += dd[tuple(sl_a)]
-        cnt[tuple(sl_b)] += ok[tuple(sl_a)]
-        total += np.where(cnt > 0, d2 / np.maximum(cnt, 1), 0.0)
-    rho = np.sqrt(total) / h
-    rho[~active] = 0.0
-    rho[~np.isfinite(rho)] = 0.0
-    return rho
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,18 @@ SMOKE_OVERRIDES = {
 }
 
 
+# the files a bundled config writes besides results.json and run.meta.json
+WRITES = {
+    **dict.fromkeys(["annulus-2d", "annulus-2d-128", "rectangle-modulus",
+                     "square-ring-bound"], ["density.csv", "figure.svg"]),
+    **dict.fromkeys(["point-family-refinement", "translation-survey",
+                     "radial-survey"], ["data.csv"]),
+    **dict.fromkeys(["eggyolk-random", "eggyolk-conformal"], ["data.csv", "figure.svg"]),
+    **dict.fromkeys(["whitney-disk", "whitney-cusp", "whitney-comb"],
+                    ["cubes.csv", "figure.svg"]),
+}
+
+
 def _apply_override(obj, path, value):
     node = obj
     for key in path[:-1]:
@@ -215,7 +227,8 @@ def _apply_override(obj, path, value):
 
 @pytest.mark.parametrize("name", sorted(builtin_experiments()))
 def test_bundled_configs_execute(name, tmp_path):
-    """Every catalog entry runs end to end (scaled-down copies for speed)."""
+    """Every catalog entry runs end to end (scaled-down copies for speed)
+    and writes exactly its files."""
     obj = copy.deepcopy(builtin_experiments()[name])
     obj["name"] = name
     obj["out"] = str(tmp_path)
@@ -226,6 +239,8 @@ def test_bundled_configs_execute(name, tmp_path):
     assert run_experiment(cfg) == 0
     results = json.loads((tmp_path / "results.json").read_text())
     assert "anchor" in json.dumps(results["results"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["results.json", "run.meta.json", *WRITES.get(name, [])])
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

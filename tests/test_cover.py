@@ -44,12 +44,6 @@ def test_covering_builds_fewer_trees_than_regions(monkeypatch):
 # ---------------------------------------------------------------------------
 # Egg-yolk pairs
 
-def test_pair_constant_at_least_two():
-    A = _disk_cloud(np.zeros(2), 2.0, 0.2)
-    with pytest.raises(DomainError):
-        EggYolkPair(A, Ball((0, 0), 1.0), 1.5)
-
-
 def test_diameter_chain_for_certified_pairs():
     # diam(B) <= 2 r(B) <= diam(A) <= 2 M diam(B) on sampled pairs
     rng = np.random.default_rng(3)
@@ -58,7 +52,6 @@ def test_diameter_chain_for_certified_pairs():
         M = float(rng.choice([2.0, 4.0, 8.0]))
         s = float(rng.uniform(2 * r, M * r))
         A = _disk_cloud(np.zeros(2), s, s / 9)
-        EggYolkPair(A, Ball((0, 0), r), M)
         dA = A.diameter()
         tol = 2.5 * A.pitch
         assert 2 * r <= dA + tol
@@ -90,10 +83,10 @@ def test_intersecting_yolks_comparable_diameters():
 
 def test_normalize_collapses_nested_chain():
     ident = affine_map(np.eye(2))
-    pairs = [EggYolkPair(_disk_cloud(np.zeros(2), s, 0.05), Ball((0, 0), s / 3.99), 4.0)
+    pairs = [EggYolkPair(_disk_cloud(np.zeros(2), s, 0.05), Ball((0, 0), s / 3.99))
              for s in (1.0, 2.0, 3.9)]
-    fam = PairedFamily(pairs, [EggYolkPair(p.region, p.yolk, 4.0) for p in pairs],
-                       ident, 4.0)
+    fam = PairedFamily(pairs, [EggYolkPair(p.region, p.yolk) for p in pairs],
+                       ident)
     red, rep = normalize_comparable(fam)
     assert len(red) == 1
     assert rep["kept_indices"] == [2]
@@ -102,9 +95,9 @@ def test_normalize_collapses_nested_chain():
 def test_normalize_keeps_disjoint_family():
     ident = affine_map(np.eye(2))
     pairs = [EggYolkPair(_disk_cloud(np.array([4.0 * k, 0.0]), 1.5, 0.08),
-                         Ball((4.0 * k, 0.0), 0.5), 4.0) for k in range(4)]
-    fam = PairedFamily(pairs, [EggYolkPair(p.region, p.yolk, 4.0) for p in pairs],
-                       ident, 4.0)
+                         Ball((4.0 * k, 0.0), 0.5)) for k in range(4)]
+    fam = PairedFamily(pairs, [EggYolkPair(p.region, p.yolk) for p in pairs],
+                       ident)
     red, _ = normalize_comparable(fam)
     assert len(red) == 4
 
@@ -128,7 +121,7 @@ def test_normalize_output_comparability_under_map():
 def test_correspondence_violation_raises():
     fam = random_paired_family(5, 4.0, "identity", seed=2)
     broken = PairedFamily(fam.domain_pairs, fam.range_pairs,
-                          affine_map(np.diag([3.0, 3.0])), 4.0)
+                          affine_map(np.diag([3.0, 3.0])))
     with pytest.raises(DomainError):
         normalize_comparable(broken)
 
@@ -150,9 +143,9 @@ def test_cover_concentric_grid_exhaustive():
     for i in range(5):
         for j in range(5):
             c = np.array([i * 1.2, j * 1.2])
-            pairs.append(EggYolkPair(_disk_cloud(c, 1.0, 0.1), Ball(c, 0.5), 2.0))
-    fam = PairedFamily(pairs, [EggYolkPair(p.region, p.yolk, 2.0) for p in pairs],
-                       ident, 2.0)
+            pairs.append(EggYolkPair(_disk_cloud(c, 1.0, 0.1), Ball(c, 0.5)))
+    fam = PairedFamily(pairs, [EggYolkPair(p.region, p.yolk) for p in pairs],
+                       ident)
     res = egg_yolk_cover(fam)
     ver = res.report["verified"]
     assert ver == {"union_equality": True, "image_correspondence": True,
@@ -250,7 +243,7 @@ def test_cover_result_json_records():
 def test_non_injective_correspondence_rejected():
     fam = random_paired_family(4, 4.0, "identity", seed=8)
     collapse = affine_map(np.array([[0.0, 0.0], [0.0, 1.0]]))
-    broken = PairedFamily(fam.domain_pairs, fam.range_pairs, collapse, 4.0)
+    broken = PairedFamily(fam.domain_pairs, fam.range_pairs, collapse)
     with pytest.raises(DomainError):
         normalize_comparable(broken)
 
@@ -275,11 +268,11 @@ def test_one_sample_region_is_a_domain_error(domain_samples):
     # which no dyadic generation holds
     fam = random_paired_family(8, 4.0, "identity", seed=5)
     lone_dom = EggYolkPair(Region(np.array(domain_samples), 0.1),
-                           Ball((50.0, 50.0), 0.05), 4.0)
+                           Ball((50.0, 50.0), 0.05))
     lone_rng = EggYolkPair(Region(np.array([[50.0, 50.0]]), 0.1),
-                           Ball((50.0, 50.0), 0.05), 4.0)
+                           Ball((50.0, 50.0), 0.05))
     fam = PairedFamily(fam.domain_pairs + [lone_dom], fam.range_pairs + [lone_rng],
-                       fam.forward, 4.0)
+                       fam.forward)
     with pytest.raises(DomainError, match="pair 8 has a region of zero diameter"):
         egg_yolk_cover(fam)
 
@@ -355,6 +348,11 @@ def _cloud_subset_reference(a, b, pitch):
     return bool((d <= 0.75 * pitch * math.sqrt(a.shape[1])).all())
 
 
+def _same_union_reference(a, b, pitch):
+    """Test reference: a within b, then b within a, each by a kd-tree."""
+    return _cloud_subset_reference(a, b, pitch) and _cloud_subset_reference(b, a, pitch)
+
+
 def _outcome(check, *args):
     try:
         return check(*args)
@@ -407,9 +405,9 @@ def _edited_family(seed, n, map_name, edits):
             ranges[i % n] = np.vstack([r, r[j] + rng.choice([3.0, np.inf, np.nan])])
     sign = {i % n: -1.0 if kind == "negative" else 1.0 for i, kind in edits}
     return PairedFamily(
-        [EggYolkPair(d, Ball(d.samples[0], 1.0), 4.0) for d in dom],
-        [EggYolkPair(Region(r, sign.get(k, 1.0) * d.pitch), Ball(r[0], 1.0), 4.0)
-         for k, (d, r) in enumerate(zip(dom, ranges))], forward, 4.0)
+        [EggYolkPair(d, Ball(d.samples[0], 1.0)) for d in dom],
+        [EggYolkPair(Region(r, sign.get(k, 1.0) * d.pitch), Ball(r[0], 1.0))
+         for k, (d, r) in enumerate(zip(dom, ranges))], forward)
 
 
 @settings(max_examples=300, deadline=None)
@@ -444,9 +442,9 @@ def test_range_rows_of_the_next_pair_settle_nothing():
     # own to equal
     p, q = [0.0, 0.0], [5.0, 0.0]
     dom = Region(np.array([p, q]), 0.1)
-    fam = PairedFamily([EggYolkPair(dom, Ball(p, 1.0), 4.0)] * 2,
-                       [EggYolkPair(Region(np.array(r), 0.1), Ball(p, 1.0), 4.0)
-                        for r in ([p], [q, p])], affine_map(np.eye(2)), 4.0)
+    fam = PairedFamily([EggYolkPair(dom, Ball(p, 1.0))] * 2,
+                       [EggYolkPair(Region(np.array(r), 0.1), Ball(p, 1.0))
+                        for r in ([p], [q, p])], affine_map(np.eye(2)))
     with pytest.raises(DomainError, match="correspondence violated on pair 0"):
         fam.check_correspondence()
 
@@ -481,15 +479,15 @@ def test_cloud_subset_agrees_with_kd_tree_reference(seed, dim, pitch, kinds, wit
         rows.append(np.atleast_2d(r))
     a = np.vstack(rows)
     for x, y in ((a, b), (b, a)):
-        assert _outcome(cover._cloud_subset, x, y, pitch) == _outcome(
-            _cloud_subset_reference, x, y, pitch)
+        assert _outcome(cover._same_union, x, y, pitch) == _outcome(
+            _same_union_reference, x, y, pitch)
 
 
 def test_cloud_subset_settles_negative_zero_without_a_tree(monkeypatch):
     monkeypatch.setattr(cover, "cKDTree", None)
     b = np.array([[0.0, 1.0], [-0.0, -0.0], [2.0, 0.0]])
     a = np.array([[-0.0, 1.0], [0.0, 0.0], [2.0, -0.0], [0.0, 1.0]])
-    assert cover._cloud_subset(a, b, 0.0) and cover._cloud_subset(b, a, 0.0)
+    assert cover._same_union(a, b, 0.0) and cover._same_union(b, a, 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -502,6 +500,6 @@ def test_cloud_subset_non_finite_sample_gives_the_tree_outcome(bad, where):
         a[1, 0] = bad
     else:
         b[2, 1] = bad
-    got = _outcome(cover._cloud_subset, a, b, 0.1)
-    assert got == _outcome(_cloud_subset_reference, a, b, 0.1)
+    got = _outcome(cover._same_union, a, b, 0.1)
+    assert got == _outcome(_same_union_reference, a, b, 0.1)
     assert got[0] is ValueError

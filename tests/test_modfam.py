@@ -739,6 +739,62 @@ def test_walled_island_holds_no_potential(n_cells, lo, size):
     assert not res.density.values[island].any()
 
 
+def _grad_magnitude(uval, active, h):
+    """The gradient magnitude on the grid (the reference form): forward
+    differences of ``uval``, NaN off the active cells, with every axis
+    averaged over the cell's finite differences."""
+    shape = uval.shape
+    dim = uval.ndim
+    total = np.zeros(shape)
+    for ax in range(dim):
+        d2 = np.zeros(shape)
+        cnt = np.zeros(shape)
+        dfwd = np.full(shape, np.nan)
+        sl_a = [slice(None)] * dim
+        sl_b = [slice(None)] * dim
+        sl_a[ax] = slice(0, -1)
+        sl_b[ax] = slice(1, None)
+        dfwd[tuple(sl_a)] = uval[tuple(sl_b)] - uval[tuple(sl_a)]
+        ok = np.isfinite(dfwd)
+        dd = np.where(ok, dfwd, 0.0) ** 2
+        d2 += dd
+        cnt += ok
+        d2[tuple(sl_b)] += dd[tuple(sl_a)]
+        cnt[tuple(sl_b)] += ok[tuple(sl_a)]
+        total += np.where(cnt > 0, d2 / np.maximum(cnt, 1), 0.0)
+    rho = np.sqrt(total) / h
+    rho[~active] = 0.0
+    rho[~np.isfinite(rho)] = 0.0
+    return rho
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([2, 3]),
+       st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.booleans())
+def test_gradient_from_face_pairs_matches_grid_reference(seed, dim, fill, strip):
+    # random masks hold isolated cells and one-cell strips; the potential
+    # is random, so every difference is a different float
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(1, 13 if dim == 2 else 7, dim))
+    active = rng.random(shape) < fill
+    if strip:
+        line = [int(rng.integers(n)) for n in shape]
+        line[int(rng.integers(dim))] = slice(None)
+        active[tuple(line)] = True
+    n = int(active.sum())
+    idx = np.full(shape, -1, np.int64)
+    idx[active] = np.arange(n)
+    axes = [modfam._neighbour_pairs(active, idx, off)
+            for off in np.eye(dim, dtype=int).tolist()]
+    u = rng.random(n) * float(rng.choice([1.0, 1e-6, 1e6]))
+    h = float(rng.uniform(0.01, 1.0))
+    got = np.zeros(shape)
+    got[active] = modfam._gradient(u, axes, h)
+    uval = np.full(shape, np.nan)
+    uval[active] = u
+    assert np.array_equal(got, _grad_magnitude(uval, active, h))
+
+
 def _dirichlet_rho_loop(active, f1, f2, h, p, irls_iters=8):
     """The Dirichlet density assembled one face offset at a time (the
     reference form): diagonal and right-hand side accumulated per offset."""
@@ -785,7 +841,7 @@ def _dirichlet_rho_loop(active, f1, f2, h, p, irls_iters=8):
         uval[free] = solve_with(None)
         if abs(p - 2) > 1e-12:
             for _ in range(irls_iters):
-                grad = modfam._grad_magnitude(uval, active, h)
+                grad = _grad_magnitude(uval, active, h)
 
                 def cond_fn(nb, inb, exists):
                     ga = grad[tuple(fr.T)]
@@ -795,7 +851,7 @@ def _dirichlet_rho_loop(active, f1, f2, h, p, irls_iters=8):
                     return np.maximum(g, 1e-8) ** (p - 2)
 
                 uval[free] = solve_with(cond_fn)
-    return modfam._grad_magnitude(uval, active, h)
+    return _grad_magnitude(uval, active, h)
 
 
 def test_dirichlet_rho_matches_per_offset_assembly():
