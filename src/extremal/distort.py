@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -134,6 +135,12 @@ class SampledMap:
 
     def inverse_lipschitz(self) -> float:
         """Upper estimate of Lip(f^{-1}) from grid-edge image lengths."""
+        return self._inverse_lipschitz
+
+    @cached_property
+    def _inverse_lipschitz(self) -> float:
+        # one edge pass per map, on the first call; a map that is not
+        # injective on its grid edges raises on every call
         dx = np.linalg.norm(np.diff(self.values, axis=0), axis=2)
         dy = np.linalg.norm(np.diff(self.values, axis=1), axis=2)
         m = min(dx.min(initial=np.inf), dy.min(initial=np.inf))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -37,9 +37,9 @@ class Ball:
             raise DomainError(f"ball radius must be positive, got {self.radius}")
 
 
-def balls_disjoint_matrix(balls: Sequence[Ball]) -> np.ndarray:
-    """Exact disjointness of every pair of a ball family: entry (i, j) is
-    |c_i - c_j| >= r_i + r_j, as an (n, n) bool array.
+def balls_disjoint_matrix(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Exact disjointness of every pair of the balls (centers[i], radii[i]):
+    entry (i, j) is |c_i - c_j| >= r_i + r_j, as an (n, n) bool array.
 
     d2 = sum (c_i - c_j)^2 and s2 = (r_i + r_j)^2 are formed in floats first.
     Each term goes through at most dim + 1 correctly rounded operations and
@@ -52,8 +52,8 @@ def balls_disjoint_matrix(balls: Sequence[Ball]) -> np.ndarray:
     value) is decided in integers: every float is an integer over a power of
     two, so the pair's values are scaled to the largest denominator.
     """
-    centers = np.array([b.center for b in balls], float)
-    radii = np.array([b.radius for b in balls], float)
+    centers = np.asarray(centers, float)
+    radii = np.asarray(radii, float)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         d2 = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
         s2 = (radii[:, None] + radii[None, :]) ** 2
@@ -101,25 +101,9 @@ class Region:
         # queries faster on lattice clouds
         return cKDTree(self.samples, balanced_tree=False)
 
-    @cached_property
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.samples.min(axis=0), self.samples.max(axis=0)
-        lo.flags.writeable = hi.flags.writeable = False
-        return lo, hi
-
-    @cached_property
-    def hull(self) -> np.ndarray:
-        """Vertices of the sample cloud's convex hull (see ``_hull_points``),
-        taken once."""
-        return _hull_points(self.samples)
-
-    @cached_property
-    def _diameter(self) -> float:
-        return _hull_diameter(self.hull)
-
     def diameter(self) -> float:
-        """Exact diameter of the sample cloud, its hull taken once."""
-        return self._diameter
+        """Exact diameter of the sample cloud, over its convex hull."""
+        return _cloud_diameter(self.samples)
 
     def contains_points(self, pts: np.ndarray, tol: float) -> np.ndarray:
         """True where each query point lies within tol of some sample."""
@@ -139,14 +123,17 @@ def _hull_points(pts: np.ndarray) -> np.ndarray:
 
 def _cloud_diameter(pts: np.ndarray) -> float:
     """Exact diameter: the largest pairwise distance among hull vertices."""
-    return _hull_diameter(_hull_points(pts))
+    hull = _hull_points(pts)
+    return float(_farthest(hull)) if len(hull) else 0.0
 
 
-def _hull_diameter(hull: np.ndarray) -> float:
-    if len(hull) < 2:
-        return 0.0
-    diff = hull[:, None, :] - hull[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(-1)).max())
+def _farthest(clouds: np.ndarray) -> np.ndarray:
+    """Largest pairwise distance within each (k, dim) cloud of a (..., k, dim)
+    stack, k >= 1: one arithmetic for every exact diameter (squared
+    coordinate differences summed in axis order; the square root is
+    monotone, so it is taken once, of the largest sum)."""
+    sq = sum((x[..., :, None] - x[..., None, :]) ** 2 for x in np.moveaxis(clouds, -1, 0))
+    return np.sqrt(sq.max(axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------

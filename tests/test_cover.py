@@ -6,16 +6,75 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from extremal import cover, geom
-from extremal.cover import (EggYolkPair, PairedFamily, affine_map, _disk_cloud,
-                            egg_yolk_cover, normalize_comparable,
+from extremal.cover import (FamilySide, PairedFamily, egg_yolk_cover, normalize_comparable,
                             random_paired_family, verify_cover)
 from extremal.geom import Ball, DomainError, Region, balls_disjoint_matrix
 
 
+def _side(pairs):
+    """A stacked family side from (Region, Ball) pairs."""
+    regions, yolks = zip(*pairs)
+    n = np.array([len(r.samples) for r in regions])
+    return FamilySide(np.vstack([r.samples for r in regions]), np.cumsum(n) - n,
+                      np.array([r.pitch for r in regions], float),
+                      np.array([b.center for b in yolks]),
+                      np.array([b.radius for b in yolks], float))
+
+
+def _pairs(side):
+    """The (Region, Ball) pairs of a stacked family side."""
+    return [(Region(side.cloud(k), side.pitch[k]), Ball(side.centers[k], side.radii[k]))
+            for k in range(len(side))]
+
+
+def _disk_cloud(center, radius, pitch) -> Region:
+    """Test reference: one lattice disk of ``random_paired_family``, built
+    alone."""
+    n = max(3, int(math.ceil(2 * radius / pitch)))
+    ax = center[0] - radius + pitch * (np.arange(n) + 0.5)
+    ay = center[1] - radius + pitch * (np.arange(n) + 0.5)
+    X, Y = np.meshgrid(ax, ay, indexing="ij")
+    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+    keep = np.linalg.norm(pts - np.asarray(center), axis=1) < radius
+    return Region(pts[keep], pitch)
+
+
+def _family_reference(n_pairs, M, map_name, seed):
+    """Test reference: ``random_paired_family``'s draws, each disk built and
+    mapped alone."""
+    mat = cover.NAMED_MAPS[map_name]
+    smin = np.linalg.svd(mat, compute_uv=False)[-1]
+    rng = np.random.default_rng(seed)
+    dom, img = [], []
+    for _ in range(n_pairs):
+        r = float(rng.uniform(0.35, 1.0))
+        s = float(rng.uniform(2 * r, M * r))
+        center = rng.uniform(0, 10.0, size=2)
+        region = _disk_cloud(center, s, s / 7)
+        dom.append((region, Ball(center, r)))
+        img.append((Region(np.atleast_2d(region.samples) @ mat.T, region.pitch * smin),
+                    Ball((np.atleast_2d(center[None]) @ mat.T)[0], s * smin / 2)))
+    return PairedFamily(_side(dom), _side(img), mat)
+
+
+@pytest.mark.parametrize("map_name, M", [("identity", 2.0), ("identity", 8.0),
+                                         ("diag(2,1)", 4.0), ("diag(2,1)", 5.5),
+                                         ("rot+scale", 2.0), ("rot+scale", 8.0)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stacked_generator_matches_per_pair_reference(map_name, M, seed):
+    got = random_paired_family(25, M, map_name, seed)
+    want = _family_reference(25, M, map_name, seed)
+    assert got.matrix.tolist() == want.matrix.tolist()
+    for a, b in ((got.domain, want.domain), (got.range, want.range)):
+        for field in ("samples", "start", "pitch", "centers", "radii"):
+            assert getattr(a, field).tolist() == getattr(b, field).tolist()
+
+
 def test_covering_builds_fewer_trees_than_regions(monkeypatch):
-    # domain regions the subset screen rules out are never queried, so they
-    # build no kd-tree; nor do image rows equal to their range samples, or
-    # output rows copied from input rows
+    # only kept domain regions become Regions, and only those the subset
+    # screen cannot rule out are queried, so only they build a kd-tree; image
+    # rows equal to their range samples, and output rows copied from input
+    # rows, build none
     trees, regions = [], []
     tree, post_init = geom.cKDTree, geom.Region.__post_init__
     for mod in (geom, cover):
@@ -25,17 +84,17 @@ def test_covering_builds_fewer_trees_than_regions(monkeypatch):
                         lambda self: regions.append(1) or post_init(self))
     fam = random_paired_family(30, 4.0, "diag(2,1)", seed=77)
     fam.check_correspondence()
-    assert trees == []
+    assert trees == [] and regions == []
     res = egg_yolk_cover(fam)
     assert all(res.report["verified"].values())
-    assert 0 < len(trees) < len(regions)
+    assert 0 < len(trees) < len(regions) < len(fam)
     trees.clear()
     assert all(verify_cover(fam, res.pairs).values())
     assert len(trees) <= 1
 
     fam = random_paired_family(30, 4.0, "diag(2,1)", seed=77)
-    pts = fam.range_pairs[11].region.samples
-    pts[5, 0] = np.nextafter(pts[5, 0], np.inf)
+    fam.range.samples[fam.range.start[11] + 5, 0] = np.nextafter(
+        fam.range.samples[fam.range.start[11] + 5, 0], np.inf)
     trees.clear()
     fam.check_correspondence()
     assert len(trees) == 1
@@ -82,22 +141,18 @@ def test_intersecting_yolks_comparable_diameters():
 # Auxiliary normalization
 
 def test_normalize_collapses_nested_chain():
-    ident = affine_map(np.eye(2))
-    pairs = [EggYolkPair(_disk_cloud(np.zeros(2), s, 0.05), Ball((0, 0), s / 3.99))
+    pairs = [(_disk_cloud(np.zeros(2), s, 0.05), Ball((0, 0), s / 3.99))
              for s in (1.0, 2.0, 3.9)]
-    fam = PairedFamily(pairs, [EggYolkPair(p.region, p.yolk) for p in pairs],
-                       ident)
+    fam = PairedFamily(_side(pairs), _side(pairs), np.eye(2))
     red, rep = normalize_comparable(fam)
     assert len(red) == 1
     assert rep["kept_indices"] == [2]
 
 
 def test_normalize_keeps_disjoint_family():
-    ident = affine_map(np.eye(2))
-    pairs = [EggYolkPair(_disk_cloud(np.array([4.0 * k, 0.0]), 1.5, 0.08),
-                         Ball((4.0 * k, 0.0), 0.5)) for k in range(4)]
-    fam = PairedFamily(pairs, [EggYolkPair(p.region, p.yolk) for p in pairs],
-                       ident)
+    pairs = [(_disk_cloud(np.array([4.0 * k, 0.0]), 1.5, 0.08),
+              Ball((4.0 * k, 0.0), 0.5)) for k in range(4)]
+    fam = PairedFamily(_side(pairs), _side(pairs), np.eye(2))
     red, _ = normalize_comparable(fam)
     assert len(red) == 4
 
@@ -107,21 +162,20 @@ def test_normalize_output_comparability_under_map():
     fam = random_paired_family(20, M, "diag(2,1)", seed=21)
     red, _ = normalize_comparable(fam)
     c = M * (M + 1)           # the comparability constant of M-egg-yolk pairs
-    apart = [balls_disjoint_matrix([p.yolk for p in side])
-             for side in (red.domain_pairs, red.range_pairs)]
+    apart = [balls_disjoint_matrix(side.centers, side.radii)
+             for side in (red.domain, red.range)]
     for i in range(len(red)):
         for j in range(i + 1, len(red)):
-            for side, side_apart in zip((red.domain_pairs, red.range_pairs), apart):
+            for side, side_apart in zip((red.domain, red.range), apart):
                 if not side_apart[i, j]:
-                    di = side[i].region.diameter()
-                    dj = side[j].region.diameter()
+                    di = Region(side.cloud(i), side.pitch[i]).diameter()
+                    dj = Region(side.cloud(j), side.pitch[j]).diameter()
                     assert di <= c * dj * 1.1 and dj <= c * di * 1.1
 
 
 def test_correspondence_violation_raises():
     fam = random_paired_family(5, 4.0, "identity", seed=2)
-    broken = PairedFamily(fam.domain_pairs, fam.range_pairs,
-                          affine_map(np.diag([3.0, 3.0])))
+    broken = PairedFamily(fam.domain, fam.range, np.diag([3.0, 3.0]))
     with pytest.raises(DomainError):
         normalize_comparable(broken)
 
@@ -138,14 +192,12 @@ def test_cover_single_pair_is_itself():
 
 def test_cover_concentric_grid_exhaustive():
     # 5x5 grid of overlapping disks, yolk = half the region radius (A = 2B)
-    ident = affine_map(np.eye(2))
     pairs = []
     for i in range(5):
         for j in range(5):
             c = np.array([i * 1.2, j * 1.2])
-            pairs.append(EggYolkPair(_disk_cloud(c, 1.0, 0.1), Ball(c, 0.5)))
-    fam = PairedFamily(pairs, [EggYolkPair(p.region, p.yolk) for p in pairs],
-                       ident)
+            pairs.append((_disk_cloud(c, 1.0, 0.1), Ball(c, 0.5)))
+    fam = PairedFamily(_side(pairs), _side(pairs), np.eye(2))
     res = egg_yolk_cover(fam)
     ver = res.report["verified"]
     assert ver == {"union_equality": True, "image_correspondence": True,
@@ -160,44 +212,25 @@ def test_cover_anisotropic_reports_constant():
     assert res.achieved_constant <= 25.0
 
 
-def test_cover_takes_each_region_hull_once(monkeypatch):
-    # normalize_comparable sorts by diameter and the first cluster pass takes
-    # the diameters of the kept regions again; the second asks hit the cache,
-    # and a merged cluster hulls only the hull vertices of its members
-    hulls = []                    # the clouds themselves, so no id is reused
-
-    def counted(pts):
-        hulls.append(pts)
-        return hull_points(pts)
-    hull_points = geom._hull_points
-    monkeypatch.setattr(geom, "_hull_points", counted)
-    region = random_paired_family(30, 4.0, "diag(2,1)", seed=77).domain_pairs[0].region
-    assert region.diameter() == region.diameter()
-    assert len(hulls) == 1
-    assert region.diameter() == geom._cloud_diameter(region.samples)
-
-    hulls.clear()
-    fam = random_paired_family(30, 4.0, "diag(2,1)", seed=77)
-    res = egg_yolk_cover(fam)
-    assert all(res.report["verified"].values())
-    assert len(hulls) > 30
-    assert len({id(pts) for pts in hulls}) == len(hulls)
-    regions = [p.region for p in fam.domain_pairs + fam.range_pairs]
-    for p in fam.domain_pairs:
-        assert sum(pts is p.region.samples for pts in hulls) == 1
-    merged = [pts for pts in hulls if not any(pts is r.samples for r in regions)]
-    assert merged
-    vertices = {tuple(v) for r in regions for v in r.hull}
-    for pts in merged:
-        assert {tuple(v) for v in pts} <= vertices
+def test_cover_takes_no_convex_hull(monkeypatch):
+    # every diameter of a covering comes from line extremes: cover holds no
+    # hull routine, and a covering of either catalog map calls none in geom
+    assert {"ConvexHull", "_hull_points", "_cloud_diameter"}.isdisjoint(vars(cover))
+    hulls = []
+    for name in ("ConvexHull", "_hull_points", "_cloud_diameter"):
+        monkeypatch.setattr(geom, name, lambda *args, name=name: hulls.append(name))
+    for M, map_name in ((4.0, "diag(2,1)"), (8.0, "rot+scale")):
+        res = egg_yolk_cover(random_paired_family(30, M, map_name, seed=77))
+        assert all(res.report["verified"].values())
+    assert hulls == []
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 30),
        st.sampled_from([(4.0, "diag(2,1)"), (8.0, "rot+scale"), (2.0, "identity")]))
 def test_phase_two_diameters_are_those_of_the_merged_clouds(seed, n_pairs, M_map):
-    # each cluster's diameter, taken from its members' hull vertices, is the
-    # diameter of all the samples of its members, to the bit
+    # each kept region's diameter, and each cluster's, taken from line
+    # extremes, is the Qhull diameter of all its samples, to the bit
     calls = []
 
     def recorded(*args):
@@ -210,10 +243,106 @@ def test_phase_two_diameters_are_those_of_the_merged_clouds(seed, n_pairs, M_map
         res = egg_yolk_cover(fam)
     assert all(res.report["verified"].values())
     kept = res.report["kept_indices"]
-    (_, (clusters1, _)), ((rng_diam, dom_diam, _), _) = calls
-    for pairs, diams in ((fam.range_pairs, rng_diam), (fam.domain_pairs, dom_diam)):
-        assert diams == [geom._cloud_diameter(
-            np.vstack([pairs[kept[i]].region.samples for i in c])) for c in clusters1]
+    ((dom_diam, rng_diam, _, _), (clusters1, _)), ((rng_merged, dom_merged, _, _), _) = calls
+    for side, diams, merged in ((fam.domain, dom_diam, dom_merged),
+                                (fam.range, rng_diam, rng_merged)):
+        assert diams.tolist() == [geom._cloud_diameter(side.cloud(k)) for k in kept]
+        assert merged.tolist() == [geom._cloud_diameter(
+            np.vstack([side.cloud(kept[i]) for i in c])) for c in clusters1]
+
+
+@st.composite
+def _cloud(draw, dim):
+    """A lattice cloud (a box, a ball or a line of cells, with exact ties on
+    every axis line), a random one, or one point."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(["box", "ball", "line", "random", "point"]))
+    pitch = float(rng.choice([0.1, 0.37, 1 / 3, 2.0]))
+    origin = rng.uniform(-10, 10, dim)
+    if shape == "random":
+        return rng.normal(size=(int(rng.integers(2, 60)), dim)) * rng.uniform(0.1, 10)
+    if shape == "point":
+        return origin[None]
+    if shape == "line":                 # collinear cells along a lattice direction
+        step = rng.integers(-2, 3, dim)
+        step[int(rng.integers(dim))] = 1
+        cells = np.arange(int(rng.integers(2, 20)))[:, None] * step
+    else:
+        cells = np.stack(np.meshgrid(*[np.arange(int(rng.integers(1, 8)))] * dim,
+                                     indexing="ij"), -1).reshape(-1, dim)
+    pts = origin + pitch * (cells + 0.5)
+    if shape == "ball":
+        d = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+        ball = pts[d < d.max()]
+        pts = ball if len(ball) else pts
+    return pts
+
+
+@st.composite
+def _linear_map(draw, dim):
+    """A random matrix, or a singular one: rank one, or with a zero column."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "rank-one", "zero-column"]))
+    mat = rng.normal(size=(dim, dim))
+    if kind == "rank-one":
+        mat = np.outer(rng.normal(size=dim), rng.normal(size=dim))
+    elif kind == "zero-column":
+        mat[:, int(rng.integers(dim))] = 0.0
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_line_extreme_diameters_are_the_qhull_diameters(dim, data):
+    # each region's diameter on both sides, from its line extremes or, for a
+    # range region that is not its domain's image row for row, from all of
+    # its samples, is the Qhull diameter to the bit, and the largest
+    # pairwise distance over all the region's samples
+    clouds = data.draw(st.lists(_cloud(dim), min_size=1, max_size=6))
+    mat = data.draw(_linear_map(dim))
+    dom = _side([(Region(c, 0.1), Ball(c[0], 1.0)) for c in clouds])
+    img = np.split(dom.samples @ mat.T, dom.start[1:])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    for k, kind in data.draw(st.lists(st.tuples(st.integers(0, len(clouds) - 1),
+                                                st.sampled_from(["permute", "drop",
+                                                                 "extra"])),
+                                      max_size=3)):
+        r = img[k]
+        if kind == "permute":
+            img[k] = r[rng.permutation(len(r))]
+        elif kind == "drop" and len(r) > 1:
+            img[k] = np.delete(r, int(rng.integers(len(r))), axis=0)
+        elif kind == "extra":
+            img[k] = np.vstack([r, r[0] + rng.normal(size=dim)])
+    fam = PairedFamily(dom, _side([(Region(r, 0.1), Ball(r[0], 1.0)) for r in img]), mat)
+    (_, _, dom_diam), (_, _, rng_diam) = cover._diameters(fam)
+    for side, diams in ((fam.domain, dom_diam), (fam.range, rng_diam)):
+        clouds = [side.cloud(k) for k in range(len(side))]
+        assert diams.tolist() == [geom._cloud_diameter(c) for c in clouds]
+        # and the largest distance over all pairs of samples
+        assert diams.tolist() == [geom._farthest(c) for c in clouds]
+
+
+@pytest.mark.parametrize("kind", ["none", "permute", "drop", "extra"])
+def test_range_region_not_aligned_takes_all_its_samples(kind):
+    # a range region whose rows are its domain's image takes the images of
+    # the domain's line extremes; any other takes all of its rows, and every
+    # range diameter stays exact
+    fam = random_paired_family(12, 8.0, "rot+scale", seed=3)
+    pairs = _pairs(fam.range)
+    r = pairs[4][0].samples
+    edited = {"none": r, "permute": r[::-1], "drop": r[1:],
+              "extra": np.vstack([r, r.mean(axis=0)])}[kind]
+    pairs[4] = (Region(edited, pairs[4][0].pitch), pairs[4][1])
+    fam = PairedFamily(fam.domain, _side(pairs), fam.matrix)
+    (_, dom_n, _), (_, rng_n, rng_diam) = cover._diameters(fam)
+    aligned = (rng_n == dom_n) & (rng_n < fam.range.count)
+    assert aligned.tolist() == ([True] * 12 if kind == "none" else
+                                [True] * 4 + [False] + [True] * 7 if kind == "permute"
+                                else [False] * 12)
+    assert rng_n[~aligned].tolist() == fam.range.count[~aligned].tolist()
+    assert rng_diam.tolist() == [geom._cloud_diameter(fam.range.cloud(k))
+                                 for k in range(12)]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -242,8 +371,7 @@ def test_cover_result_json_records():
 
 def test_non_injective_correspondence_rejected():
     fam = random_paired_family(4, 4.0, "identity", seed=8)
-    collapse = affine_map(np.array([[0.0, 0.0], [0.0, 1.0]]))
-    broken = PairedFamily(fam.domain_pairs, fam.range_pairs, collapse)
+    broken = PairedFamily(fam.domain, fam.range, np.array([[0.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(DomainError):
         normalize_comparable(broken)
 
@@ -261,18 +389,52 @@ def test_image_check_has_no_relative_tolerance():
     assert ver["union_equality"] and ver["domain_yolks_disjoint"]
 
 
+def _image_reference(fam, pairs):
+    """Test reference: each output pair's image checked alone, at its own
+    absolute tolerance."""
+    for cp in pairs:
+        img = fam.forward(cp.domain_points)
+        if img.shape != cp.range_points.shape or not np.allclose(
+                img, cp.range_points, rtol=0.0, atol=1e-9 * (1 + np.abs(img).max())):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_postconditions_match_per_pair_reference(seed):
+    # the achieved constant and the image check, taken over the stacked
+    # output rows, are the per-pair loops' to the bit; a range sample moved
+    # past its own pair's image tolerance fails, one moved within it passes
+    fam = random_paired_family(20, 8.0, "rot+scale", seed=seed)
+    res = egg_yolk_cover(fam)
+    want = 2.0
+    for cp in res.pairs:
+        for pts, yolk in ((cp.domain_points, cp.domain_yolk),
+                          (cp.range_points, cp.range_yolk)):
+            want = max(want, float(np.linalg.norm(pts - yolk.center, axis=1).max()
+                                   / yolk.radius))
+    assert res.achieved_constant == want
+    small = min(res.pairs, key=lambda cp: np.abs(cp.range_points).max())
+    atol = 1e-9 * (1 + np.abs(fam.forward(small.domain_points)).max())
+    for shift, ok in ((0.5, True), (1.5, False)):
+        pts = small.range_points
+        saved = pts[0, 0]
+        pts[0, 0] += shift * atol
+        assert verify_cover(fam, res.pairs)["image_correspondence"] is ok
+        assert _image_reference(fam, res.pairs) is ok
+        pts[0, 0] = saved
+
+
 @pytest.mark.parametrize("domain_samples", [[[50.0, 50.0]],
                                             [[50.0, 50.0], [50.0, 50.05]]])
 def test_one_sample_region_is_a_domain_error(domain_samples):
     # an isolated pair with one sample on either side has zero diameter,
     # which no dyadic generation holds
     fam = random_paired_family(8, 4.0, "identity", seed=5)
-    lone_dom = EggYolkPair(Region(np.array(domain_samples), 0.1),
-                           Ball((50.0, 50.0), 0.05))
-    lone_rng = EggYolkPair(Region(np.array([[50.0, 50.0]]), 0.1),
-                           Ball((50.0, 50.0), 0.05))
-    fam = PairedFamily(fam.domain_pairs + [lone_dom], fam.range_pairs + [lone_rng],
-                       fam.forward)
+    lone_dom = (Region(np.array(domain_samples), 0.1), Ball((50.0, 50.0), 0.05))
+    lone_rng = (Region(np.array([[50.0, 50.0]]), 0.1), Ball((50.0, 50.0), 0.05))
+    fam = PairedFamily(_side(_pairs(fam.domain) + [lone_dom]),
+                       _side(_pairs(fam.range) + [lone_rng]), fam.matrix)
     with pytest.raises(DomainError, match="pair 8 has a region of zero diameter"):
         egg_yolk_cover(fam)
 
@@ -288,7 +450,7 @@ def _brute_subset(a, b):
 def _screened_subset(regions):
     """Subset matrix as normalize_comparable decides it: the screen, then
     the kd-tree query at the screen's tolerance."""
-    tol, may = cover._subset_screen(regions)
+    tol, may = cover._subset_screen(_side([(r, Ball(r.samples[0], 1.0)) for r in regions]))
     return [[bool(may[i, j]) and bool(b.contains_points(a.samples, tol[i, j]).all())
              for j, b in enumerate(regions)] for i, a in enumerate(regions)]
 
@@ -320,7 +482,7 @@ def test_region_subset_bbox_reject_agrees_with_brute_force(seed, dim, pitch, axi
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_region_subset_agrees_on_random_families(seed):
     fam = random_paired_family(12, 4.0, "diag(2,1)", seed=seed)
-    regions = [p.region for p in fam.domain_pairs + fam.range_pairs]
+    regions = [r for side in (fam.domain, fam.range) for r, _ in _pairs(side)]
     assert _screened_subset(regions) == [[_brute_subset(a, b) for b in regions]
                                          for a in regions]
 
@@ -331,10 +493,10 @@ def test_region_subset_agrees_on_random_families(seed):
 def _correspondence_reference(fam):
     """Test reference: the per-pair check, each pair's image taken alone and
     queried against a kd-tree over its range region."""
-    for i, (dp, rp) in enumerate(zip(fam.domain_pairs, fam.range_pairs)):
-        img = fam.forward(dp.region.samples)
-        tol = 1.5 * rp.region.pitch * math.sqrt(img.shape[1])
-        if not (cKDTree(rp.region.samples).query(img, k=1)[0] <= tol + 1e-12).all():
+    for i, ((dom, _), (rng, _)) in enumerate(zip(_pairs(fam.domain), _pairs(fam.range))):
+        img = fam.forward(dom.samples)
+        tol = 1.5 * rng.pitch * math.sqrt(img.shape[1])
+        if not (cKDTree(rng.samples).query(img, k=1)[0] <= tol + 1e-12).all():
             raise DomainError(f"correspondence violated on pair {i}")
         if len(img) > 1:
             gaps = np.linalg.norm(np.diff(img[np.lexsort(img.T)], axis=0), axis=1)
@@ -362,33 +524,26 @@ def _outcome(check, *args):
 
 def _edited_family(seed, n, map_name, edits):
     """n sparse random pairs under a named map.  "repeat" gives the next
-    pair the same domain samples; "collapse" and "near" send one domain
-    sample of the pair onto (or next to) the image of another; the other
-    edits change the pair's range samples ("far" moves them all 100 away,
-    "negative" negates the range pitch)."""
+    pair the same domain samples; "collapse" moves one domain sample of the
+    pair onto another and "near" next to it, so that its image lands on (or
+    about 1e-10 from) the other's image; the other edits change the pair's
+    range samples ("far" moves them all 100 away, "negative" negates the
+    range pitch)."""
     rng = np.random.default_rng(seed)
     mat = cover.NAMED_MAPS[map_name]
-    dom = [Region(rng.uniform(-4, 4, (int(rng.integers(1, 9)), 2)) + 10.0 * k,
-                  float(rng.uniform(0.05, 0.3))) for k in range(n)]
+    dom = [(rng.uniform(-4, 4, (int(rng.integers(1, 9)), 2)) + 10.0 * k,
+            float(rng.uniform(0.05, 0.3))) for k in range(n)]
     for i, kind in edits:
         if kind == "repeat":
             dom[(i + 1) % n] = dom[i % n]
-    moved = []
-
-    def forward(pts):
-        img = np.atleast_2d(pts) @ mat.T
-        for q, target in moved:
-            img[(pts == q).all(axis=1)] = target
-        return img
-
     for i, kind in edits:
-        d = dom[i % n].samples
+        d = dom[i % n][0]
         if kind in ("collapse", "near") and len(d) > 1:
             shift = 0.0 if kind == "collapse" else float(rng.choice([0.5, 1.0, 2.0])) * 1e-10
-            moved.append((d[0], d[1] @ mat.T + shift))
-    ranges = [forward(d.samples) for d in dom]
+            d[0] = d[1] + np.linalg.solve(mat, [shift, shift])
+    ranges = [np.atleast_2d(d) @ mat.T for d, _ in dom]
     for i, kind in edits:
-        r, pitch = ranges[i % n], dom[i % n].pitch
+        r, pitch = ranges[i % n], dom[i % n][1]
         j, ax = int(rng.integers(len(r))), int(rng.integers(2))
         tol = 1.5 * pitch * math.sqrt(2)
         if kind == "ulp":
@@ -405,9 +560,9 @@ def _edited_family(seed, n, map_name, edits):
             ranges[i % n] = np.vstack([r, r[j] + rng.choice([3.0, np.inf, np.nan])])
     sign = {i % n: -1.0 if kind == "negative" else 1.0 for i, kind in edits}
     return PairedFamily(
-        [EggYolkPair(d, Ball(d.samples[0], 1.0)) for d in dom],
-        [EggYolkPair(Region(r, sign.get(k, 1.0) * d.pitch), Ball(r[0], 1.0))
-         for k, (d, r) in enumerate(zip(dom, ranges))], forward)
+        _side([(Region(d, pitch), Ball(d[0], 1.0)) for d, pitch in dom]),
+        _side([(Region(r, sign.get(k, 1.0) * pitch), Ball(r[0], 1.0))
+               for k, ((_, pitch), r) in enumerate(zip(dom, ranges))]), mat)
 
 
 @settings(max_examples=300, deadline=None)
@@ -428,7 +583,7 @@ def test_family_correspondence_check_agrees_with_per_pair_reference(seed, n, map
 @pytest.mark.parametrize("far, collapse", [(1, 3), (3, 1), (2, 2)])
 def test_lowest_failing_pair_is_reported_containment_first(far, collapse):
     fam = _edited_family(7, 5, "rot+scale", [(far, "far"), (collapse, "collapse")])
-    assert min(len(p.region.samples) for p in fam.domain_pairs) > 1
+    assert fam.domain.count.min() > 1
     want = (f"correspondence violated on pair {far}" if far <= collapse
             else f"sampled correspondence not injective on pair {collapse}")
     with pytest.raises(DomainError, match=want):
@@ -441,10 +596,10 @@ def test_range_rows_of_the_next_pair_settle_nothing():
     # row just after pair 0's: the row of q in pair 0 has no range row of its
     # own to equal
     p, q = [0.0, 0.0], [5.0, 0.0]
-    dom = Region(np.array([p, q]), 0.1)
-    fam = PairedFamily([EggYolkPair(dom, Ball(p, 1.0))] * 2,
-                       [EggYolkPair(Region(np.array(r), 0.1), Ball(p, 1.0))
-                        for r in ([p], [q, p])], affine_map(np.eye(2)))
+    dom = (Region(np.array([p, q]), 0.1), Ball(p, 1.0))
+    fam = PairedFamily(_side([dom] * 2),
+                       _side([(Region(np.array(r), 0.1), Ball(p, 1.0))
+                              for r in ([p], [q, p])]), np.eye(2))
     with pytest.raises(DomainError, match="correspondence violated on pair 0"):
         fam.check_correspondence()
 

@@ -85,6 +85,20 @@ def test_map_requires_injective_edges():
         m.inverse_lipschitz()
 
 
+def test_edge_pass_runs_once_per_map(monkeypatch):
+    # eccentric_distortion asks for Lip(f^-1) on every call; each map
+    # measures its grid edges on the first ask only
+    edges = []
+    diff = np.diff
+    monkeypatch.setattr(np, "diff",
+                        lambda a, *args, **kw: edges.append(a) or diff(a, *args, **kw))
+    maps = [linear_sampled_map(np.diag([2.0, 1.0]), pitch=0.05) for _ in range(2)]
+    for f in maps:
+        for x in [(0.3, -0.2), (-0.4, 0.1), (0.0, 0.5)]:
+            eccentric_distortion(f, x, 0.2)
+    assert [sum(a is f.values for a in edges) for f in maps] == [2, 2]
+
+
 # ---------------------------------------------------------------------------
 # Metric distortion
 

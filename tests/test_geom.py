@@ -19,10 +19,13 @@ def test_ball_requires_positive_radius():
         Ball((0, 0), 0.0)
 
 
+def _disjoint(balls):
+    return balls_disjoint_matrix([b.center for b in balls], [b.radius for b in balls])
+
+
 def test_balls_disjoint_is_exact_at_touching():
     # |c1-c2| == r1+r2 exactly: tangent balls are disjoint as open sets
-    got = balls_disjoint_matrix([Ball((0.0, 0.0), 1.0), Ball((2.0, 0.0), 1.0),
-                                 Ball((1.9, 0.0), 1.0)])
+    got = balls_disjoint_matrix([(0.0, 0.0), (2.0, 0.0), (1.9, 0.0)], [1.0, 1.0, 1.0])
     assert got.tolist() == [[False, True, False],
                             [True, False, False],
                             [False, False, False]]
@@ -31,7 +34,7 @@ def test_balls_disjoint_is_exact_at_touching():
     # say d2 = 2 s2 while in fact d2 = 1.2 U < s2 = 1.3 U (U = 2^-1074)
     x = math.sqrt(0.6) * 2.0 ** -537
     r = math.sqrt(1.3) * 2.0 ** -537 / 2
-    assert not balls_disjoint_matrix([Ball((0.0, 0.0), r), Ball((x, x), r)])[0, 1]
+    assert not balls_disjoint_matrix([(0.0, 0.0), (x, x)], [r, r])[0, 1]
 
 
 def _balls_disjoint_fraction(b1, b2):
@@ -87,7 +90,7 @@ def _ball_family(draw, dim):
 @given(dim=st.sampled_from([2, 3]), data=st.data())
 def test_balls_disjoint_matches_fraction_reference(dim, data):
     balls = data.draw(_ball_family(dim))
-    got = balls_disjoint_matrix(balls)
+    got = _disjoint(balls)
     assert got.shape == (len(balls), len(balls))
     assert got.tolist() == [[_balls_disjoint_fraction(a, b) for b in balls]
                             for a in balls]

@@ -62,6 +62,9 @@ KEEP = {
     "sets.ProductSet.intersects_boxes_batch": "ROADMAP item 1",
     # the n = 3 shell
     "modfam.annulus_scene_3d": "ROADMAP item 5",
+    # the Qhull diameter that the line-extreme diameters of a covering are
+    # checked against
+    "geom.Region.diameter": "test reference",
 }
 
 KEEP_PARAMS = {
