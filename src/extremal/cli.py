@@ -348,7 +348,8 @@ def _run_covering(cfg: ExperimentConfig, files: dict) -> dict:
     _need(p, "runs", "n_pairs", "M")
     _named_map(p)
     n_runs = _count("params.runs", p["runs"])
-    n_pairs = _count("params.n_pairs", p["n_pairs"])
+    n_pairs = _at_most("params.n_pairs", _count("params.n_pairs", p["n_pairs"]),
+                       cover.MAX_COVER_PAIRS)
     M = _number("params.M", p["M"])
     if M < 2:       # the least egg-yolk constant
         raise ConfigError(f"params.M: must be at least 2, got {M!r}")
@@ -364,14 +365,14 @@ def _run_covering(cfg: ExperimentConfig, files: dict) -> dict:
         runs.append({"verified": ver, "achieved_constant": res.achieved_constant,
                      "output_pairs": len(res.pairs)})
         if k == 0:
-            first_pairs, first_cover = res.pairs, res.to_json()
+            first_domain, first_cover = res.domain, res.to_json()
     if not all_ok:
         raise InvariantBreach("covering postconditions failed on some run")
     files["data.csv"] = partial(_csv, [
         ("run", "achieved_constant", "output_pairs"),
         *((i, run["achieved_constant"], run["output_pairs"])
           for i, run in enumerate(runs))])
-    files["figure.svg"] = partial(render.svg_covering, first_pairs)
+    files["figure.svg"] = partial(render.svg_covering, first_domain)
     return {"runs": runs, "all_verified": all_ok, "first_run": first_cover,
             "anchor": {"name": "egg-yolk covering: disjoint yolks, same union"}}
 
@@ -478,8 +479,13 @@ def _run_qh(cfg: ExperimentConfig, files: dict) -> dict:
 
 def _whitney_depth(where: str, v) -> int:
     """A Whitney depth in [0, MAX_WHITNEY_DEPTH]."""
-    if _natural(where, v) > qhyp.MAX_WHITNEY_DEPTH:
-        raise ConfigError(f"{where}: must be at most {qhyp.MAX_WHITNEY_DEPTH}, got {v!r}")
+    return _at_most(where, _natural(where, v), qhyp.MAX_WHITNEY_DEPTH)
+
+
+def _at_most(where: str, v: int, cap: int) -> int:
+    """v, refused above cap."""
+    if v > cap:
+        raise ConfigError(f"{where}: must be at most {cap}, got {v!r}")
     return v
 
 
@@ -533,6 +539,7 @@ def _run_survey(cfg: ExperimentConfig, files: dict) -> dict:
     samples = p["samples"]
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise ConfigError(f"params.samples: must be a positive integer, got {samples!r}")
+    _at_most("params.samples", samples, modfam.MAX_SURVEY_SAMPLES)
     if p["type"] == "avg-line-integral":
         curve = PolyCurve(_points("params.curve",
                                   p.get("curve", [[0.0, 0.0], [1.0, 0.0]])))

@@ -7,8 +7,9 @@ unchanged, whose correspondence is preserved, and whose yolks are pairwise
 disjoint on both sides.  Families here are finite: the containment partial
 order is resolved by explicit maximal-element selection instead of the
 maximal-chain argument needed for infinite index sets.  A family is held as
-stacked arrays, and region diameters are exact without a convex hull
-(``_line_extremes``).
+stacked arrays whose range rows are the images of the domain rows by
+construction, a covering comes back in the same layout, and region
+diameters are exact without a convex hull (``_line_extremes``).
 
 Yolk disjointness is decided exactly, for a whole family at once
 (``geom.balls_disjoint_matrix``): in floats where a stated rounding bound
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import Ball, DomainError, Region, _farthest, balls_disjoint_matrix
+from .geom import DomainError, Region, _farthest, balls_disjoint_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -32,13 +33,12 @@ from .geom import Ball, DomainError, Region, _farthest, balls_disjoint_matrix
 
 @dataclass
 class FamilySide:
-    """One side of a paired family, stacked: region k is the sample cloud
-    ``samples[start[k]:start[k + 1]]`` on a lattice of pitch ``pitch[k]``,
-    and its yolk is the ball (``centers[k]``, ``radii[k]``)."""
+    """One side of a paired family or of a covering, stacked: region k is
+    the sample cloud ``samples[start[k]:start[k + 1]]``, and its yolk is the
+    ball (``centers[k]``, ``radii[k]``)."""
 
     samples: np.ndarray
     start: np.ndarray
-    pitch: np.ndarray
     centers: np.ndarray
     radii: np.ndarray
 
@@ -54,14 +54,8 @@ class FamilySide:
     def cloud(self, k: int) -> np.ndarray:
         return self.samples[self.start[k]:self.start[k] + self.count[k]]
 
-    def take(self, keep: list[int]) -> FamilySide:
-        rows, _ = _gather(self.start, self.count, [keep])
-        n = self.count[keep]
-        return FamilySide(self.samples[rows], np.cumsum(n) - n,
-                          self.pitch[keep], self.centers[keep], self.radii[keep])
 
-
-def _gather(start: np.ndarray, count: np.ndarray, groups: list[list[int]]) -> tuple:
+def _gather(start: np.ndarray, count: np.ndarray, groups: list) -> tuple:
     """The rows of each group of regions (region k is rows start[k] to
     start[k] + count[k] - 1), concatenated group by group, and each group's
     row count."""
@@ -71,69 +65,28 @@ def _gather(start: np.ndarray, count: np.ndarray, groups: list[list[int]]) -> tu
             np.add.reduceat(n, np.cumsum(sizes) - sizes))
 
 
-@dataclass
 class PairedFamily:
-    """Matched families of egg-yolk pairs under the linear map ``matrix``."""
+    """Matched families of egg-yolk pairs under the linear map ``matrix``.
 
-    domain: FamilySide
-    range: FamilySide
-    matrix: np.ndarray
+    Built from the domain side, the lattice pitch ``pitch[k]`` of each domain
+    region, the matrix and the range yolks (``centers``, ``radii``).  The
+    range samples are formed here, by one ``forward`` call on the stacked
+    domain samples under the domain's ``start`` offsets, so each range
+    region is its domain region's image row for row.  A lattice region has
+    distinct samples, and ``random_paired_family`` refuses a singular map,
+    so the sampled correspondence is injective.
+    """
 
-    def __post_init__(self):
-        if len(self.domain) != len(self.range):
-            raise DomainError("domain and range index sets must coincide")
+    def __init__(self, domain: FamilySide, pitch, matrix: np.ndarray,
+                 centers: np.ndarray, radii: np.ndarray):
+        self.domain, self.pitch, self.matrix = domain, np.asarray(pitch, float), matrix
+        self.range = FamilySide(self.forward(domain.samples), domain.start, centers, radii)
 
     def __len__(self) -> int:
         return len(self.domain)
 
     def forward(self, pts: np.ndarray) -> np.ndarray:
         return np.atleast_2d(pts) @ self.matrix.T
-
-    def _same_rows(self, img: np.ndarray) -> np.ndarray:
-        """Where the range sample equals (==) the image ``img`` of the domain
-        sample in the same row; nowhere unless every range region has as many
-        samples as its domain region and every value is finite."""
-        rng = self.range.samples
-        if (np.array_equal(self.range.count, self.domain.count) and img.shape == rng.shape
-                and np.isfinite(img).all() and np.isfinite(rng).all()):
-            return (img == rng).all(axis=1)
-        return np.zeros(len(img), bool)
-
-    def check_correspondence(self) -> None:
-        """f must map each domain region's samples injectively into its
-        range region, within 1.5 range pitches of a range sample.
-
-        The whole family is checked on one forward call.  An image row equal
-        (==) to the same row of the range samples is at distance 0 from one;
-        only the other rows are queried, against their own range region's
-        kd-tree.  Non-finite samples settle nothing, so the tree refuses
-        them.  The lowest failing pair is reported, containment before
-        injectivity.
-        """
-        if not len(self):
-            return
-        start, pair = self.domain.start, self.domain.pair
-        img = self.forward(self.domain.samples)
-        rng = self.range
-        tol = 1.5 * rng.pitch * math.sqrt(img.shape[1])
-        same = self._same_rows(img) & (0 <= tol + 1e-12)[pair]
-        # neighbours in (pair, coordinates) order, as each pair sorts alone
-        order = np.lexsort((*img.T, pair))
-        gaps = np.append(np.linalg.norm(np.diff(img[order], axis=0), axis=1), np.inf)
-        gaps[start[1:] - 1] = np.inf                      # across two pairs
-        peak = np.maximum.reduceat(np.abs(img).max(axis=1), start)
-        crowded = np.minimum.reduceat(gaps, start) < 1e-12 * (1 + peak)
-        first = int(np.argmax(crowded)) if crowded.any() else len(self)
-        left = np.flatnonzero(~same)
-        for rows in np.split(left, np.flatnonzero(np.diff(pair[left])) + 1):
-            if not len(rows) or pair[rows[0]] > first:
-                break
-            i = pair[rows[0]]
-            region = Region(rng.cloud(i), rng.pitch[i])
-            if not region.contains_points(img[rows], tol[i]).all():
-                raise DomainError(f"correspondence violated on pair {i}")
-        if first < len(self):
-            raise DomainError(f"sampled correspondence not injective on pair {first}")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +113,8 @@ def _run_diameters(pts: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Largest distance within each run of ``n[k] >= 1`` consecutive rows of
     ``pts``, in ``geom._farthest``'s arithmetic.  Runs whose lengths round up
     to one power of two go through one call, padded to the longest of them
-    by repeating their last row."""
+    by repeating their last row, so a run's value does not depend on the
+    other runs."""
     first = np.cumsum(n) - n
     size = np.ceil(np.log2(n))
     out = np.empty(len(n))
@@ -173,42 +127,24 @@ def _run_diameters(pts: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def _diameters(family: PairedFamily) -> tuple:
     """Each side's candidate rows, stacked, their count per pair, and each
-    region's diameter.  A linear map sends the hull of a cloud onto the hull
-    of its image, so a range region that is its domain's image row for row
-    takes the rows of the domain's line extremes; any other takes all its
-    rows."""
-    dom, rng = family.domain, family.range
-    dom_ext = _line_extremes(dom)
-    aligned = np.logical_and.reduceat(
-        family._same_rows(family.forward(dom.samples)), dom.start)
-    rng_ext = np.repeat(~aligned, rng.count)
-    if aligned.any():                   # so every region has as many rows on both sides
-        rng_ext |= dom_ext
-    out = []
-    for side, ext in ((dom, dom_ext), (rng, rng_ext)):
-        n = np.bincount(side.pair[ext], minlength=len(side))
-        out.append((side.samples[ext], n, _run_diameters(side.samples[ext], n)))
-    return tuple(out)
+    side's region diameters, from one line-extreme pass over the domain.  A
+    linear map sends the hull of a cloud onto the hull of its image, and
+    each range region is its domain's image row for row, so the range takes
+    its candidates at the same rows."""
+    ext = _line_extremes(family.domain)
+    n = np.bincount(family.domain.pair[ext], minlength=len(family))
+    pts = [side.samples[ext] for side in (family.domain, family.range)]
+    return pts, n, [_run_diameters(p, n) for p in pts]
 
 
 # ---------------------------------------------------------------------------
 # Auxiliary normalization (comparable diameters on yolk contact)
 
 
-@dataclass
-class CoverPair:
-    """One output pair of the covering: region clouds plus both yolks."""
-
-    domain_points: np.ndarray
-    range_points: np.ndarray
-    domain_yolk: Ball
-    range_yolk: Ball
-    member_indices: list[int]
-
-
-def _subset_screen(side: FamilySide) -> tuple[np.ndarray, np.ndarray]:
-    """Query tolerance of every ordered pair (i, j) of regions and whether
-    region i can be a subset of region j at that tolerance.
+def _subset_screen(side: FamilySide, pitch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Query tolerance of every ordered pair (i, j) of regions on lattices
+    of pitch ``pitch`` and whether region i can be a subset of region j at
+    that tolerance.
 
     A sample of i that lies beyond j's bbox along one axis by more than the
     tolerance is that far from every sample of j, so the kd-tree query would
@@ -217,7 +153,6 @@ def _subset_screen(side: FamilySide) -> tuple[np.ndarray, np.ndarray]:
     """
     lo = np.minimum.reduceat(side.samples, side.start)
     hi = np.maximum.reduceat(side.samples, side.start)
-    pitch = side.pitch
     tol = 0.75 * np.maximum(pitch[:, None], pitch[None, :]) * math.sqrt(lo.shape[1])
     reach = ((tol + 1e-12) * (1 + 1e-9))[:, :, None]
     beyond = (((lo[None, :] - lo[:, None]) > reach).any(-1)
@@ -225,32 +160,27 @@ def _subset_screen(side: FamilySide) -> tuple[np.ndarray, np.ndarray]:
     return tol, ~beyond
 
 
-def normalize_comparable(family: PairedFamily) -> tuple[PairedFamily, dict]:
+def normalize_comparable(family: PairedFamily, diam: np.ndarray) -> list[int]:
     """Drop pairs contained in other pairs, keeping the union intact.
 
     On the surviving (maximal) pairs, whenever two yolks intersect, neither
     region contains the other, so the intersecting-yolk comparison property
-    gives diam ratios within M(M+1) of each other on both sides.  Returns the
-    reduced family and a report with the kept indices.
+    gives diam ratios within M(M+1) of each other on both sides.  ``diam``
+    holds each domain region's diameter.  Returns the kept indices, in
+    increasing order.
     """
-    family.check_correspondence()
     dom = family.domain
-    ext = _line_extremes(dom)
-    diam = _run_diameters(dom.samples[ext], np.bincount(dom.pair[ext], minlength=len(dom)))
     # scan by decreasing diameter (ties by index); drop a pair only when it
     # sits inside an already-kept one, so every dropped region is within one
     # sampling tolerance of the kept union (no transitive drift)
-    tol, may = _subset_screen(dom)
+    tol, may = _subset_screen(dom, family.pitch)
     kept: dict[int, Region] = {}
     for i in np.argsort(-diam, kind="stable").tolist():
         samples = dom.cloud(i)
         if not any(may[i, j] and r.contains_points(samples, tol[i, j]).all()
                    for j, r in kept.items()):
-            kept[i] = Region(samples, dom.pitch[i])
-    keep = sorted(kept)
-    reduced = PairedFamily(family.domain.take(keep), family.range.take(keep),
-                           family.matrix)
-    return reduced, {"kept_indices": keep}
+            kept[i] = Region(samples, family.pitch[i])
+    return sorted(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +189,24 @@ def normalize_comparable(family: PairedFamily) -> tuple[PairedFamily, dict]:
 
 @dataclass
 class CoverResult:
-    pairs: list[CoverPair]
+    """A covering in the family layout: output pair k is region k of
+    ``domain`` and of ``range``, and ``pairs[k]`` lists the kept input pairs
+    it merges, as positions in ``report["kept_indices"]``."""
+
+    pairs: list[list[int]]
+    domain: FamilySide
+    range: FamilySide
     achieved_constant: float
     report: dict
 
     def to_json(self) -> dict:
-        recs = []
-        for cp in self.pairs:
-            recs.append({
-                "domain_yolk": {"center": cp.domain_yolk.center.tolist(),
-                                "radius": cp.domain_yolk.radius},
-                "range_yolk": {"center": cp.range_yolk.center.tolist(),
-                               "radius": cp.range_yolk.radius},
-                "region_samples": int(len(cp.domain_points)),
-                "members": cp.member_indices,
-            })
+        dom, rng = self.domain, self.range
+        recs = [{"domain_yolk": {"center": dc, "radius": dr},
+                 "range_yolk": {"center": rc, "radius": rr},
+                 "region_samples": n, "members": members}
+                for dc, dr, rc, rr, n, members in zip(
+                    dom.centers.tolist(), dom.radii.tolist(), rng.centers.tolist(),
+                    rng.radii.tolist(), dom.count.tolist(), self.pairs)]
         return {"pairs": recs, "certified_constant": self.achieved_constant,
                 "verified": self.report.get("verified", {})}
 
@@ -318,81 +251,73 @@ def egg_yolk_cover(family: PairedFamily) -> CoverResult:
     Two passes of the clustering construction: the first makes the range
     yolks disjoint, the second (on the swapped families) the domain yolks;
     the second pass only merges clusters, so range disjointness survives.
-    Postconditions: the union of output regions equals the input union on
-    samples, output range clouds are the images of the domain clouds, and
-    both yolk families are pairwise disjoint.  The achieved egg-yolk constant
-    of the outputs is measured and reported, not assumed.
+    Each output region is its members' rows gathered in order, on both
+    sides, with the yolks of its anchor pair.  Postconditions: the union of
+    output regions equals the input union on samples, output range clouds
+    are the images of the domain clouds, and both yolk families are
+    pairwise disjoint.  The achieved egg-yolk constant of the outputs is
+    measured and reported, not assumed.
     """
-    reduced, aux_report = normalize_comparable(family)
-    dom, rng = reduced.domain, reduced.range
-    (dom_pts, dom_n, dom_diam), (rng_pts, rng_n, rng_diam) = _diameters(reduced)
-    zero = np.flatnonzero((dom_diam == 0) | (rng_diam == 0))
+    (dom_pts, rng_pts), n, (dom_diam, rng_diam) = _diameters(family)
+    keep = np.array(normalize_comparable(family, dom_diam))
+    zero = keep[(dom_diam[keep] == 0) | (rng_diam[keep] == 0)]
     if len(zero):
-        raise DomainError(f"pair {aux_report['kept_indices'][zero[0]]} has a "
-                          "region of zero diameter")
+        raise DomainError(f"pair {zero[0]} has a region of zero diameter")
 
-    clusters1, anchors1 = _cluster_pass(dom_diam, rng_diam, rng.centers, rng.radii)
+    dom, rng = family.domain, family.range
+    clusters1, anchors1 = _cluster_pass(dom_diam[keep], rng_diam[keep],
+                                        rng.centers[keep], rng.radii[keep])
     # phase 2 on swapped sides: each phase-1 cluster acts as one pair with
     # its anchor's yolks, and its diameter is that of its members' candidate
     # rows, since the hull vertices of a union are among its members'
-    merged = []
-    for pts, n in ((rng_pts, rng_n), (dom_pts, dom_n)):
-        rows, size = _gather(np.cumsum(n) - n, n, clusters1)
-        merged.append(_run_diameters(pts[rows], size))
-    clusters2, anchors2 = _cluster_pass(*merged, dom.centers[anchors1], dom.radii[anchors1])
+    rows, size = _gather(np.cumsum(n) - n, n, [keep[c] for c in clusters1])
+    anchor = keep[anchors1]
+    clusters2, anchors2 = _cluster_pass(
+        *(_run_diameters(pts[rows], size) for pts in (rng_pts, dom_pts)),
+        dom.centers[anchor], dom.radii[anchor])
 
     members = [[i for c in cl for i in clusters1[c]] for cl in clusters2]
-    anchor = np.array(anchors1)[anchors2]
+    anchor = anchor[anchors2]
+    rows, size = _gather(dom.start, dom.count, [keep[m] for m in members])
+    start = np.cumsum(size) - size
+    out = [FamilySide(side.samples[rows], start, side.centers[anchor], side.radii[anchor])
+           for side in (dom, rng)]
     # the achieved constant: the farthest output sample from its yolk's
     # centre over the yolk's radius, on both sides
     achieved = 2.0
-    clouds, yolks = [], []
-    for side in (dom, rng):
-        rows, n = _gather(side.start, side.count, members)
-        pts, c, r = side.samples[rows], side.centers[anchor], side.radii[anchor]
-        far = np.maximum.reduceat(np.linalg.norm(pts - np.repeat(c, n, axis=0), axis=1),
-                                  np.cumsum(n) - n)
-        achieved = max(achieved, float((far / r).max()))
-        clouds.append(np.split(pts, np.cumsum(n)[:-1]))
-        yolks.append([Ball(ci, ri) for ci, ri in zip(c, r.tolist())])
-    out_pairs = [CoverPair(*pair) for pair in zip(*clouds, *yolks, members)]
+    for side in out:
+        far = np.maximum.reduceat(np.linalg.norm(
+            side.samples - np.repeat(side.centers, size, axis=0), axis=1), start)
+        achieved = max(achieved, float((far / side.radii).max()))
 
-    report = dict(aux_report)
-    report["verified"] = verify_cover(family, out_pairs)
-    return CoverResult(out_pairs, achieved, report)
+    report = {"kept_indices": keep.tolist(), "verified": verify_cover(family, *out)}
+    return CoverResult(members, *out, achieved, report)
 
 
-def verify_cover(family: PairedFamily, out_pairs: list[CoverPair]) -> dict:
+def verify_cover(family: PairedFamily, dom: FamilySide, rng: FamilySide) -> dict:
     """Exhaustively check the three covering postconditions on samples.
 
-    (i) the output clouds cover the input union and lie in it, each sample
-    within 0.75 pitch sqrt(dim) of the other side; (ii) each output range
-    cloud is the forward image of its domain cloud, within an absolute
-    tolerance of 1e-9 (1 + max |image coordinate|) and no relative one, on
-    one forward call for all the output domain clouds; (iii) the output
-    yolks are pairwise disjoint on each side, decided exactly on matrices
-    built from the output yolks themselves.
+    (i) the output domain clouds ``dom`` cover the input union and lie in
+    it, each sample within 0.75 pitch sqrt(dim) of the other side; (ii) each
+    output range cloud of ``rng`` is the forward image of its domain cloud,
+    within an absolute tolerance of 1e-9 (1 + max |image coordinate|) and no
+    relative one, on one forward call for all the output domain clouds;
+    (iii) the output yolks are pairwise disjoint on each side, decided
+    exactly on matrices built from the output yolks themselves.
     """
-    dom_out = np.vstack([cp.domain_points for cp in out_pairs])
-    rng_out = np.vstack([cp.range_points for cp in out_pairs])
     # (i) union equality
-    union_ok = _same_union(family.domain.samples, dom_out, family.domain.pitch.max())
+    union_ok = _same_union(family.domain.samples, dom.samples, family.pitch.max())
     # (ii) image correspondence: range clouds are the forward images
-    n = np.array([len(cp.domain_points) for cp in out_pairs])
-    img = family.forward(dom_out)
-    image_ok = (img.shape == rng_out.shape
-                and n.tolist() == [len(cp.range_points) for cp in out_pairs])
+    img = family.forward(dom.samples)
+    image_ok = img.shape == rng.samples.shape and np.array_equal(dom.count, rng.count)
     if image_ok:
-        atol = 1e-9 * (1 + np.maximum.reduceat(np.abs(img).max(axis=1), np.cumsum(n) - n))
-        image_ok = np.isclose(img, rng_out, rtol=0.0,
-                              atol=np.repeat(atol, n)[:, None]).all()
+        atol = 1e-9 * (1 + np.maximum.reduceat(np.abs(img).max(axis=1), dom.start))
+        image_ok = np.isclose(img, rng.samples, rtol=0.0,
+                              atol=np.repeat(atol, dom.count)[:, None]).all()
     # (iii) pairwise disjoint yolks, exactly, on the output yolks themselves
-    upper = np.triu_indices(len(out_pairs), 1)
+    upper = np.triu_indices(len(dom), 1)
     dom_disjoint, rng_disjoint = (
-        balls_disjoint_matrix([b.center for b in yolks],
-                              [b.radius for b in yolks])[upper].all()
-        for yolks in ([cp.domain_yolk for cp in out_pairs],
-                      [cp.range_yolk for cp in out_pairs]))
+        balls_disjoint_matrix(side.centers, side.radii)[upper].all() for side in (dom, rng))
     return {"union_equality": bool(union_ok),
             "image_correspondence": bool(image_ok),
             "domain_yolks_disjoint": bool(dom_disjoint),
@@ -439,6 +364,12 @@ def _near(q: np.ndarray, cloud: np.ndarray, tol: float) -> bool:
 # Random family generation (experiments and property tests)
 
 
+# pairs of a covering a config may ask for: the subset screen and the yolk
+# matrices allocate (n, n, dim) arrays, so time and memory grow as n^2 (a
+# family and its covering took 0.65 s and a 117 MB peak at 1,024 pairs, 1.2 s
+# and 231 MB at 2,048; 1 thread, one run each, raw); 68 times the catalog's 30
+MAX_COVER_PAIRS = 2048
+
 NAMED_MAPS = {
     "identity": np.eye(2),
     "diag(2,1)": np.diag([2.0, 1.0]),
@@ -456,7 +387,8 @@ def random_paired_family(n_pairs: int, M: float, map_name: str,
     range yolks are inscribed-scale balls of the image ellipses.  Anisotropic
     maps need M >= 4 to leave the egg-yolk property intact on the range side
     (a 2-egg-yolk pair forces A = 2B, which no non-conformal linear image
-    preserves), so M < 4 rejects them.
+    preserves), so M < 4 rejects them, and so does a singular map
+    (anisotropy inf).
     """
     mat = NAMED_MAPS[map_name]
     svals = np.linalg.svd(mat, compute_uv=False)
@@ -483,6 +415,5 @@ def random_paired_family(n_pairs: int, M: float, map_name: str,
     count = np.bincount(k, minlength=n_pairs)
     start = np.cumsum(count) - count
     # inscribed radius of the image ellipse is s * smin
-    return PairedFamily(FamilySide(samples, start, pitch, centers, r),
-                        FamilySide(samples @ mat.T, start, pitch * svals[-1],
-                                   img_centers, s * svals[-1] / 2), mat)
+    return PairedFamily(FamilySide(samples, start, centers, r), pitch, mat,
+                        img_centers, s * svals[-1] / 2)

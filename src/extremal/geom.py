@@ -1,8 +1,9 @@
 """Core geometric types and functionals.
 
-Balls, sampled regions, polygonal curves, boundary eccentricity, Hausdorff
-content, and line integrals.  Everything here is a pure function of immutable
-inputs; regions and curves are safe to share across threads once built.
+Ball disjointness, sampled regions, polygonal curves, boundary eccentricity,
+Hausdorff content, and line integrals.  Everything here is a pure function of
+immutable inputs; regions and curves are safe to share across threads once
+built.
 """
 
 from __future__ import annotations
@@ -22,19 +23,6 @@ class DomainError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Balls
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Open Euclidean ball given by center and positive radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, float))
-        if not self.radius > 0:
-            raise DomainError(f"ball radius must be positive, got {self.radius}")
 
 
 def balls_disjoint_matrix(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:

@@ -753,6 +753,14 @@ def avg_line_integral(rho, curve: PolyCurve, r: float, samples: int,
 # Intersection surveys
 
 
+# samples a survey config may ask for: avg-line-integral holds samples x 65
+# points per curve segment, about 2.3 KB of peak memory per sample (305 MB
+# and 1.6 s at 100,000 samples, 538 MB and 2.7 s at 200,000; 1 thread, one
+# run each, raw), so about 0.7 GB at the cap; 2.6 times the catalog's
+# largest survey (100,000)
+MAX_SURVEY_SAMPLES = 1 << 18
+
+
 def translation_survey(E, curve: PolyCurve, n_max: int, samples: int,
                        seed: int) -> dict:
     """Monte Carlo estimates of m*(F_N): translates meeting E at >= N points.

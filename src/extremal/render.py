@@ -85,23 +85,21 @@ def svg_density_heatmap(density, path: str) -> None:
     _write_doc(path, image, (ox, oy, nx * h, ny * h))
 
 
-def svg_covering(cover_pairs, path: str) -> None:
-    """Yolk circles over region sample clouds, domain side of a covering."""
+def svg_covering(side, path: str) -> None:
+    """Yolk circles over region sample clouds, domain side of a covering
+    (a stacked ``cover.FamilySide``)."""
     elems = []
-    all_pts = []
-    for k, cp in enumerate(cover_pairs):
-        pts, yolk = cp.domain_points, cp.domain_yolk
-        all_pts.append(pts)
-        col = _color(k / max(len(cover_pairs) - 1, 1))
+    for k, ((cx, cy), r) in enumerate(zip(side.centers, side.radii)):
+        pts = side.cloud(k)
+        col = _color(k / max(len(side) - 1, 1))
         for p in pts[:: max(1, len(pts) // 400)]:
             elems.append(f'<circle cx="{p[0]:.4f}" cy="{p[1]:.4f}" '
                          f'r="0.02" fill="{col}" fill-opacity="0.35"/>')
-        elems.append(f'<circle cx="{yolk.center[0]:.4f}" cy="{yolk.center[1]:.4f}" '
-                     f'r="{yolk.radius:.4f}" fill="none" stroke="{col}" '
+        elems.append(f'<circle cx="{cx:.4f}" cy="{cy:.4f}" '
+                     f'r="{r:.4f}" fill="none" stroke="{col}" '
                      f'stroke-width="0.02"/>')
-    pts = np.vstack(all_pts)
-    lo = pts.min(axis=0) - 1
-    hi = pts.max(axis=0) + 1
+    lo = side.samples.min(axis=0) - 1
+    hi = side.samples.max(axis=0) + 1
     _write_doc(path, elems, (lo[0], lo[1], hi[0] - lo[0], hi[1] - lo[1]))
 
 

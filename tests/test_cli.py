@@ -814,3 +814,43 @@ def test_density_specs_map_point_arrays(kind, want):
     got = cli._density_from_spec({"kind": kind})(pts)
     assert got.shape == (3,)
     assert got.tolist() == pytest.approx(want, rel=1e-15)
+
+
+class _Built(Exception):
+    """Raised by a patched builder: the run got past its config checks."""
+
+
+def _refuse_build(*args, **kwargs):
+    raise _Built
+
+
+@pytest.mark.parametrize("kind, params, builder, cap", [
+    ("covering", {"runs": 1, "M": 4.0, "map": "identity"},
+     (cover, "random_paired_family"), ("n_pairs", cover.MAX_COVER_PAIRS)),
+    ("survey", {"type": "avg-line-integral"},
+     (modfam, "avg_line_integral"), ("samples", modfam.MAX_SURVEY_SAMPLES)),
+    ("survey", {"type": "translation", "E": _CIRCLE},
+     (modfam, "translation_survey"), ("samples", modfam.MAX_SURVEY_SAMPLES)),
+    ("survey", {"type": "radial", "E": _CIRCLE},
+     (modfam, "radial_survey"), ("samples", modfam.MAX_SURVEY_SAMPLES))],
+    ids=["covering-pairs", "avg-line-samples", "translation-samples", "radial-samples"])
+def test_counts_above_their_cap_exit_two_before_building(kind, params, builder, cap,
+                                                        tmp_path, monkeypatch, capsys):
+    # n_pairs sized the (n, n, dim) arrays of the subset screen and the yolk
+    # matrices, and samples the samples x 65 points of avg-line-integral,
+    # with no bound; the builder raises, so no count is ever run: the cap
+    # itself reaches the builder, one more is refused before it
+    monkeypatch.setattr(*builder, _refuse_build)
+    key, most = cap
+    path = tmp_path / "c.json"
+    for value, refused in ((most, False), (most + 1, True)):
+        path.write_text(json.dumps({"kind": kind, "seed": 1, "out": str(tmp_path / "out"),
+                                    "params": {**params, key: value}}))
+        if refused:
+            assert main(["run", str(path)]) == 2
+            assert (f"params.{key}: must be at most {most}, got {most + 1}"
+                    in capsys.readouterr().err)
+        else:
+            with pytest.raises(_Built):
+                main(["run", str(path)])
+    assert not (tmp_path / "out" / "results.json").exists()

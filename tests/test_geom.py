@@ -6,21 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extremal import geom, sets
-from extremal.geom import (Ball, DomainError, PolyCurve, Region, balls_disjoint_matrix,
+from extremal.geom import (DomainError, PolyCurve, Region, balls_disjoint_matrix,
                            hausdorff_content, hausdorff_normalization,
                            line_integral, translate_line_integrals)
 
 
 # ---------------------------------------------------------------------------
-# Balls
-
-def test_ball_requires_positive_radius():
-    with pytest.raises(DomainError):
-        Ball((0, 0), 0.0)
-
+# Balls, each a (center, radius) pair
 
 def _disjoint(balls):
-    return balls_disjoint_matrix([b.center for b in balls], [b.radius for b in balls])
+    return balls_disjoint_matrix([c for c, _ in balls], [r for _, r in balls])
 
 
 def test_balls_disjoint_is_exact_at_touching():
@@ -39,9 +34,9 @@ def test_balls_disjoint_is_exact_at_touching():
 
 def _balls_disjoint_fraction(b1, b2):
     """Reference form in rational arithmetic."""
-    d2 = sum((Fraction(float(a)) - Fraction(float(b))) ** 2
-             for a, b in zip(b1.center, b2.center))
-    rsum = Fraction(float(b1.radius)) + Fraction(float(b2.radius))
+    (c1, r1), (c2, r2) = b1, b2
+    d2 = sum((Fraction(float(a)) - Fraction(float(b))) ** 2 for a, b in zip(c1, c2))
+    rsum = Fraction(float(r1)) + Fraction(float(r2))
     return d2 >= rsum * rsum
 
 
@@ -67,21 +62,21 @@ def _ulps(x: float, k: int) -> float:
 def _ball_family(draw, dim):
     """Balls drawn freely, tangent to an earlier ball (exactly, along an
     axis, when r1 + r2 rounds exactly), or a few ulps from tangency."""
-    balls = [Ball(draw(st.lists(_coords, min_size=dim, max_size=dim)), draw(_radii))]
+    balls = [(draw(st.lists(_coords, min_size=dim, max_size=dim)), draw(_radii))]
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(["free", "touch", "near"]))
         if kind == "free":
             c = draw(st.lists(_coords, min_size=dim, max_size=dim))
         else:
-            other = balls[draw(st.integers(0, len(balls) - 1))]
+            center, radius = balls[draw(st.integers(0, len(balls) - 1))]
             r = draw(_radii)
             u = draw(_directions)[:dim] if kind == "near" else (1.0, 0.0, 0.0)[:dim]
-            c = [float(x) + (other.radius + r) * v for x, v in zip(other.center, u)]
+            c = [float(x) + (radius + r) * v for x, v in zip(center, u)]
             if kind == "near":
                 k = draw(st.integers(0, dim - 1))
                 c[k] = _ulps(c[k], draw(st.integers(-4, 4)))
                 r = max(_ulps(r, draw(st.integers(-2, 2))), 5e-324)
-        balls.append(Ball(c, r if kind != "free" else draw(_radii)))
+        balls.append((c, r if kind != "free" else draw(_radii)))
     order = draw(st.permutations(range(len(balls))))
     return [balls[i] for i in order]
 
