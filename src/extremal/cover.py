@@ -179,7 +179,7 @@ def normalize_comparable(family: PairedFamily, diam: np.ndarray) -> list[int]:
         samples = dom.cloud(i)
         if not any(may[i, j] and r.contains_points(samples, tol[i, j]).all()
                    for j, r in kept.items()):
-            kept[i] = Region(samples, family.pitch[i])
+            kept[i] = Region(samples)
     return sorted(kept)
 
 

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import DomainError, _cloud_diameter, eccentricity_of_boundary
+from .geom import DomainError, _farthest, eccentricity_of_boundary
 from .modfam import GridScene, check_scene_cells, discrete_modulus, ring_modulus_exact
 
 
@@ -42,7 +42,6 @@ class SampledMap:
         self.values = np.asarray(values, float)
         if self.values.ndim != 3 or self.values.shape[2] != 2:
             raise DomainError("sampled maps store (nx, ny, 2) node values")
-        self._node_pts = self.node_points().reshape(-1, 2)
         self._img_tree = cKDTree(self.values.reshape(-1, 2))
 
     @staticmethod
@@ -61,13 +60,6 @@ class SampledMap:
     @property
     def shape(self) -> tuple:
         return self.values.shape[:2]
-
-    def node_points(self) -> np.ndarray:
-        nx, ny = self.shape
-        xs = self.origin[0] + self.pitch * np.arange(nx)
-        ys = self.origin[1] + self.pitch * np.arange(ny)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        return np.stack([X, Y], axis=-1)
 
     @property
     def domain_lo(self) -> np.ndarray:
@@ -119,7 +111,7 @@ class SampledMap:
         steps, each taking value and exact Jacobian from one corner gather."""
         pts = np.atleast_2d(np.asarray(pts, float))
         _, nearest = self._img_tree.query(pts, k=1)
-        x = self._node_pts[nearest].copy()
+        x = self.origin + self.pitch * np.stack(np.divmod(nearest, self.shape[1]), axis=1)
         for _ in range(8):
             corners = self._corners(x)
             r = self._value(*corners) - pts
@@ -133,14 +125,11 @@ class SampledMap:
             x = np.clip(x, self.domain_lo, self.domain_hi)
         return x
 
-    def inverse_lipschitz(self) -> float:
-        """Upper estimate of Lip(f^{-1}) from grid-edge image lengths."""
-        return self._inverse_lipschitz
-
     @cached_property
-    def _inverse_lipschitz(self) -> float:
-        # one edge pass per map, on the first call; a map that is not
-        # injective on its grid edges raises on every call
+    def inverse_lipschitz(self) -> float:
+        """Upper estimate of Lip(f^{-1}) from grid-edge image lengths, measured
+        on the first access; a map that is not injective on its grid edges
+        raises on every access."""
         dx = np.linalg.norm(np.diff(self.values, axis=0), axis=2)
         dy = np.linalg.norm(np.diff(self.values, axis=1), axis=2)
         m = min(dx.min(initial=np.inf), dy.min(initial=np.inf))
@@ -205,36 +194,32 @@ def eccentric_distortion(f: SampledMap, x, r: float) -> float:
     (b) pullbacks of range balls around f(x).  Eccentricities of the curved
     side are estimated from mapped boundary clouds.  Estimates are
     nondecreasing as r decreases because the candidate ladder is nested.
+    All levels go through one ``forward`` and one ``inverse`` call (both are
+    pointwise); a pullback counts when its boundary samples are at most 2r
+    apart, all pairs compared, and the estimate is the least of one array.
     """
     x = np.asarray(x, float)
     lo_margin = min((x - f.domain_lo).min(), (f.domain_hi - x).min())
     if not (0 < r < lo_margin / 3):
         raise DomainError("scale must satisfy 0 < r < dist(x, boundary)/3")
-    fx = f.forward(x[None])[0]
     theta = np.linspace(0, 2 * math.pi, BOUNDARY_SAMPLES, endpoint=False)
     circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    best = math.inf
+    probe = np.vstack([circle, 0.25 * np.vstack([[0, 0], circle[::8]])])
+    ladder = 2.0 ** -np.arange(ECCENTRIC_LADDER)[:, None, None]
+    shape = (ECCENTRIC_LADDER, len(probe), 2)
 
-    # (a) balls around x; image eccentricity via mapped boundary
-    for k in range(ECCENTRIC_LADDER):
-        s = r * 2.0 ** (-k)
-        img_bnd = f.forward(x + s * circle)
-        centers = f.forward(x[None] + s * 0.25 * np.vstack([[0, 0], circle[::8]]))
-        best = min(best, eccentricity_of_boundary(img_bnd, centers))
+    # (a) balls around x, through the map; the first centre probe is x itself
+    balls = f.forward((x + r * ladder * probe).reshape(-1, 2)).reshape(shape)
+    fx = balls[0, BOUNDARY_SAMPLES]
 
-    # (b) pullbacks of range balls around f(x); the boundary circle and the
-    # centre probes of every level go through one inverse call (Newton steps
-    # are pointwise, so each row is what a call of its own would give)
-    s_img = r / max(f.inverse_lipschitz(), 1e-300)
-    scales = [s_img * 2.0 ** (-k) for k in range(ECCENTRIC_LADDER)]
-    levels = [np.vstack([fx + s * circle,
-                         fx[None] + s * 0.25 * np.vstack([[0, 0], circle[::8]])])
-              for s in scales]
-    for level in np.split(f.inverse(np.vstack(levels)), len(levels)):
-        dom_bnd, centers = level[:BOUNDARY_SAMPLES], level[BOUNDARY_SAMPLES:]
-        if _cloud_diameter(dom_bnd) <= 2 * r:
-            best = min(best, eccentricity_of_boundary(dom_bnd, centers))
-    return best
+    # (b) pullbacks of range balls around f(x)
+    s_img = r / max(f.inverse_lipschitz, 1e-300)
+    pulls = f.inverse((fx + s_img * ladder * probe).reshape(-1, 2)).reshape(shape)
+
+    cands = np.concatenate([balls, pulls])
+    ecc = eccentricity_of_boundary(cands[:, :BOUNDARY_SAMPLES], cands[:, BOUNDARY_SAMPLES:])
+    ecc[ECCENTRIC_LADDER:][_farthest(pulls[:, :BOUNDARY_SAMPLES]) > 2 * r] = np.inf
+    return float(ecc.min())
 
 
 # ---------------------------------------------------------------------------

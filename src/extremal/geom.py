@@ -68,12 +68,11 @@ def balls_disjoint_matrix(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
 class Region:
     """Bounded open set represented by a point cloud on a regular lattice.
 
-    ``samples`` are lattice points lying in the set, ``pitch`` is the lattice
-    spacing.  A containment check takes its tolerance from the caller.
+    ``samples`` are lattice points lying in the set.  A containment check
+    takes its tolerance from the caller.
     """
 
     samples: np.ndarray
-    pitch: float
 
     def __post_init__(self):
         pts = np.asarray(self.samples, float)
@@ -110,18 +109,29 @@ def _hull_points(pts: np.ndarray) -> np.ndarray:
 
 
 def _cloud_diameter(pts: np.ndarray) -> float:
-    """Exact diameter: the largest pairwise distance among hull vertices."""
-    hull = _hull_points(pts)
-    return float(_farthest(hull)) if len(hull) else 0.0
+    """Exact diameter over the samples whose farthest hull vertex is within a
+    rounding slack of the largest such distance: both ends of a diameter are,
+    even one that Qhull drops as lying within its precision of a vertex."""
+    if not len(pts):
+        return 0.0
+    far = np.sqrt(_squared_distances(pts, _hull_points(pts)).max(axis=1))
+    slack = 1e-9 * (1 + np.abs(pts).max())
+    return float(_farthest(pts[far >= far.max() - slack]))
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(..., k, m) squared distances between the rows of (..., k, dim) and
+    (..., m, dim) stacks, summed in axis order: the square root of an entry
+    is the distance ``np.linalg.norm`` and a kd-tree query give."""
+    return sum((p[..., :, None] - q[..., None, :]) ** 2
+               for p, q in zip(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)))
 
 
 def _farthest(clouds: np.ndarray) -> np.ndarray:
     """Largest pairwise distance within each (k, dim) cloud of a (..., k, dim)
-    stack, k >= 1: one arithmetic for every exact diameter (squared
-    coordinate differences summed in axis order; the square root is
-    monotone, so it is taken once, of the largest sum)."""
-    sq = sum((x[..., :, None] - x[..., None, :]) ** 2 for x in np.moveaxis(clouds, -1, 0))
-    return np.sqrt(sq.max(axis=(-2, -1)))
+    stack, k >= 1: one arithmetic for every exact diameter (the square root
+    is monotone, so it is taken once, of the largest squared distance)."""
+    return np.sqrt(_squared_distances(clouds, clouds).max(axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,23 +165,21 @@ class PolyCurve:
 # Eccentricity
 
 
-def eccentricity_of_boundary(boundary: np.ndarray, centers: np.ndarray) -> float:
+def eccentricity_of_boundary(boundary: np.ndarray, centers: np.ndarray):
     """Least max/min distance ratio to a sampled boundary over candidate centers.
 
     For an open set A with boundary cloud ``boundary`` and a center c inside A,
     the largest inscribed ball has radius dist(c, bd A) and the smallest
     circumscribed one max dist; their ratio bounds the eccentricity from above.
-    The farthest boundary point is a vertex of the boundary's convex hull.
+    Both radii are exact, read off one centers x samples distance array.
+    Stacks (..., m, dim) and (..., k, dim) give one value per set, as its own
+    call would; one set gives a float.
     """
-    centers = np.atleast_2d(np.asarray(centers, float))
-    r_in, _ = cKDTree(boundary).query(centers, k=1)
-    hull = _hull_points(boundary)
-    r_out = np.linalg.norm(centers[:, None] - hull[None], axis=2).max(axis=1)
-    ok = r_in > 1e-12
-    if not ok.any():
-        return math.inf
-    ratio = np.where(ok, r_out / np.maximum(r_in, 1e-300), np.inf)
-    return float(max(1.0, ratio.min()))
+    d = np.sqrt(_squared_distances(np.atleast_2d(np.asarray(centers, float)),
+                                   np.asarray(boundary, float)))
+    r_in, r_out = d.min(axis=-1), d.max(axis=-1)
+    ratio = np.where(r_in > 1e-12, r_out / np.maximum(r_in, 1e-300), np.inf)
+    return np.maximum(1.0, ratio.min(axis=-1))
 
 
 # ---------------------------------------------------------------------------

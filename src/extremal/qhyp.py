@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from .geom import DomainError, _cloud_diameter
+from .geom import DomainError, _cloud_diameter, _squared_distances
 from .modfam import MAX_SCENE_CELLS
 
 _SNAP = 2 ** 24   # vertex coordinates are multiples of 1/_SNAP
@@ -545,7 +545,6 @@ class QhGrid:
         self.nodes = pts[ok]
         index = -np.ones(nx * ny, np.int64)
         index[ok] = np.arange(len(self.nodes))
-        self._tree = cKDTree(self.nodes)
         rows, cols, data = [], [], []
         for (dx, dy), si, di, dmid in _grid_steps(
                 domain, pts.reshape(nx, ny, 2), index.reshape(nx, ny)):
@@ -558,8 +557,12 @@ class QhGrid:
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n))
 
+    def node_distances(self, pts) -> np.ndarray:
+        """Distances from each point to every node, one row per point."""
+        return np.sqrt(_squared_distances(np.atleast_2d(pts), self.nodes))
+
     def nearest_node(self, p) -> int:
-        return int(self._tree.query(np.asarray(p, float))[1])
+        return int(self.node_distances(p).argmin())   # the lowest index on a tie
 
     def distance_field(self, x0) -> np.ndarray:
         return dijkstra(self.mat, directed=False, indices=self.nearest_node(x0))
@@ -620,9 +623,10 @@ def qh_distance(domain: PolygonDomain, x1, x2, pitch: float) -> dict:
         raise DomainError("query points must be interior to the domain")
     # endpoints whose neighborhood is unresolved at this pitch are flagged,
     # not silently snapped to a distant node
-    if (g._tree.query(np.stack([a, b]))[0] > 1.6 * pitch).any():
+    near = g.node_distances(np.stack([a, b]))
+    if (near.min(axis=1) > 1.6 * pitch).any():
         return {"value": math.inf, "infeasible": True}
-    value = float(g.distance_field(a)[g.nearest_node(b)])
+    value = float(g.distance_field(a)[near[1].argmin()])
     return {"value": value, "infeasible": not math.isfinite(value)}
 
 

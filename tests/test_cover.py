@@ -57,7 +57,7 @@ def _disk_cloud(center, radius, pitch) -> Region:
     X, Y = np.meshgrid(ax, ay, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
     keep = np.linalg.norm(pts - np.asarray(center), axis=1) < radius
-    return Region(pts[keep], pitch)
+    return Region(pts[keep])
 
 
 def _family_reference(n_pairs, M, map_name, seed):
@@ -75,7 +75,7 @@ def _family_reference(n_pairs, M, map_name, seed):
         dom.append((region.samples, center, r))
         img.append((np.atleast_2d(region.samples) @ mat.T,
                     (np.atleast_2d(center[None]) @ mat.T)[0], s * smin / 2))
-        pitch.append(region.pitch)
+        pitch.append(s / 7)
     return _side(*zip(*dom)), _side(*zip(*img)), np.array(pitch), mat
 
 
@@ -127,7 +127,7 @@ def test_diameter_chain_for_certified_pairs():
         s = float(rng.uniform(2 * r, M * r))
         A = _disk_cloud(np.zeros(2), s, s / 9)
         dA = A.diameter()
-        tol = 2.5 * A.pitch
+        tol = 2.5 * s / 9
         assert 2 * r <= dA + tol
         assert dA <= 2 * M * (2 * r) + tol
 
@@ -143,7 +143,8 @@ def test_intersecting_yolks_comparable_diameters():
         c2 = np.array([0.9 * (r1 + r2), 0.0])
         A1 = _disk_cloud(np.zeros(2), s1, s1 / 8)
         A2 = _disk_cloud(c2, s2, s2 / 8)
-        nested = _brute_subset(A1, A2) or _brute_subset(A2, A1)
+        pitch = max(s1, s2) / 8
+        nested = _brute_subset(A1, A2, pitch) or _brute_subset(A2, A1, pitch)
         if nested:
             continue
         d1, d2 = A1.diameter(), A2.diameter()
@@ -182,8 +183,8 @@ def test_normalize_output_comparability_under_map():
         for j in range(i + 1, len(keep)):
             for side, side_apart in zip((fam.domain, fam.range), apart):
                 if not side_apart[i, j]:
-                    di = Region(side.cloud(keep[i]), fam.pitch[keep[i]]).diameter()
-                    dj = Region(side.cloud(keep[j]), fam.pitch[keep[j]]).diameter()
+                    di = Region(side.cloud(keep[i])).diameter()
+                    dj = Region(side.cloud(keep[j])).diameter()
                     assert di <= c * dj * 1.1 and dj <= c * di * 1.1
 
 
@@ -434,17 +435,18 @@ def test_one_sample_region_is_a_domain_error(domain_samples, mat):
 # ---------------------------------------------------------------------------
 # Subset screen: the bounding-box reject of every ordered pair at once
 
-def _brute_subset(a, b):
-    tol = 0.75 * max(a.pitch, b.pitch) * math.sqrt(a.samples.shape[1])
+def _brute_subset(a, b, pitch):
+    """a within b at the tolerance of the coarser of their lattice pitches."""
+    tol = 0.75 * pitch * math.sqrt(a.samples.shape[1])
     return bool(b.contains_points(a.samples, tol=tol).all())
 
 
-def _screened_subset(regions):
+def _screened_subset(regions, pitch):
     """Subset matrix as normalize_comparable decides it: the screen, then
     the kd-tree query at the screen's tolerance."""
     side = _side([r.samples for r in regions], [r.samples[0] for r in regions],
                  np.ones(len(regions)))
-    tol, may = cover._subset_screen(side, np.array([r.pitch for r in regions]))
+    tol, may = cover._subset_screen(side, np.asarray(pitch, float))
     return [[bool(may[i, j]) and bool(b.contains_points(a.samples, tol[i, j]).all())
              for j, b in enumerate(regions)] for i, a in enumerate(regions)]
 
@@ -462,15 +464,15 @@ def test_region_subset_bbox_reject_agrees_with_brute_force(seed, dim, pitch, axi
     # inside or just outside the tolerance of b's extreme sample
     rng = np.random.default_rng(seed)
     axis = axis % dim
-    b = Region(rng.uniform(-5.0, 5.0, size=(int(rng.integers(1, 40)), dim)), pitch)
+    b = Region(rng.uniform(-5.0, 5.0, size=(int(rng.integers(1, 40)), dim)))
     tol = 0.75 * pitch * math.sqrt(dim)
     ext = b.samples[np.argmax(b.samples[:, axis]) if upper
                     else np.argmin(b.samples[:, axis])].copy()
     ext[axis] += (tol + delta) if upper else -(tol + delta)
     inner = b.samples[:int(rng.integers(0, len(b.samples) + 1))]
-    a = Region(np.vstack([inner, ext[None]]), pitch)
-    assert _screened_subset([a, b]) == [[_brute_subset(x, y) for y in (a, b)]
-                                        for x in (a, b)]
+    a = Region(np.vstack([inner, ext[None]]))
+    assert _screened_subset([a, b], [pitch, pitch]) == [
+        [_brute_subset(x, y, pitch) for y in (a, b)] for x in (a, b)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -478,11 +480,11 @@ def test_region_subset_agrees_on_random_families(seed):
     # the range regions on the image lattices, of pitch pitch * smin
     fam = random_paired_family(12, 4.0, "diag(2,1)", seed=seed)
     smin = np.linalg.svd(fam.matrix, compute_uv=False)[-1]
-    regions = [Region(c, p) for side, pitch in ((fam.domain, fam.pitch),
-                                                (fam.range, fam.pitch * smin))
-               for c, p in zip(_clouds(side), pitch)]
-    assert _screened_subset(regions) == [[_brute_subset(a, b) for b in regions]
-                                         for a in regions]
+    regions = [Region(c) for side in (fam.domain, fam.range) for c in _clouds(side)]
+    pitch = np.concatenate([fam.pitch, fam.pitch * smin])
+    assert _screened_subset(regions, pitch) == [
+        [_brute_subset(a, b, max(pa, pb)) for b, pb in zip(regions, pitch)]
+        for a, pa in zip(regions, pitch)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from extremal import distort, modfam
+from extremal import distort, geom, modfam
 from extremal.distort import (SampledMap, eccentric_distortion, linear_sampled_map,
                               metric_distortion, ring_qc_test)
 from extremal.geom import DomainError, _cloud_diameter, eccentricity_of_boundary
@@ -81,8 +81,10 @@ def test_inverse_of_forward_on_non_affine_map():
 def test_map_requires_injective_edges():
     vals = np.zeros((3, 3, 2))
     m = SampledMap((0, 0), 1.0, vals)
-    with pytest.raises(DomainError):
-        m.inverse_lipschitz()
+    # a cached_property that raises caches nothing: every access raises
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            m.inverse_lipschitz
 
 
 def test_edge_pass_runs_once_per_map(monkeypatch):
@@ -207,7 +209,7 @@ def _ref_eccentric_distortion(f, x, r):
         val = max(1.0, eccentricity_of_boundary(img_bnd, centers))
         records.append({"family": "ball", "scale": s, "value": val})
         best = min(best, val)
-    s_img = r / max(f.inverse_lipschitz(), 1e-300)
+    s_img = r / max(f.inverse_lipschitz, 1e-300)
     for k in range(ladder_steps):
         s = s_img * 2.0 ** (-k)
         dom_bnd = f.inverse(fx + s * circle)
@@ -234,6 +236,18 @@ SHEAR = SampledMap.from_function(
        st.floats(0.05, 0.95))
 def test_eccentric_one_inverse_matches_one_per_level(f, x, r):
     assert eccentric_distortion(f, x, r) == _ref_eccentric_distortion(f, x, r)[0]
+
+
+def test_eccentric_builds_no_tree_or_hull(monkeypatch):
+    # every radius and pullback diameter comes from direct distances: on a
+    # built map the estimate needs no kd-tree, hull or hull diameter
+    want = [_ref_eccentric_distortion(f, (0.0, 0.0), 0.9)[0] for f in (DIAG, SHEAR)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tree or hull built")
+    for name in ("cKDTree", "ConvexHull", "_hull_points", "_cloud_diameter"):
+        monkeypatch.setattr(geom, name, refuse)
+    assert [eccentric_distortion(f, (0.0, 0.0), 0.9) for f in (DIAG, SHEAR)] == want
 
 
 def test_eccentric_makes_one_inverse_call(monkeypatch):

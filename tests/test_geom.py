@@ -106,7 +106,7 @@ def _disk_samples(center, radius: float, pitch: float) -> np.ndarray:
 
 def test_region_requires_samples():
     with pytest.raises(DomainError):
-        Region(np.zeros((0, 2)), 0.1)
+        Region(np.zeros((0, 2)))
 
 
 def test_region_builds_its_tree_once_on_first_query(monkeypatch):
@@ -114,10 +114,10 @@ def test_region_builds_its_tree_once_on_first_query(monkeypatch):
     tree = geom.cKDTree
     monkeypatch.setattr(geom, "cKDTree",
                         lambda pts, **kw: built.append(len(pts)) or tree(pts, **kw))
-    reg = Region(_disk_samples((0.2, -0.1), 0.5, 0.05), 0.05)
+    reg = Region(_disk_samples((0.2, -0.1), 0.5, 0.05))
     assert built == []
     probes = np.random.default_rng(4).uniform(-0.5, 0.8, size=(300, 2))
-    tol = 0.5 * reg.pitch * math.sqrt(2)
+    tol = 0.5 * 0.05 * math.sqrt(2)
     got = reg.contains_points(probes, tol)
     assert built == [len(reg.samples)]
     # the answers of a tree built up front, as every Region once did
@@ -152,6 +152,68 @@ def test_eccentricity_of_boundary_far_radius_is_exact():
         dist = np.linalg.norm(pts - c, axis=1)
         ratio = geom.eccentricity_of_boundary(pts, [c])
         assert ratio == pytest.approx(dist.max() / dist.min(), rel=1e-12, abs=0)
+
+
+@st.composite
+def _boundary_stacks(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    lead = draw(st.sampled_from([(), (1,), (4,), (2, 3)]))
+    m, k = draw(st.integers(1, 30)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):       # lattice values: ties, and centres on samples
+        boundary = rng.integers(-4, 5, size=(*lead, m, dim)).astype(float) / 4
+        centers = rng.integers(-4, 5, size=(*lead, k, dim)).astype(float) / 4
+    else:
+        boundary = rng.normal(size=(*lead, m, dim))
+        centers = 0.3 * rng.normal(size=(*lead, k, dim))
+    return boundary, centers
+
+
+def _per_centre_eccentricity(boundary, centers):
+    """Test reference: each centre's radii over all samples, one at a time."""
+    best = math.inf
+    for c in centers:
+        d = np.linalg.norm(boundary - c, axis=1)
+        if d.min() > 1e-12:
+            best = min(best, d.max() / d.min())
+    return max(1.0, best)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_boundary_stacks())
+def test_eccentricity_of_boundary_stacks_match_per_set_calls(stack):
+    boundary, centers = stack
+    got = geom.eccentricity_of_boundary(boundary, centers)
+    lead = boundary.shape[:-2]
+    assert np.shape(got) == lead
+    for idx in np.ndindex(*lead):
+        one = geom.eccentricity_of_boundary(boundary[idx], centers[idx])
+        assert isinstance(one, float)
+        assert np.asarray(got)[idx] == one == _per_centre_eccentricity(boundary[idx],
+                                                                      centers[idx])
+
+
+@pytest.mark.parametrize("center, s, far, top, axis, up", [
+    ((0.013970836029154832, -0.34240514579655956), 1.62540042895169,
+     (-1.8078312211322463, -2.212701072526838), False, 1, False),
+    ((1.78470000624095, -1.3724482095728385), 1.5383107774058895,
+     (0.3085657258831018, 0.9884760750055861), False, 1, True),
+    ((-0.7720225526497924, 1.904595740145433), 1.584375439896609,
+     (1.4105209244225954, 2.03738678455386), True, 1, True),
+])
+def test_cloud_diameter_keeps_a_sample_qhull_drops(center, s, far, top, axis, up):
+    # a lattice disk of pitch s / 7 under the singular map [[0, -0.132],
+    # [0, 0.105]] lies on one line; with one far point added and one end of
+    # the line moved by one ulp, Qhull drops that end as a near-duplicate of
+    # a vertex, and the hull vertices' diameter came out one ulp short
+    pitch, c = s / 7, np.asarray(center)
+    ax = c[:, None] - s + pitch * (np.arange(int(math.ceil(2 * s / pitch))) + 0.5)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*ax, indexing="ij")], axis=1)
+    pts = pts[np.hypot(*(pts - c).T) < s] @ np.array([[0, -0.132], [0, 0.105]]).T
+    end = np.argmax(pts[:, 1]) if top else np.argmin(pts[:, 1])
+    pts[end, axis] = np.nextafter(pts[end, axis], np.inf if up else -np.inf)
+    pts = np.vstack([pts, far])
+    assert geom._cloud_diameter(pts) == _brute_diameter(pts) == geom._farthest(pts)
 
 
 @st.composite

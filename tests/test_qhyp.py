@@ -638,6 +638,24 @@ def test_qh_distance_unreachable_is_infeasible():
     assert res["value"] == math.inf
 
 
+def test_qhgrid_and_qh_distance_build_no_tree(monkeypatch):
+    # the nearest node and the resolution check read one row of distances
+    # to every node; a kd-tree over the nodes is never built
+    cusp = cusp_domain(8.0)
+    queries = [(DISK, (0.3, 0.4), (-0.5, 0.1), 0.02),
+               (cusp, (1.75, 0.0), (0.45, 0.0), 0.05)]
+    want = [qh_distance(*q) for q in queries]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kd-tree built")
+    monkeypatch.setattr(qhyp, "cKDTree", refuse)
+    assert [qh_distance(*q) for q in queries] == want
+    assert [w["infeasible"] for w in want] == [False, True]
+    grid = QhGrid(DISK, 0.02)
+    for p in np.random.default_rng(5).uniform(-0.7, 0.7, size=(20, 2)):
+        assert grid.nearest_node(p) == np.argmin(np.linalg.norm(grid.nodes - p, axis=1))
+
+
 def test_qhgrid_lattice_is_bounded_before_allocation():
     # (2047 + 1)^2 = 2^22 lattice points fit the budget, (2048 + 1)^2 do not
     qhyp.check_lattice(PolygonDomain([(0, 0), (2047, 0), (2047, 2047), (0, 2047)]), 1.0)
