@@ -410,7 +410,8 @@ def _run_distortion(cfg: ExperimentConfig, files: dict) -> dict:
         out["anchor"] = {"name": "K-quasiconformal ring bound md f(G) <= K md G",
                          "K": float(svals[0] / svals[-1])}
         return out
-    probes = _count("params.probes", p.get("probes", 25))
+    probes = _at_most("params.probes", _count("params.probes", p.get("probes", 25)),
+                      distort.MAX_PROBES)
     ladder = _numbers("params.ladder", p.get("ladder", [0.15, 0.3, 0.6]))
     radius = _positive("params.radius", p.get("radius", 0.5))
     rng = np.random.default_rng(cfg.seed or 0)
@@ -557,14 +558,16 @@ def _run_survey(cfg: ExperimentConfig, files: dict) -> dict:
     if p["type"] == "translation":
         curve = PolyCurve(_points("params.curve",
                                   p.get("curve", [[0.0, 0.0], [0.0, 1.0]])))
-        n_max = _count("params.n_max", p.get("n_max", 16))
+        n_max = _at_most("params.n_max", _count("params.n_max", p.get("n_max", 16)),
+                         modfam.MAX_SURVEY_ROWS)
         table = modfam.translation_survey(E, curve, n_max, samples, seed=cfg.seed)
         table["anchor"] = {"name": "N * m(F_N) bounded by len(curve) * H^{n-1}(E)"}
     else:
         x = _numbers("params.x", p.get("x", (0.0, 0.0)))
         r = _number("params.r", p.get("r", 0.5))
         R = _number("params.R", p.get("R", 2.0))
-        n_max = _count("params.n_max", p.get("n_max", 8))
+        n_max = _at_most("params.n_max", _count("params.n_max", p.get("n_max", 8)),
+                         modfam.MAX_SURVEY_ROWS)
         table = modfam.radial_survey(E, x, r, R, n_max, samples, seed=cfg.seed)
         table["anchor"] = {"name": "directional measure decays like 1/N"}
     files["data.csv"] = partial(_csv, [("N", "measure", "ci95"),

@@ -9,7 +9,7 @@ order is resolved by explicit maximal-element selection instead of the
 maximal-chain argument needed for infinite index sets.  A family is held as
 stacked arrays whose range rows are the images of the domain rows by
 construction, a covering comes back in the same layout, and region
-diameters are exact without a convex hull (``_line_extremes``).
+diameters are exact from line extremes alone (``_line_extremes``).
 
 Yolk disjointness is decided exactly, for a whole family at once
 (``geom.balls_disjoint_matrix``): in floats where a stated rounding bound
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import DomainError, Region, _farthest, balls_disjoint_matrix
+from .geom import DomainError, Region, _run_diameters, balls_disjoint_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -107,22 +107,6 @@ def _line_extremes(side: FamilySide) -> np.ndarray:
     ext = np.empty(len(s), bool)
     ext[order] = new[:-1] | new[1:]
     return ext
-
-
-def _run_diameters(pts: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Largest distance within each run of ``n[k] >= 1`` consecutive rows of
-    ``pts``, in ``geom._farthest``'s arithmetic.  Runs whose lengths round up
-    to one power of two go through one call, padded to the longest of them
-    by repeating their last row, so a run's value does not depend on the
-    other runs."""
-    first = np.cumsum(n) - n
-    size = np.ceil(np.log2(n))
-    out = np.empty(len(n))
-    for b in np.unique(size):
-        k = np.flatnonzero(size == b)
-        pad = np.minimum(np.arange(n[k].max()), n[k, None] - 1)
-        out[k] = _farthest(pts[first[k, None] + pad])
-    return out
 
 
 def _diameters(family: PairedFamily) -> tuple:

@@ -176,6 +176,14 @@ def metric_distortion(f: SampledMap, x, ladder) -> DistortionProbe:
     return DistortionProbe(big, small, h_est)
 
 
+# probes a distortion config may ask for: each runs metric_distortion and
+# eccentric_distortion in turn, about 4.5 ms together (4.3-4.7 ms a probe
+# over 400 probes of the catalog maps; 1 thread, one run each, raw), so the
+# cap is about 20 s; two billion probes failed allocating 29.8 GiB of probe
+# points; 164 times the catalog's 25
+MAX_PROBES = 1 << 12
+
+
 # ---------------------------------------------------------------------------
 # Eccentric distortion
 

@@ -3,7 +3,9 @@
 Ball disjointness, sampled regions, polygonal curves, boundary eccentricity,
 Hausdorff content, and line integrals.  Everything here is a pure function of
 immutable inputs; regions and curves are safe to share across threads once
-built.
+built.  Every exact diameter in the package is ``_farthest`` over the rows
+that can realize it, or over all pairs (``Region.diameter``); no convex hull
+is built.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import cKDTree
 
 
 class DomainError(ValueError):
@@ -89,34 +91,13 @@ class Region:
         return cKDTree(self.samples, balanced_tree=False)
 
     def diameter(self) -> float:
-        """Exact diameter of the sample cloud, over its convex hull."""
-        return _cloud_diameter(self.samples)
+        """Exact diameter of the sample cloud, over all pairs of samples."""
+        return float(_farthest(self.samples))
 
     def contains_points(self, pts: np.ndarray, tol: float) -> np.ndarray:
         """True where each query point lies within tol of some sample."""
         d, _ = self._tree.query(np.atleast_2d(np.asarray(pts, float)), k=1)
         return d <= tol + 1e-12
-
-
-def _hull_points(pts: np.ndarray) -> np.ndarray:
-    """Vertices of the convex hull, which carry the diameter and every
-    farthest point of the cloud (Preparata-Shamos); the whole cloud when
-    Qhull cannot build a hull (flat, too small or one-dimensional)."""
-    try:
-        return pts[ConvexHull(pts).vertices]
-    except (QhullError, ValueError):
-        return pts
-
-
-def _cloud_diameter(pts: np.ndarray) -> float:
-    """Exact diameter over the samples whose farthest hull vertex is within a
-    rounding slack of the largest such distance: both ends of a diameter are,
-    even one that Qhull drops as lying within its precision of a vertex."""
-    if not len(pts):
-        return 0.0
-    far = np.sqrt(_squared_distances(pts, _hull_points(pts)).max(axis=1))
-    slack = 1e-9 * (1 + np.abs(pts).max())
-    return float(_farthest(pts[far >= far.max() - slack]))
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -132,6 +113,30 @@ def _farthest(clouds: np.ndarray) -> np.ndarray:
     stack, k >= 1: one arithmetic for every exact diameter (the square root
     is monotone, so it is taken once, of the largest squared distance)."""
     return np.sqrt(_squared_distances(clouds, clouds).max(axis=(-2, -1)))
+
+
+# pair entries of one _farthest call in _run_diameters, whose temporaries are
+# (runs, m, m) floats: one call per size class raised the traced peak of
+# qhyp.shadows on the cusp at depth 12 from 32 MB to 98 MB, 2**18 entries
+# (2 MB a temporary) kept it at 32 MB; a longer run gets a call of its own
+_RUN_PAIRS = 2 ** 18
+
+
+def _run_diameters(pts: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Largest distance within each run of ``n[k] >= 1`` consecutive rows of
+    ``pts``, in ``_farthest``'s arithmetic.  Runs whose lengths round up to
+    one power of two share calls of at most _RUN_PAIRS pair entries, each run
+    padded by repeating its last row, so its value is its own."""
+    first = np.cumsum(n) - n
+    size = np.ceil(np.log2(n))
+    out = np.empty(len(n))
+    for b in np.unique(size):
+        k = np.flatnonzero(size == b)
+        rows = first[k, None] + np.minimum(np.arange(n[k].max()), n[k, None] - 1)
+        step = max(1, _RUN_PAIRS // rows.shape[1] ** 2)
+        for c in range(0, len(k), step):
+            out[k[c:c + step]] = _farthest(pts[rows[c:c + step]])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +162,7 @@ class PolyCurve:
         return self._length
 
     def segments(self) -> Iterable[tuple[np.ndarray, np.ndarray]]:
-        for a, b in zip(self.vertices[:-1], self.vertices[1:]):
-            yield a, b
+        return zip(self.vertices[:-1], self.vertices[1:])
 
 
 # ---------------------------------------------------------------------------

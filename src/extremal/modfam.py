@@ -759,6 +759,12 @@ def avg_line_integral(rho, curve: PolyCurve, r: float, samples: int,
 # run each, raw), so about 0.7 GB at the cap; 2.6 times the catalog's
 # largest survey (100,000)
 MAX_SURVEY_SAMPLES = 1 << 18
+# rows N = 1..n_max a translation or radial survey config may ask for: each
+# row is one pass over the samples' hit counts, and the table and data.csv
+# hold one line per row (1,024 rows over MAX_SURVEY_SAMPLES samples took
+# 0.35 s translated and 0.43 s radial; 1 thread, one run each, raw; 10^9
+# rows ran past a 20 s timeout); 64 times the catalog's largest n_max (16)
+MAX_SURVEY_ROWS = 1 << 10
 
 
 def translation_survey(E, curve: PolyCurve, n_max: int, samples: int,

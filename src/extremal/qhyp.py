@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from .geom import DomainError, _cloud_diameter, _squared_distances
+from .geom import DomainError, _run_diameters, _squared_distances
 from .modfam import MAX_SCENE_CELLS
 
 _SNAP = 2 ** 24   # vertex coordinates are multiples of 1/_SNAP
@@ -77,14 +77,16 @@ class PolygonDomain:
         pts = np.atleast_2d(np.asarray(pts, float))
         return _points_segments_dist(pts, self._seg_a, self._seg_b)
 
-    def boundary_samples(self, spacing: float) -> np.ndarray:
-        pts = []
-        for a, b in self.segments:
-            L = float(np.linalg.norm(b - a))
-            n = max(1, int(math.ceil(L / spacing)))
-            t = np.arange(n) / n
-            pts.append(a[None] + t[:, None] * (b - a)[None])
-        return np.concatenate(pts, axis=0)
+    def boundary_samples(self, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+        """Samples a + (k / n)(b - a), k < n = max(1, ceil(|b - a| / spacing)),
+        of each segment (a, b), and each sample's segment; |b - a| is the
+        square root of one dot product, as ``np.linalg.norm`` takes it."""
+        a, d = self._seg_a, self._seg_b - self._seg_a
+        L = np.sqrt((d[:, None] @ d[:, :, None])[:, 0, 0])
+        n = np.maximum(1, np.ceil(L / spacing)).astype(int)
+        seg = np.repeat(np.arange(len(n)), n)
+        t = (np.arange(len(seg)) - np.repeat(np.cumsum(n) - n, n)) / n[seg]
+        return a[seg] + t[:, None] * d[seg], seg
 
 
 def _snap(v: np.ndarray) -> np.ndarray:
@@ -216,13 +218,9 @@ def cusp_domain(exponent: float) -> PolygonDomain:
     """
     xs = np.geomspace(0.35, 1.5, 40)
     w = 0.5 * (xs / 1.5) ** exponent
-    upper = np.stack([xs, w], axis=1)[::-1]
-    lower = np.stack([xs, -w], axis=1)
-    verts = [(2.0, 0.5), (1.5, 0.5)]
-    verts += [tuple(p) for p in upper[1:]]
-    verts += [tuple(p) for p in lower]
-    verts += [(2.0, -0.5)]
-    return PolygonDomain(list(reversed(verts)))
+    verts = np.vstack([[(2.0, 0.5), (1.5, 0.5)], np.stack([xs, w], axis=1)[-2::-1],
+                       np.stack([xs, -w], axis=1), [(2.0, -0.5)]])
+    return PolygonDomain(verts[::-1])
 
 
 def comb_domain(teeth: int) -> PolygonDomain:
@@ -646,6 +644,16 @@ def shadows(domain: PolygonDomain, x0, decomp: WhitneyDecomposition) -> dict:
     samples whose route passes through Q, and s(Q) = diam SH(Q).  Returns
     ``s`` and ``routes`` (the sorted sample indices of SH(Q)) as lists in
     cube order.
+
+    s(Q) is exact, from one array pass: the largest distance between the
+    samples of SH(Q) that start or end one of its runs on a segment
+    (``geom._run_diameters``).  For m strictly between samples a', b' of a
+    segment, h1 and h2 from them, and any p, Stewart's theorem gives
+    |p - m|^2 = (h2 |p - a'|^2 + h1 |p - b'|^2) / (h1 + h2) - h1 h2 <=
+    max(|p - a'|^2, |p - b'|^2) - h1 h2, where h1 h2 > spacing^2 / 4.  This
+    holds in floats while spacing^2 / 4 exceeds the rounding of samples and
+    squared distances: 6e-8 against under 1e-14 on the catalog domains at
+    depth 12.
     """
     n = len(decomp.cubes)
     corner, side = decomp.corner, decomp.side
@@ -666,18 +674,23 @@ def shadows(domain: PolygonDomain, x0, decomp: WhitneyDecomposition) -> dict:
     np.minimum.at(parent, v[tight], u[tight])
     parent[parent == n] = -1
     parent[root] = -1
-    samples = domain.boundary_samples(float(side.min()))
-    routes = _route_samples(samples, centers, corner, side, parent)
-    s = [float(_cloud_diameter(samples[idx])) if len(idx) >= 2 else 0.0
-         for idx in routes]
-    return {"s": s, "routes": routes, "parent": parent.tolist(), "root": root,
+    samples, seg = domain.boundary_samples(float(side.min()))
+    cube, idx = _route_samples(samples, centers, corner, side, parent)
+    # the hops that start or end a run of one cube's samples on one segment
+    new = np.diff(cube * len(domain.segments) + seg[idx], prepend=-1, append=-1) != 0
+    end = new[:-1] | new[1:]
+    count = np.bincount(cube[end], minlength=n)
+    s = np.zeros(n)
+    s[count > 0] = _run_diameters(samples[idx[end]], count[count > 0])
+    routes = np.split(idx, np.searchsorted(cube, np.arange(1, n)))
+    return {"s": s.tolist(), "routes": routes, "parent": parent.tolist(), "root": root,
             "boundary_samples": samples, "tree_distances": dist.tolist()}
 
 
 def _route_samples(samples: np.ndarray, centers: np.ndarray, corner: np.ndarray,
-                   side: np.ndarray, parent: np.ndarray) -> list:
-    """For each cube, the sorted indices of the boundary samples whose route
-    to the root passes through it.
+                   side: np.ndarray, parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (cube, sample) hops of every sample's route to the root, sorted by
+    cube, then sample.
 
     A sample starts at the least of its 8 nearest cubes by centre under the
     key (distance from the sample to the closed cube, side, index), and
@@ -702,9 +715,7 @@ def _route_samples(samples: np.ndarray, centers: np.ndarray, corner: np.ndarray,
         node, sample = node[on], sample[on]
         hops.append(node * len(samples) + sample)
         node = parent[node]
-    hops = np.unique(np.concatenate(hops))
-    cube, idx = np.divmod(hops, len(samples))
-    return np.split(idx, np.searchsorted(cube, np.arange(1, n)))
+    return np.divmod(np.unique(np.concatenate(hops)), len(samples))
 
 
 # ---------------------------------------------------------------------------

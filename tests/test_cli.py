@@ -832,14 +832,22 @@ def _refuse_build(*args, **kwargs):
     ("survey", {"type": "translation", "E": _CIRCLE},
      (modfam, "translation_survey"), ("samples", modfam.MAX_SURVEY_SAMPLES)),
     ("survey", {"type": "radial", "E": _CIRCLE},
-     (modfam, "radial_survey"), ("samples", modfam.MAX_SURVEY_SAMPLES))],
-    ids=["covering-pairs", "avg-line-samples", "translation-samples", "radial-samples"])
+     (modfam, "radial_survey"), ("samples", modfam.MAX_SURVEY_SAMPLES)),
+    ("survey", {"type": "translation", "E": _CIRCLE, "samples": 10},
+     (modfam, "translation_survey"), ("n_max", modfam.MAX_SURVEY_ROWS)),
+    ("survey", {"type": "radial", "E": _CIRCLE, "samples": 10},
+     (modfam, "radial_survey"), ("n_max", modfam.MAX_SURVEY_ROWS)),
+    ("distortion", {"map": "identity"},
+     (distort, "metric_distortion"), ("probes", distort.MAX_PROBES))],
+    ids=["covering-pairs", "avg-line-samples", "translation-samples", "radial-samples",
+         "translation-rows", "radial-rows", "distortion-probes"])
 def test_counts_above_their_cap_exit_two_before_building(kind, params, builder, cap,
                                                         tmp_path, monkeypatch, capsys):
     # n_pairs sized the (n, n, dim) arrays of the subset screen and the yolk
-    # matrices, and samples the samples x 65 points of avg-line-integral,
-    # with no bound; the builder raises, so no count is ever run: the cap
-    # itself reaches the builder, one more is refused before it
+    # matrices, samples the samples x 65 points of avg-line-integral, n_max
+    # the rows of a survey table and probes the probe points, with no bound;
+    # the builder raises, so no count is ever run: the cap itself reaches
+    # the builder, one more is refused before it
     monkeypatch.setattr(*builder, _refuse_build)
     key, most = cap
     path = tmp_path / "c.json"

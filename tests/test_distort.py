@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from extremal import distort, geom, modfam
 from extremal.distort import (SampledMap, eccentric_distortion, linear_sampled_map,
                               metric_distortion, ring_qc_test)
-from extremal.geom import DomainError, _cloud_diameter, eccentricity_of_boundary
+from extremal.geom import DomainError, _farthest, eccentricity_of_boundary
 from extremal.modfam import ring_modulus_exact
 
 
@@ -213,7 +213,7 @@ def _ref_eccentric_distortion(f, x, r):
     for k in range(ladder_steps):
         s = s_img * 2.0 ** (-k)
         dom_bnd = f.inverse(fx + s * circle)
-        if _cloud_diameter(dom_bnd) > 2 * r:
+        if _farthest(dom_bnd) > 2 * r:
             continue
         centers = f.inverse(fx[None] + s * 0.25 * np.vstack([[0, 0], circle[::8]]))
         val = max(1.0, eccentricity_of_boundary(dom_bnd, centers))
@@ -240,13 +240,12 @@ def test_eccentric_one_inverse_matches_one_per_level(f, x, r):
 
 def test_eccentric_builds_no_tree_or_hull(monkeypatch):
     # every radius and pullback diameter comes from direct distances: on a
-    # built map the estimate needs no kd-tree, hull or hull diameter
+    # built map the estimate needs no kd-tree (and geom holds no hull)
     want = [_ref_eccentric_distortion(f, (0.0, 0.0), 0.9)[0] for f in (DIAG, SHEAR)]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("tree or hull built")
-    for name in ("cKDTree", "ConvexHull", "_hull_points", "_cloud_diameter"):
-        monkeypatch.setattr(geom, name, refuse)
+        raise AssertionError("tree built")
+    monkeypatch.setattr(geom, "cKDTree", refuse)
     assert [eccentric_distortion(f, (0.0, 0.0), 0.9) for f in (DIAG, SHEAR)] == want
 
 

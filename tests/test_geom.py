@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremal import geom, sets
+from extremal import cover, distort, geom, qhyp, sets
 from extremal.geom import (DomainError, PolyCurve, Region, balls_disjoint_matrix,
                            hausdorff_content, hausdorff_normalization,
                            line_integral, translate_line_integrals)
@@ -128,7 +128,7 @@ def test_region_builds_its_tree_once_on_first_query(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Diameters and farthest points (convex hull)
+# Diameters
 
 def _brute_diameter(pts):
     if len(pts) < 2:
@@ -140,8 +140,7 @@ def test_cloud_diameter_exact_above_600_points():
     pts = _disk_samples((0, 0), 0.3, 0.02)
     assert len(pts) == 716
     assert _brute_diameter(pts) == pytest.approx(0.5993329625508684, rel=1e-15)
-    assert geom._cloud_diameter(pts) == pytest.approx(0.5993329625508684,
-                                                      rel=1e-12, abs=0)
+    assert Region(pts).diameter() == _brute_diameter(pts)
 
 
 def test_eccentricity_of_boundary_far_radius_is_exact():
@@ -204,8 +203,8 @@ def test_eccentricity_of_boundary_stacks_match_per_set_calls(stack):
 def test_cloud_diameter_keeps_a_sample_qhull_drops(center, s, far, top, axis, up):
     # a lattice disk of pitch s / 7 under the singular map [[0, -0.132],
     # [0, 0.105]] lies on one line; with one far point added and one end of
-    # the line moved by one ulp, Qhull drops that end as a near-duplicate of
-    # a vertex, and the hull vertices' diameter came out one ulp short
+    # the line moved by one ulp, Qhull dropped that end as a near-duplicate
+    # of a vertex, and a hull-vertex diameter came out one ulp short
     pitch, c = s / 7, np.asarray(center)
     ax = c[:, None] - s + pitch * (np.arange(int(math.ceil(2 * s / pitch))) + 0.5)
     pts = np.stack([g.ravel() for g in np.meshgrid(*ax, indexing="ij")], axis=1)
@@ -213,7 +212,7 @@ def test_cloud_diameter_keeps_a_sample_qhull_drops(center, s, far, top, axis, up
     end = np.argmax(pts[:, 1]) if top else np.argmin(pts[:, 1])
     pts[end, axis] = np.nextafter(pts[end, axis], np.inf if up else -np.inf)
     pts = np.vstack([pts, far])
-    assert geom._cloud_diameter(pts) == _brute_diameter(pts) == geom._farthest(pts)
+    assert Region(pts).diameter() == _brute_diameter(pts) == geom._farthest(pts)
 
 
 @st.composite
@@ -236,16 +235,40 @@ def _clouds(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(pts=_clouds())
-def test_hull_farthest_points_match_brute_force(pts):
-    assert geom._cloud_diameter(pts) == pytest.approx(_brute_diameter(pts),
-                                                      rel=1e-12, abs=0)
-    if len(pts) == 0:
+def test_region_diameter_is_the_brute_force_diameter(pts):
+    # flat, duplicated and lattice clouds included, to the bit
+    if len(pts):
+        assert Region(pts).diameter() == _brute_diameter(pts)
+
+
+def test_no_diameter_builds_a_convex_hull(monkeypatch):
+    # shadow sets, coverings and the eccentric estimator take every diameter
+    # from candidate rows: a convex hull built anywhere in geom fails the run
+    def refuse(*args, **kwargs):
+        raise AssertionError("convex hull built")
+    monkeypatch.setattr(geom, "ConvexHull", refuse, raising=False)
+    disk = qhyp.disk_domain(1.0, 128)
+    sh = qhyp.shadows(disk, (0.0, 0.0), qhyp.whitney_decompose(disk, 5))
+    assert max(sh["s"]) > 1.9
+    res = cover.egg_yolk_cover(cover.random_paired_family(30, 4.0, "diag(2,1)", seed=77))
+    assert all(res.report["verified"].values())
+    diag = distort.linear_sampled_map(cover.NAMED_MAPS["diag(2,1)"], pitch=0.05)
+    assert distort.eccentric_distortion(diag, (0.0, 0.0), 0.9) >= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_clouds(), min_size=1, max_size=8), st.sampled_from([1, 64, None]))
+def test_run_diameters_are_each_runs_own(clouds, cap):
+    # one value per run, whatever the other runs and however many pair
+    # entries one call may hold
+    clouds = [c for c in clouds if len(c) and c.shape[1] == clouds[0].shape[1]]
+    if not clouds:
         return
-    hull = geom._hull_points(pts)
-    queries = np.vstack([pts[:5], pts.mean(axis=0) + np.eye(pts.shape[1])])
-    for q in queries:
-        assert np.linalg.norm(hull - q, axis=1).max() == pytest.approx(
-            np.linalg.norm(pts - q, axis=1).max(), rel=1e-12, abs=0)
+    with pytest.MonkeyPatch.context() as mp:
+        if cap:
+            mp.setattr(geom, "_RUN_PAIRS", cap)
+        got = geom._run_diameters(np.vstack(clouds), np.array([len(c) for c in clouds]))
+    assert got.tolist() == [geom._farthest(c) for c in clouds]
 
 
 # ---------------------------------------------------------------------------

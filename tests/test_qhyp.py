@@ -885,7 +885,39 @@ def test_shadow_routes_match_per_sample_loop(name):
                 assert route.dtype == idx.dtype
                 assert np.array_equal(route, idx)
                 pts = sh["boundary_samples"][idx]
-                assert s == (geom._cloud_diameter(pts) if len(idx) >= 2 else 0.0)
+                assert s == (geom._farthest(pts) if len(idx) else 0.0)
+
+
+@st.composite
+def _star_domains(draw):
+    """A star polygon about its offset, at scales 1e-3 to 1e3 and offsets up
+    to 1e5, with a smaller star cut out about the same point or not, and a
+    Whitney depth."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def star(r_lo, r_hi):
+        k = int(rng.integers(8, 24))
+        theta = 2 * math.pi * (np.arange(k) + rng.uniform(0.1, 0.9, k)) / k
+        r = rng.uniform(r_lo, r_hi, k)
+        return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    offset = rng.uniform(-1e5, 1e5, 2) * draw(st.booleans())
+    holes = [offset + scale * star(0.05, 0.15)] if draw(st.booleans()) else []
+    return PolygonDomain(offset + scale * star(0.7, 1.0), holes), draw(st.integers(5, 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_star_domains())
+def test_shadow_diameters_are_the_all_pairs_diameters(case):
+    # s(Q) is taken over the ends of the segment runs of SH(Q) only; it must
+    # be the largest distance over all pairs of SH(Q)'s samples, to the bit
+    domain, depth = case
+    dec = whitney_decompose(domain, max_depth=depth)
+    big = int(np.argmax(dec.side))
+    sh = shadows(domain, dec.corner[big] + dec.side[big] / 2, dec)
+    pts = sh["boundary_samples"]
+    assert sh["s"] == [geom._farthest(pts[idx]) if len(idx) else 0.0
+                       for idx in sh["routes"]]
 
 
 def test_boundary_adjacent_shadows_comparable_to_side(disk_shadows):

@@ -62,8 +62,8 @@ KEEP = {
     "sets.ProductSet.intersects_boxes_batch": "ROADMAP item 1",
     # the n = 3 shell
     "modfam.annulus_scene_3d": "ROADMAP item 5",
-    # the Qhull diameter that the line-extreme diameters of a covering are
-    # checked against
+    # the all-pairs diameter of a sampled region, the reference that the
+    # tests check the candidate-row diameters against
     "geom.Region.diameter": "test reference",
 }
 
